@@ -38,6 +38,7 @@ from .limits import (
 )
 from .params import DeformParams, EvalResult, Family, Tolerance
 from .qcore import (
+    evaluate,
     ln_gamma_pq,
     ln_gamma_qk,
     psi_pq,
@@ -72,6 +73,7 @@ __all__ = [
     "DeformParams",
     "Tolerance",
     "EvalResult",
+    "evaluate",
     "q_bracket",
     "psi_qk",
     "psi_qk_prime",

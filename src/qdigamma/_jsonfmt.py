@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 
+# Version of every JSON document the package writes (CLI output and report dicts).
+SCHEMA_VERSION = "1"
+
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -18,6 +21,11 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return f"{x:.17g}"
+
+
+def one_line(obj) -> str:
+    """dumps on a single line, for the plain-text and stderr echoes."""
+    return dumps(obj, indent=0).replace("\n", " ")
 
 
 def dumps(obj, indent: int = 2) -> str:

@@ -25,7 +25,7 @@ def sum_terms(term_fn: Callable[[np.ndarray], np.ndarray], n_first: int, n_last:
     for lo in range(n_first, n_last + 1, CHUNK):
         hi = min(lo + CHUNK - 1, n_last)
         n = np.arange(lo, hi + 1, dtype=np.float64)
-        partials.append(float(np.sum(term_fn(n))))
+        partials.append(float(np.add.reduce(term_fn(n))))
     return math.fsum(partials)
 
 

@@ -17,15 +17,14 @@ import json
 import sys
 
 from . import _jsonfmt
+from ._jsonfmt import SCHEMA_VERSION
 from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
 from .inequalities import (
     RatioSpec,
     Suite,
     find_positive_threshold,
     make_verification_grid,
-    ratio_G,
-    ratio_H,
-    validate_spec,
+    ratio_values,
     verify_bounds,
 )
 from .limits import (
@@ -37,9 +36,10 @@ from .limits import (
     limit_q_to_1_qk,
 )
 from .params import DeformParams, Family, Tolerance
-from .qcore import ln_gamma_pq, ln_gamma_qk, psi_pq, psi_pq_prime, psi_qk, psi_qk_prime
-
-SCHEMA_VERSION = "1"
+from .qcore import evaluate
+# the kernels and ratio functions stay bound here for tools that wrap them by module
+from .inequalities import ratio_G, ratio_H, validate_spec  # noqa: F401
+from .qcore import ln_gamma_pq, ln_gamma_qk, psi_pq, psi_pq_prime, psi_qk, psi_qk_prime  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -180,26 +180,17 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(_jsonfmt.dumps(doc) + "\n")
 
 
-def _evaluate_point(args, t: float, params, tol):
-    fn = args.fn
-    family = Family(args.family)
-    if fn == "ratio":
-        spec = _spec_from(args)
-        verdict = validate_spec(spec, params, (t, t), tol)
-        if not verdict.valid:
-            raise DomainError("ratio preconditions fail: " + "; ".join(verdict.reasons))
-        return ratio_G(spec, t, params, tol) if family is Family.QK else ratio_H(spec, t, params)
-    if family is Family.QK:
-        table = {"psi": psi_qk, "psi-prime": psi_qk_prime, "ln-gamma": ln_gamma_qk}
-        return table[fn](t, params, tol)
-    table = {"psi": psi_pq, "psi-prime": psi_pq_prime, "ln-gamma": ln_gamma_pq}
-    return table[fn](t, params)
+def _evaluate_rows(args, ts: list, params, tol) -> list:
+    """args.fn at every t of ts (ascending), in one batch."""
+    if args.fn == "ratio":
+        return ratio_values(_spec_from(args), params, ts, tol)
+    return evaluate(args.fn, params, ts, tol)
 
 
 def _cmd_eval(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
-    res = _evaluate_point(args, args.t, params, tol)
+    (res,) = _evaluate_rows(args, [float(args.t)], params, tol)
     config = {
         "command": "eval", **_family_config(args), "t": args.t, "fn": args.fn,
         **_spec_config(args), "abs_tol": args.abs_tol, "n_max": args.n_max,
@@ -209,13 +200,13 @@ def _cmd_eval(args) -> int:
     if args.format == "json":
         _emit({"schema_version": SCHEMA_VERSION, "config": config, "result": result})
     elif args.format == "csv":
-        sys.stderr.write("# config " + _jsonfmt.dumps(config, indent=0).replace("\n", " ") + "\n")
+        sys.stderr.write("# config " + _jsonfmt.one_line(config) + "\n")
         sys.stdout.write("value,tail_bound,terms_used\n")
         sys.stdout.write(
             f"{_jsonfmt.format_float(res.value)},{_jsonfmt.format_float(res.tail_bound)},{res.terms_used}\n"
         )
     else:
-        sys.stdout.write("config: " + _jsonfmt.dumps(config, indent=0).replace("\n", " ") + "\n")
+        sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
         sys.stdout.write(f"value = {_jsonfmt.format_float(res.value)}\n")
         sys.stdout.write(f"tail_bound = {_jsonfmt.format_float(res.tail_bound)}\n")
         sys.stdout.write(f"terms_used = {res.terms_used}\n")
@@ -231,10 +222,8 @@ def _cmd_table(args) -> int:
         raise DomainError("need --t-min < --t-max")
     params = _params_from(args)
     tol = _tol_from(args)
-    rows = []
-    for t in np.linspace(args.t_min, args.t_max, args.t_count):
-        res = _evaluate_point(args, float(t), params, tol)
-        rows.append((float(t), res.value, res.tail_bound))
+    ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.t_count)]
+    rows = [(t, res.value, res.tail_bound) for t, res in zip(ts, _evaluate_rows(args, ts, params, tol))]
     config = {
         "command": "table", **_family_config(args), "fn": args.fn, **_spec_config(args),
         "t_min": args.t_min, "t_max": args.t_max, "t_count": args.t_count,
@@ -249,9 +238,9 @@ def _cmd_table(args) -> int:
     else:
         ff = _jsonfmt.format_float
         if args.format == "plain":
-            sys.stdout.write("config: " + _jsonfmt.dumps(config, indent=0).replace("\n", " ") + "\n")
+            sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
         else:
-            sys.stderr.write("# config " + _jsonfmt.dumps(config, indent=0).replace("\n", " ") + "\n")
+            sys.stderr.write("# config " + _jsonfmt.one_line(config) + "\n")
         sys.stdout.write("t,value,tail_bound\n")
         for t, v, b in rows:
             sys.stdout.write(f"{ff(t)},{ff(v)},{ff(b)}\n")
@@ -300,14 +289,14 @@ def _cmd_verify(args) -> int:
         _emit({"schema_version": SCHEMA_VERSION, "config": config, "report": report.as_dict()})
     else:
         ff = _jsonfmt.format_float
-        sys.stdout.write("config: " + _jsonfmt.dumps(config, indent=0).replace("\n", " ") + "\n")
+        sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
         sys.stdout.write(f"suite = {report.suite}\n")
         sys.stdout.write(f"checks_run = {report.checks_run}\n")
         sys.stdout.write(f"skipped = {report.skipped}\n")
         sys.stdout.write(f"worst_violation = {ff(report.worst_violation)}\n")
         if report.worst_point is not None:
             sys.stdout.write(
-                "worst_point = " + _jsonfmt.dumps(report.worst_point, indent=0).replace("\n", " ") + "\n"
+                "worst_point = " + _jsonfmt.one_line(report.worst_point) + "\n"
             )
         for err in report.errors:
             sys.stdout.write(f"error: {err}\n")
@@ -352,11 +341,11 @@ def _cmd_limits(args) -> int:
     if args.json:
         _emit({"schema_version": SCHEMA_VERSION, "config": config, "report": doc})
     else:
-        sys.stdout.write("config: " + _jsonfmt.dumps(config, indent=0).replace("\n", " ") + "\n")
+        sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
         for key, value in doc.items():
             if key == "schema_version":
                 continue
-            sys.stdout.write(f"{key} = " + _jsonfmt.dumps(value, indent=0).replace("\n", " ") + "\n")
+            sys.stdout.write(f"{key} = " + _jsonfmt.one_line(value) + "\n")
         sys.stdout.write("PASS\n" if ok else "FAIL\n")
     return EXIT_OK if ok else EXIT_VIOLATION
 

@@ -27,9 +27,12 @@ from typing import Optional
 
 import numpy as np
 
+from ._jsonfmt import SCHEMA_VERSION
 from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
-from .qcore import psi_pq, psi_pq_prime, psi_pq_limit, psi_qk, psi_qk_prime
+from .qcore import evaluate, psi_pq_limit
+# the kernels stay bound here for tools that wrap them by module
+from .qcore import psi_pq, psi_pq_prime, psi_qk, psi_qk_prime  # noqa: F401
 
 __all__ = [
     "RatioSpec",
@@ -45,8 +48,6 @@ __all__ = [
     "find_positive_threshold",
     "make_verification_grid",
 ]
-
-SCHEMA_VERSION = "1"
 
 # Base inequality slack; the effective per-point slack is
 # max(EPS_BASE, 10 * propagated tail bounds) for ratio/cross checks and
@@ -173,16 +174,37 @@ class Suite(str, Enum):
     MONOTONE_PSI_PRIME = "monotone-psi-prime"
 
 
-def _psi(t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    if params.family is Family.QK:
-        return psi_qk(t, params, tol)
-    return psi_pq(t, params)
+def _t_range(t_range: tuple) -> tuple:
+    t_lo, t_hi = float(t_range[0]), float(t_range[1])
+    if t_lo < 0.0 or t_hi < t_lo:
+        raise DomainError(f"bad t_range {t_range!r}")
+    return t_lo, t_hi
 
 
-def _psi_prime(t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    if params.family is Family.QK:
-        return psi_qk_prime(t, params, tol)
-    return psi_pq_prime(t, params)
+def _psi_lines(fn: str, spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
+    """fn at the lower arguments a+bt and the upper arguments c+dt of every t, in one batch.
+
+    The points go in as (lower, upper) per t, in order, so the first point
+    that fails is the one a t-by-t loop would meet first.
+    """
+    res = evaluate(fn, params, [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))], tol)
+    return res[0::2], res[1::2]
+
+
+def _verdict(spec: RatioSpec, t_lo: float, t_hi: float, lo: EvalResult, hi: EvalResult) -> SpecVerdict:
+    reasons = []
+    for t_end in (t_lo, t_hi):
+        if spec.lower_arg(t_end) > spec.upper_arg(t_end):
+            reasons.append(f"argument ordering fails at t={t_end:g}")
+    if lo.value - lo.tail_bound <= 0.0:
+        reasons.append(
+            f"psi({spec.lower_arg(t_lo):g}) = {lo.value:.6g} not certainly positive"
+        )
+    if hi.value - hi.tail_bound <= 0.0:
+        reasons.append(
+            f"psi({spec.upper_arg(t_lo):g}) = {hi.value:.6g} not certainly positive"
+        )
+    return SpecVerdict(not reasons, tuple(reasons), lo.value, hi.value)
 
 
 def validate_spec(
@@ -197,31 +219,13 @@ def validate_spec(
     so psi(a + b*t_min) > tail and psi(c + d*t_min) > tail cover the whole
     range.  The argument ordering is linear, so both endpoints suffice.
     """
-    t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    if t_lo < 0.0 or t_hi < t_lo:
-        raise DomainError(f"bad t_range {t_range!r}")
-    reasons = []
-    for t_end in (t_lo, t_hi):
-        if spec.lower_arg(t_end) > spec.upper_arg(t_end):
-            reasons.append(f"argument ordering fails at t={t_end:g}")
-    lo = _psi(spec.lower_arg(t_lo), params, tol)
-    hi = _psi(spec.upper_arg(t_lo), params, tol)
-    if lo.value - lo.tail_bound <= 0.0:
-        reasons.append(
-            f"psi({spec.lower_arg(t_lo):g}) = {lo.value:.6g} not certainly positive"
-        )
-    if hi.value - hi.tail_bound <= 0.0:
-        reasons.append(
-            f"psi({spec.upper_arg(t_lo):g}) = {hi.value:.6g} not certainly positive"
-        )
-    return SpecVerdict(not reasons, tuple(reasons), lo.value, hi.value)
+    t_lo, t_hi = _t_range(t_range)
+    (lo,), (hi,) = _psi_lines("psi", spec, params, [t_lo], tol)
+    return _verdict(spec, t_lo, t_hi, lo, hi)
 
 
-def _ratio(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    x = _psi(spec.lower_arg(t), params, tol)
-    y = _psi(spec.upper_arg(t), params, tol)
+def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> EvalResult:
+    """G(t) from x = psi(a+bt) and y = psi(c+dt)."""
     x_low = x.value - x.tail_bound
     y_low = y.value - y.tail_bound
     if x_low <= 0.0 or y_low <= 0.0:
@@ -236,6 +240,13 @@ def _ratio(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance) -> E
     return EvalResult(value, value * rel, x.terms_used + y.terms_used)
 
 
+def _ratio(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
+    if t < 0.0:
+        raise DomainError(f"t={t!r} must be nonnegative")
+    (x,), (y,) = _psi_lines("psi", spec, params, [t], tol)
+    return _ratio_of(spec, t, x, y, params)
+
+
 def ratio_G(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """QK-family ratio psi_qk(a+bt)^alpha / psi_qk(c+dt)^beta."""
     params.require(Family.QK)
@@ -248,18 +259,33 @@ def ratio_H(spec: RatioSpec, t: float, params: DeformParams) -> EvalResult:
     return _ratio(spec, t, params, DEFAULT_TOL)
 
 
-def _cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance):
-    """Cross margin and its propagated numerical slack."""
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    x = _psi(spec.lower_arg(t), params, tol)
-    y = _psi(spec.upper_arg(t), params, tol)
+def ratio_values(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
+    """G(t) at every t of the ascending ts, in one batch, for either family.
+
+    Each t must meet the preconditions on [t, t], as validate_spec checks
+    them; the first t that does not raises DomainError.
+    """
+    for t in ts:
+        _t_range((t, t))
+    xs, ys = _psi_lines("psi", spec, params, ts, tol)
+    values = []
+    for t, x, y in zip(ts, xs, ys):
+        verdict = _verdict(spec, t, t, x, y)
+        if not verdict.valid:
+            raise DomainError("ratio preconditions fail: " + "; ".join(verdict.reasons))
+        values.append(_ratio_of(spec, t, x, y, params))
+    return values
+
+
+def _check_positive(t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> None:
     if x.value - x.tail_bound <= 0.0 or y.value - y.tail_bound <= 0.0:
         raise PositivityViolated(
             f"psi not certainly positive at t={t:g} ({params.label()})"
         )
-    xp = _psi_prime(spec.lower_arg(t), params, tol)
-    yp = _psi_prime(spec.upper_arg(t), params, tol)
+
+
+def _cross_of(spec: RatioSpec, x: EvalResult, y: EvalResult, xp: EvalResult, yp: EvalResult):
+    """Cross margin and its propagated numerical slack from psi and psi' at a+bt, c+dt."""
     ab, bd = spec.alpha * spec.b, spec.beta * spec.d
     margin = ab * y.value * xp.value - bd * x.value * yp.value
     slack = ab * (abs(y.value) * xp.tail_bound + xp.value * y.tail_bound) + bd * (
@@ -275,12 +301,25 @@ def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tole
     condition, positivity) holds; it is the numerator of d/dt ln G times
     psi(a+bt)*psi(c+dt).
     """
-    margin, _ = _cross(spec, t, params, tol)
+    if t < 0.0:
+        raise DomainError(f"t={t!r} must be nonnegative")
+    (x,), (y,) = _psi_lines("psi", spec, params, [t], tol)
+    _check_positive(t, x, y, params)
+    (xp,), (yp,) = _psi_lines("psi-prime", spec, params, [t], tol)
+    margin, _ = _cross_of(spec, x, y, xp, yp)
     return margin
 
 
 def _eps_for(slack: float) -> float:
     return max(EPS_BASE, 10.0 * slack)
+
+
+_COROLLARIES = (Suite.QK_COROLLARY, Suite.PQ_COROLLARY)
+# suite -> (function, check name, whether the function must increase in t)
+_MONOTONE = {
+    Suite.MONOTONE_PSI: ("psi", "psi-nondecreasing", True),
+    Suite.MONOTONE_PSI_PRIME: ("psi-prime", "psi-prime-nonincreasing", False),
+}
 
 
 def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
@@ -290,8 +329,22 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     point.  Specs failing their preconditions are counted as skipped, never
     as failures; evaluation errors at individual points are recorded.
     The report is deterministic given the grid.
+
+    Each (params, spec) line is evaluated in one batch: psi at every lower
+    and upper argument it needs (and psi' for lemma-cross), precondition
+    points included.  A grid the suite cannot run on raises DomainError
+    before anything is evaluated.
     """
     suite = Suite(suite)
+    if suite in _MONOTONE:
+        if grid.t_min <= 0.0:
+            raise DomainError(
+                f"suite {suite.value} evaluates psi at the grid points themselves, "
+                f"so it needs t_min > 0; got t_min={grid.t_min!r}"
+            )
+    else:
+        t_lo, t_hi = _t_range(
+            (min(grid.t_min, 1.0) if suite in _COROLLARIES else grid.t_min, grid.t_max))
     t_vals = grid.t_values()
     checks_run = 0
     skipped = 0
@@ -309,48 +362,54 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
         if margin < -eps_pt:
             violated = True
 
-    ratio_suites = {Suite.QK_THEOREM, Suite.QK_COROLLARY, Suite.PQ_THEOREM, Suite.PQ_COROLLARY}
-
     for i, (params, spec) in enumerate(grid.pairs):
         try:
-            if suite in ratio_suites or suite is Suite.LEMMA_CROSS:
-                lo = min(grid.t_min, 1.0) if suite in (Suite.QK_COROLLARY, Suite.PQ_COROLLARY) else grid.t_min
-                verdict = validate_spec(spec, params, (lo, grid.t_max), tol)
-                if not verdict.valid:
-                    skipped += 1
-                    continue
+            if suite in _MONOTONE:
+                fn, check, increasing = _MONOTONE[suite]
+                vals = evaluate(fn, params, t_vals, tol)
+                for j in range(len(vals) - 1):
+                    s_res, t_res = vals[j], vals[j + 1]
+                    margin = t_res.value - s_res.value if increasing else s_res.value - t_res.value
+                    record(margin, 2.0 * (s_res.tail_bound + t_res.tail_bound),
+                           {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": check})
+                continue
 
-            if suite in (Suite.QK_THEOREM, Suite.PQ_THEOREM):
-                g_lo = _ratio(spec, t_vals[0], params, tol)
-                g_hi = _ratio(spec, t_vals[-1], params, tol)
-                for t in t_vals:
-                    g_t = _ratio(spec, t, params, tol)
+            # the precondition point first, then the grid, then t = 1 for a corollary
+            ts = [t_lo, *t_vals, *([1.0] if suite in _COROLLARIES else [])]
+            xs, ys = _psi_lines("psi", spec, params, ts, tol)
+            if not _verdict(spec, t_lo, t_hi, xs[0], ys[0]).valid:
+                skipped += 1
+                continue
+            xs, ys = xs[1:], ys[1:]
+
+            if suite is Suite.LEMMA_CROSS:
+                for t, x, y in zip(t_vals, xs, ys):
+                    _check_positive(t, x, y, params)
+                xps, yps = _psi_lines("psi-prime", spec, params, t_vals, tol)
+                for t, x, y, xp, yp in zip(t_vals, xs, ys, xps, yps):
+                    margin, slack = _cross_of(spec, x, y, xp, yp)
+                    record(margin, _eps_for(slack), {"pair_index": i, "t": t, "check": "cross"})
+                continue
+
+            def g(j):
+                return _ratio_of(spec, ts[j + 1], xs[j], ys[j], params)
+
+            # the reference points before the t loop, in the order a t-by-t run meets them
+
+            if suite in _COROLLARIES:
+                g_one = g(len(t_vals))
+                for j, t in enumerate(t_vals):
+                    g_t = g(j)
+                    record(g_t.value - g_one.value, _eps_for(g_t.tail_bound + g_one.tail_bound),
+                           {"pair_index": i, "t": t, "check": "corollary"})
+            else:
+                g_lo, g_hi = g(0), g(len(t_vals) - 1)
+                for j, t in enumerate(t_vals):
+                    g_t = g(j)
                     record(g_t.value - g_lo.value, _eps_for(g_t.tail_bound + g_lo.tail_bound),
                            {"pair_index": i, "t": t, "check": "lower"})
                     record(g_hi.value - g_t.value, _eps_for(g_hi.tail_bound + g_t.tail_bound),
                            {"pair_index": i, "t": t, "check": "upper"})
-            elif suite in (Suite.QK_COROLLARY, Suite.PQ_COROLLARY):
-                g_one = _ratio(spec, 1.0, params, tol)
-                for t in t_vals:
-                    g_t = _ratio(spec, t, params, tol)
-                    record(g_t.value - g_one.value, _eps_for(g_t.tail_bound + g_one.tail_bound),
-                           {"pair_index": i, "t": t, "check": "corollary"})
-            elif suite is Suite.LEMMA_CROSS:
-                for t in t_vals:
-                    margin, slack = _cross(spec, t, params, tol)
-                    record(margin, _eps_for(slack), {"pair_index": i, "t": t, "check": "cross"})
-            elif suite is Suite.MONOTONE_PSI:
-                vals = [_psi(t, params, tol) for t in t_vals]
-                for j in range(len(vals) - 1):
-                    s_res, t_res = vals[j], vals[j + 1]
-                    record(t_res.value - s_res.value, 2.0 * (s_res.tail_bound + t_res.tail_bound),
-                           {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": "psi-nondecreasing"})
-            elif suite is Suite.MONOTONE_PSI_PRIME:
-                vals = [_psi_prime(t, params, tol) for t in t_vals]
-                for j in range(len(vals) - 1):
-                    s_res, t_res = vals[j], vals[j + 1]
-                    record(s_res.value - t_res.value, 2.0 * (s_res.tail_bound + t_res.tail_bound),
-                           {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": "psi-prime-nonincreasing"})
         except (PositivityViolated, TruncationNotConverged) as exc:
             errors.append(f"pair {i}: {type(exc).__name__}: {exc}")
 
@@ -386,7 +445,7 @@ def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) 
         )
 
     def f(t: float) -> float:
-        return _psi(t, params, tol).value
+        return evaluate("psi", params, (t,), tol)[0].value
 
     hi = max(1.0, params.k) if params.family is Family.QK else 1.0
     while f(hi) <= 0.0:

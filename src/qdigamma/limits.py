@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._jsonfmt import SCHEMA_VERSION
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, Q_MAX, Tolerance
-from .qcore import psi_pq, psi_qk
+from .qcore import ln1m_exp, psi_pq, psi_qk
 from .reference import SeriesKind, brute_force_series, classical_digamma, k_digamma_ref, p_digamma_ref
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "limit_p_to_inf",
     "limit_combined_pq",
 ]
-
-SCHEMA_VERSION = "1"
 
 # Default final-gap tolerance: the q -> 1- approach is slow, so this is a
 # trend check, not an equality.
@@ -222,7 +221,12 @@ def limit_p_to_inf(
     p_list: Sequence[int],
     tol: Tolerance = DEFAULT_TOL,
 ) -> ConvergenceReport:
-    """psi_pq -> psi_qk(k=1) as p grows, with a certified gap bound per p."""
+    """psi_pq -> psi_qk(k=1) as p grows, with a certified gap bound per p.
+
+    Passes when every gap is within its bound (plus the target's tail): the
+    bound is the certified rate, so gaps that stall at the rounding floor
+    inside it still pass.  monotone_tail is reported, not required.
+    """
     p_list = [int(p) for p in p_list]
     if any(p2 <= p1 for p1, p2 in zip(p_list, p_list[1:])) or not p_list:
         raise DomainError("p_list must be nonempty and strictly increasing")
@@ -235,16 +239,17 @@ def limit_p_to_inf(
     values = []
     bounds = []
     for p in p_list:
-        v = psi_pq(t, DeformParams.pq(p=p, q=q)).value
+        v = psi_pq(t, DeformParams.pq(p=p, q=q), tol).value
         gap = abs(v - target)
-        bound = abs(math.log1p(-math.exp(p * ln_q))) - ln_q * math.exp(
+        bound = abs(ln1m_exp(p * ln_q)) - ln_q * math.exp(
             (p + 1) * t * ln_q
         ) / (one_minus_q * one_minus_qt)
         seq.append((float(p), gap))
         values.append(v)
         bounds.append(bound)
     gaps = [g for _, g in seq]
-    decreasing = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+    # the certified bound is the rate itself, so the gaps need not shrink
+    # strictly: at the rounding floor they repeat inside their bounds
     slack = target_res.tail_bound + 1e-15
     within = all(g <= b + slack for g, b in zip(gaps, bounds))
     return ConvergenceReport(
@@ -252,7 +257,7 @@ def limit_p_to_inf(
         sequence=tuple(seq),
         monotone_tail=_monotone_tail(gaps),
         final_gap=gaps[-1],
-        passed=decreasing and within,
+        passed=within,
         values=tuple(values),
         target_values=tuple(target for _ in values),
         cert_bounds=tuple(bounds),
@@ -266,13 +271,10 @@ def limit_combined_pq(
     conv_tol: float = CONV_TOL,
 ) -> ConvergenceReport:
     """Joint scan p = 10^j, q = 1 - 10^-j against the classical digamma."""
-    if j_max < 3:
-        raise DomainError(f"j_max={j_max!r} must be >= 3")
     target = classical_digamma(t).value
     seq = []
     values = []
-    for j in range(1, j_max + 1):
-        q_j = min(1.0 - 10.0 ** (-j), Q_MAX)
+    for j, q_j in _q_schedule(j_max):
         v = psi_pq(t, DeformParams.pq(p=10 ** j, q=q_j)).value
         seq.append((float(j), abs(v - target)))
         values.append(v)

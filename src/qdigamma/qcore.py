@@ -23,23 +23,34 @@ Truncation control for the infinite series: with r = q^t, the factor
 1/(1 - q^(n*k)) is at most 1/(1 - q^k) for n >= 1, so the tail after N
 terms is dominated by an explicit geometric (or arithmetico-geometric)
 expression.  Evaluation stops at the first N whose majorant falls below
-the requested tolerance, never on raw term size.  All powers of q are
-formed in log space, so large t cannot underflow the products.
+the requested tolerance, never on raw term size.  The PQ sums stop where
+their terms underflow to exact zeros, and both families refuse a point that
+needs more than ``n_max`` terms.  All powers of q are formed in log space,
+so large t cannot underflow the products.
+
+``evaluate`` computes one function at many t in a single call.  Each point
+keeps its own term count and tail bound; only the term arrays are shared,
+one matrix per block of points, and each point's sum is formed exactly as a
+one-point call forms it, so a batch returns the same bits.  The six public
+kernels are its one-point entries.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from ._series import geometric_terms_needed, sum_terms
+from ._series import CHUNK, geometric_terms_needed, sum_terms
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
 
 __all__ = [
+    "evaluate",
     "q_bracket",
     "ln_q_bracket",
+    "ln1m_exp",
     "psi_qk",
     "psi_qk_prime",
     "psi_pq",
@@ -54,12 +65,26 @@ __all__ = [
 # dominates the true tail after double rounding of the bound expression.
 _SAFETY = 1.0 + 1e-12
 
+# Most terms one batch block holds (rows x summed width); less than a CHUNK,
+# so memory stays at the scale of one-point sums whatever the batch size.  A
+# point needing more is summed on its own, one CHUNK at a time.
+_BLOCK_TERMS = CHUNK // 4
+
+_LN2 = math.log(2.0)
+
 
 def _check_t(t: float) -> float:
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError(f"t={t!r} must be a positive finite real")
     return t
+
+
+def ln1m_exp(x: float) -> float:
+    """ln(1 - e^x) for x < 0, accurate where e^x is near 1 as well as near 0."""
+    if x > -_LN2:
+        return math.log(-math.expm1(x))
+    return math.log1p(-math.exp(x))
 
 
 def q_bracket(p: int, q: float) -> float:
@@ -74,7 +99,7 @@ def q_bracket(p: int, q: float) -> float:
 
 def ln_q_bracket(x: float, ln_q: float) -> float:
     """ln [x]_q for real x > 0, given ln(q); exact for q^x underflowing to 0."""
-    return math.log1p(-math.exp(x * ln_q)) - math.log1p(-math.exp(ln_q))
+    return ln1m_exp(x * ln_q) - ln1m_exp(ln_q)
 
 
 def psi_qk_limit(params: DeformParams) -> float:
@@ -89,42 +114,91 @@ def psi_pq_limit(params: DeformParams) -> float:
     return ln_q_bracket(params.p, math.log(params.q))
 
 
-def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """(q,k)-digamma at t with a certified truncation bound.
+# -- term arrays ------------------------------------------------------------
+# Each factory returns terms(x, n), the terms at the indices n of the row
+# whose parameter is the float x, or of the rows whose parameters are the
+# column x as a (rows, len(n)) array.  A block broadcasts the one-row
+# arithmetic, so every element has the same bits either way.
 
-    Tail majorant after N terms: |ln q| * r^(N+1) / ((1-q^k)(1-r)) with
-    r = q^t.
+
+def _power_terms(kl: float, prime: bool):
+    """q^(n t) / (1 - q^(n k)), times n for psi', for rows x = t ln q, with kl = k ln q."""
+    # one expression each, so numpy reuses the temporaries of long rows
+    if prime:
+        return lambda x, n: n * np.exp(n * x) / -np.expm1(n * kl)
+    return lambda x, n: np.exp(n * x) / -np.expm1(n * kl)
+
+
+def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
+    """Sum terms(x, n) over n = n_first..last for each row x with its own last, as sum_terms would.
+
+    Rows are sorted widest first and packed into blocks of at most
+    _BLOCK_TERMS terms (rows times the widest row).  A block's terms are
+    built as one array and each run of rows of one width is reduced in one
+    call.  Block rows are narrower than a CHUNK, so each is the single
+    partial of its sum_terms; fsum returns that partial unchanged except that
+    it reads -0.0 as 0.0, which adding 0.0 reproduces.  A row that fills a
+    block alone is summed by sum_terms, which builds it one CHUNK at a time.
     """
-    t = _check_t(t)
-    params.require(Family.QK)
-    q, k = params.q, params.k
-    ln_q = math.log(q)
-    lead = -math.log1p(-q) / k
+    if len(lasts) == 1:  # the one-point call: no blocks to plan
+        return [sum_terms(partial(terms, xs[0]), n_first, lasts[0])]
+    sums = [0.0] * len(lasts)
+    order = sorted(range(len(lasts)), key=lasts.__getitem__, reverse=True)
+    k = 0
+    while k < len(order):
+        width = lasts[order[k]] - n_first + 1
+        rows = order[k:k + max(1, _BLOCK_TERMS // max(width, 1))]
+        k += len(rows)
+        if len(rows) == 1:
+            (r,) = rows
+            sums[r] = sum_terms(partial(terms, xs[r]), n_first, lasts[r])
+            continue
+        block = terms(np.array([xs[r] for r in rows]).reshape(-1, 1),
+                      np.arange(n_first, n_first + width, dtype=np.float64))
+        widths = [lasts[r] - n_first + 1 for r in rows]
+        parts, lo = [], 0
+        for hi in range(1, len(rows) + 1):
+            if hi == len(rows) or widths[hi] != widths[lo]:
+                parts.append(np.add.reduce(block[lo:hi, :widths[lo]], axis=1))
+                lo = hi
+        for r, value in zip(rows, (np.concatenate(parts) + 0.0).tolist()):
+            sums[r] = value
+    return sums
 
+
+# -- term counts ------------------------------------------------------------
+
+
+def _certified_terms(tail_at, n: int, ln_step: float, tol: Tolerance, unit: str):
+    """(N, tail_at(N)): the seed n widened until the tail majorant reaches abs_tol.
+
+    Each step adds the number of geometric factors exp(ln_step) that the
+    current overshoot still needs; raises at n_max.
+    """
+    n = min(n, tol.n_max)
+    tail = tail_at(n)
+    while tail > tol.abs_tol:
+        if n >= tol.n_max:
+            raise TruncationNotConverged(
+                f"tail bound stuck above {tol.abs_tol:.3e} after {tol.n_max} {unit}", tail, tol.n_max
+            )
+        n = min(tol.n_max, n + max(1, math.ceil(math.log(tail / tol.abs_tol) / -ln_step)))
+        tail = tail_at(n)
+    return n, tail
+
+
+def _series_ratio(t: float, ln_q: float):
+    """(ln r, 1 - r) for the series ratio r = q^t; 1 - r is None when r underflows to 0."""
+    t = _check_t(t)
     ln_r = t * ln_q
-    r = math.exp(ln_r)
-    if r == 0.0:  # every series term underflows; limit value is exact
-        return EvalResult(lead, 0.0, 0)
+    if math.exp(ln_r) == 0.0:
+        return ln_r, None
     one_minus_r = -math.expm1(ln_r)
-    one_minus_qk = -math.expm1(k * ln_q)
     if one_minus_r <= 0.0:
         raise TruncationNotConverged(
             f"series ratio q^t indistinguishable from 1 at t={t!r}", math.inf, 0
         )
-
-    coeff = _SAFETY * -ln_q / (one_minus_qk * one_minus_r)
-    n = geometric_terms_needed(ln_r, coeff, tol.abs_tol, tol.n_max)
-    if n > tol.n_max:
-        best = coeff * math.exp((tol.n_max + 1) * ln_r)
-        raise TruncationNotConverged(
-            f"tail bound stuck at {best:.3e} > {tol.abs_tol:.3e} after {tol.n_max} terms",
-            best,
-            tol.n_max,
-        )
-
-    s = sum_terms(lambda m: np.exp(m * ln_r) / (-np.expm1(m * (k * ln_q))), 1, n)
-    tail = coeff * math.exp((n + 1) * ln_r)
-    return EvalResult(lead + ln_q * s, tail, n)
+    return ln_r, one_minus_r
 
 
 def _prime_tail(ln_r: float, one_minus_r: float, coeff: float, n: int) -> float:
@@ -133,44 +207,193 @@ def _prime_tail(ln_r: float, one_minus_r: float, coeff: float, n: int) -> float:
     return coeff * math.exp((n + 1) * ln_r) * ((n + 1) * one_minus_r + r) / (one_minus_r * one_minus_r)
 
 
+def _last_nonzero(exponent, n_first: int, n_last: int, tol: Tolerance) -> int:
+    """Index of the last nonzero term of a PQ sum whose n-th term vanishes with exp(exponent(n)).
+
+    exponent is decreasing in n, so the terms past the first exact zero are
+    zeros too; n_first - 1 means no nonzero term.  Raises
+    TruncationNotConverged when the nonzero terms run past n_max.
+    """
+    n = n_last
+    if math.exp(exponent(n_last)) == 0.0:
+        n, hi = n_first - 1, n_last
+        while hi - n > 1:
+            mid = (n + hi) // 2
+            if math.exp(exponent(mid)) == 0.0:
+                hi = mid
+            else:
+                n = mid
+    if n > tol.n_max:
+        raise TruncationNotConverged(
+            f"finite sum has nonzero terms up to n={n}, past the cap of {tol.n_max} terms",
+            math.inf,
+            tol.n_max,
+        )
+    return n
+
+
+def _summed_through(n: int, n_first: int, n_last: int) -> int:
+    """Last index to sum when the last nonzero term is n: the end of the CHUNK holding n + 1.
+
+    The trailing zeros of that chunk stay in its partial so the sum keeps the
+    bits of the full sum; the later chunks would add only 0.0 partials.
+    """
+    if n >= n_last:
+        return n_last
+    return min(n_last, n_first + ((n + 1 - n_first) // CHUNK + 1) * CHUNK - 1)
+
+
+# -- batch kernels ----------------------------------------------------------
+
+
+def _psi_qk_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
+    q, k = params.q, params.k
+    ln_q = math.log(q)
+    one_minus_qk = -math.expm1(k * ln_q)
+    prime_coeff = _SAFETY * ln_q * ln_q / one_minus_qk
+    ln_rs, ns, tails = [], [], []
+    for t in ts:
+        ln_r, one_minus_r = _series_ratio(t, ln_q)
+        n, tail = 0, 0.0  # every term underflows; the limit value is exact
+        if one_minus_r is not None:
+            if prime:
+                def tail_at(m, ln_r=ln_r, one_minus_r=one_minus_r):
+                    return _prime_tail(ln_r, one_minus_r, prime_coeff, m)
+                # geometric seed, then widen until the arithmetico-geometric majorant fits
+                seed = geometric_terms_needed(ln_r, prime_coeff / one_minus_r, tol.abs_tol, tol.n_max)
+            else:
+                coeff = _SAFETY * -ln_q / (one_minus_qk * one_minus_r)
+
+                def tail_at(m, coeff=coeff, ln_r=ln_r):
+                    return coeff * math.exp((m + 1) * ln_r)
+                seed = geometric_terms_needed(ln_r, coeff, tol.abs_tol, tol.n_max)
+            n, tail = _certified_terms(tail_at, seed, ln_r, tol, "terms")
+        ln_rs.append(ln_r)
+        ns.append(n)
+        tails.append(tail)
+    sums = _sum_rows(_power_terms(k * ln_q, prime), ln_rs, 1, ns)
+    # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
+    lead, scale = (0.0, ln_q * ln_q) if prime else (-math.log1p(-q) / k, ln_q)
+    return [EvalResult(lead + scale * s, tail, n) for s, tail, n in zip(sums, tails, ns)]
+
+
+def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
+    q, k = params.q, params.k
+    ln_q = math.log(q)
+    ln1mq = math.log1p(-q)
+    ln_s = k * ln_q
+    one_minus_qk = -math.expm1(ln_s)
+    t_list, ns, tails = [], [], []
+    for t in ts:
+        t = _check_t(t)
+        one_minus_qt = -math.expm1(t * ln_q)
+        if one_minus_qk <= 0.0 or one_minus_qt <= 0.0:
+            raise TruncationNotConverged(
+                f"product ratio indistinguishable from 1 at t={t!r}, k={k!r}", math.inf, 0
+            )
+
+        def tail_at(n, t=t, one_minus_qt=one_minus_qt):
+            piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
+            piece_den = math.exp(t * ln_q + n * ln_s) / (one_minus_qt * one_minus_qk)
+            return _SAFETY * (piece_num + piece_den)
+        seed = geometric_terms_needed(ln_s, 1.0 / (one_minus_qk * one_minus_qk), 0.5 * tol.abs_tol, tol.n_max)
+        n, tail = _certified_terms(tail_at, seed, ln_s, tol, "factor pairs")
+        t_list.append(t)
+        ns.append(n)
+        tails.append(tail)
+    # numerator exponent written as k + n*k so that t = k cancels bitwise
+    sums = _sum_rows(
+        lambda x, n: np.log1p(-np.exp((k + n * k) * ln_q)) - np.log1p(-np.exp((x + n * k) * ln_q)),
+        t_list, 0, [n - 1 for n in ns])
+    return [
+        EvalResult(s + -(t / k - 1.0) * ln1mq, tail, n)
+        for s, t, tail, n in zip(sums, t_list, tails, ns)
+    ]
+
+
+def _psi_pq_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
+    q, p = params.q, params.p
+    ln_q = math.log(q)
+    ln_rs, ns, lasts = [], [], []
+    for t in ts:
+        ln_r = _check_t(t) * ln_q
+        n = _last_nonzero(lambda m: m * ln_r, 1, p, tol)
+        ln_rs.append(ln_r)
+        ns.append(n)
+        lasts.append(_summed_through(n, 1, p))
+    sums = _sum_rows(_power_terms(ln_q, prime), ln_rs, 1, lasts)
+    lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
+    return [EvalResult(lead + scale * s, 0.0, n) for s, n in zip(sums, ns)]
+
+
+def _ln_gamma_pq_batch(params: DeformParams, ts, tol: Tolerance) -> list:
+    q, p = params.q, params.p
+    ln_q = math.log(q)
+    ln1mq = ln1m_exp(ln_q)
+    n_fact = None
+    t_list, lasts = [], []
+    for t in ts:
+        t = _check_t(t)
+        if n_fact is None:
+            # the factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n))
+            n_fact = _last_nonzero(lambda m: m * ln_q, 1, p, tol)
+        t_list.append(t)
+        lasts.append(_summed_through(_last_nonzero(lambda m: (t + m) * ln_q, 0, p, tol), 0, p))
+    if not t_list:
+        return []
+    fact = sum_terms(lambda n: np.log1p(-np.exp(n * ln_q)), 1, _summed_through(n_fact, 1, p))
+    factorial_part = fact - p * ln1mq
+    shifted = _sum_rows(lambda x, n: np.log1p(-np.exp((x + n) * ln_q)), t_list, 0, lasts)
+    lead = ln_q_bracket(p, ln_q)
+    return [
+        EvalResult(t * lead + factorial_part - (s - (p + 1) * ln1mq), 0.0, n_fact)
+        for t, s in zip(t_list, shifted)
+    ]
+
+
+_KERNELS = {
+    (Family.QK, "psi"): _psi_qk_batch,
+    (Family.QK, "psi-prime"): partial(_psi_qk_batch, prime=True),
+    (Family.QK, "ln-gamma"): _ln_gamma_qk_batch,
+    (Family.PQ, "psi"): _psi_pq_batch,
+    (Family.PQ, "psi-prime"): partial(_psi_pq_batch, prime=True),
+    (Family.PQ, "ln-gamma"): _ln_gamma_pq_batch,
+}
+
+
+def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
+    """fn ("psi", "psi-prime" or "ln-gamma") of params' family at every t in ts.
+
+    Returns one EvalResult per t, in order, each bit-for-bit the result of
+    the one-point kernel at that t: same value, tail_bound and terms_used.
+    Raises the error of the first t, in order, that cannot be evaluated.
+    """
+    kernel = _KERNELS.get((params.family, fn))
+    if kernel is None:
+        raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
+    return kernel(params, ts, tol)
+
+
+# -- one-point entries ------------------------------------------------------
+
+
+def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+    """(q,k)-digamma at t with a certified truncation bound.
+
+    Tail majorant after N terms: |ln q| * r^(N+1) / ((1-q^k)(1-r)) with
+    r = q^t.
+    """
+    params.require(Family.QK)
+    return _psi_qk_batch(params, (t,), tol)[0]
+
+
 def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (q,k)-digamma; value is nonnegative by construction.
 
     Tail majorant after N terms: (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
     """
-    t = _check_t(t)
     params.require(Family.QK)
-    q, k = params.q, params.k
-    ln_q = math.log(q)
-
-    ln_r = t * ln_q
-    r = math.exp(ln_r)
-    if r == 0.0:
-        return EvalResult(0.0, 0.0, 0)
-    one_minus_r = -math.expm1(ln_r)
-    one_minus_qk = -math.expm1(k * ln_q)
-    if one_minus_r <= 0.0:
-        raise TruncationNotConverged(
-            f"series ratio q^t indistinguishable from 1 at t={t!r}", math.inf, 0
-        )
-
-    coeff = _SAFETY * ln_q * ln_q / one_minus_qk
-    # geometric seed, then widen until the arithmetico-geometric majorant fits
-    n = geometric_terms_needed(ln_r, coeff / one_minus_r, tol.abs_tol, tol.n_max)
-    n = min(n, tol.n_max)
-    while _prime_tail(ln_r, one_minus_r, coeff, n) > tol.abs_tol:
-        if n >= tol.n_max:
-            raise TruncationNotConverged(
-                f"tail bound stuck above {tol.abs_tol:.3e} after {tol.n_max} terms",
-                _prime_tail(ln_r, one_minus_r, coeff, tol.n_max),
-                tol.n_max,
-            )
-        overshoot = _prime_tail(ln_r, one_minus_r, coeff, n) / tol.abs_tol
-        n = min(tol.n_max, n + max(1, math.ceil(math.log(overshoot) / -ln_r)))
-
-    s = sum_terms(lambda m: m * np.exp(m * ln_r) / (-np.expm1(m * (k * ln_q))), 1, n)
-    tail = _prime_tail(ln_r, one_minus_r, coeff, n)
-    return EvalResult(ln_q * ln_q * s, tail, n)
+    return _psi_qk_batch(params, (t,), tol, prime=True)[0]
 
 
 def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -180,73 +403,26 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     after N factor pairs the remainder is at most
     q^((N+1)k)/(1-q^k)^2 + q^(t+Nk)/((1-q^t)(1-q^k)).
     """
-    t = _check_t(t)
     params.require(Family.QK)
-    q, k = params.q, params.k
-    ln_q = math.log(q)
-    lead = -(t / k - 1.0) * math.log1p(-q)
-
-    ln_s = k * ln_q
-    one_minus_qk = -math.expm1(ln_s)
-    one_minus_qt = -math.expm1(t * ln_q)
-    if one_minus_qk <= 0.0 or one_minus_qt <= 0.0:
-        raise TruncationNotConverged(
-            f"product ratio indistinguishable from 1 at t={t!r}, k={k!r}", math.inf, 0
-        )
-
-    def tail_at(n: int) -> float:
-        piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
-        piece_den = math.exp(t * ln_q + n * ln_s) / (one_minus_qt * one_minus_qk)
-        return _SAFETY * (piece_num + piece_den)
-
-    n = geometric_terms_needed(ln_s, 1.0 / (one_minus_qk * one_minus_qk), 0.5 * tol.abs_tol, tol.n_max)
-    n = min(n, tol.n_max)
-    while tail_at(n) > tol.abs_tol:
-        if n >= tol.n_max:
-            raise TruncationNotConverged(
-                f"tail bound stuck above {tol.abs_tol:.3e} after {tol.n_max} factor pairs",
-                tail_at(tol.n_max),
-                tol.n_max,
-            )
-        n = min(tol.n_max, n + max(1, math.ceil(math.log(tail_at(n) / tol.abs_tol) / -ln_s)))
-
-    # numerator exponent written as k + m*k so that t = k cancels bitwise
-    s = sum_terms(
-        lambda m: np.log1p(-np.exp((k + m * k) * ln_q)) - np.log1p(-np.exp((t + m * k) * ln_q)),
-        0,
-        n - 1,
-    )
-    return EvalResult(s + lead, tail_at(n), n)
+    return _ln_gamma_qk_batch(params, (t,), tol)[0]
 
 
-def psi_pq(t: float, params: DeformParams) -> EvalResult:
-    """(p,q)-digamma at t: an exact finite sum (tail bound 0)."""
-    t = _check_t(t)
+def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+    """(p,q)-digamma at t: an exact finite sum (tail bound 0).
+
+    terms_used is the index of the last nonzero term, at most p.
+    """
     params.require(Family.PQ)
-    q, p = params.q, params.p
-    ln_q = math.log(q)
-    s = sum_terms(lambda m: np.exp(m * (t * ln_q)) / (-np.expm1(m * ln_q)), 1, p)
-    return EvalResult(ln_q_bracket(p, ln_q) + ln_q * s, 0.0, p)
+    return _psi_pq_batch(params, (t,), tol)[0]
 
 
-def psi_pq_prime(t: float, params: DeformParams) -> EvalResult:
+def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (p,q)-digamma: exact finite sum, nonnegative."""
-    t = _check_t(t)
     params.require(Family.PQ)
-    q, p = params.q, params.p
-    ln_q = math.log(q)
-    s = sum_terms(lambda m: m * np.exp(m * (t * ln_q)) / (-np.expm1(m * ln_q)), 1, p)
-    return EvalResult(ln_q * ln_q * s, 0.0, p)
+    return _psi_pq_batch(params, (t,), tol, prime=True)[0]
 
 
-def ln_gamma_pq(t: float, params: DeformParams) -> EvalResult:
+def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Log of the (p,q)-gamma function: exact finite computation in log space."""
-    t = _check_t(t)
     params.require(Family.PQ)
-    q, p = params.q, params.p
-    ln_q = math.log(q)
-    ln1mq = math.log1p(-math.exp(ln_q))
-    factorial_part = sum_terms(lambda m: np.log1p(-np.exp(m * ln_q)), 1, p) - p * ln1mq
-    shifted_part = sum_terms(lambda m: np.log1p(-np.exp((t + m) * ln_q)), 0, p) - (p + 1) * ln1mq
-    value = t * ln_q_bracket(p, ln_q) + factorial_part - shifted_part
-    return EvalResult(value, 0.0, p)
+    return _ln_gamma_pq_batch(params, (t,), tol)[0]

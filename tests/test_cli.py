@@ -141,6 +141,25 @@ class TestTable:
         assert proc.returncode == 2
 
 
+class TestPQSums:
+    ARGS = ("eval", "--family", "pq", "--p", "100000000", "--q", "0.5", "--t", "1")
+
+    def test_sum_stops_at_underflow(self):
+        proc = run_cli(*self.ARGS)
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        assert result["value"] == -0.42052903435604583
+        assert result["terms_used"] <= 1100
+
+    def test_n_max_caps_nonzero_terms(self):
+        proc = run_cli(*self.ARGS, "--n-max", "1000")
+        assert proc.returncode == 3
+        assert "TruncationNotConverged" in proc.stderr
+        proc = run_cli(*self.ARGS, "--n-max", "2000")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["value"] == -0.42052903435604583
+
+
 class TestVerifyOutput:
     def test_json_document_schema(self):
         proc = run_cli(
@@ -168,6 +187,11 @@ class TestLimitsOutput:
         proc = run_cli("limits", "--remark", "3.1", "--t", "2", "--q", "0.5", "--json")
         doc = json.loads(proc.stdout)
         assert doc["report"]["ok"] is True
+
+    def test_remark_35_passes_with_growing_first_gap(self):
+        # the gap grows from p = 1 to p = 2, inside its certified bound
+        proc = run_cli("limits", "--remark", "3.5", "--q", "0.7", "--t", "0.5", "--p-list", "1,2,5,10,20,30")
+        assert proc.returncode == 0
 
     def test_remark_36_passes(self):
         proc = run_cli("limits", "--remark", "3.6", "--t", "1")

@@ -222,6 +222,20 @@ class TestVerifyBounds:
         assert len(doc["grid"]["pairs"]) == 4
 
 
+class TestGridAgainstSuite:
+    @pytest.mark.parametrize("suite", ["monotone-psi", "monotone-psi-prime"])
+    def test_monotone_suite_rejects_t_min_zero_before_evaluating(self, suite, monkeypatch):
+        import qdigamma.inequalities as ineq
+
+        grid = make_verification_grid("qk", 5, 10, 1)
+
+        def no_kernel_call(*args, **kwargs):
+            raise AssertionError("kernel called")
+        monkeypatch.setattr(ineq, "evaluate", no_kernel_call)
+        with pytest.raises(DomainError, match=rf"{suite}.*t_min=0\.0"):
+            verify_bounds(suite, grid)
+
+
 class TestFindPositiveThreshold:
     def test_qk_half_bracket(self, qk_half):
         t0 = find_positive_threshold(qk_half)

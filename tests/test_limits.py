@@ -110,6 +110,13 @@ class TestPToInfinity:
         )
         assert report.sequence[0][1] == pytest.approx(expected, abs=1e-15)
 
+    def test_gaps_at_rounding_floor_pass_within_bound(self):
+        # from p = 100 the gap sits at the rounding floor and repeats, inside
+        # the certified bound plus the target's own tail
+        report = limit_p_to_inf(1.0, 0.5, [10, 100, 10**4])
+        assert report.sequence[1][1] == report.sequence[2][1]
+        assert report.passed and report.discrepancy is None
+
     def test_p_list_validation(self):
         with pytest.raises(DomainError):
             limit_p_to_inf(1.0, 0.5, [5, 2])

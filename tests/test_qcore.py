@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from qdigamma import (
     DeformParams,
+    EvalResult,
     DomainError,
     SeriesKind,
     Tolerance,
     TruncationNotConverged,
     brute_force_series,
+    evaluate,
     ln_gamma_pq,
     ln_gamma_qk,
     psi_pq,
@@ -24,6 +26,8 @@ from qdigamma import (
     psi_qk_prime,
     q_bracket,
 )
+
+from qdigamma._series import CHUNK
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 
@@ -293,3 +297,102 @@ class TestTailSoundness:
             lo = brute_force_series(SeriesKind.LNGAMMA_QK, t, params, n)
             hi = brute_force_series(SeriesKind.LNGAMMA_QK, t, params, 4 * n)
             assert abs(lo - hi) <= res.tail_bound + 1e-15
+
+
+SCALAR = {
+    ("qk", "psi"): psi_qk, ("qk", "psi-prime"): psi_qk_prime, ("qk", "ln-gamma"): ln_gamma_qk,
+    ("pq", "psi"): psi_pq, ("pq", "psi-prime"): psi_pq_prime, ("pq", "ln-gamma"): ln_gamma_pq,
+}
+
+
+def _batch_grid(family: str, rng: random.Random):
+    """Seeded (params, ts) lines: sums past one CHUNK (q = 0.999, p > CHUNK),
+    blocks of many rows, and t ranges over which the term count changes."""
+    if family == "qk":
+        wide = [DeformParams.qk(0.999, 1.0)]
+        params = [DeformParams.qk(q, k) for q, k in ((0.5, 1.0), (0.9, 2.5))]
+        params += [DeformParams.qk(rng.uniform(0.05, 0.95), rng.uniform(0.3, 3.0)) for _ in range(3)]
+    else:
+        wide = [DeformParams.pq(CHUNK + 7000, 0.9999)]
+        params = [DeformParams.pq(p, q) for p, q in ((CHUNK + 7000, 0.5), (30, 0.1))]
+        params += [DeformParams.pq(rng.randint(1, 300), rng.uniform(0.05, 0.99)) for _ in range(3)]
+    lines = [(prm, sorted(rng.uniform(0.2, 0.4) for _ in range(6))) for prm in wide]
+    for prm in params:
+        for lo, hi, count in ((0.05, 0.3, 6), (0.3, 6.0, 120), (5.0, 400.0, 20)):
+            ts = sorted(rng.uniform(lo, hi) for _ in range(count))
+            if family == "qk":
+                ts[count // 2] = prm.k  # ln Gamma_qk(k) = 0: every term is an exact zero
+            lines.append((prm, ts))
+    return lines
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("family", ["qk", "pq"])
+    @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
+    def test_batch_is_bit_identical_to_scalar_kernel(self, family, fn):
+        rng = random.Random(f"batch:{family}:{fn}")
+        counts = set()
+        for params, ts in _batch_grid(family, rng):
+            batch = evaluate(fn, params, ts)
+            assert len(batch) == len(ts)
+            for t, got in zip(ts, batch):
+                want = SCALAR[family, fn](t, params)
+                assert (got.value, got.tail_bound, got.terms_used) == (want.value, want.tail_bound, want.terms_used)
+                assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
+                counts.add(got.terms_used)
+        # the grid reaches past one CHUNK and lets the term count vary
+        assert max(counts) > CHUNK and len(counts) > 5
+
+    def test_one_result_per_point(self):
+        params = DeformParams.qk(0.5, 1.0)
+        assert evaluate("psi", params, []) == []
+        (res,) = evaluate("psi", params, [2.0])
+        assert isinstance(res, EvalResult) and res == psi_qk(2.0, params)
+
+    def test_raises_first_failing_point(self):
+        params = DeformParams.qk(0.99, 1.0)
+        tol = Tolerance(abs_tol=1e-13, n_max=50)
+        with pytest.raises(DomainError, match="t=-1.0"):
+            evaluate("psi", params, [5000.0, -1.0, 0.5], tol)
+        with pytest.raises(TruncationNotConverged):
+            evaluate("psi", params, [5000.0, 0.5, -1.0], tol)
+
+    def test_unknown_function(self):
+        with pytest.raises(DomainError):
+            evaluate("zeta", DeformParams.qk(0.5, 1.0), [1.0])
+
+
+class TestPQUnderflow:
+    def test_sum_stops_at_last_nonzero_term(self):
+        # q^n underflows to 0 near n = 1075; the value is that of the full sum
+        res = psi_pq(1.0, DeformParams.pq(10**8, 0.5))
+        assert res.value == -0.42052903435604583
+        assert res.terms_used <= 1100
+
+    def test_n_max_caps_the_nonzero_terms(self):
+        params = DeformParams.pq(10**8, 0.5)
+        with pytest.raises(TruncationNotConverged):
+            psi_pq(1.0, params, Tolerance(n_max=1000))
+        for kernel in (psi_pq_prime, ln_gamma_pq):
+            with pytest.raises(TruncationNotConverged):
+                kernel(1.0, params, Tolerance(n_max=1000))
+        assert psi_pq(1.0, params, Tolerance(n_max=2000)) == psi_pq(1.0, params)
+
+    def test_all_zero_terms(self):
+        # q^t itself underflows: every term is 0 and the value is ln[p]_q
+        params = DeformParams.pq(50, 1e-5)
+        res = psi_pq(100.0, params)
+        assert res.terms_used == 0
+        assert res.value == pytest.approx(math.log(q_bracket(50, 1e-5)), abs=1e-15)
+
+
+class TestQBracketAccuracy:
+    def test_psi_pq_near_one_matches_50_digit_sum(self):
+        mp = pytest.importorskip("mpmath")
+        q, p, t = 1.0 - 1e-5, 156, 1.0
+        with mp.workdps(50):
+            qm = mp.mpf(q)
+            exact = mp.log((1 - qm ** p) / (1 - qm)) + mp.log(qm) * mp.fsum(
+                qm ** (n * t) / (1 - qm ** n) for n in range(1, p + 1)
+            )
+        assert abs(psi_pq(t, DeformParams.pq(p, q)).value - float(exact)) <= 1e-15
