@@ -1,0 +1,73 @@
+"""Golden CLI output: exit code, stdout and stderr of a fixed command matrix.
+
+The expected bytes live in ``cli_golden.json`` next to this file.  After a
+deliberate output change, rewrite them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --update
+
+and say in the change log which outputs moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qdigamma.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+_FAMILIES = {
+    "qk": ("--family", "qk", "--q", "0.5", "--k", "1", "--fn", "psi"),
+    "pq": ("--family", "pq", "--p", "3", "--q", "0.6", "--fn", "ln-gamma"),
+    "ratio": ("--family", "qk", "--q", "0.5", "--k", "1", "--fn", "ratio",
+              "--a", "2", "--b", "1", "--c", "3", "--d", "1", "--alpha", "1", "--beta", "1"),
+}
+
+COMMANDS = [
+    *[("eval", *args, "--t", "0.5", "--format", fmt)
+      for args in _FAMILIES.values() for fmt in ("json", "csv", "plain")],
+    *[("table", *args, "--t-min", "0.5", "--t-max", "3", "--t-count", "4", "--format", fmt)
+      for args in _FAMILIES.values() for fmt in ("json", "csv", "plain")],
+    ("verify", "--suite", "qk-theorem", "--specs", "3", "--t-points", "4", "--seed", "7"),
+    ("verify", "--suite", "qk-theorem", "--specs", "3", "--t-points", "4", "--seed", "7", "--json"),
+    ("limits", "--remark", "3.1", "--t", "2", "--q", "0.5"),
+    ("limits", "--remark", "3.1", "--t", "2", "--q", "0.5", "--json"),
+    ("limits", "--remark", "3.5", "--t", "1", "--q", "0.5", "--p-list", "1,2,5,10"),
+    ("limits", "--remark", "3.5", "--t", "1", "--q", "0.5", "--p-list", "1,2,5,10", "--json"),
+    ("limits", "--remark", "3.6", "--j-max", "4"),
+    ("limits", "--remark", "3.6", "--j-max", "4", "--json"),
+    ("root", "--family", "qk", "--q", "0.5", "--k", "1"),
+    ("root", "--family", "pq", "--p", "1", "--q", "0.5", "--json"),
+    # failures: a truncation target out of reach, and a bad grid
+    ("eval", "--family", "qk", "--q", "0.99", "--t", "0.5", "--n-max", "100"),
+    ("table", "--t-min", "3", "--t-max", "1"),
+]
+
+
+def run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return {tuple(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_output_matches_golden(argv, golden):
+    assert run(argv) == golden[argv]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--update"]:
+    entries = [run(argv) for argv in COMMANDS]
+    GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {GOLDEN}")
