@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import TruncationNotConverged
+
 CHUNK = 1 << 15
 
 
@@ -29,22 +31,23 @@ def sum_terms(term_fn: Callable[[np.ndarray], np.ndarray], n_first: int, n_last:
     return math.fsum(partials)
 
 
-def geometric_terms_needed(ln_r: float, coeff: float, abs_tol: float, n_max: int) -> int:
-    """Smallest N with coeff * r^(N+1) <= abs_tol, for r = exp(ln_r) in (0,1).
+def geometric_terms_needed(tail_at, coeff: float, ln_step: float, tol) -> tuple:
+    """(N, tail_at(N)) for a term count N whose tail majorant tail_at(N) is <= tol.abs_tol.
 
-    Returns n_max + 1 when no N within the cap reaches the target.
+    N starts at the closed form of the geometric part, the least N with
+    coeff * exp((N+1) ln_step) <= abs_tol, and widens by as many factors
+    exp(ln_step) as the overshoot of tail_at still needs.  Raises
+    TruncationNotConverged when tail_at(n_max) is above abs_tol.
     """
-    if coeff <= abs_tol:
-        return 1
-    if not math.isfinite(coeff):
-        return n_max + 1
-    # coeff * r^(N+1) <= tol  <=>  N + 1 >= ln(tol/coeff) / ln(r)
-    n = max(1, math.ceil(math.log(abs_tol / coeff) / ln_r) - 1)
-    if n > n_max:
-        n = n_max  # re-check at the cap before giving up
-    # guard the ceiling against rounding at the boundary
-    while coeff * math.exp((n + 1) * ln_r) > abs_tol:
-        if n >= n_max:
-            return n_max + 1
-        n = min(n_max, n + max(1, n >> 6))
-    return n
+    n = tol.n_max
+    if math.isfinite(coeff):
+        n = min(n, max(1, math.ceil(math.log(tol.abs_tol / coeff) / ln_step) - 1))
+    tail = tail_at(n)
+    while tail > tol.abs_tol:
+        if n >= tol.n_max:
+            raise TruncationNotConverged(
+                f"tail bound stuck above {tol.abs_tol:.3e} after {tol.n_max} terms", tail, tol.n_max
+            )
+        n = min(tol.n_max, n + max(1, math.ceil(math.log(tail / tol.abs_tol) / -ln_step)))
+        tail = tail_at(n)
+    return n, tail

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: eval (one value), table (CSV over a t-grid), verify
-(inequality suites), limits (degeneration scans), root (positivity
-threshold).  Output is byte-deterministic for identical argv and seed;
-every run echoes its fully resolved configuration.
+Subcommands: eval and table (one function at one t or over a t-grid,
+as JSON, CSV or plain text), verify (inequality suites), limits
+(degeneration scans), root (positivity threshold).  Output is
+byte-deterministic for identical argv and seed; every run echoes its fully
+resolved configuration.
 
 Exit codes: 0 success / all checks passed, 1 inequality violation or
 convergence failure, 2 invalid input or configuration, 3 internal
@@ -13,8 +14,11 @@ numerical failure (an unreachable truncation target).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+
+import numpy as np
 
 from . import _jsonfmt
 from ._jsonfmt import SCHEMA_VERSION
@@ -56,11 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_tol=True):
+    def add_common(p):
         p.add_argument("--config", default=None, help="JSON file whose keys mirror the flags; flags win")
-        if with_tol:
-            p.add_argument("--abs-tol", type=float, default=1e-13, help="series truncation target")
-            p.add_argument("--n-max", type=int, default=10_000_000, help="series term cap")
+        p.add_argument("--abs-tol", type=float, default=1e-13, help="series truncation target")
+        p.add_argument("--n-max", type=int, default=10_000_000, help="series term cap")
 
     def add_family(p):
         p.add_argument("--family", choices=[f.value for f in Family], default="qk")
@@ -72,23 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
         for name in ("a", "b", "c", "d", "alpha", "beta"):
             p.add_argument(f"--{name}", type=float, default=None, help=f"ratio constant {name}")
 
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    add_family(p_eval)
-    p_eval.add_argument("--t", type=float, required=True)
-    p_eval.add_argument("--fn", choices=["psi", "psi-prime", "ln-gamma", "ratio"], default="psi")
-    add_spec(p_eval)
-    p_eval.add_argument("--format", choices=["json", "csv", "plain"], default="json")
-    add_common(p_eval)
+    def add_values(name, help, fmt):
+        p = sub.add_parser(name, help=help)
+        add_family(p)
+        p.add_argument("--fn", choices=["psi", "psi-prime", "ln-gamma", "ratio"], default="psi")
+        add_spec(p)
+        p.add_argument("--format", choices=["json", "csv", "plain"], default=fmt)
+        add_common(p)
+        return p
 
-    p_table = sub.add_parser("table", help="tabulate a function over a t-grid (CSV)")
-    add_family(p_table)
-    p_table.add_argument("--fn", choices=["psi", "psi-prime", "ln-gamma", "ratio"], default="psi")
-    add_spec(p_table)
+    p_eval = add_values("eval", "evaluate one function at one point", "json")
+    p_eval.add_argument("--t", type=float, required=True)
+    p_table = add_values("table", "tabulate a function over a t-grid", "csv")
     p_table.add_argument("--t-min", type=float, default=0.5)
     p_table.add_argument("--t-max", type=float, default=5.0)
     p_table.add_argument("--t-count", type=int, default=10)
-    p_table.add_argument("--format", choices=["json", "csv", "plain"], default="csv")
-    add_common(p_table)
 
     p_verify = sub.add_parser("verify", help="run an inequality verification suite")
     p_verify.add_argument("--suite", choices=[s.value for s in Suite], required=True)
@@ -123,24 +124,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list) -> None:
-    """Merge --config file values under explicitly passed flags."""
-    if not getattr(args, "config", None):
-        return
+def _with_config(args: argparse.Namespace, argv: list) -> list:
+    """argv with the --config file's values as flags before the command line's own, which win.
+
+    A string stands as it is for a text flag and any other value is written
+    as JSON, so argparse checks types and choices (a number given as a string
+    fails).  Keys must name a flag exactly; argparse alone would take ``spec``.
+    """
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DomainError("--config file must contain a JSON object")
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token.split("=", 1)[0][2:].replace("-", "_"))
+    tokens = []
     for key, value in data.items():
         dest = str(key).replace("-", "_")
         if not hasattr(args, dest) or dest in ("command", "config"):
             raise DomainError(f"unknown config key {key!r}")
-        if dest not in explicit:
-            setattr(args, dest, value)
+        flag = "--" + dest.replace("_", "-")
+        current = getattr(args, dest)
+        if isinstance(current, bool) and isinstance(value, bool):
+            tokens += [flag] if value else []
+        else:
+            tokens.append(f"{flag}={value if isinstance(current, str) else json.dumps(value)}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _params_from(args) -> DeformParams:
@@ -176,74 +183,59 @@ def _spec_config(args) -> dict:
     return {}
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(_jsonfmt.dumps(doc) + "\n")
+def _write(fmt: str, config: dict, key: str, doc, lines) -> None:
+    """Write {schema_version, config, key: doc} as JSON, or the lines under a config echo.
+
+    The echo goes to stdout for plain, to stderr for csv so that stdout is the bare table.
+    """
+    if fmt == "json":
+        out = {"schema_version": SCHEMA_VERSION, "config": config, key: doc}
+        sys.stdout.write(_jsonfmt.dumps(out) + "\n")
+        return
+    echo = "config: " if fmt == "plain" else "# config "
+    (sys.stdout if fmt == "plain" else sys.stderr).write(echo + _jsonfmt.one_line(config) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _evaluate_rows(args, ts: list, params, tol) -> list:
-    """args.fn at every t of ts (ascending), in one batch."""
-    if args.fn == "ratio":
-        return ratio_values(_spec_from(args), params, ts, tol)
-    return evaluate(args.fn, params, ts, tol)
+def _key_lines(doc: dict) -> list:
+    return [f"{key} = {_jsonfmt.one_line(value)}" for key, value in doc.items() if key != "schema_version"]
 
 
-def _cmd_eval(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
-    (res,) = _evaluate_rows(args, [float(args.t)], params, tol)
-    config = {
-        "command": "eval", **_family_config(args), "t": args.t, "fn": args.fn,
-        **_spec_config(args), "abs_tol": args.abs_tol, "n_max": args.n_max,
-        "output_format": args.format,
-    }
-    result = {"value": res.value, "tail_bound": res.tail_bound, "terms_used": res.terms_used}
-    if args.format == "json":
-        _emit({"schema_version": SCHEMA_VERSION, "config": config, "result": result})
-    elif args.format == "csv":
-        sys.stderr.write("# config " + _jsonfmt.one_line(config) + "\n")
-        sys.stdout.write("value,tail_bound,terms_used\n")
-        sys.stdout.write(
-            f"{_jsonfmt.format_float(res.value)},{_jsonfmt.format_float(res.tail_bound)},{res.terms_used}\n"
-        )
+def _cmd_values(args) -> int:
+    """eval and table: args.fn at one t (eval) or over a t-grid (table), in one batch."""
+    one_t = args.command == "eval"
+    if one_t:
+        ts = [float(args.t)]
     else:
-        sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
-        sys.stdout.write(f"value = {_jsonfmt.format_float(res.value)}\n")
-        sys.stdout.write(f"tail_bound = {_jsonfmt.format_float(res.tail_bound)}\n")
-        sys.stdout.write(f"terms_used = {res.terms_used}\n")
-    return EXIT_OK
-
-
-def _cmd_table(args) -> int:
-    import numpy as np
-
-    if args.t_count < 2:
-        raise DomainError("--t-count must be >= 2")
-    if not (args.t_min < args.t_max):
-        raise DomainError("need --t-min < --t-max")
+        if args.t_count < 2:
+            raise DomainError("--t-count must be >= 2")
+        if not (args.t_min < args.t_max):
+            raise DomainError("need --t-min < --t-max")
+        ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.t_count)]
     params = _params_from(args)
     tol = _tol_from(args)
-    ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.t_count)]
-    rows = [(t, res.value, res.tail_bound) for t, res in zip(ts, _evaluate_rows(args, ts, params, tol))]
+    if args.fn == "ratio":
+        results = ratio_values(_spec_from(args), params, ts, tol)
+    else:
+        results = evaluate(args.fn, params, ts, tol)
+    grid = {} if one_t else {"t_min": args.t_min, "t_max": args.t_max, "t_count": args.t_count}
     config = {
-        "command": "table", **_family_config(args), "fn": args.fn, **_spec_config(args),
-        "t_min": args.t_min, "t_max": args.t_max, "t_count": args.t_count,
+        "command": args.command, **_family_config(args), **({"t": args.t} if one_t else {}),
+        "fn": args.fn, **_spec_config(args), **grid,
         "abs_tol": args.abs_tol, "n_max": args.n_max, "output_format": args.format,
     }
-    if args.format == "json":
-        _emit({
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "rows": [{"t": t, "value": v, "tail_bound": b} for t, v, b in rows],
-        })
+    ff = _jsonfmt.format_float
+    if one_t:
+        (r,) = results
+        doc = {"value": r.value, "tail_bound": r.tail_bound, "terms_used": r.terms_used}
+        csv = ["value,tail_bound,terms_used", f"{ff(r.value)},{ff(r.tail_bound)},{r.terms_used}"]
+        _write(args.format, config, "result", doc, _key_lines(doc) if args.format == "plain" else csv)
     else:
-        ff = _jsonfmt.format_float
-        if args.format == "plain":
-            sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
-        else:
-            sys.stderr.write("# config " + _jsonfmt.one_line(config) + "\n")
-        sys.stdout.write("t,value,tail_bound\n")
-        for t, v, b in rows:
-            sys.stdout.write(f"{ff(t)},{ff(v)},{ff(b)}\n")
+        doc = [{"t": t, "value": r.value, "tail_bound": r.tail_bound} for t, r in zip(ts, results)]
+        # lazy, so that the rows are formatted only when they are written
+        csv = itertools.chain(["t,value,tail_bound"],
+                              (f"{ff(t)},{ff(r.value)},{ff(r.tail_bound)}" for t, r in zip(ts, results)))
+        _write(args.format, config, "rows", doc, csv)
     return EXIT_OK
 
 
@@ -285,22 +277,17 @@ def _cmd_verify(args) -> int:
         "t_min": t_lo, "t_max": t_hi, "abs_tol": args.abs_tol, "n_max": args.n_max,
         "output_format": "json" if args.json else "plain",
     }
-    if args.json:
-        _emit({"schema_version": SCHEMA_VERSION, "config": config, "report": report.as_dict()})
-    else:
-        ff = _jsonfmt.format_float
-        sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
-        sys.stdout.write(f"suite = {report.suite}\n")
-        sys.stdout.write(f"checks_run = {report.checks_run}\n")
-        sys.stdout.write(f"skipped = {report.skipped}\n")
-        sys.stdout.write(f"worst_violation = {ff(report.worst_violation)}\n")
-        if report.worst_point is not None:
-            sys.stdout.write(
-                "worst_point = " + _jsonfmt.one_line(report.worst_point) + "\n"
-            )
-        for err in report.errors:
-            sys.stdout.write(f"error: {err}\n")
-        sys.stdout.write("PASS\n" if report.passed else "FAIL\n")
+    ff = _jsonfmt.format_float
+    lines = [
+        f"suite = {report.suite}",
+        f"checks_run = {report.checks_run}",
+        f"skipped = {report.skipped}",
+        f"worst_violation = {ff(report.worst_violation)}",
+        *([] if report.worst_point is None else ["worst_point = " + _jsonfmt.one_line(report.worst_point)]),
+        *(f"error: {err}" for err in report.errors),
+        "PASS" if report.passed else "FAIL",
+    ]
+    _write(config["output_format"], config, "report", report.as_dict(), lines)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -321,32 +308,19 @@ def _cmd_limits(args) -> int:
     }
     if args.remark == "3.1":
         check = limit_k_to_1(args.t, args.q, tol)
-        ok = check.ok
-        doc = check.as_dict()
-    elif args.remark == "3.2":
-        rep = limit_q_to_1_qk(args.t, args.k, args.j_max, tol, args.conv_tol)
-        ok, doc = rep.passed, rep.as_dict()
-    elif args.remark == "3.3":
-        rep = limit_q_to_1_qk(args.t, 1.0, args.j_max, tol, args.conv_tol)
-        ok, doc = rep.passed, rep.as_dict()
-    elif args.remark == "3.4":
-        rep = limit_q_to_1_pq(args.t, args.p, args.j_max, args.conv_tol)
-        ok, doc = rep.passed, rep.as_dict()
-    elif args.remark == "3.5":
-        rep = limit_p_to_inf(args.t, args.q, _parse_p_list(args.p_list), tol)
-        ok, doc = rep.passed, rep.as_dict()
+        ok, doc = check.ok, check.as_dict()
     else:
-        rep = limit_combined_pq(args.t, args.j_max, args.conv_tol)
+        if args.remark in ("3.2", "3.3"):
+            k = args.k if args.remark == "3.2" else 1.0
+            rep = limit_q_to_1_qk(args.t, k, args.j_max, tol, args.conv_tol)
+        elif args.remark == "3.4":
+            rep = limit_q_to_1_pq(args.t, args.p, args.j_max, tol, args.conv_tol)
+        elif args.remark == "3.5":
+            rep = limit_p_to_inf(args.t, args.q, _parse_p_list(args.p_list), tol)
+        else:
+            rep = limit_combined_pq(args.t, args.j_max, tol, args.conv_tol)
         ok, doc = rep.passed, rep.as_dict()
-    if args.json:
-        _emit({"schema_version": SCHEMA_VERSION, "config": config, "report": doc})
-    else:
-        sys.stdout.write("config: " + _jsonfmt.one_line(config) + "\n")
-        for key, value in doc.items():
-            if key == "schema_version":
-                continue
-            sys.stdout.write(f"{key} = " + _jsonfmt.one_line(value) + "\n")
-        sys.stdout.write("PASS\n" if ok else "FAIL\n")
+    _write(config["output_format"], config, "report", doc, _key_lines(doc) + ["PASS" if ok else "FAIL"])
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -364,32 +338,30 @@ def _cmd_root(args) -> int:
         result = {"threshold": None, "reason": f"no-positive-region: {exc}"}
     except NoRootInBracket as exc:
         result = {"threshold": exc.floor, "reason": f"no-root-in-bracket: {exc}"}
-    _emit({"schema_version": SCHEMA_VERSION, "config": config, "result": result})
+    _write("json", config, "result", result, ())
     return EXIT_OK
 
 
+_COMMANDS = {
+    "eval": _cmd_values,
+    "table": _cmd_values,
+    "verify": _cmd_verify,
+    "limits": _cmd_limits,
+    "root": _cmd_root,
+}
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
+        code = _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
-    dispatch = {
-        "eval": _cmd_eval,
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-        "limits": _cmd_limits,
-        "root": _cmd_root,
-    }
-    try:
-        _apply_config_file(args, list(argv))
-        code = dispatch[args.command](args)
-    except (DomainError, PositivityViolated) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DomainError, PositivityViolated, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_BAD_INPUT
     except TruncationNotConverged as exc:

@@ -142,18 +142,19 @@ def limit_k_to_1(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> Substituti
     )
 
 
-def _q_to_1_scan(eval_fn, target: float, target_desc: str, j_max: int, conv_tol: float) -> ConvergenceReport:
+def _q_to_1_scan(point, target: float, target_desc: str, j_max: int, conv_tol: float) -> ConvergenceReport:
+    """Gaps to target at q_j = 1 - 10^-j, from point(j, q_j) -> (axis, value); a cap hit is an error."""
     seq = []
     values = []
     errors = []
     for j, q_j in _q_schedule(j_max):
         try:
-            v = eval_fn(q_j)
+            axis, v = point(j, q_j)
         except TruncationNotConverged as exc:
             errors.append(f"j={j} (q={q_j!r}): series cap hit, best bound {exc.best_bound:.3e}")
             continue
         values.append(v)
-        seq.append((q_j, abs(v - target)))
+        seq.append((axis, abs(v - target)))
     gaps = [g for _, g in seq]
     monotone = bool(gaps) and _monotone_tail(gaps)
     final_gap = gaps[-1] if gaps else math.inf
@@ -191,7 +192,7 @@ def limit_q_to_1_qk(
     if k == 1.0:
         desc = f"classical digamma psi({t:g})"
     return _q_to_1_scan(
-        lambda q_j: psi_qk(t, DeformParams.qk(q=q_j, k=k), tol).value,
+        lambda j, q_j: (q_j, psi_qk(t, DeformParams.qk(q=q_j, k=k), tol).value),
         target, desc, j_max, conv_tol,
     )
 
@@ -200,6 +201,7 @@ def limit_q_to_1_pq(
     t: float,
     p: int,
     j_max: int = 5,
+    tol: Tolerance = DEFAULT_TOL,
     conv_tol: float = CONV_TOL,
 ) -> ConvergenceReport:
     """psi_pq(t) at q_j = 1 - 10^-j against the p-digamma ln p - sum 1/(t+n).
@@ -210,7 +212,7 @@ def limit_q_to_1_pq(
     """
     target = p_digamma_ref(t, p).value
     return _q_to_1_scan(
-        lambda q_j: psi_pq(t, DeformParams.pq(p=p, q=q_j)).value,
+        lambda j, q_j: (q_j, psi_pq(t, DeformParams.pq(p=p, q=q_j), tol).value),
         target, f"p-digamma ln p - sum 1/(t+n) at t={t:g}, p={p}", j_max, conv_tol,
     )
 
@@ -268,28 +270,15 @@ def limit_p_to_inf(
 def limit_combined_pq(
     t: float,
     j_max: int = 5,
+    tol: Tolerance = DEFAULT_TOL,
     conv_tol: float = CONV_TOL,
 ) -> ConvergenceReport:
-    """Joint scan p = 10^j, q = 1 - 10^-j against the classical digamma."""
-    target = classical_digamma(t).value
-    seq = []
-    values = []
-    for j, q_j in _q_schedule(j_max):
-        v = psi_pq(t, DeformParams.pq(p=10 ** j, q=q_j)).value
-        seq.append((float(j), abs(v - target)))
-        values.append(v)
-    gaps = [g for _, g in seq]
-    final_gap = gaps[-1]
-    discrepancy = None
-    if _stalled(gaps):
-        discrepancy = f"gap sequence stalls near {final_gap:.6g}"
-    return ConvergenceReport(
-        target_desc=f"classical digamma psi({t:g})",
-        sequence=tuple(seq),
-        monotone_tail=_monotone_tail(gaps),
-        final_gap=final_gap,
-        passed=_monotone_tail(gaps) and final_gap <= conv_tol,
-        values=tuple(values),
-        target_values=tuple(target for _ in values),
-        discrepancy=discrepancy,
+    """Joint scan p = 10^j, q = 1 - 10^-j against the classical digamma, with j as the axis.
+
+    p(1-q) stays 1, so q^p tends to 1/e rather than 0: away from t = 1 the
+    scan stalls and reports the stall as a discrepancy.
+    """
+    return _q_to_1_scan(
+        lambda j, q_j: (float(j), psi_pq(t, DeformParams.pq(p=10 ** j, q=q_j), tol).value),
+        classical_digamma(t).value, f"classical digamma psi({t:g})", j_max, conv_tol,
     )

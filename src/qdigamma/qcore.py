@@ -169,24 +169,6 @@ def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
 # -- term counts ------------------------------------------------------------
 
 
-def _certified_terms(tail_at, n: int, ln_step: float, tol: Tolerance, unit: str):
-    """(N, tail_at(N)): the seed n widened until the tail majorant reaches abs_tol.
-
-    Each step adds the number of geometric factors exp(ln_step) that the
-    current overshoot still needs; raises at n_max.
-    """
-    n = min(n, tol.n_max)
-    tail = tail_at(n)
-    while tail > tol.abs_tol:
-        if n >= tol.n_max:
-            raise TruncationNotConverged(
-                f"tail bound stuck above {tol.abs_tol:.3e} after {tol.n_max} {unit}", tail, tol.n_max
-            )
-        n = min(tol.n_max, n + max(1, math.ceil(math.log(tail / tol.abs_tol) / -ln_step)))
-        tail = tail_at(n)
-    return n, tail
-
-
 def _series_ratio(t: float, ln_q: float):
     """(ln r, 1 - r) for the series ratio r = q^t; 1 - r is None when r underflows to 0."""
     t = _check_t(t)
@@ -257,17 +239,15 @@ def _psi_qk_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False)
         n, tail = 0, 0.0  # every term underflows; the limit value is exact
         if one_minus_r is not None:
             if prime:
-                def tail_at(m, ln_r=ln_r, one_minus_r=one_minus_r):
-                    return _prime_tail(ln_r, one_minus_r, prime_coeff, m)
-                # geometric seed, then widen until the arithmetico-geometric majorant fits
-                seed = geometric_terms_needed(ln_r, prime_coeff / one_minus_r, tol.abs_tol, tol.n_max)
+                # the arithmetico-geometric majorant, searched from its geometric part
+                coeff = prime_coeff / one_minus_r
+                tail_at = partial(_prime_tail, ln_r, one_minus_r, prime_coeff)
             else:
                 coeff = _SAFETY * -ln_q / (one_minus_qk * one_minus_r)
 
                 def tail_at(m, coeff=coeff, ln_r=ln_r):
                     return coeff * math.exp((m + 1) * ln_r)
-                seed = geometric_terms_needed(ln_r, coeff, tol.abs_tol, tol.n_max)
-            n, tail = _certified_terms(tail_at, seed, ln_r, tol, "terms")
+            n, tail = geometric_terms_needed(tail_at, coeff, ln_r, tol)
         ln_rs.append(ln_r)
         ns.append(n)
         tails.append(tail)
@@ -296,8 +276,8 @@ def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
             piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
             piece_den = math.exp(t * ln_q + n * ln_s) / (one_minus_qt * one_minus_qk)
             return _SAFETY * (piece_num + piece_den)
-        seed = geometric_terms_needed(ln_s, 1.0 / (one_minus_qk * one_minus_qk), 0.5 * tol.abs_tol, tol.n_max)
-        n, tail = _certified_terms(tail_at, seed, ln_s, tol, "factor pairs")
+        # searched from the numerator tail's geometric part, held to half of abs_tol
+        n, tail = geometric_terms_needed(tail_at, 2.0 / (one_minus_qk * one_minus_qk), ln_s, tol)
         t_list.append(t)
         ns.append(n)
         tails.append(tail)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from qdigamma import DeformParams, psi_qk
+from qdigamma.cli import main
 
 from conftest import brute_psi_qk
 
@@ -197,6 +198,15 @@ class TestLimitsOutput:
         proc = run_cli("limits", "--remark", "3.6", "--t", "1")
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("--remark", "3.6", "--j-max", "5", "--n-max", "1000"),
+        ("--remark", "3.4", "--p", "100000", "--j-max", "3", "--n-max", "1000"),
+    ])
+    def test_pq_scans_honour_n_max(self, argv, capsys):
+        assert main(["limits", *argv, "--json"]) == 1
+        errors = json.loads(capsys.readouterr().out)["report"]["errors"]
+        assert errors and all("series cap hit" in e for e in errors)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -214,6 +224,28 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"nonsense": 1}))
         proc = run_cli("eval", "--family", "qk", "--t", "1", "--config", str(cfg))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, data", [
+        (["table"], {"q": "abc"}),  # not a number
+        (["table"], {"q": "0.7"}),  # a number given as a string
+        (["table"], {"t_count": "5"}),
+        (["table"], {"fn": "gamma"}),  # not a choice
+        (["verify", "--suite", "qk-theorem"], {"specs": 2.5}),  # not an integer
+        (["verify", "--suite", "qk-theorem"], {"spec": 3}),  # a prefix of --specs, not its name
+        (["verify", "--suite", "qk-theorem"], {"json": 1}),  # a switch takes true or false
+    ])
+    def test_config_values_take_the_flags_types_and_choices(self, argv, data, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_config_switch_and_text_values(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"json": True, "p-list": "1,2,5", "remark": "3.1"}))
+        assert main(["limits", "--remark", "3.5", "--config", str(cfg)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["remark"] == "3.5" and config["p_list"] == "1,2,5"
 
     def test_missing_config_file_exit_2(self):
         proc = run_cli("eval", "--family", "qk", "--t", "1", "--config", "/nonexistent.json")

@@ -11,6 +11,7 @@ import pytest
 from qdigamma import (
     DeformParams,
     DomainError,
+    Tolerance,
     classical_digamma,
     limit_combined_pq,
     limit_k_to_1,
@@ -131,6 +132,19 @@ class TestCombinedPQ:
         assert report.monotone_tail
         assert report.final_gap < 1e-4
         assert report.passed
+
+    def test_cap_hit_is_a_scan_error(self):
+        # p = 10^4 has 10^4 nonzero terms, past a cap of 1000
+        report = limit_combined_pq(1.0, j_max=4, tol=Tolerance(n_max=1000))
+        assert not report.passed
+        assert len(report.errors) == 1 and "j=4" in report.errors[0] and "series cap hit" in report.errors[0]
+        assert [j for j, _ in report.sequence] == [1.0, 2.0, 3.0]
+
+    def test_stall_away_from_t1_is_reported(self):
+        # q^p -> 1/e along the schedule, so the limit misses psi(2)
+        report = limit_combined_pq(2.0, j_max=5)
+        assert not report.passed
+        assert report.discrepancy.startswith("gap sequence stalls near")
 
 
 class TestReportSerialization:
