@@ -37,17 +37,19 @@ def geometric_terms_needed(tail_at, coeff: float, ln_step: float, tol) -> tuple:
     N starts at the closed form of the geometric part, the least N with
     coeff * exp((N+1) ln_step) <= abs_tol, and widens by as many factors
     exp(ln_step) as the overshoot of tail_at still needs.  Raises
-    TruncationNotConverged when tail_at(n_max) is above abs_tol.
+    TruncationNotConverged when tail_at(n_max) is above abs_tol, or when the
+    overshoot overflows (the majorant is too large to widen from).
     """
     n = tol.n_max
     if math.isfinite(coeff):
         n = min(n, max(1, math.ceil(math.log(tol.abs_tol / coeff) / ln_step) - 1))
     tail = tail_at(n)
     while tail > tol.abs_tol:
-        if n >= tol.n_max:
+        overshoot = tail / tol.abs_tol
+        if n >= tol.n_max or not math.isfinite(overshoot):
             raise TruncationNotConverged(
-                f"tail bound stuck above {tol.abs_tol:.3e} after {tol.n_max} terms", tail, tol.n_max
+                f"tail bound stuck above {tol.abs_tol:.3e} after {n} terms", tail, n
             )
-        n = min(tol.n_max, n + max(1, math.ceil(math.log(tail / tol.abs_tol) / -ln_step)))
+        n = min(tol.n_max, n + max(1, math.ceil(math.log(overshoot) / -ln_step)))
         tail = tail_at(n)
     return n, tail

@@ -24,6 +24,7 @@ from . import _jsonfmt
 from ._jsonfmt import SCHEMA_VERSION
 from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
 from .inequalities import (
+    SUITE_FAMILY,
     RatioSpec,
     Suite,
     find_positive_threshold,
@@ -51,6 +52,10 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
 
 _REMARKS = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6")
+
+# the flag each command needs; checked once a --config file is read, so the file may give it
+# (a text flag defaults to "", so that its config value is written as text)
+_REQUIRED = {"eval": "t", "verify": "suite", "limits": "remark"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p_eval = add_values("eval", "evaluate one function at one point", "json")
-    p_eval.add_argument("--t", type=float, required=True)
+    p_eval.add_argument("--t", type=float, default=None, help="required")
     p_table = add_values("table", "tabulate a function over a t-grid", "csv")
     p_table.add_argument("--t-min", type=float, default=0.5)
     p_table.add_argument("--t-max", type=float, default=5.0)
     p_table.add_argument("--t-count", type=int, default=10)
 
     p_verify = sub.add_parser("verify", help="run an inequality verification suite")
-    p_verify.add_argument("--suite", choices=[s.value for s in Suite], required=True)
+    p_verify.add_argument("--suite", choices=[s.value for s in Suite], default="", help="required")
     p_verify.add_argument("--family", choices=[f.value for f in Family], default="qk",
                           help="family for the family-agnostic suites")
     p_verify.add_argument("--specs", type=int, default=20, help="number of sampled parameter/spec pairs")
@@ -104,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_limits = sub.add_parser("limits", help="run a degeneration scan")
-    p_limits.add_argument("--remark", choices=list(_REMARKS), required=True)
+    p_limits.add_argument("--remark", choices=list(_REMARKS), default="", help="required")
     p_limits.add_argument("--t", type=float, default=1.0)
     p_limits.add_argument("--q", type=float, default=0.5)
     p_limits.add_argument("--k", type=float, default=1.0)
@@ -239,13 +244,6 @@ def _cmd_values(args) -> int:
     return EXIT_OK
 
 
-_SUITE_FAMILY = {
-    Suite.QK_THEOREM: Family.QK,
-    Suite.QK_COROLLARY: Family.QK,
-    Suite.PQ_THEOREM: Family.PQ,
-    Suite.PQ_COROLLARY: Family.PQ,
-}
-
 _SUITE_RANGE = {
     Suite.QK_THEOREM: (0.0, 1.0),
     Suite.PQ_THEOREM: (0.0, 1.0),
@@ -259,7 +257,7 @@ _SUITE_RANGE = {
 
 def _cmd_verify(args) -> int:
     suite = Suite(args.suite)
-    family = _SUITE_FAMILY.get(suite, Family(args.family))
+    family = SUITE_FAMILY.get(suite, Family(args.family))
     t_lo, t_hi = _SUITE_RANGE[suite]
     if args.t_min is not None:
         t_lo = args.t_min
@@ -358,6 +356,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
+        required = _REQUIRED.get(args.command)
+        if required and getattr(args, required) in (None, ""):
+            parser.error(f"the following arguments are required: --{required}")
         code = _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0

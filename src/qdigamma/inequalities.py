@@ -40,6 +40,7 @@ __all__ = [
     "SpecVerdict",
     "VerificationReport",
     "Suite",
+    "SUITE_FAMILY",
     "validate_spec",
     "ratio_G",
     "ratio_H",
@@ -174,6 +175,15 @@ class Suite(str, Enum):
     MONOTONE_PSI_PRIME = "monotone-psi-prime"
 
 
+# the family a theorem or corollary suite is stated for; the other suites take either
+SUITE_FAMILY = {
+    Suite.QK_THEOREM: Family.QK,
+    Suite.QK_COROLLARY: Family.QK,
+    Suite.PQ_THEOREM: Family.PQ,
+    Suite.PQ_COROLLARY: Family.PQ,
+}
+
+
 def _t_range(t_range: tuple) -> tuple:
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if t_lo < 0.0 or t_hi < t_lo:
@@ -253,10 +263,10 @@ def ratio_G(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance = DE
     return _ratio(spec, t, params, tol)
 
 
-def ratio_H(spec: RatioSpec, t: float, params: DeformParams) -> EvalResult:
+def ratio_H(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """PQ-family ratio psi_pq(a+bt)^alpha / psi_pq(c+dt)^beta (zero tail)."""
     params.require(Family.PQ)
-    return _ratio(spec, t, params, DEFAULT_TOL)
+    return _ratio(spec, t, params, tol)
 
 
 def ratio_values(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -336,6 +346,12 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     before anything is evaluated.
     """
     suite = Suite(suite)
+    family = SUITE_FAMILY.get(suite)
+    for params, _ in grid.pairs:
+        if family is not None and params.family is not family:
+            raise DomainError(
+                f"suite {suite.value} is stated for {family.value} parameters; the grid has {params.label()}"
+            )
     if suite in _MONOTONE:
         if grid.t_min <= 0.0:
             raise DomainError(

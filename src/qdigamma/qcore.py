@@ -129,6 +129,17 @@ def _power_terms(kl: float, prime: bool):
     return lambda x, n: np.exp(n * x) / -np.expm1(n * kl)
 
 
+def _ln1m_exp_terms(y: np.ndarray) -> np.ndarray:
+    """log1p(-exp(y)) for y < 0 falling along its last axis; log(-expm1(y)) where exp(y) rounds to 1.
+
+    Formed in place, as one expression reuses its temporaries: fresh arrays cost page faults on long rows.
+    """
+    e = np.exp(y)
+    if (e[..., :1] == 1.0).any():  # only a row's leading term can round to 1
+        return np.where(e == 1.0, np.log(-np.expm1(y)), np.log1p(-np.where(e == 1.0, 0.0, e)))
+    return np.log1p(np.negative(e, out=e), out=e)
+
+
 def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
     """Sum terms(x, n) over n = n_first..last for each row x with its own last, as sum_terms would.
 
@@ -214,17 +225,6 @@ def _last_nonzero(exponent, n_first: int, n_last: int, tol: Tolerance) -> int:
     return n
 
 
-def _summed_through(n: int, n_first: int, n_last: int) -> int:
-    """Last index to sum when the last nonzero term is n: the end of the CHUNK holding n + 1.
-
-    The trailing zeros of that chunk stay in its partial so the sum keeps the
-    bits of the full sum; the later chunks would add only 0.0 partials.
-    """
-    if n >= n_last:
-        return n_last
-    return min(n_last, n_first + ((n + 1 - n_first) // CHUNK + 1) * CHUNK - 1)
-
-
 # -- batch kernels ----------------------------------------------------------
 
 
@@ -283,7 +283,7 @@ def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
         tails.append(tail)
     # numerator exponent written as k + n*k so that t = k cancels bitwise
     sums = _sum_rows(
-        lambda x, n: np.log1p(-np.exp((k + n * k) * ln_q)) - np.log1p(-np.exp((x + n * k) * ln_q)),
+        lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q),
         t_list, 0, [n - 1 for n in ns])
     return [
         EvalResult(s + -(t / k - 1.0) * ln1mq, tail, n)
@@ -294,14 +294,12 @@ def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
 def _psi_pq_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
     q, p = params.q, params.p
     ln_q = math.log(q)
-    ln_rs, ns, lasts = [], [], []
+    ln_rs, ns = [], []
     for t in ts:
         ln_r = _check_t(t) * ln_q
-        n = _last_nonzero(lambda m: m * ln_r, 1, p, tol)
         ln_rs.append(ln_r)
-        ns.append(n)
-        lasts.append(_summed_through(n, 1, p))
-    sums = _sum_rows(_power_terms(ln_q, prime), ln_rs, 1, lasts)
+        ns.append(_last_nonzero(lambda m: m * ln_r, 1, p, tol))
+    sums = _sum_rows(_power_terms(ln_q, prime), ln_rs, 1, ns)
     lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
     return [EvalResult(lead + scale * s, 0.0, n) for s, n in zip(sums, ns)]
 
@@ -318,12 +316,12 @@ def _ln_gamma_pq_batch(params: DeformParams, ts, tol: Tolerance) -> list:
             # the factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n))
             n_fact = _last_nonzero(lambda m: m * ln_q, 1, p, tol)
         t_list.append(t)
-        lasts.append(_summed_through(_last_nonzero(lambda m: (t + m) * ln_q, 0, p, tol), 0, p))
+        lasts.append(_last_nonzero(lambda m: (t + m) * ln_q, 0, p, tol))
     if not t_list:
         return []
-    fact = sum_terms(lambda n: np.log1p(-np.exp(n * ln_q)), 1, _summed_through(n_fact, 1, p))
+    fact = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
     factorial_part = fact - p * ln1mq
-    shifted = _sum_rows(lambda x, n: np.log1p(-np.exp((x + n) * ln_q)), t_list, 0, lasts)
+    shifted = _sum_rows(lambda x, n: _ln1m_exp_terms((x + n) * ln_q), t_list, 0, lasts)
     lead = ln_q_bracket(p, ln_q)
     return [
         EvalResult(t * lead + factorial_part - (s - (p + 1) * ln1mq), 0.0, n_fact)
@@ -390,7 +388,8 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """(p,q)-digamma at t: an exact finite sum (tail bound 0).
 
-    terms_used is the index of the last nonzero term, at most p.
+    The sum runs through its last nonzero term, so terms_used, that term's
+    index (at most p), is the number of terms summed.
     """
     params.require(Family.PQ)
     return _psi_pq_batch(params, (t,), tol)[0]

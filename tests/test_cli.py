@@ -71,6 +71,11 @@ class TestExitCodes:
         proc = run_cli("eval", "--family", "qk", "--q", "0.5", "--t", "1", "--bogus", "7")
         assert proc.returncode == 2
 
+    def test_ln_gamma_at_tiny_t_exits_cleanly(self):
+        proc = run_cli("eval", "--fn", "ln-gamma", "--t", "1e-310")
+        assert proc.returncode in (0, 3)
+        assert "Traceback" not in proc.stderr
+
     def test_truncation_failure_exit_3(self):
         proc = run_cli(
             "eval", "--family", "qk", "--q", "0.99", "--t", "0.5", "--fn", "psi", "--n-max", "100"
@@ -246,6 +251,25 @@ class TestConfigFile:
         assert main(["limits", "--remark", "3.5", "--config", str(cfg)]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         assert config["remark"] == "3.5" and config["p_list"] == "1,2,5"
+
+    @pytest.mark.parametrize("argv, data, key", [
+        (["verify", "--specs", "2", "--t-points", "3", "--json"], {"suite": "qk-theorem"}, "suite"),
+        (["limits", "--json"], {"remark": "3.1"}, "remark"),
+        (["eval"], {"t": 1.5}, "t"),
+    ])
+    def test_config_supplies_a_required_flag(self, argv, data, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"][key] == data[key]
+
+    @pytest.mark.parametrize("argv", [["verify"], ["limits"], ["eval"]])
+    def test_required_flag_still_required(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 0.7}))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_config_file_exit_2(self):
         proc = run_cli("eval", "--family", "qk", "--t", "1", "--config", "/nonexistent.json")

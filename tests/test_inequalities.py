@@ -16,6 +16,7 @@ from qdigamma import (
     RatioSpec,
     Suite,
     Tolerance,
+    TruncationNotConverged,
     check_lemma_cross,
     find_positive_threshold,
     make_verification_grid,
@@ -129,6 +130,12 @@ class TestRatioH:
         spec = RatioSpec(a=t0 + 0.5, b=1.0, c=t0 + 1.5, d=1.0, alpha=1.0, beta=1.0)
         assert ratio_H(spec, 2.0, params).value >= ratio_H(spec, 1.0, params).value
 
+    def test_n_max_caps_it(self):
+        # a + b*0 = 1: the nonzero terms of psi_pq run to n ~ 1075
+        spec = RatioSpec(a=1.0, b=1.0, c=2.0, d=1.0, alpha=1.0, beta=1.0)
+        with pytest.raises(TruncationNotConverged):
+            ratio_H(spec, 0.0, DeformParams.pq(10**8, 0.5), Tolerance(n_max=1000))
+
 
 class TestLemmaCross:
     def test_degenerate_margin_zero(self):
@@ -233,6 +240,20 @@ class TestGridAgainstSuite:
             raise AssertionError("kernel called")
         monkeypatch.setattr(ineq, "evaluate", no_kernel_call)
         with pytest.raises(DomainError, match=rf"{suite}.*t_min=0\.0"):
+            verify_bounds(suite, grid)
+
+    @pytest.mark.parametrize("suite, family", [
+        ("qk-theorem", "pq"), ("qk-corollary", "pq"), ("pq-theorem", "qk"), ("pq-corollary", "qk"),
+    ])
+    def test_family_suite_rejects_the_other_family_before_evaluating(self, suite, family, monkeypatch):
+        import qdigamma.inequalities as ineq
+
+        grid = make_verification_grid(family, 3, 5, 1)
+
+        def no_kernel_call(*args, **kwargs):
+            raise AssertionError("kernel called")
+        monkeypatch.setattr(ineq, "evaluate", no_kernel_call)
+        with pytest.raises(DomainError, match=suite):
             verify_bounds(suite, grid)
 
 

@@ -378,6 +378,19 @@ class TestPQUnderflow:
                 kernel(1.0, params, Tolerance(n_max=1000))
         assert psi_pq(1.0, params, Tolerance(n_max=2000)) == psi_pq(1.0, params)
 
+    @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
+    def test_sums_exactly_the_terms_it_reports(self, kernel, monkeypatch):
+        import qdigamma.qcore as qcore
+
+        asked, sum_terms = [], qcore.sum_terms
+
+        def recording_sum_terms(term_fn, n_first, n_last):
+            asked.append(n_last - n_first + 1)
+            return sum_terms(term_fn, n_first, n_last)
+        monkeypatch.setattr(qcore, "sum_terms", recording_sum_terms)
+        res = kernel(1.0, DeformParams.pq(10**8, 0.5))
+        assert asked == [res.terms_used]
+
     def test_all_zero_terms(self):
         # q^t itself underflows: every term is 0 and the value is ln[p]_q
         params = DeformParams.pq(50, 1e-5)
@@ -396,3 +409,26 @@ class TestQBracketAccuracy:
                 qm ** (n * t) / (1 - qm ** n) for n in range(1, p + 1)
             )
         assert abs(psi_pq(t, DeformParams.pq(p, q)).value - float(exact)) <= 1e-15
+
+
+class TestLnGammaTinyT:
+    def test_qk_shifted_factor_near_one(self):
+        # q^t rounds to 1, so ln(1 - q^t) must come from expm1; ln Gamma -> -ln(t |ln q|) + ln(1-q)
+        t, q = 1e-300, 0.5
+        res = ln_gamma_qk(t, DeformParams.qk(q, 1.0))
+        assert abs(res.value - (-math.log(t * -math.log(q)) + math.log1p(-q))) <= 1e-10
+        assert res.tail_bound <= 1e-13
+
+    def test_pq_shifted_factor_near_one(self):
+        # the n = 0 shifted factor -ln[t]_q is all that is left as t -> 0
+        t, q = 1e-300, 0.5
+        res = ln_gamma_pq(t, DeformParams.pq(5, q))
+        assert abs(res.value - (-math.log(t * -math.log(q)) + math.log1p(-q))) <= 1e-10
+
+    def test_overflowing_majorant_fails_typed(self):
+        # (1-q^t)(1-q^k) is subnormal here and the majorant overflows; no OverflowError may escape
+        try:
+            res = ln_gamma_qk(1e-310, DeformParams.qk(0.5, 1.0))
+        except TruncationNotConverged:
+            return
+        assert math.isfinite(res.value)
