@@ -14,6 +14,7 @@ numerical failure (an unreachable truncation target).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -58,7 +59,9 @@ _REMARKS = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6")
 _REQUIRED = {"eval": "t", "verify": "suite", "limits": "remark"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: prog is fixed and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qdigamma",
         description="Deformed digamma/gamma evaluation, inequality verification, and limit scans.",

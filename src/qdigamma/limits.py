@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from ._jsonfmt import SCHEMA_VERSION
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, Q_MAX, Tolerance
-from .qcore import ln1m_exp, psi_pq, psi_qk
+from .qcore import ln1m_exp, psi_pq, psi_qk, psi_qk_direct_count
 from .reference import SeriesKind, brute_force_series, classical_digamma, k_digamma_ref, p_digamma_ref
 
 __all__ = [
@@ -120,17 +120,30 @@ def _q_schedule(j_max: int):
 def limit_k_to_1(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> SubstitutionCheck:
     """Check psi_qk at k=1 against a plain partial-sum oracle of the q-digamma.
 
-    The certified value at N terms and the plain sum at 4N terms must agree
-    within the two truncation allowances.
+    With N the direct series' closed-form term count, the certified value and
+    the plain sum at 4N terms (at most 2e6) must agree within twice the two
+    truncation bounds.  N and its tail come from the direct route even where
+    the value takes the Euler-Maclaurin route, whose few dozen terms would
+    shrink the oracle; the value's bound is the larger of the two tails.
+    Raises TruncationNotConverged where N is above n_max or the oracle's tail
+    is above abs_tol: there the allowance would grow until the check means
+    nothing.
     """
     params = DeformParams.qk(q=q, k=1.0)
     res = psi_qk(t, params, tol)
-    n_oracle = min(4 * max(res.terms_used, 8), 2_000_000)
-    oracle = brute_force_series(SeriesKind.PSI_QK, t, params, n_oracle)
+    n_direct, direct_tail = psi_qk_direct_count(t, params, tol)
+    n_oracle = min(4 * max(n_direct, 8), 2_000_000)
     ln_q = math.log(q)
     one_minus_r = -math.expm1(t * ln_q)
     oracle_tail = -ln_q * math.exp((n_oracle + 1) * t * ln_q) / ((-math.expm1(ln_q)) * one_minus_r)
-    allowance = 2.0 * (res.tail_bound + oracle_tail)
+    if n_direct > tol.n_max or oracle_tail > tol.abs_tol:
+        raise TruncationNotConverged(
+            f"partial-sum oracle out of reach: the direct series needs {n_direct} terms "
+            f"(n_max {tol.n_max}), and after {n_oracle} terms its tail bound is {oracle_tail:.3e}",
+            oracle_tail, n_oracle,
+        )
+    oracle = brute_force_series(SeriesKind.PSI_QK, t, params, n_oracle)
+    allowance = 2.0 * (max(res.tail_bound, direct_tail) + oracle_tail)
     gap = abs(res.value - oracle)
     return SubstitutionCheck(
         value=res.value,

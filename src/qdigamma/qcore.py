@@ -28,6 +28,29 @@ their terms underflow to exact zeros, and both families refuse a point that
 needs more than ``n_max`` terms.  All powers of q are formed in log space,
 so large t cannot underflow the products.
 
+Two routes for the QK series.  The direct route sums the series above; it
+needs about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point
+whose closed-form direct count (that of the geometric majorant) is above
+N0 = 2^17 takes the Euler-Maclaurin route instead.  Swapping the double
+sum puts each series on the lattice y_m = eps (a + m k), eps = -ln q:
+
+    psi_qk(t)      = -ln(1-q)/k - eps * S_0(t)
+    psi_qk'(t)     =  eps^2 * S_-1(t)
+    ln Gamma_qk(t) =  S_1(t) - S_1(k) - (t/k - 1) * ln(1-q)
+
+with S_s(a) = sum_{m>=0} Li_s(e^-y_m), Li_0 = 1/(e^y - 1), Li_-1 its
+negated derivative and Li_1 = -ln(1 - e^-y).  Each S sums M terms
+directly, then adds the integral Li_(s+1)(e^-y_M) / h (h = eps k; Li_2 is
+computed in-house with its reflection formula), the half end term and P = 8
+Bernoulli corrections (DLMF 2.10.1).  Li_s(e^-y) is completely monotone in
+y, so the remainder is at most the size of the last correction,
+|B_2P|/(2P)! h^(2P-1) |Li_(s-2P+1)(e^-y_M)| (Eulerian polynomials give every
+Li of negative order, with positive coefficients).  That bound, scaled and
+times the usual safety factor, is the tail_bound; M starts at 8 and grows
+until it is within abs_tol.  terms_used counts the terms the route formed:
+M + 2 + P per lattice sum (two for ln Gamma), a few dozen in all.  On either
+route n_max caps terms_used.
+
 ``evaluate`` computes one function at many t in a single call.  Each point
 keeps its own term count and tail bound; only the term arrays are shared,
 one matrix per block of points, and each point's sum is formed exactly as a
@@ -38,11 +61,12 @@ kernels are its one-point entries.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
 
-from ._series import CHUNK, geometric_terms_needed, sum_terms
+from ._series import CHUNK, geometric_count, geometric_terms_needed, sum_terms
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
 
@@ -71,6 +95,42 @@ _SAFETY = 1.0 + 1e-12
 _BLOCK_TERMS = CHUNK // 4
 
 _LN2 = math.log(2.0)
+
+# A (q,k) point whose direct series needs more terms than this, by the closed
+# form of its geometric majorant, takes the Euler-Maclaurin route.
+_N0 = 1 << 17
+
+# Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
+# the half end term and P = len(_BERNOULLI) Bernoulli corrections.
+_EM_M = 8
+_BERNOULLI = (  # B_2j / (2j)!, j = 1..8
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+)
+_EULERIAN = (  # coefficients of the Eulerian polynomial A_n, n = 0..16: Li_-n(z) = z A_n(z) / (1-z)^(n+1)
+    (1,),
+    (1,),
+    (1, 1),
+    (1, 4, 1),
+    (1, 11, 11, 1),
+    (1, 26, 66, 26, 1),
+    (1, 57, 302, 302, 57, 1),
+    (1, 120, 1191, 2416, 1191, 120, 1),
+    (1, 247, 4293, 15619, 15619, 4293, 247, 1),
+    (1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1),
+    (1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1),
+    (1, 2036, 152637, 2203488, 9738114, 15724248, 9738114, 2203488, 152637, 2036, 1),
+    (1, 4083, 478271, 10187685, 66318474, 162512286, 162512286, 66318474, 10187685, 478271, 4083, 1),
+    (1, 8178, 1479726, 45533450, 423281535, 1505621508, 2275172004, 1505621508, 423281535,
+     45533450, 1479726, 8178, 1),
+    (1, 16369, 4537314, 198410786, 2571742175, 12843262863, 27971176092, 27971176092,
+     12843262863, 2571742175, 198410786, 4537314, 16369, 1),
+    (1, 32752, 13824739, 848090912, 15041229521, 102776998928, 311387598411, 447538817472,
+     311387598411, 102776998928, 15041229521, 848090912, 13824739, 32752, 1),
+    (1, 65519, 41932745, 3572085255, 85383238549, 782115518299, 3207483178157, 6382798925475,
+     6382798925475, 3207483178157, 782115518299, 85383238549, 3572085255, 41932745, 65519, 1),
+)
+_PI2_6 = 1.6449340668482264  # pi^2 / 6 = Li_2(1)
 
 
 def _check_t(t: float) -> float:
@@ -225,36 +285,172 @@ def _last_nonzero(exponent, n_first: int, n_last: int, tol: Tolerance) -> int:
     return n
 
 
+# -- Euler-Maclaurin route --------------------------------------------------
+
+
+def _eulerian(n: int, z: float) -> float:
+    """The Eulerian polynomial A_n at z, by Horner's rule."""
+    poly = 0.0
+    for c in _EULERIAN[n]:
+        poly = poly * z + c
+    return poly
+
+
+def _li2_series(u: float) -> float:
+    """Li_2(x) from u = -ln(1-x) <= ln 2: u - u^2/4 + sum_j B_2j u^(2j+1) / (2j+1)!."""
+    u2 = u * u
+    acc = 0.0
+    for j in range(len(_BERNOULLI), 0, -1):
+        acc = acc * u2 + _BERNOULLI[j - 1] / (2 * j + 1)
+    return u - 0.25 * u2 + u * u2 * acc
+
+
+def _li(s: int, y: float) -> float:
+    """Li_s(e^-y) for y > 0 and an integer s <= 2, without cancellation."""
+    if s == 2:
+        z = math.exp(-y)
+        if z <= 0.5:
+            return _li2_series(-math.log1p(-z))
+        # reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z), and -ln(1 - (1-z)) = y
+        return _PI2_6 + y * math.log(-math.expm1(-y)) - _li2_series(y)
+    if s == 1:
+        return -ln1m_exp(-y)
+    z = math.exp(-y)
+    return z * _eulerian(-s, z) / (-math.expm1(-y)) ** (1 - s)
+
+
+def _em_closure(s: int, y: float, h: float) -> tuple:
+    """(closure, remainder bound) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
+
+    The closure is the integral Li_(s+1)(e^-y) / h, the half end term and the
+    corrections B_2j/(2j)! h^(2j-1) Li_(s-2j+1)(e^-y) for j = 1..P (DLMF
+    2.10.1 with f^(2j-1) = -Li_(s-2j+1)(e^-x)).  f is completely monotone, so
+    f^(2P) keeps one sign and the remainder after P corrections is at most
+    the size of the last one, |B_2P|/(2P)! h^(2P-1) |f^(2P-1)(y)|.
+    """
+    z, w = math.exp(-y), -math.expm1(-y)
+    r = h / w  # h^(2j-1) Li_(s-2j+1)(z) = z A_(2j-1-s)(z) r^(2j-1) / w^(1-s)
+    r2 = r * r
+    corrections, power = 0.0, r
+    for j, weight in enumerate(_BERNOULLI, start=1):
+        last = weight * _eulerian(2 * j - 1 - s, z) * power
+        corrections += last
+        power *= r2
+    scale = z / w ** (1 - s)
+    return _li(s + 1, y) / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale
+
+
+def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResult:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at t by the Euler-Maclaurin route.
+
+    Each series is a sum over the lattice y = eps (a + m k), eps = -ln q, of
+    Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
+    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q).  Each S sums M terms
+    directly and closes the rest with _em_closure; M starts at _EM_M and grows
+    until the remainder bounds, times _SAFETY, are within abs_tol.
+    """
+    q, k = params.q, params.k
+    eps = -math.log(q)
+    h = eps * k
+    if fn == "ln-gamma":
+        s, scale, starts = 1, 1.0, (eps * t, eps * k)
+    elif fn == "psi":
+        s, scale, starts = 0, eps, (eps * t,)
+    else:
+        s, scale, starts = -1, eps * eps, (eps * t,)
+    m = _EM_M
+    while True:
+        closures = [_em_closure(s, a + m * h, h) for a in starts]
+        tail = _SAFETY * scale * sum(bound for _, bound in closures)
+        terms = len(starts) * (m + 2 + len(_BERNOULLI))
+        if terms > tol.n_max:
+            raise TruncationNotConverged(
+                f"Euler-Maclaurin route needs {terms} terms, past the cap of {tol.n_max}",
+                tail, tol.n_max,
+            )
+        if tail <= tol.abs_tol:
+            break
+        # the remainder falls at least like y^-(2P - s) as y = a + m h grows
+        a = min(starts)
+        grow = math.exp((math.log(tail) - math.log(tol.abs_tol)) / (2 * len(_BERNOULLI) - s))
+        m = max(m + 1, math.ceil(((a + m * h) * grow - a) / h))
+    sums = []
+    for a, (closure, _) in zip(starts, closures):
+        direct = 0.0
+        for i in range(m):
+            direct += _li(s, a + i * h)
+        sums.append(direct + closure)
+    if fn == "psi":
+        value = -math.log1p(-q) / k - eps * sums[0]
+    elif fn == "psi-prime":
+        value = scale * sums[0]
+    else:  # at t = k the two sums are the same bits, so ln Gamma(k) is 0.0
+        value = (sums[0] - sums[1]) + -(t / k - 1.0) * math.log1p(-q)
+    if not math.isfinite(value):
+        raise TruncationNotConverged(f"{fn} at t={t!r} overflows double precision", math.inf, terms)
+    return EvalResult(value, tail, terms)
+
+
 # -- batch kernels ----------------------------------------------------------
+
+
+def _psi_qk_majorant(ln_r: float, one_minus_r: float, ln_q: float, one_minus_qk: float, prime: bool):
+    """(coeff, tail_at) of the direct psi or psi' series at r = q^t.
+
+    tail_at(N) bounds the terms after the N-th; coeff r^(N+1) is its geometric
+    part, from which the term count is searched.
+    """
+    if prime:
+        # the arithmetico-geometric majorant, searched from its geometric part
+        prime_coeff = _SAFETY * ln_q * ln_q / one_minus_qk
+        return prime_coeff / one_minus_r, partial(_prime_tail, ln_r, one_minus_r, prime_coeff)
+    coeff = _SAFETY * -ln_q / (one_minus_qk * one_minus_r)
+    return coeff, lambda m: coeff * math.exp((m + 1) * ln_r)
+
+
+def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """(N, tail) of the direct psi_qk series at t, summing nothing.
+
+    N is the closed-form term count of the geometric majorant (inf past any
+    float) and tail the majorant after N terms; (0, 0.0) when every term
+    underflows.  Where N <= N0 these are psi_qk's terms_used and tail_bound
+    but for a rare widening by one rounding.
+    """
+    params.require(Family.QK)
+    ln_q = math.log(params.q)
+    ln_r, one_minus_r = _series_ratio(t, ln_q)
+    if one_minus_r is None:
+        return 0, 0.0
+    coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, -math.expm1(params.k * ln_q), False)
+    n = geometric_count(coeff, ln_r, tol.abs_tol)
+    return n, (tail_at(n) if n < math.inf else math.inf)
 
 
 def _psi_qk_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
     q, k = params.q, params.k
     ln_q = math.log(q)
     one_minus_qk = -math.expm1(k * ln_q)
-    prime_coeff = _SAFETY * ln_q * ln_q / one_minus_qk
-    ln_rs, ns, tails = [], [], []
+    ln_rs, ns, tails, em = [], [], [], []  # em: (index in ts, result) of the Euler-Maclaurin points
     for t in ts:
         ln_r, one_minus_r = _series_ratio(t, ln_q)
         n, tail = 0, 0.0  # every term underflows; the limit value is exact
         if one_minus_r is not None:
-            if prime:
-                # the arithmetico-geometric majorant, searched from its geometric part
-                coeff = prime_coeff / one_minus_r
-                tail_at = partial(_prime_tail, ln_r, one_minus_r, prime_coeff)
-            else:
-                coeff = _SAFETY * -ln_q / (one_minus_qk * one_minus_r)
-
-                def tail_at(m, coeff=coeff, ln_r=ln_r):
-                    return coeff * math.exp((m + 1) * ln_r)
-            n, tail = geometric_terms_needed(tail_at, coeff, ln_r, tol)
+            coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, one_minus_qk, prime)
+            n = geometric_count(coeff, ln_r, tol.abs_tol)
+            if n > _N0:
+                em.append((len(ns) + len(em), _em_qk("psi-prime" if prime else "psi", params, t, tol)))
+                continue
+            n, tail = geometric_terms_needed(tail_at, n, ln_r, tol)
         ln_rs.append(ln_r)
         ns.append(n)
         tails.append(tail)
     sums = _sum_rows(_power_terms(k * ln_q, prime), ln_rs, 1, ns)
     # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
     lead, scale = (0.0, ln_q * ln_q) if prime else (-math.log1p(-q) / k, ln_q)
-    return [EvalResult(lead + scale * s, tail, n) for s, tail, n in zip(sums, tails, ns)]
+    results = [EvalResult(lead + scale * s, tail, n) for s, tail, n in zip(sums, tails, ns)]
+    for i, res in em:
+        results.insert(i, res)
+    return results
 
 
 def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
@@ -263,7 +459,11 @@ def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
     ln1mq = math.log1p(-q)
     ln_s = k * ln_q
     one_minus_qk = -math.expm1(ln_s)
-    t_list, ns, tails = [], [], []
+    # searched from the numerator tail's geometric part, held to half of abs_tol
+    coeff = 2.0 / (one_minus_qk * one_minus_qk)
+    count = geometric_count(coeff, ln_s, tol.abs_tol)
+    min_normal = sys.float_info.min
+    t_list, ns, tails, em = [], [], [], []  # em: (index in ts, result) of the Euler-Maclaurin points
     for t in ts:
         t = _check_t(t)
         one_minus_qt = -math.expm1(t * ln_q)
@@ -271,13 +471,27 @@ def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
             raise TruncationNotConverged(
                 f"product ratio indistinguishable from 1 at t={t!r}, k={k!r}", math.inf, 0
             )
+        if count > _N0:
+            em.append((len(ns) + len(em), _em_qk("ln-gamma", params, t, tol)))
+            continue
+        start = count
+        if one_minus_qt * one_minus_qk >= min_normal:
+            def tail_at(n, t=t, one_minus_qt=one_minus_qt):
+                piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
+                piece_den = math.exp(t * ln_q + n * ln_s) / (one_minus_qt * one_minus_qk)
+                return _SAFETY * (piece_num + piece_den)
+        else:
+            # (1-q^t)(1-q^k) underflows and its reciprocal would overflow: that quotient goes in
+            # log space, and the search starts where it is within half of abs_tol
+            ln_den = math.log(one_minus_qt) + math.log(one_minus_qk)
+            ln_half_tol = math.log(0.5 * tol.abs_tol / _SAFETY)
+            start = max(count, math.ceil((t * ln_q - ln_den - ln_half_tol) / -ln_s))
 
-        def tail_at(n, t=t, one_minus_qt=one_minus_qt):
-            piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
-            piece_den = math.exp(t * ln_q + n * ln_s) / (one_minus_qt * one_minus_qk)
-            return _SAFETY * (piece_num + piece_den)
-        # searched from the numerator tail's geometric part, held to half of abs_tol
-        n, tail = geometric_terms_needed(tail_at, 2.0 / (one_minus_qk * one_minus_qk), ln_s, tol)
+            def tail_at(n, t=t, ln_den=ln_den):
+                piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
+                x = t * ln_q + n * ln_s - ln_den
+                return _SAFETY * (piece_num + (math.exp(x) if x < 709.0 else math.inf))
+        n, tail = geometric_terms_needed(tail_at, start, ln_s, tol)
         t_list.append(t)
         ns.append(n)
         tails.append(tail)
@@ -285,10 +499,13 @@ def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
     sums = _sum_rows(
         lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q),
         t_list, 0, [n - 1 for n in ns])
-    return [
+    results = [
         EvalResult(s + -(t / k - 1.0) * ln1mq, tail, n)
         for s, t, tail, n in zip(sums, t_list, tails, ns)
     ]
+    for i, res in em:
+        results.insert(i, res)
+    return results
 
 
 def _psi_pq_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
@@ -358,8 +575,9 @@ def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) ->
 def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """(q,k)-digamma at t with a certified truncation bound.
 
-    Tail majorant after N terms: |ln q| * r^(N+1) / ((1-q^k)(1-r)) with
-    r = q^t.
+    Direct route's tail majorant after N terms: |ln q| * r^(N+1) /
+    ((1-q^k)(1-r)) with r = q^t; near q = 1 the Euler-Maclaurin route's
+    remainder bound instead (see the module docstring).
     """
     params.require(Family.QK)
     return _psi_qk_batch(params, (t,), tol)[0]
@@ -368,7 +586,8 @@ def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
 def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (q,k)-digamma; value is nonnegative by construction.
 
-    Tail majorant after N terms: (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
+    Direct route's tail majorant after N terms:
+    (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
     """
     params.require(Family.QK)
     return _psi_qk_batch(params, (t,), tol, prime=True)[0]
@@ -377,8 +596,8 @@ def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
 def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Log of the (q,k)-gamma function, evaluated entirely in log space.
 
-    Tail certified via |ln(1-x)| <= x/(1-x) on both product tails:
-    after N factor pairs the remainder is at most
+    Direct route's tail certified via |ln(1-x)| <= x/(1-x) on both product
+    tails: after N factor pairs the remainder is at most
     q^((N+1)k)/(1-q^k)^2 + q^(t+Nk)/((1-q^t)(1-q^k)).
     """
     params.require(Family.QK)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -96,6 +98,19 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    def test_in_process_calls_after_a_bad_flag_match_fresh_processes(self):
+        # main reuses one parse tree per process; an exit 2 must leave it as a fresh process has it
+        calls = [("eval", "--t", "1", "--bogus", "7"),
+                 ("eval", "--family", "qk", "--q", "0.5", "--t", "0.5", "--format", "plain"),
+                 ("limits", "--q", "0.5"),
+                 ("limits", "--remark", "3.1", "--t", "2", "--q", "0.5")]
+        for args in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(args))
+            fresh = run_cli(*args)
+            assert (code, out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,0 +1,164 @@
+"""The Euler-Maclaurin route of the (q,k) kernels: agreement with the direct
+route and with a 40-digit oracle, exact identities, batches, and no cap hits
+over the advertised domain."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import random
+
+import pytest
+
+from qdigamma import (DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_qk, psi_qk,
+                      psi_qk_prime)
+from qdigamma.cli import main
+from qdigamma.params import K_MAX, K_MIN, Q_MAX, Q_MIN
+from qdigamma.qcore import _N0, _em_qk, psi_qk_direct_count
+
+mp = pytest.importorskip("mpmath")
+
+U = 2.0 ** -53
+KERNELS = {"psi": psi_qk, "psi-prime": psi_qk_prime, "ln-gamma": ln_gamma_qk}
+
+
+def route(fn: str, t: float, params: DeformParams, res) -> str:
+    """The route that gave res: "em" where it is the Euler-Maclaurin helper's result."""
+    return "em" if res == _em_qk(fn, params, t, Tolerance()) else "direct"
+
+
+def rounding(fn: str, value: float, t: float, q: float, k: float, terms: int) -> float:
+    """Rounding allowance of a (q,k) value formed from `terms` terms.
+
+    psi and psi': 256 u |value - lead| + 8 u |lead|.  ln Gamma: each log term
+    and its rounding are at most 1/y for y = eps (a + m k), whose sum over
+    m < n is (1/a + ln(1 + (n-1) k/a)/k) / eps, for a = k and a = t.
+    """
+    eps = -math.log(q)
+    if fn != "ln-gamma":
+        lead = -math.log1p(-q) / k if fn == "psi" else 0.0
+        return U * (256.0 * abs(value - lead) + 8.0 * abs(lead))
+    n = max(terms, 1)
+
+    def log_bound(a: float) -> float:
+        return (1.0 / a + math.log1p((n - 1) * k / a) / k) / eps
+
+    lead = (t / k - 1.0) * math.log1p(-q)
+    return U * (8.0 * abs(lead) + 64.0 * (log_bound(k) + log_bound(t) + 2.0))
+
+
+def oracle(fn: str, t: float, q: float, k: float):
+    """fn at 40 digits: each sum over the lattice y = eps (a + m k) of Li_s(e^-y),
+    16 terms directly, then Euler-Maclaurin with 12 corrections, all from mpmath."""
+    with mp.workdps(40):
+        eps = -mp.log(mp.mpf(q))
+        t, k = mp.mpf(t), mp.mpf(k)
+        h = eps * k
+
+        def lattice(s, a):
+            y = a + 16 * h
+            closure = [mp.polylog(s + 1, mp.exp(-y)) / h, mp.polylog(s, mp.exp(-y)) / 2]
+            closure += [mp.bernoulli(2 * j) / mp.factorial(2 * j) * h ** (2 * j - 1)
+                        * mp.polylog(s - 2 * j + 1, mp.exp(-y)) for j in range(1, 13)]
+            return mp.fsum(mp.polylog(s, mp.exp(-(a + m * h))) for m in range(16)) + mp.fsum(closure)
+
+        ln1mq = mp.log(-mp.expm1(-eps))
+        if fn == "psi":
+            return -ln1mq / k - eps * lattice(0, eps * t)
+        if fn == "psi-prime":
+            return eps * eps * lattice(-1, eps * t)
+        return lattice(1, eps * t) - lattice(1, eps * k) - (t / k - 1) * ln1mq
+
+
+@pytest.mark.parametrize("fn", list(KERNELS))
+def test_em_helper_agrees_with_the_direct_route(fn):
+    for q in (0.3, 0.9, 0.99, 0.999):
+        for k in (0.5, 1.0, 2.5):
+            params = DeformParams.qk(q, k)
+            for t in (0.4, 1.0, 3.0, 7.5):
+                direct = KERNELS[fn](t, params)
+                em = _em_qk(fn, params, t, Tolerance())
+                assert route(fn, t, params, direct) == "direct"
+                allowed = (direct.tail_bound + em.tail_bound
+                           + rounding(fn, direct.value, t, q, k, direct.terms_used)
+                           + rounding(fn, em.value, t, q, k, em.terms_used))
+                assert abs(direct.value - em.value) <= allowed, (fn, q, k, t, direct, em)
+
+
+@pytest.mark.parametrize("fn", list(KERNELS))
+def test_values_near_q_max_match_the_oracle(fn):
+    for q in (1.0 - 1e-6, 1.0 - 1e-7, Q_MAX):
+        for k in (K_MIN, 1.0, K_MAX):
+            params = DeformParams.qk(q, k)
+            for t in (1e-3, 1.0, 50.0):
+                res = KERNELS[fn](t, params)
+                assert res.tail_bound <= Tolerance().abs_tol
+                error = abs(mp.mpf(res.value) - oracle(fn, t, q, k))
+                allowed = res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used)
+                assert error <= allowed, (fn, q, k, t, res, float(error), allowed)
+
+
+def test_routes_near_one():
+    params = DeformParams.qk(1.0 - 1e-5, 1.0)
+    for kernel in KERNELS.values():
+        res = kernel(1.0, params)
+        assert res.terms_used < 100
+    direct = DeformParams.qk(0.99, 1.0)
+    assert psi_qk(1.0, direct).terms_used == psi_qk_direct_count(1.0, direct)[0] <= _N0
+
+
+def test_ln_gamma_at_k_is_exactly_zero():
+    for q, k in ((1.0 - 1e-5, 0.5), (1.0 - 1e-7, 1.0), (Q_MAX, 3.0), (1.0 - 1e-6, K_MIN)):
+        params = DeformParams.qk(q, k)
+        res = ln_gamma_qk(k, params)
+        assert route("ln-gamma", k, params, res) == "em"
+        assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+
+
+@pytest.mark.parametrize("fn", list(KERNELS))
+def test_batches_mixing_routes_match_scalar_calls(fn):
+    rng = random.Random(f"em-batch:{fn}")
+    lines = [(DeformParams.qk(0.999, 1.0), [0.01, 0.05, 0.2, 0.5, 2.0, 5.0]),
+             (DeformParams.qk(1.0 - 1e-6, 0.7), [1e-3, 0.7, 3.0]),
+             (DeformParams.qk(0.9, 2.0), sorted(rng.uniform(1e-5, 1e-3) for _ in range(4)) + [0.5, 4.0])]
+    routes = set()
+    for params, ts in lines:
+        batch = evaluate(fn, params, ts)
+        for t, got in zip(ts, batch):
+            assert got == KERNELS[fn](t, params)
+            assert math.copysign(1.0, got.value) == math.copysign(1.0, KERNELS[fn](t, params).value)
+            routes.add(route(fn, t, params, got))
+    assert routes == {"direct", "em"}
+
+
+def test_domain_sample_never_hits_the_cap():
+    rng = random.Random("em-domain")
+    routes = set()
+    for i in range(40):
+        # one-minus-q log-uniform in half the draws, q itself in the other half
+        q = 1.0 - 10.0 ** rng.uniform(-9.0, -0.05) if i % 2 else 10.0 ** rng.uniform(math.log10(Q_MIN), -0.05)
+        q = min(max(q, Q_MIN), Q_MAX)
+        k = 10.0 ** rng.uniform(math.log10(K_MIN), math.log10(K_MAX))
+        t = 10.0 ** rng.uniform(-3.0, math.log10(50.0))
+        params = DeformParams.qk(q, k)
+        for fn, kernel in KERNELS.items():
+            res = kernel(t, params)
+            assert math.isfinite(res.value) and res.tail_bound <= Tolerance().abs_tol, (fn, q, k, t)
+            routes.add(route(fn, t, params, res))
+    assert routes == {"direct", "em"}
+
+
+def test_em_route_honours_n_max():
+    params = DeformParams.qk(1.0 - 1e-6, 1.0)
+    with pytest.raises(TruncationNotConverged):
+        psi_qk(1.0, params, Tolerance(n_max=10))
+    assert psi_qk(1.0, params, Tolerance(n_max=100)) == psi_qk(1.0, params)
+
+
+@pytest.mark.parametrize("remark", ["3.2", "3.3"])
+def test_q_scans_reach_q_max(remark):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["limits", "--remark", remark, "--j-max", "9", "--json"])
+    assert code == 0, out.getvalue()

@@ -12,6 +12,7 @@ from qdigamma import (
     DeformParams,
     DomainError,
     Tolerance,
+    TruncationNotConverged,
     classical_digamma,
     limit_combined_pq,
     limit_k_to_1,
@@ -23,6 +24,7 @@ from qdigamma import (
     psi_qk,
 )
 from qdigamma._jsonfmt import dumps
+from qdigamma.qcore import _N0, psi_qk_direct_count
 
 
 class TestKToOneSubstitution:
@@ -38,6 +40,27 @@ class TestKToOneSubstitution:
         check = limit_k_to_1(2.0, 0.5)
         assert check.value == pytest.approx(psi_qk(2.0, DeformParams.qk(0.5, 1.0)).value, abs=1e-15)
         assert check.ok
+
+    def test_oracle_keeps_its_length_on_the_euler_maclaurin_route(self):
+        # psi takes the Euler-Maclaurin route here; the oracle still sums 2e6 terms
+        check = limit_k_to_1(0.5, 0.9999)
+        assert psi_qk_direct_count(0.5, DeformParams.qk(0.9999, 1.0))[0] > _N0
+        assert check.terms_used < 100
+        assert check.oracle_value == -1.96346002397269
+        assert check.allowance == 1.9999537451675442e-13
+        assert check.ok
+
+    @pytest.mark.parametrize("q", [1.0 - 1e-5, 1.0 - 1e-7])
+    def test_oracle_out_of_reach_is_refused(self, q):
+        # the oracle's 2e6 terms leave a tail far above abs_tol; an allowance that large checks nothing
+        with pytest.raises(TruncationNotConverged) as info:
+            limit_k_to_1(0.5, q)
+        assert info.value.best_bound > 1.0 and info.value.terms_used == 2_000_000
+
+    def test_oracle_past_n_max_is_refused(self):
+        # the value alone would take a few dozen Euler-Maclaurin terms; the oracle would need 8e5
+        with pytest.raises(TruncationNotConverged):
+            limit_k_to_1(0.5, 0.9999, Tolerance(n_max=1000))
 
 
 class TestQToOneQK:

@@ -425,6 +425,13 @@ class TestLnGammaTinyT:
         res = ln_gamma_pq(t, DeformParams.pq(5, q))
         assert abs(res.value - (-math.log(t * -math.log(q)) + math.log1p(-q))) <= 1e-10
 
+    @pytest.mark.parametrize("t,q", [(1e-310, 0.5), (5e-324, 1e-9)])
+    def test_subnormal_t(self, t, q):
+        # (1-q^t)(1-q^k) is subnormal: the shifted-factor majorant is formed in log space
+        res = ln_gamma_qk(t, DeformParams.qk(q, 1.0))
+        assert math.isfinite(res.value) and res.tail_bound <= 1e-13
+        assert abs(res.value - (-math.log(t * -math.log(q)) + math.log1p(-q))) <= 1e-10
+
     def test_overflowing_majorant_fails_typed(self):
         # (1-q^t)(1-q^k) is subnormal here and the majorant overflows; no OverflowError may escape
         try:
