@@ -28,7 +28,7 @@ from .inequalities import (
     SUITE_FAMILY,
     RatioSpec,
     Suite,
-    find_positive_threshold,
+    _threshold_bracket,
     make_verification_grid,
     ratio_values,
     verify_bounds,
@@ -43,8 +43,8 @@ from .limits import (
 )
 from .params import DeformParams, Family, Tolerance
 from .qcore import evaluate
-# the kernels and ratio functions stay bound here for tools that wrap them by module
-from .inequalities import ratio_G, ratio_H, validate_spec  # noqa: F401
+# the kernels, ratio and threshold functions stay bound here for tools that wrap them by module
+from .inequalities import find_positive_threshold, ratio_G, ratio_H, validate_spec  # noqa: F401
 from .qcore import ln_gamma_pq, ln_gamma_qk, psi_pq, psi_pq_prime, psi_qk, psi_qk_prime  # noqa: F401
 
 EXIT_OK = 0
@@ -332,13 +332,14 @@ def _cmd_root(args) -> int:
         "command": "root", **_family_config(args),
         "abs_tol": args.abs_tol, "n_max": args.n_max,
     }
+    # threshold is find_positive_threshold's midpoint of the certified bracket [lo, hi]
     try:
-        t0 = find_positive_threshold(params, tol)
-        result = {"threshold": t0, "reason": None}
+        lo, hi = _threshold_bracket(params, tol)
+        result = {"threshold": 0.5 * (lo + hi), "lo": lo, "hi": hi, "reason": None}
     except NoPositiveRegion as exc:
-        result = {"threshold": None, "reason": f"no-positive-region: {exc}"}
+        result = {"threshold": None, "lo": None, "hi": None, "reason": f"no-positive-region: {exc}"}
     except NoRootInBracket as exc:
-        result = {"threshold": exc.floor, "reason": f"no-root-in-bracket: {exc}"}
+        result = {"threshold": exc.floor, "lo": None, "hi": None, "reason": f"no-root-in-bracket: {exc}"}
     _write("json", config, "result", result, ())
     return EXIT_OK
 

@@ -444,44 +444,150 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     )
 
 
-def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Root t0 of psi = 0, located by bracketing and bisection.
+# Width the threshold bracket is narrowed to, unless the band where |psi| <= tail
+# is too wide for it.
+ROOT_WIDTH = 1e-12
 
-    psi is nondecreasing with a negative small-t regime, so the root is
-    unique; every argument above t0 satisfies the positivity precondition.
-    Bisection runs to 1e-12 argument width.
+# When lo moves by more than this, the next step takes psi' at the new lo (a
+# Newton step); after a shorter move it reuses the last psi' (a chord step).
+_CHORD_STEP = 1e-4
 
-    Raises NoPositiveRegion when psi never becomes positive (PQ with p = 1,
-    where the supremum ln[1]_q = 0) and NoRootInBracket when psi is already
-    positive at the smallest evaluable argument.
+
+def _negative(r: EvalResult) -> bool:
+    return r.value + r.tail_bound < 0.0
+
+
+def _positive(r: EvalResult) -> bool:
+    return r.value - r.tail_bound > 0.0
+
+
+def _targets(t: float, r: EvalResult, slope: float):
+    """Ends of the wanted bracket as a tangent step from t predicts them.
+
+    The tangent through (t, psi(t)) with the given slope meets zero at a
+    predicted root; the band |psi| <= tail around it is about 2 tail / slope
+    wide.  Returns (left, right, margin, wanted): left and right sit a margin
+    outside that band, and wanted is the bracket width to stop at, ROOT_WIDTH
+    unless the band, or the float spacing at the root, leaves no room for
+    the margins.
+    """
+    band = 2.0 * r.tail_bound / slope
+    root = t - r.value / slope
+    margin = max(0.25 * (ROOT_WIDTH - band) if band < ROOT_WIDTH else 0.125 * band, 2.0 * math.ulp(root))
+    half = 0.5 * band + margin
+    return root - half, root + half, margin, max(ROOT_WIDTH, band + 4.0 * margin)
+
+
+def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
+    """Certified bracket (lo, hi) of the root of psi: psi(lo) + tail < 0 < psi(hi) - tail.
+
+    On t > 0 psi is increasing and concave (psi' > 0 and nonincreasing), so a
+    tangent step from any point lands left of the root, and from a point left
+    of it the steps rise to it monotonically.  A chord step, with the psi' of
+    an earlier point further left, is shorter and stays left too.  Each step
+    aims a margin past the left edge of the band |psi| <= tail; once its
+    predicted error is inside that margin, the same batch probes hi just past
+    the band's right edge.  A target beyond hi falls back to bisection, and a
+    point inside the band to bisecting the gaps on either side of it.
     """
     if params.family is Family.PQ and psi_pq_limit(params) <= 0.0:
         raise NoPositiveRegion(
             f"psi_pq stays negative for {params.label()}: supremum ln[p]_q <= 0"
         )
 
-    def f(t: float) -> float:
-        return evaluate("psi", params, (t,), tol)[0].value
+    def psi(*ts):
+        return evaluate("psi", params, ts, tol)
 
-    hi = max(1.0, params.k) if params.family is Family.QK else 1.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NoPositiveRegion(f"psi never positive up to t=1e9 for {params.label()}")
-    lo = hi / 2.0
-    while f(lo) > 0.0:
-        lo /= 2.0
-        if lo < T_FLOOR:
+    def slope(t):
+        return evaluate("psi-prime", params, (t,), tol)[0].value
+
+    # The first bracketing step, down to a certified-negative point.  It starts
+    # at 1 + k/2, about the root of the k-digamma (ln k + digamma(t/k))/k, the
+    # q -> 1- limit of psi_qk (from digamma^-1(y) ~ e^y + 1/2); PQ starts at
+    # the k = 1 value 1.5.
+    hi = math.inf
+    t = 1.0 + 0.5 * (params.k if params.family is Family.QK else 1.0)
+    (r,) = psi(t)
+    while not _negative(r):
+        if _positive(r):
+            hi = t
+        s = slope(t)
+        x = _targets(t, r, s)[0] if s > 0.0 else 0.0
+        t = x if x >= T_FLOOR else 0.5 * t  # bisection of (0, t) when the target leaves it
+        if t < T_FLOOR:
             raise NoRootInBracket(
                 f"psi already positive at the argument floor {T_FLOOR:g} for {params.label()}",
                 floor=T_FLOOR,
             )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
+        (r,) = psi(t)
+
+    lo, r_lo, s = t, r, slope(t)
+    inside = None  # (first, last) of the points found inside the band |psi| <= tail
+    step_prev = 0.0
+    while True:
+        if inside is None:
+            left, right, margin, wanted = _targets(lo, r_lo, s)
+            if hi - lo <= wanted:
+                return lo, hi
+            step = left - lo
+            if left >= hi:
+                ts = (0.5 * (lo + hi),)
+            elif step <= margin:  # lo is at its target: certify hi
+                ts = (right,)
+            elif step * step <= margin * step_prev:
+                # the error this step leaves, predicted as step * (step / step_prev), is inside the margin
+                ts = (left, right)
+            else:
+                ts = (left,)
+            step_prev = step
         else:
-            lo = mid
+            # the gaps either side of the band close until the bracket fits in
+            # ROOT_WIDTH, or, for a band wider than that, to an eighth of it:
+            # each probe steps out from the band by the larger of the gap and
+            # the band's width, or bisects the gap when that is shorter
+            width = inside[1] - inside[0]
+            gap = 0.5 * (ROOT_WIDTH - width) if width < ROOT_WIDTH else 0.125 * ROOT_WIDTH
+            gap = max(gap, 4.0 * math.ulp(inside[1]))
+            out = max(gap, width)
+            ts = ()
+            if inside[0] - lo > gap:
+                ts += (max(0.5 * (lo + inside[0]), inside[0] - out),)
+            if hi - inside[1] > gap:
+                ts += (min(0.5 * (inside[1] + hi), inside[1] + out),)
+            if not ts:
+                return lo, hi
+        if ts[-1] > 1e9:
+            raise NoPositiveRegion(f"psi never positive up to t=1e9 for {params.label()}")
+        lo_before = lo
+        for x, r in zip(ts, psi(*ts)):
+            if _negative(r):
+                if x > lo:
+                    lo, r_lo = x, r
+            elif _positive(r):
+                hi = min(hi, x)
+            else:
+                inside = (x, x) if inside is None else (min(inside[0], x), max(inside[1], x))
+        if lo - lo_before > _CHORD_STEP:
+            s = slope(lo)
+
+
+def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Root t0 of psi = 0: the midpoint of a certified bracket (lo, hi).
+
+    psi is increasing on t > 0 with a negative small-t regime, so the root
+    is unique; every argument above t0 satisfies the positivity
+    precondition.  The bracket has psi(lo) + tail < 0 < psi(hi) - tail, with
+    the tail bounds of the same evaluations every other value carries, and
+    hi - lo <= ROOT_WIDTH unless the band where |psi| <= tail is wider than
+    that, or the float spacing at the root.  Safeguarded Newton steps on psi
+    and psi' find it in about nine kernel calls for the parameter sets the
+    grids sample.
+
+    Raises NoPositiveRegion when psi never becomes positive (PQ with p = 1,
+    where the supremum ln[1]_q = 0) and NoRootInBracket when psi is not
+    certainly negative anywhere above the argument floor T_FLOOR.
+    """
+    lo, hi = _threshold_bracket(params, tol)
     return 0.5 * (lo + hi)
 
 
@@ -503,9 +609,14 @@ def make_verification_grid(
 ) -> GridSpec:
     """Sample n_specs valid (params, spec) pairs, reproducibly from the seed.
 
-    Arguments are placed above each parameter set's positivity threshold, so
-    the preconditions hold by construction.  When t_max > 1 the slopes are
-    sampled with d >= b so the argument ordering holds on the whole range.
+    Arguments are placed at least 0.1 above each parameter set's positivity
+    threshold t0 (find_positive_threshold, about nine kernel calls), so the
+    preconditions hold by construction: t0 is the midpoint of a bracket at
+    most ROOT_WIDTH wide (unless the band |psi| <= tail is wider), past
+    whose top psi is certainly positive.  A parameter set without a
+    threshold (NoPositiveRegion, TruncationNotConverged) is drawn again.
+    When t_max > 1 the slopes are sampled with d >= b so the argument
+    ordering holds on the whole range.
     The first two pairs exercise the exact boundary cases a=c, b=d,
     alpha=beta (ratio identically 1) and beta*d = alpha*b.
     """

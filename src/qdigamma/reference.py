@@ -103,6 +103,16 @@ class SeriesKind(str, Enum):
     LNGAMMA_QK = "ln_gamma_qk"
 
 
+def _neg_expm1(x: np.ndarray) -> np.ndarray:
+    """-expm1(x), in place."""
+    return np.negative(np.expm1(x, out=x), out=x)
+
+
+def _log1m_exp(x: np.ndarray) -> np.ndarray:
+    """log1p(-exp(x)), in place."""
+    return np.log1p(np.negative(np.exp(x, out=x), out=x), out=x)
+
+
 def brute_force_series(kind: SeriesKind, t: float, params: DeformParams, n_terms: int) -> float:
     """Plain partial sum of a QK series to exactly n_terms, no early stopping.
 
@@ -116,17 +126,33 @@ def brute_force_series(kind: SeriesKind, t: float, params: DeformParams, n_terms
     params.require(Family.QK)
     q, k = params.q, params.k
     ln_q = math.log(q)
+    # The terms are formed in place in two arrays, n and a, with the
+    # elementwise operations of the plain expressions noted in each branch,
+    # so every term and the one np.sum keep their bits.
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     if kind is SeriesKind.PSI_QK:
-        s = float(np.sum(np.exp(n * (t * ln_q)) / (-np.expm1(n * (k * ln_q)))))
+        # sum(exp(n*(t ln q)) / -expm1(n*(k ln q)))
+        a = np.multiply(n, t * ln_q)
+        np.exp(a, out=a)
+        _neg_expm1(np.multiply(n, k * ln_q, out=n))
+        s = float(np.sum(np.divide(a, n, out=a)))
         return -math.log1p(-q) / k + ln_q * s
     if kind is SeriesKind.PSI_QK_PRIME:
-        s = float(np.sum(n * np.exp(n * (t * ln_q)) / (-np.expm1(n * (k * ln_q)))))
+        # sum(n*exp(n*(t ln q)) / -expm1(n*(k ln q)))
+        a = np.multiply(n, t * ln_q)
+        np.multiply(n, np.exp(a, out=a), out=a)
+        _neg_expm1(np.multiply(n, k * ln_q, out=n))
+        s = float(np.sum(np.divide(a, n, out=a)))
         return ln_q * ln_q * s
     if kind is SeriesKind.LNGAMMA_QK:
-        m = n - 1.0  # product index runs from 0
-        s = float(
-            np.sum(np.log1p(-np.exp((k + m * k) * ln_q)) - np.log1p(-np.exp((t + m * k) * ln_q)))
-        )
+        # sum(log1p(-exp((k + m*k) ln q)) - log1p(-exp((t + m*k) ln q))), m = n - 1
+        m = np.subtract(n, 1.0, out=n)  # the product index runs from 0
+        a = np.multiply(m, k)
+        np.add(a, k, out=a)
+        _log1m_exp(np.multiply(a, ln_q, out=a))
+        np.multiply(m, k, out=m)
+        np.add(m, t, out=m)
+        _log1m_exp(np.multiply(m, ln_q, out=m))
+        s = float(np.sum(np.subtract(a, m, out=a)))
         return s - (t / k - 1.0) * math.log1p(-q)
     raise DomainError(f"unknown series kind {kind!r}")

@@ -125,3 +125,28 @@ class TestBruteForceSeries:
             brute_force_series(SeriesKind.PSI_QK, -1.0, params, 10)
         with pytest.raises(DomainError):
             brute_force_series(SeriesKind.PSI_QK, 1.0, DeformParams.pq(2, 0.5), 10)
+
+
+def _plain_series(kind: SeriesKind, t: float, q: float, k: float, n_terms: int) -> float:
+    """The partial sums as one numpy expression each, a temporary per operation."""
+    ln_q = math.log(q)
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    if kind is SeriesKind.PSI_QK:
+        s = float(np.sum(np.exp(n * (t * ln_q)) / (-np.expm1(n * (k * ln_q)))))
+        return -math.log1p(-q) / k + ln_q * s
+    if kind is SeriesKind.PSI_QK_PRIME:
+        s = float(np.sum(n * np.exp(n * (t * ln_q)) / (-np.expm1(n * (k * ln_q)))))
+        return ln_q * ln_q * s
+    m = n - 1.0
+    s = float(np.sum(np.log1p(-np.exp((k + m * k) * ln_q)) - np.log1p(-np.exp((t + m * k) * ln_q))))
+    return s - (t / k - 1.0) * math.log1p(-q)
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind), ids=lambda k: k.value)
+def test_in_place_terms_keep_every_bit(kind):
+    rng = random.Random(f"brute-in-place:{kind.value}")
+    for _ in range(60):
+        q, k = rng.uniform(0.05, 0.9999), 10.0 ** rng.uniform(-2.0, 2.0)
+        t, n_terms = 10.0 ** rng.uniform(-3.0, 1.5), rng.randint(1, 50_000)
+        got = brute_force_series(kind, t, DeformParams.qk(q, k), n_terms)
+        assert got == _plain_series(kind, t, q, k, n_terms), (q, k, t, n_terms)
