@@ -25,7 +25,7 @@ from . import _jsonfmt
 from ._jsonfmt import SCHEMA_VERSION
 from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
 from .inequalities import (
-    SUITE_FAMILY,
+    SUITES,
     RatioSpec,
     Suite,
     _threshold_bracket,
@@ -176,15 +176,6 @@ def _spec_from(args) -> RatioSpec:
     return RatioSpec(a=args.a, b=args.b, c=args.c, d=args.d, alpha=args.alpha, beta=args.beta)
 
 
-def _family_config(args) -> dict:
-    cfg = {"family": args.family, "q": args.q}
-    if Family(args.family) is Family.QK:
-        cfg["k"] = args.k
-    else:
-        cfg["p"] = args.p
-    return cfg
-
-
 def _spec_config(args) -> dict:
     if getattr(args, "fn", None) == "ratio":
         return {n: getattr(args, n) for n in ("a", "b", "c", "d", "alpha", "beta")}
@@ -228,7 +219,7 @@ def _cmd_values(args) -> int:
         results = evaluate(args.fn, params, ts, tol)
     grid = {} if one_t else {"t_min": args.t_min, "t_max": args.t_max, "t_count": args.t_count}
     config = {
-        "command": args.command, **_family_config(args), **({"t": args.t} if one_t else {}),
+        "command": args.command, **params.as_dict(), **({"t": args.t} if one_t else {}),
         "fn": args.fn, **_spec_config(args), **grid,
         "abs_tol": args.abs_tol, "n_max": args.n_max, "output_format": args.format,
     }
@@ -247,21 +238,10 @@ def _cmd_values(args) -> int:
     return EXIT_OK
 
 
-_SUITE_RANGE = {
-    Suite.QK_THEOREM: (0.0, 1.0),
-    Suite.PQ_THEOREM: (0.0, 1.0),
-    Suite.QK_COROLLARY: (1.2, 5.0),
-    Suite.PQ_COROLLARY: (1.2, 5.0),
-    Suite.LEMMA_CROSS: (0.0, 1.0),
-    Suite.MONOTONE_PSI: (0.1, 5.0),
-    Suite.MONOTONE_PSI_PRIME: (0.1, 5.0),
-}
-
-
 def _cmd_verify(args) -> int:
     suite = Suite(args.suite)
-    family = SUITE_FAMILY.get(suite, Family(args.family))
-    t_lo, t_hi = _SUITE_RANGE[suite]
+    family, (t_lo, t_hi), _, _ = SUITES[suite]
+    family = family or Family(args.family)
     if args.t_min is not None:
         t_lo = args.t_min
     if args.t_max is not None:
@@ -329,7 +309,7 @@ def _cmd_root(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
     config = {
-        "command": "root", **_family_config(args),
+        "command": "root", **params.as_dict(),
         "abs_tol": args.abs_tol, "n_max": args.n_max,
     }
     # threshold is find_positive_threshold's midpoint of the certified bracket [lo, hi]

@@ -116,14 +116,7 @@ class GridSpec:
         return [float(x) for x in np.linspace(self.t_min, self.t_max, self.t_count)]
 
     def as_dict(self) -> dict:
-        pairs = []
-        for params, spec in self.pairs:
-            p = {"family": params.family.value, "q": params.q}
-            if params.family is Family.QK:
-                p["k"] = params.k
-            else:
-                p["p"] = params.p
-            pairs.append({"params": p, "spec": spec.as_dict()})
+        pairs = [{"params": params.as_dict(), "spec": spec.as_dict()} for params, spec in self.pairs]
         return {
             "t_min": self.t_min, "t_max": self.t_max, "t_count": self.t_count,
             "seed": self.seed, "pairs": pairs,
@@ -175,13 +168,19 @@ class Suite(str, Enum):
     MONOTONE_PSI_PRIME = "monotone-psi-prime"
 
 
-# the family a theorem or corollary suite is stated for; the other suites take either
-SUITE_FAMILY = {
-    Suite.QK_THEOREM: Family.QK,
-    Suite.QK_COROLLARY: Family.QK,
-    Suite.PQ_THEOREM: Family.PQ,
-    Suite.PQ_COROLLARY: Family.PQ,
+# suite -> (the family a theorem or corollary is stated for, None where either will do; the default
+# (t_min, t_max) of its grid; its kind: "theorem", "corollary" (held against t = 1), "cross", or the
+# monotone check "nondecreasing" or "nonincreasing"; the function whose values it checks)
+SUITES = {
+    Suite.QK_THEOREM: (Family.QK, (0.0, 1.0), "theorem", "psi"),
+    Suite.QK_COROLLARY: (Family.QK, (1.2, 5.0), "corollary", "psi"),
+    Suite.PQ_THEOREM: (Family.PQ, (0.0, 1.0), "theorem", "psi"),
+    Suite.PQ_COROLLARY: (Family.PQ, (1.2, 5.0), "corollary", "psi"),
+    Suite.LEMMA_CROSS: (None, (0.0, 1.0), "cross", "psi"),
+    Suite.MONOTONE_PSI: (None, (0.1, 5.0), "nondecreasing", "psi"),
+    Suite.MONOTONE_PSI_PRIME: (None, (0.1, 5.0), "nonincreasing", "psi-prime"),
 }
+SUITE_FAMILY = {suite: row[0] for suite, row in SUITES.items() if row[0] is not None}
 
 
 def _t_range(t_range: tuple) -> tuple:
@@ -324,14 +323,6 @@ def _eps_for(slack: float) -> float:
     return max(EPS_BASE, 10.0 * slack)
 
 
-_COROLLARIES = (Suite.QK_COROLLARY, Suite.PQ_COROLLARY)
-# suite -> (function, check name, whether the function must increase in t)
-_MONOTONE = {
-    Suite.MONOTONE_PSI: ("psi", "psi-nondecreasing", True),
-    Suite.MONOTONE_PSI_PRIME: ("psi-prime", "psi-prime-nonincreasing", False),
-}
-
-
 def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Run one inequality suite over every grid point.
 
@@ -346,13 +337,15 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     before anything is evaluated.
     """
     suite = Suite(suite)
-    family = SUITE_FAMILY.get(suite)
+    family, _, kind, fn = SUITES[suite]
+    monotone = kind in ("nondecreasing", "nonincreasing")
+    check = f"{fn}-{kind}"  # a monotone suite's check name
     for params, _ in grid.pairs:
         if family is not None and params.family is not family:
             raise DomainError(
                 f"suite {suite.value} is stated for {family.value} parameters; the grid has {params.label()}"
             )
-    if suite in _MONOTONE:
+    if monotone:
         if grid.t_min <= 0.0:
             raise DomainError(
                 f"suite {suite.value} evaluates psi at the grid points themselves, "
@@ -360,7 +353,7 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
             )
     else:
         t_lo, t_hi = _t_range(
-            (min(grid.t_min, 1.0) if suite in _COROLLARIES else grid.t_min, grid.t_max))
+            (min(grid.t_min, 1.0) if kind == "corollary" else grid.t_min, grid.t_max))
     t_vals = grid.t_values()
     checks_run = 0
     skipped = 0
@@ -380,25 +373,25 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
 
     for i, (params, spec) in enumerate(grid.pairs):
         try:
-            if suite in _MONOTONE:
-                fn, check, increasing = _MONOTONE[suite]
+            if monotone:
                 vals = evaluate(fn, params, t_vals, tol)
                 for j in range(len(vals) - 1):
                     s_res, t_res = vals[j], vals[j + 1]
-                    margin = t_res.value - s_res.value if increasing else s_res.value - t_res.value
+                    margin = (t_res.value - s_res.value if kind == "nondecreasing"
+                              else s_res.value - t_res.value)
                     record(margin, 2.0 * (s_res.tail_bound + t_res.tail_bound),
                            {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": check})
                 continue
 
             # the precondition point first, then the grid, then t = 1 for a corollary
-            ts = [t_lo, *t_vals, *([1.0] if suite in _COROLLARIES else [])]
+            ts = [t_lo, *t_vals, *([1.0] if kind == "corollary" else [])]
             xs, ys = _psi_lines("psi", spec, params, ts, tol)
             if not _verdict(spec, t_lo, t_hi, xs[0], ys[0]).valid:
                 skipped += 1
                 continue
             xs, ys = xs[1:], ys[1:]
 
-            if suite is Suite.LEMMA_CROSS:
+            if kind == "cross":
                 for t, x, y in zip(t_vals, xs, ys):
                     _check_positive(t, x, y, params)
                 xps, yps = _psi_lines("psi-prime", spec, params, t_vals, tol)
@@ -412,7 +405,7 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
 
             # the reference points before the t loop, in the order a t-by-t run meets them
 
-            if suite in _COROLLARIES:
+            if kind == "corollary":
                 g_one = g(len(t_vals))
                 for j, t in enumerate(t_vals):
                     g_t = g(j)

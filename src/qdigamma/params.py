@@ -65,6 +65,11 @@ class DeformParams:
         if self.family is not family:
             raise DomainError(f"expected {family.value} parameters, got {self.family.value}")
 
+    def as_dict(self) -> dict:
+        """{family, q, and k or p}: the fields that mean something for the family."""
+        other = {"k": self.k} if self.family is Family.QK else {"p": self.p}
+        return {"family": self.family.value, "q": self.q, **other}
+
     def label(self) -> str:
         if self.family is Family.QK:
             return f"qk(q={self.q:g}, k={self.k:g})"

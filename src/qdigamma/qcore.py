@@ -28,11 +28,15 @@ their terms underflow to exact zeros, and both families refuse a point that
 needs more than ``n_max`` terms.  All powers of q are formed in log space,
 so large t cannot underflow the products.
 
-Two routes for the QK series.  The direct route sums the series above; it
-needs about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point
-whose closed-form direct count (that of the geometric majorant) is above
-N0 = 2^17 takes the Euler-Maclaurin route instead.  Swapping the double
-sum puts each series on the lattice y_m = eps (a + m k), eps = -ln q:
+Two routes for the QK series, chosen by one rule for psi, psi' and
+ln Gamma (_qk_routes).  The direct route sums the series above; it needs
+about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point takes
+it only where its majorant stays in the floats: (1-q^k)(1-q^t), the divisor
+of the majorant, is at least the smallest normal float, the closed-form
+count of the majorant's geometric part is finite and at most N0 = 2^17, and
+the majorant after that count is a finite multiple of abs_tol.  Every other
+point takes the Euler-Maclaurin route.  Swapping the double sum puts each
+series on the lattice y_m = eps (a + m k), eps = -ln q:
 
     psi_qk(t)      = -ln(1-q)/k - eps * S_0(t)
     psi_qk'(t)     =  eps^2 * S_-1(t)
@@ -95,9 +99,10 @@ _SAFETY = 1.0 + 1e-12
 _BLOCK_TERMS = CHUNK // 4
 
 _LN2 = math.log(2.0)
+_MIN_NORMAL = sys.float_info.min
 
 # A (q,k) point whose direct series needs more terms than this, by the closed
-# form of its geometric majorant, takes the Euler-Maclaurin route.
+# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_routes).
 _N0 = 1 << 17
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
@@ -137,6 +142,18 @@ def _check_t(t: float) -> float:
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError(f"t={t!r} must be a positive finite real")
+    return t
+
+
+def _check_ln_gamma_t(t: float, ln_q: float) -> float:
+    """t, checked for a ln Gamma kernel: refused where t |ln q| is below the smallest normal float.
+
+    There t ln q is rounded on the subnormal grid, so ln(1 - q^t), about
+    ln(t |ln q|), has lost its leading digits.
+    """
+    t = _check_t(t)
+    if -t * ln_q < _MIN_NORMAL:
+        raise TruncationNotConverged(f"t |ln q| at t={t!r} is below the smallest normal float", math.inf, 0)
     return t
 
 
@@ -347,7 +364,8 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
     Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
     ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q).  Each S sums M terms
     directly and closes the rest with _em_closure; M starts at _EM_M and grows
-    until the remainder bounds, times _SAFETY, are within abs_tol.
+    until the remainder bounds, times _SAFETY, are within abs_tol.  Raises
+    TruncationNotConverged where (1 - q^t)^(1-s), which divides the terms, underflows.
     """
     q, k = params.q, params.k
     eps = -math.log(q)
@@ -358,6 +376,8 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
         s, scale, starts = 0, eps, (eps * t,)
     else:
         s, scale, starts = -1, eps * eps, (eps * t,)
+    if (-math.expm1(-starts[0])) ** (1 - s) == 0.0:
+        raise TruncationNotConverged(f"{fn} at t={t!r}: (1 - q^t)^{1 - s} underflows", math.inf, 0)
     m = _EM_M
     while True:
         closures = [_em_closure(s, a + m * h, h) for a in starts]
@@ -408,6 +428,57 @@ def _psi_qk_majorant(ln_r: float, one_minus_r: float, ln_q: float, one_minus_qk:
     return coeff, lambda m: coeff * math.exp((m + 1) * ln_r)
 
 
+def _qk_routes(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
+    """(xs, ns, tails, em) of a (q,k) batch: the row parameter of the term arrays (t for ln Gamma,
+    t ln q for psi and psi'), N and tail of each point on the direct route, in order, and (index in
+    ts, result) of each point on the Euler-Maclaurin route.
+
+    This is the one route rule of the (q,k) kernels.  A point takes the
+    direct series only where its majorant stays in the floats: (1-q^k)(1-q^t),
+    which divides the majorant, is at least the smallest normal float; the
+    closed-form count of the majorant's geometric part is finite and at most
+    N0; and the majorant's overshoot of abs_tol there is finite
+    (geometric_terms_needed).  Every t first passes its function's checks,
+    _check_ln_gamma_t or _series_ratio, in order.
+    """
+    ln_q = math.log(params.q)
+    ln_s = params.k * ln_q
+    one_minus_qk = -math.expm1(ln_s)
+    gamma, prime = fn == "ln-gamma", fn == "psi-prime"
+    # ln Gamma's count, the same at every t, from the numerator tail's geometric part held to abs_tol / 2
+    gamma_count = geometric_count(2.0 / (one_minus_qk * one_minus_qk), ln_s, tol.abs_tol) if gamma else None
+    xs, ns, tails, em = [], [], [], []
+    for t in ts:
+        if gamma:
+            t = _check_ln_gamma_t(t, ln_q)
+            ln_r = t * ln_q
+            one_minus_r, direct = -math.expm1(ln_r), None
+        else:
+            ln_r, one_minus_r = _series_ratio(t, ln_q)
+            # (0, 0.0) where every term underflows: the limit value is exact
+            direct = (0, 0.0) if one_minus_r is None else None
+        if direct is None and one_minus_qk * one_minus_r >= _MIN_NORMAL:
+            if gamma:
+                n, ln_step = gamma_count, ln_s
+
+                def tail_at(n, ln_r=ln_r, one_minus_r=one_minus_r):
+                    # both product tails after N factor pairs
+                    piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
+                    piece_den = math.exp(ln_r + n * ln_s) / (one_minus_r * one_minus_qk)
+                    return _SAFETY * (piece_num + piece_den)
+            else:
+                coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, one_minus_qk, prime)
+                n, ln_step = geometric_count(coeff, ln_r, tol.abs_tol), ln_r
+            direct = geometric_terms_needed(tail_at, n, ln_step, tol) if n <= _N0 else None
+        if direct is None:
+            em.append((len(ns) + len(em), _em_qk(fn, params, t, tol)))
+            continue
+        xs.append(t if gamma else ln_r)
+        ns.append(direct[0])
+        tails.append(direct[1])
+    return xs, ns, tails, em
+
+
 def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """(N, tail) of the direct psi_qk series at t, summing nothing.
 
@@ -427,23 +498,9 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
 
 
 def _psi_qk_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
+    ln_rs, ns, tails, em = _qk_routes("psi-prime" if prime else "psi", params, ts, tol)
     q, k = params.q, params.k
     ln_q = math.log(q)
-    one_minus_qk = -math.expm1(k * ln_q)
-    ln_rs, ns, tails, em = [], [], [], []  # em: (index in ts, result) of the Euler-Maclaurin points
-    for t in ts:
-        ln_r, one_minus_r = _series_ratio(t, ln_q)
-        n, tail = 0, 0.0  # every term underflows; the limit value is exact
-        if one_minus_r is not None:
-            coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, one_minus_qk, prime)
-            n = geometric_count(coeff, ln_r, tol.abs_tol)
-            if n > _N0:
-                em.append((len(ns) + len(em), _em_qk("psi-prime" if prime else "psi", params, t, tol)))
-                continue
-            n, tail = geometric_terms_needed(tail_at, n, ln_r, tol)
-        ln_rs.append(ln_r)
-        ns.append(n)
-        tails.append(tail)
     sums = _sum_rows(_power_terms(k * ln_q, prime), ln_rs, 1, ns)
     # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
     lead, scale = (0.0, ln_q * ln_q) if prime else (-math.log1p(-q) / k, ln_q)
@@ -454,47 +511,10 @@ def _psi_qk_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False)
 
 
 def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
+    t_list, ns, tails, em = _qk_routes("ln-gamma", params, ts, tol)
     q, k = params.q, params.k
     ln_q = math.log(q)
     ln1mq = math.log1p(-q)
-    ln_s = k * ln_q
-    one_minus_qk = -math.expm1(ln_s)
-    # searched from the numerator tail's geometric part, held to half of abs_tol
-    coeff = 2.0 / (one_minus_qk * one_minus_qk)
-    count = geometric_count(coeff, ln_s, tol.abs_tol)
-    min_normal = sys.float_info.min
-    t_list, ns, tails, em = [], [], [], []  # em: (index in ts, result) of the Euler-Maclaurin points
-    for t in ts:
-        t = _check_t(t)
-        one_minus_qt = -math.expm1(t * ln_q)
-        if one_minus_qk <= 0.0 or one_minus_qt <= 0.0:
-            raise TruncationNotConverged(
-                f"product ratio indistinguishable from 1 at t={t!r}, k={k!r}", math.inf, 0
-            )
-        if count > _N0:
-            em.append((len(ns) + len(em), _em_qk("ln-gamma", params, t, tol)))
-            continue
-        start = count
-        if one_minus_qt * one_minus_qk >= min_normal:
-            def tail_at(n, t=t, one_minus_qt=one_minus_qt):
-                piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
-                piece_den = math.exp(t * ln_q + n * ln_s) / (one_minus_qt * one_minus_qk)
-                return _SAFETY * (piece_num + piece_den)
-        else:
-            # (1-q^t)(1-q^k) underflows and its reciprocal would overflow: that quotient goes in
-            # log space, and the search starts where it is within half of abs_tol
-            ln_den = math.log(one_minus_qt) + math.log(one_minus_qk)
-            ln_half_tol = math.log(0.5 * tol.abs_tol / _SAFETY)
-            start = max(count, math.ceil((t * ln_q - ln_den - ln_half_tol) / -ln_s))
-
-            def tail_at(n, t=t, ln_den=ln_den):
-                piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
-                x = t * ln_q + n * ln_s - ln_den
-                return _SAFETY * (piece_num + (math.exp(x) if x < 709.0 else math.inf))
-        n, tail = geometric_terms_needed(tail_at, start, ln_s, tol)
-        t_list.append(t)
-        ns.append(n)
-        tails.append(tail)
     # numerator exponent written as k + n*k so that t = k cancels bitwise
     sums = _sum_rows(
         lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q),
@@ -528,7 +548,7 @@ def _ln_gamma_pq_batch(params: DeformParams, ts, tol: Tolerance) -> list:
     n_fact = None
     t_list, lasts = [], []
     for t in ts:
-        t = _check_t(t)
+        t = _check_ln_gamma_t(t, ln_q)
         if n_fact is None:
             # the factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n))
             n_fact = _last_nonzero(lambda m: m * ln_q, 1, p, tol)

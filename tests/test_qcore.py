@@ -427,10 +427,21 @@ class TestLnGammaTinyT:
 
     @pytest.mark.parametrize("t,q", [(1e-310, 0.5), (5e-324, 1e-9)])
     def test_subnormal_t(self, t, q):
-        # (1-q^t)(1-q^k) is subnormal: the shifted-factor majorant is formed in log space
-        res = ln_gamma_qk(t, DeformParams.qk(q, 1.0))
-        assert math.isfinite(res.value) and res.tail_bound <= 1e-13
-        assert abs(res.value - (-math.log(t * -math.log(q)) + math.log1p(-q))) <= 1e-10
+        # t |ln q| is subnormal, so ln(1 - q^t) would have lost its leading digits: both families refuse
+        with pytest.raises(TruncationNotConverged):
+            ln_gamma_qk(t, DeformParams.qk(q, 1.0))
+        with pytest.raises(TruncationNotConverged):
+            ln_gamma_pq(t, DeformParams.pq(5, q))
+
+    def test_tiny_t_with_normal_product(self):
+        # t |ln q| is normal; Gamma_qk(t + k) = [t]_q Gamma_qk(t) and Gamma_qk(k) = 1 give
+        # ln Gamma_qk(t) = ln(1-q) - ln(1 - q^t) + O(t)
+        mp = pytest.importorskip("mpmath")
+        t, q = 1e-307, 0.5
+        res = ln_gamma_qk(t, DeformParams.qk(q, 1e-3))
+        with mp.workdps(50):
+            exact = mp.log(1 - mp.mpf(q)) - mp.log(-mp.expm1(mp.mpf(t) * mp.log(mp.mpf(q))))
+        assert abs(mp.mpf(res.value) - exact) <= res.tail_bound + 4 * math.ulp(res.value)
 
     def test_overflowing_majorant_fails_typed(self):
         # (1-q^t)(1-q^k) is subnormal here and the majorant overflows; no OverflowError may escape
