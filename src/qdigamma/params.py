@@ -101,9 +101,10 @@ DEFAULT_TOL = Tolerance()
 class EvalResult:
     """A function value with its certified absolute truncation bound.
 
-    ``tail_bound`` bounds |returned - exact| for the truncation alone
-    (finite sums report 0).  ``terms_used`` is the number of series or
-    product terms actually evaluated.
+    ``tail_bound`` bounds |returned - exact| for the truncation alone (a
+    finite sum summed directly reports 0; on the Euler-Maclaurin route it is
+    the remainder bound).  ``terms_used`` is the number of series or product
+    terms actually evaluated.
     """
 
     value: float

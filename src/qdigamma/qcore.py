@@ -16,17 +16,19 @@ PQ family (integer p >= 1), finite sums over n = 1..p:
     psi_pq(t)      = ln[p]_q + ln(q) * sum q^(n*t) / (1 - q^n)
     psi_pq'(t)     = (ln q)^2 * sum n * q^(n*t) / (1 - q^n)
     ln Gamma_pq(t) = t*ln[p]_q + sum_{n=1..p} ln[n]_q - sum_{n=0..p} ln[t+n]_q
+                   = ln(1-q) + t*ln[p]_q + sum_{n=1..p} ln(1 - q^n) - sum_{n=0..p} ln(1 - q^(t+n))
 
-with the q-bracket [x]_q = (1 - q^x) / (1 - q).
+with the q-bracket [x]_q = (1 - q^x) / (1 - q).  ln Gamma_pq is formed in
+the second way, so no multiple of ln(1-q) cancels against another.
 
 Truncation control for the infinite series: with r = q^t, the factor
 1/(1 - q^(n*k)) is at most 1/(1 - q^k) for n >= 1, so the tail after N
 terms is dominated by an explicit geometric (or arithmetico-geometric)
 expression.  Evaluation stops at the first N whose majorant falls below
 the requested tolerance, never on raw term size.  The PQ sums stop where
-their terms underflow to exact zeros, and both families refuse a point that
-needs more than ``n_max`` terms.  All powers of q are formed in log space,
-so large t cannot underflow the products.
+their terms underflow to exact zeros, and a directly summed point whose
+nonzero terms run past ``n_max`` is refused.  All powers of q are formed in
+log space, so large t cannot underflow the products.
 
 Two routes for the QK series, chosen by one rule for psi, psi' and
 ln Gamma (_qk_routes).  The direct route sums the series above; it needs
@@ -54,6 +56,19 @@ times the usual safety factor, is the tail_bound; M starts at 8 and grows
 until it is within abs_tol.  terms_used counts the terms the route formed:
 M + 2 + P per lattice sum (two for ln Gamma), a few dozen in all.  On either
 route n_max caps terms_used.
+
+ln Gamma_pq takes the same two routes by the same N0 (_ln_gamma_pq_batch).
+A batch whose factorial terms ln(1 - q^n) are nonzero through at most N0
+is summed directly, exactly (tail_bound 0).  Past N0 each of its two
+finite sums is a difference of infinite lattice sums of Li_1, step eps:
+
+    ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(t+p+1)] - [S_1(1) - S_1(p+1)]
+
+Each bracket sums M terms directly and subtracts the closure at its far
+end from the one at its near end; its remainder is at most the two
+closures' bounds together (_em_lattice).  terms_used is M + 2 (2 + P)
+per bracket, so the finite product of 10^8 factors takes a few dozen.
+psi_pq and psi_pq' are always summed directly.
 
 ``evaluate`` computes one function at many t in a single call.  Each point
 keeps its own term count and tail bound; only the term arrays are shared,
@@ -102,7 +117,8 @@ _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
 # A (q,k) point whose direct series needs more terms than this, by the closed
-# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_routes).
+# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_routes);
+# so does a ln Gamma_pq batch with more nonzero factorial terms (_ln_gamma_pq_batch).
 _N0 = 1 << 17
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
@@ -277,12 +293,11 @@ def _prime_tail(ln_r: float, one_minus_r: float, coeff: float, n: int) -> float:
     return coeff * math.exp((n + 1) * ln_r) * ((n + 1) * one_minus_r + r) / (one_minus_r * one_minus_r)
 
 
-def _last_nonzero(exponent, n_first: int, n_last: int, tol: Tolerance) -> int:
+def _last_nonzero(exponent, n_first: int, n_last: int) -> int:
     """Index of the last nonzero term of a PQ sum whose n-th term vanishes with exp(exponent(n)).
 
     exponent is decreasing in n, so the terms past the first exact zero are
-    zeros too; n_first - 1 means no nonzero term.  Raises
-    TruncationNotConverged when the nonzero terms run past n_max.
+    zeros too; n_first - 1 means no nonzero term.
     """
     n = n_last
     if math.exp(exponent(n_last)) == 0.0:
@@ -293,6 +308,11 @@ def _last_nonzero(exponent, n_first: int, n_last: int, tol: Tolerance) -> int:
                 hi = mid
             else:
                 n = mid
+    return n
+
+
+def _capped(n: int, tol: Tolerance) -> int:
+    """n, the last nonzero index of a directly summed PQ sum; raises TruncationNotConverged past n_max."""
     if n > tol.n_max:
         raise TruncationNotConverged(
             f"finite sum has nonzero terms up to n={n}, past the cap of {tol.n_max} terms",
@@ -357,32 +377,36 @@ def _em_closure(s: int, y: float, h: float) -> tuple:
     return _li(s + 1, y) / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale
 
 
-def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResult:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at t by the Euler-Maclaurin route.
+def _em_lattice(s: int, starts: tuple, h: float, scale: float, tol: Tolerance, counts=None) -> tuple:
+    """(sums, tail, terms) of the lattice sums of f(y) = Li_s(e^-y) by Euler-Maclaurin.
 
-    Each series is a sum over the lattice y = eps (a + m k), eps = -ln q, of
-    Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
-    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q).  Each S sums M terms
-    directly and closes the rest with _em_closure; M starts at _EM_M and grows
-    until the remainder bounds, times _SAFETY, are within abs_tol.  Raises
-    TruncationNotConverged where (1 - q^t)^(1-s), which divides the terms, underflows.
+    Each sum runs over y = a + m h for a start a in starts: over every m >= 0,
+    or over m < c for a count c in counts (None for an infinite sum).  A sum
+    adds M terms directly and closes the rest with _em_closure at a + M h; a
+    finite one subtracts the closure at a + c h, since its terms are
+    S(a) - S(a + c h) with S the infinite sum, and its remainder is at most
+    the two closures' bounds together.  M starts at _EM_M and grows until
+    tail, the bounds times scale and _SAFETY, is within abs_tol; a finite sum
+    that M reaches is summed directly, all c terms, with no remainder.
+    terms counts the terms formed, M + 2 + P per closure, and n_max caps it.
     """
-    q, k = params.q, params.k
-    eps = -math.log(q)
-    h = eps * k
-    if fn == "ln-gamma":
-        s, scale, starts = 1, 1.0, (eps * t, eps * k)
-    elif fn == "psi":
-        s, scale, starts = 0, eps, (eps * t,)
-    else:
-        s, scale, starts = -1, eps * eps, (eps * t,)
-    if (-math.expm1(-starts[0])) ** (1 - s) == 0.0:
-        raise TruncationNotConverged(f"{fn} at t={t!r}: (1 - q^t)^{1 - s} underflows", math.inf, 0)
+    counts = counts or (None,) * len(starts)
     m = _EM_M
     while True:
-        closures = [_em_closure(s, a + m * h, h) for a in starts]
+        closures, terms = [], 0
+        for a, c in zip(starts, counts):
+            if c is None:
+                closures.append(_em_closure(s, a + m * h, h))
+                terms += m + 2 + len(_BERNOULLI)
+            elif m < c:
+                (near, near_bound), (far, far_bound) = (_em_closure(s, a + m * h, h),
+                                                        _em_closure(s, a + c * h, h))
+                closures.append((near - far, near_bound + far_bound))
+                terms += m + 2 * (2 + len(_BERNOULLI))
+            else:
+                closures.append((0.0, 0.0))
+                terms += c
         tail = _SAFETY * scale * sum(bound for _, bound in closures)
-        terms = len(starts) * (m + 2 + len(_BERNOULLI))
         if terms > tol.n_max:
             raise TruncationNotConverged(
                 f"Euler-Maclaurin route needs {terms} terms, past the cap of {tol.n_max}",
@@ -395,11 +419,34 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
         grow = math.exp((math.log(tail) - math.log(tol.abs_tol)) / (2 * len(_BERNOULLI) - s))
         m = max(m + 1, math.ceil(((a + m * h) * grow - a) / h))
     sums = []
-    for a, (closure, _) in zip(starts, closures):
+    for a, c, (closure, _) in zip(starts, counts, closures):
         direct = 0.0
-        for i in range(m):
+        for i in range(m if c is None else min(m, c)):
             direct += _li(s, a + i * h)
         sums.append(direct + closure)
+    return sums, tail, terms
+
+
+def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResult:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at t by the Euler-Maclaurin route.
+
+    Each series is a sum over the lattice y = eps (a + m k), eps = -ln q, of
+    Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
+    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q), each S by _em_lattice.
+    Raises TruncationNotConverged where (1 - q^t)^(1-s), which divides the
+    terms, underflows.
+    """
+    q, k = params.q, params.k
+    eps = -math.log(q)
+    if fn == "ln-gamma":
+        s, scale, starts = 1, 1.0, (eps * t, eps * k)
+    elif fn == "psi":
+        s, scale, starts = 0, eps, (eps * t,)
+    else:
+        s, scale, starts = -1, eps * eps, (eps * t,)
+    if (-math.expm1(-starts[0])) ** (1 - s) == 0.0:
+        raise TruncationNotConverged(f"{fn} at t={t!r}: (1 - q^t)^{1 - s} underflows", math.inf, 0)
+    sums, tail, terms = _em_lattice(s, starts, eps * k, scale, tol)
     if fn == "psi":
         value = -math.log1p(-q) / k - eps * sums[0]
     elif fn == "psi-prime":
@@ -535,35 +582,42 @@ def _psi_pq_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False)
     for t in ts:
         ln_r = _check_t(t) * ln_q
         ln_rs.append(ln_r)
-        ns.append(_last_nonzero(lambda m: m * ln_r, 1, p, tol))
+        ns.append(_capped(_last_nonzero(lambda m: m * ln_r, 1, p), tol))
     sums = _sum_rows(_power_terms(ln_q, prime), ln_rs, 1, ns)
     lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
     return [EvalResult(lead + scale * s, 0.0, n) for s, n in zip(sums, ns)]
 
 
 def _ln_gamma_pq_batch(params: DeformParams, ts, tol: Tolerance) -> list:
+    """ln Gamma_pq(t) = ln(1-q) + t ln[p]_q + sum_{n=1..p} ln(1-q^n) - sum_{n=0..p} ln(1-q^(t+n)).
+
+    The factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)),
+    so their last nonzero index routes the whole batch: up to N0 it is summed
+    directly, past it by _em_lattice (see the module docstring).
+    """
     q, p = params.q, params.p
     ln_q = math.log(q)
-    ln1mq = ln1m_exp(ln_q)
-    n_fact = None
+    ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
+    n_fact = _last_nonzero(lambda m: m * ln_q, 1, p)
+    if n_fact > _N0:
+        eps, results = -ln_q, []
+        for t in ts:
+            t = _check_ln_gamma_t(t, ln_q)
+            # the Li_1 sums are the negated log sums, so the shifted one comes first
+            (shifted, fact), tail, terms = _em_lattice(1, (eps * t, eps), eps, 1.0, tol, (p + 1, p))
+            results.append(EvalResult(ln1mq + t * lead + (shifted - fact), tail, terms))
+        return results
     t_list, lasts = [], []
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
-        if n_fact is None:
-            # the factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n))
-            n_fact = _last_nonzero(lambda m: m * ln_q, 1, p, tol)
+        _capped(n_fact, tol)  # raised at the first point, as a one-point call raises it
         t_list.append(t)
-        lasts.append(_last_nonzero(lambda m: (t + m) * ln_q, 0, p, tol))
+        lasts.append(_last_nonzero(lambda m: (t + m) * ln_q, 0, p))
     if not t_list:
         return []
     fact = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
-    factorial_part = fact - p * ln1mq
     shifted = _sum_rows(lambda x, n: _ln1m_exp_terms((x + n) * ln_q), t_list, 0, lasts)
-    lead = ln_q_bracket(p, ln_q)
-    return [
-        EvalResult(t * lead + factorial_part - (s - (p + 1) * ln1mq), 0.0, n_fact)
-        for t, s in zip(t_list, shifted)
-    ]
+    return [EvalResult(ln1mq + t * lead + (fact - s), 0.0, n_fact) for t, s in zip(t_list, shifted)]
 
 
 _KERNELS = {
@@ -641,6 +695,13 @@ def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
 
 
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """Log of the (p,q)-gamma function: exact finite computation in log space."""
+    """Log of the (p,q)-gamma function, the Krasniqi-Merovci finite product, in log space.
+
+    Where at most N0 factorial factors 1 - q^n are nonzero, the product is
+    summed exactly (tail bound 0, terms_used that count).  Past N0 it is the
+    difference of closed Euler-Maclaurin lattice sums, and the tail bound is
+    the two closures' remainder bounds of each of its two finite sums (see the
+    module docstring); terms_used is a few dozen there, and n_max caps it.
+    """
     params.require(Family.PQ)
     return _ln_gamma_pq_batch(params, (t,), tol)[0]

@@ -1,0 +1,200 @@
+"""ln Gamma_pq past N0 factors: the Euler-Maclaurin lattice route against closed
+forms, a 40-digit oracle and the direct sum, batches, n_max, and the accuracy of
+the direct route's combination of its sums."""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from qdigamma import DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_pq
+from qdigamma.qcore import _N0, _em_lattice, ln1m_exp, ln_q_bracket
+
+U = 2.0 ** -53
+P_EM = (_N0 + 1, 10**6, 10**7, 10**8)
+# q^n stays nonzero past n = N0 at these q, so every p above takes the lattice route
+Q_EM = (0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+
+
+def is_em(res) -> bool:
+    """The direct route sums the finite product exactly (tail 0); the lattice route bounds its remainder."""
+    return res.tail_bound > 0.0
+
+
+def rounding(t: float, q: float, p: int, value: float) -> float:
+    """Rounding allowance 64 u (sum of |log factors| + |value|) of ln Gamma_pq(t).
+
+    The log factors are ln(1-q), t ln[p]_q and the terms ln(1 - q^(a+n)) of
+    the factorial (a = 1) and shifted (a = t) sums.  A sum of the decreasing
+    -ln(1 - q^(a+n)) over n >= 0 is at most its first term plus its integral,
+    Li_2(q^a) / eps <= pi^2 / (6 eps) with eps = -ln q.
+    """
+    ln_q = math.log(q)
+    logs = abs(ln1m_exp(ln_q)) + abs(t * ln_q_bracket(p, ln_q))
+    logs += abs(ln1m_exp(t * ln_q)) + abs(ln1m_exp(ln_q)) + 2.0 * (math.pi ** 2 / 6.0) / -ln_q
+    return 64.0 * U * (logs + abs(value))
+
+
+@pytest.mark.parametrize("q", (0.9,) + Q_EM)
+@pytest.mark.parametrize("p", P_EM)
+def test_closed_forms(p, q):
+    """ln Gamma_pq(1) = ln[p]_q - ln[p+1]_q and the shift identity
+    ln Gamma_pq(t+1) - ln Gamma_pq(t) = ln[p]_q + ln[t]_q - ln[t+p+1]_q."""
+    mp = pytest.importorskip("mpmath")
+    params = DeformParams.pq(p, q)
+    with mp.workdps(40):
+        qq = mp.mpf(q)
+
+        def ln_bracket(x):
+            return mp.log(-mp.expm1(x * mp.log(qq))) - mp.log(1 - qq)
+
+        at_one = ln_gamma_pq(1.0, params)
+        assert is_em(at_one) == (q != 0.9)  # at q = 0.9, q^n underflows near n = 7,072
+        assert at_one.tail_bound <= Tolerance().abs_tol
+        want = ln_bracket(p) - ln_bracket(p + 1)
+        assert abs(at_one.value - want) <= at_one.tail_bound + rounding(1.0, q, p, at_one.value)
+        for t in (0.37, 2.5):
+            lo, hi = ln_gamma_pq(t, params), ln_gamma_pq(t + 1.0, params)
+            tm = mp.mpf(t)
+            want = ln_bracket(p) + ln_bracket(tm) - ln_bracket(tm + p + 1)
+            allowed = (lo.tail_bound + hi.tail_bound
+                       + rounding(t, q, p, lo.value) + rounding(t + 1.0, q, p, hi.value))
+            assert abs((hi.value - lo.value) - want) <= allowed, (p, q, t, lo, hi)
+
+
+def oracle(t: float, q: float, p: int):
+    """ln Gamma_pq(t) at 40 digits from mpmath: each finite sum of Li_1(e^-y) over
+    y = eps (a + m), m < c, is S(a) - S(a + c) for the infinite sum S, which is
+    24 terms directly, then Euler-Maclaurin with 12 corrections."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        eps = -mp.log(mp.mpf(q))
+
+        def lattice(y0):
+            y = y0 + 24 * eps
+            closure = [mp.polylog(2, mp.exp(-y)) / eps, mp.polylog(1, mp.exp(-y)) / 2]
+            closure += [mp.bernoulli(2 * j) / mp.factorial(2 * j) * eps ** (2 * j - 1)
+                        * mp.polylog(2 - 2 * j, mp.exp(-y)) for j in range(1, 13)]
+            return mp.fsum(mp.polylog(1, mp.exp(-(y0 + m * eps))) for m in range(24)) + mp.fsum(closure)
+
+        def finite(a, c):
+            return lattice(eps * a) - lattice(eps * (a + c))
+
+        t = mp.mpf(t)
+        ln_bracket_p = mp.log(-mp.expm1(-eps * p)) - mp.log(-mp.expm1(-eps))
+        return mp.log(-mp.expm1(-eps)) + t * ln_bracket_p + finite(t, p + 1) - finite(1, p)
+
+
+@pytest.mark.parametrize("q", Q_EM)
+@pytest.mark.parametrize("p", P_EM)
+def test_em_values_match_the_40_digit_oracle(p, q):
+    params = DeformParams.pq(p, q)
+    for t in (1e-3, 0.5, 7.3):
+        res = ln_gamma_pq(t, params)
+        assert is_em(res) and res.terms_used < 100 and res.tail_bound <= Tolerance().abs_tol
+        error = abs(oracle(t, q, p) - res.value)
+        assert error <= res.tail_bound + rounding(t, q, p, res.value), (p, q, t, res, float(error))
+
+
+def test_batch_is_bit_identical_to_scalar_calls():
+    rng = random.Random("pq-em-batch")
+    for p, q in ((_N0 + 1, 0.999), (10**7, 1.0 - 1e-6), (10**8, 1.0 - 1e-9)):
+        params = DeformParams.pq(p, q)
+        ts = [1.0, 1e-200, 1e-3] + sorted(10.0 ** rng.uniform(-2.0, 3.0) for _ in range(8))
+        for t, got in zip(ts, evaluate("ln-gamma", params, ts)):
+            want = ln_gamma_pq(t, params)
+            assert is_em(got)
+            assert (got.value, got.tail_bound, got.terms_used) == \
+                (want.value, want.tail_bound, want.terms_used)
+            assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
+
+
+def test_em_agrees_with_the_direct_sum_just_above_n0(monkeypatch):
+    import qdigamma.qcore as qcore
+
+    params = DeformParams.pq(_N0 + 1, 0.999)
+    ts = (0.05, 1.0, 3.7)
+    em = evaluate("ln-gamma", params, ts)
+    monkeypatch.setattr(qcore, "_N0", 1 << 18)  # the same points, summed term by term
+    direct = evaluate("ln-gamma", params, ts)
+    for t, a, b in zip(ts, em, direct):
+        assert is_em(a) and not is_em(b) and b.terms_used > _N0
+        allowed = a.tail_bound + rounding(t, 0.999, _N0 + 1, a.value) + rounding(t, 0.999, _N0 + 1, b.value)
+        assert abs(a.value - b.value) <= allowed, (t, a, b)
+
+
+@pytest.mark.parametrize("p,q", [(10**8, 1.0 - 1e-9), (2 * 10**7, 1.0 - 1e-7)])
+def test_factors_past_n_max_evaluate(p, q):
+    # their nonzero factors run past the default n_max of 1e7
+    res = ln_gamma_pq(1.0, DeformParams.pq(p, q))
+    assert is_em(res) and res.terms_used < 100 and res.tail_bound <= Tolerance().abs_tol
+    ln_q = math.log(q)
+    want = ln_q_bracket(p, ln_q) - ln_q_bracket(p + 1, ln_q)
+    assert abs(res.value - want) <= rounding(1.0, q, p, res.value)
+
+
+@pytest.mark.parametrize("count", [3, 8, 9, 40, 10**6])
+def test_finite_lattice_sum_matches_its_terms(count):
+    # up to M = 8 terms the helper sums them all (tail 0); past it, the near closure minus the far one
+    a, h = 0.3, 0.05
+    (got,), tail, terms = _em_lattice(1, (a,), h, 1.0, Tolerance(), (count,))
+    # terms past m = 1e5 are below 1e-2000
+    direct = math.fsum(-ln1m_exp(-(a + m * h)) for m in range(min(count, 10**5)))
+    if count <= 8:
+        assert (tail, terms) == (0.0, count) and got == pytest.approx(direct, rel=4 * U, abs=0.0)
+    else:
+        assert 0.0 < tail <= Tolerance().abs_tol and terms < 60
+        assert abs(got - direct) <= tail + 64 * U * direct
+
+
+def test_n_max_caps_the_lattice_terms():
+    params = DeformParams.pq(10**6, 0.999)
+    with pytest.raises(TruncationNotConverged):
+        ln_gamma_pq(1.0, params, Tolerance(n_max=20))
+    assert ln_gamma_pq(1.0, params, Tolerance(n_max=100)) == ln_gamma_pq(1.0, params)
+
+
+# -- the direct route's combination ln(1-q) + t ln[p]_q + (factorial - shifted) --
+
+
+def direct_oracle(t: float, q: float, p: int):
+    """(ln Gamma_pq(t), sum of |log factors|) at 40 digits, the sums cut where q^n < 1e-60."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        qq, tt = mp.mpf(q), mp.mpf(t)
+        cut = min(p, math.ceil(60.0 * math.log(10.0) / -math.log(q)))
+        fact = [mp.log1p(-qq ** n) for n in range(1, cut + 1)]
+        shifted = [mp.log1p(-qq ** (tt + n)) for n in range(0, cut + 1)]
+        lead = mp.log1p(-qq)
+        middle = tt * (mp.log1p(-qq ** p) - lead)
+        value = lead + middle + mp.fsum(fact) - mp.fsum(shifted)
+        logs = abs(lead) + abs(middle) + mp.fsum(map(abs, fact)) + mp.fsum(map(abs, shifted))
+        return value, float(logs)
+
+
+@pytest.mark.parametrize("p,q,t", [(10**6, 0.9, 2.0), (10**5, 0.9, 0.7)])
+def test_direct_route_points_that_lost_digits_to_cancellation(p, q, t):
+    # ln(1-q) + t ln[p]_q + (fact - s): no p ln(1-q) pieces to cancel against each other
+    res = ln_gamma_pq(t, DeformParams.pq(p, q))
+    assert not is_em(res)
+    assert abs(direct_oracle(t, q, p)[0] - res.value) <= 1e-13
+
+
+def test_direct_route_sweep_within_rounding():
+    rng = random.Random("pq-direct-rounding")
+    for _ in range(12):
+        p, q, t = round(10.0 ** rng.uniform(0.0, 5.0)), rng.uniform(0.1, 0.99), rng.uniform(0.05, 8.0)
+        res = ln_gamma_pq(t, DeformParams.pq(p, q))
+        assert not is_em(res)
+        want, logs = direct_oracle(t, q, p)
+        assert abs(want - res.value) <= 64.0 * U * (logs + abs(res.value)), (p, q, t, res)
+
+
+def test_direct_route_term_count_is_what_it_sums():
+    # the factorial terms' last nonzero index, as summed: q^n underflows past n = 7,072 at q = 0.9
+    res = ln_gamma_pq(1.5, DeformParams.pq(10**6, 0.9))
+    n = np.arange(1, 10**4, dtype=np.float64)
+    assert res.terms_used == int(np.count_nonzero(np.exp(n * math.log(0.9))))
