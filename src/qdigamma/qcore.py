@@ -59,16 +59,15 @@ route n_max caps terms_used.
 
 ln Gamma_pq takes the same two routes by the same N0 (_ln_gamma_pq_batch).
 A batch whose factorial terms ln(1 - q^n) are nonzero through at most N0
-is summed directly, exactly (tail_bound 0).  Past N0 each of its two
-finite sums is a difference of infinite lattice sums of Li_1, step eps:
+is summed directly, exactly (tail_bound 0).  Past N0 it takes the q-gamma
+identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) / Gamma_q(t+p+1),
+Gamma_q = Gamma_qk at k = 1, as four infinite sums S_1 on step eps:
 
-    ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(t+p+1)] - [S_1(1) - S_1(p+1)]
+    ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(1)] - [S_1(t+p+1) - S_1(p+1)]
 
-Each bracket sums M terms directly and subtracts the closure at its far
-end from the one at its near end; its remainder is at most the two
-closures' bounds together (_em_lattice).  terms_used is M + 2 (2 + P)
-per bracket, so the finite product of 10^8 factors takes a few dozen.
-psi_pq and psi_pq' are always summed directly.
+_em_lattice, the one Euler-Maclaurin entry of both families, forms the near
+pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = 8, even for
+10^8 factors.  psi_pq and psi_pq' are always summed directly.
 
 ``evaluate`` computes one function at many t in a single call.  Each point
 keeps its own term count and tail bound; only the term arrays are shared,
@@ -377,54 +376,44 @@ def _em_closure(s: int, y: float, h: float) -> tuple:
     return _li(s + 1, y) / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale
 
 
-def _em_lattice(s: int, starts: tuple, h: float, scale: float, tol: Tolerance, counts=None) -> tuple:
-    """(sums, tail, terms) of the lattice sums of f(y) = Li_s(e^-y) by Euler-Maclaurin.
+def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: Tolerance) -> EvalResult:
+    """lead + scale * (the sum over pairs of S(a) - S(b), or S(a) for a pair (a,)), by Euler-Maclaurin.
 
-    Each sum runs over y = a + m h for a start a in starts: over every m >= 0,
-    or over m < c for a count c in counts (None for an infinite sum).  A sum
-    adds M terms directly and closes the rest with _em_closure at a + M h; a
-    finite one subtracts the closure at a + c h, since its terms are
-    S(a) - S(a + c h) with S the infinite sum, and its remainder is at most
-    the two closures' bounds together.  M starts at _EM_M and grows until
-    tail, the bounds times scale and _SAFETY, is within abs_tol; a finite sum
-    that M reaches is summed directly, all c terms, with no remainder.
-    terms counts the terms formed, M + 2 + P per closure, and n_max caps it.
+    S(a) is the infinite sum of f(y) = Li_s(e^-y) over y = a + m h, m >= 0:
+    M terms directly, closed by _em_closure at a + M h.  Each pair is
+    differenced before the pairs are added.  M starts at _EM_M and grows
+    until tail, the closures' bounds times |scale| and _SAFETY, is within
+    abs_tol.  terms_used, M + 2 + P per sum, is capped by n_max.  A value
+    that is not finite raises TruncationNotConverged.
     """
-    counts = counts or (None,) * len(starts)
+    starts = [a for pair in pairs for a in pair]
     m = _EM_M
     while True:
-        closures, terms = [], 0
-        for a, c in zip(starts, counts):
-            if c is None:
-                closures.append(_em_closure(s, a + m * h, h))
-                terms += m + 2 + len(_BERNOULLI)
-            elif m < c:
-                (near, near_bound), (far, far_bound) = (_em_closure(s, a + m * h, h),
-                                                        _em_closure(s, a + c * h, h))
-                closures.append((near - far, near_bound + far_bound))
-                terms += m + 2 * (2 + len(_BERNOULLI))
-            else:
-                closures.append((0.0, 0.0))
-                terms += c
-        tail = _SAFETY * scale * sum(bound for _, bound in closures)
+        closures = {a: _em_closure(s, a + m * h, h) for a in starts}
+        terms = len(starts) * (m + 2 + len(_BERNOULLI))
+        tail = _SAFETY * abs(scale) * sum(closures[a][1] for a in starts)
         if terms > tol.n_max:
             raise TruncationNotConverged(
-                f"Euler-Maclaurin route needs {terms} terms, past the cap of {tol.n_max}",
-                tail, tol.n_max,
-            )
+                f"Euler-Maclaurin route needs {terms} terms, past the cap of {tol.n_max}", tail, tol.n_max)
         if tail <= tol.abs_tol:
             break
         # the remainder falls at least like y^-(2P - s) as y = a + m h grows
         a = min(starts)
         grow = math.exp((math.log(tail) - math.log(tol.abs_tol)) / (2 * len(_BERNOULLI) - s))
         m = max(m + 1, math.ceil(((a + m * h) * grow - a) / h))
-    sums = []
-    for a, c, (closure, _) in zip(starts, counts, closures):
+    sums = {}
+    for a, (closure, _) in closures.items():
         direct = 0.0
-        for i in range(m if c is None else min(m, c)):
+        for i in range(m):
             direct += _li(s, a + i * h)
-        sums.append(direct + closure)
-    return sums, tail, terms
+        sums[a] = direct + closure
+    total = 0.0
+    for pair in pairs:
+        total += sums[pair[0]] - sums[pair[1]] if len(pair) == 2 else sums[pair[0]]
+    value = lead + scale * total
+    if not math.isfinite(value):
+        raise TruncationNotConverged("Euler-Maclaurin value overflows double precision", math.inf, terms)
+    return EvalResult(value, tail, terms)
 
 
 def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResult:
@@ -432,30 +421,21 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
 
     Each series is a sum over the lattice y = eps (a + m k), eps = -ln q, of
     Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
-    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q), each S by _em_lattice.
+    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q), summed by _em_lattice.
     Raises TruncationNotConverged where (1 - q^t)^(1-s), which divides the
     terms, underflows.
     """
     q, k = params.q, params.k
     eps = -math.log(q)
-    if fn == "ln-gamma":
-        s, scale, starts = 1, 1.0, (eps * t, eps * k)
+    if fn == "ln-gamma":  # at t = k the two sums are the same bits, so ln Gamma(k) is 0.0
+        s, lead, scale, pairs = 1, -(t / k - 1.0) * math.log1p(-q), 1.0, ((eps * t, eps * k),)
     elif fn == "psi":
-        s, scale, starts = 0, eps, (eps * t,)
+        s, lead, scale, pairs = 0, -math.log1p(-q) / k, -eps, ((eps * t,),)
     else:
-        s, scale, starts = -1, eps * eps, (eps * t,)
-    if (-math.expm1(-starts[0])) ** (1 - s) == 0.0:
+        s, lead, scale, pairs = -1, 0.0, eps * eps, ((eps * t,),)
+    if (-math.expm1(-eps * t)) ** (1 - s) == 0.0:
         raise TruncationNotConverged(f"{fn} at t={t!r}: (1 - q^t)^{1 - s} underflows", math.inf, 0)
-    sums, tail, terms = _em_lattice(s, starts, eps * k, scale, tol)
-    if fn == "psi":
-        value = -math.log1p(-q) / k - eps * sums[0]
-    elif fn == "psi-prime":
-        value = scale * sums[0]
-    else:  # at t = k the two sums are the same bits, so ln Gamma(k) is 0.0
-        value = (sums[0] - sums[1]) + -(t / k - 1.0) * math.log1p(-q)
-    if not math.isfinite(value):
-        raise TruncationNotConverged(f"{fn} at t={t!r} overflows double precision", math.inf, terms)
-    return EvalResult(value, tail, terms)
+    return _em_lattice(s, pairs, eps * k, lead, scale, tol)
 
 
 # -- batch kernels ----------------------------------------------------------
@@ -599,22 +579,20 @@ def _ln_gamma_pq_batch(params: DeformParams, ts, tol: Tolerance) -> list:
     ln_q = math.log(q)
     ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
     n_fact = _last_nonzero(lambda m: m * ln_q, 1, p)
-    if n_fact > _N0:
-        eps, results = -ln_q, []
-        for t in ts:
-            t = _check_ln_gamma_t(t, ln_q)
-            # the Li_1 sums are the negated log sums, so the shifted one comes first
-            (shifted, fact), tail, terms = _em_lattice(1, (eps * t, eps), eps, 1.0, tol, (p + 1, p))
-            results.append(EvalResult(ln1mq + t * lead + (shifted - fact), tail, terms))
-        return results
-    t_list, lasts = [], []
+    eps, results, t_list, lasts = -ln_q, [], [], []
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
+        if n_fact > _N0:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
+            pairs = ((eps * t, eps), (eps * (p + 1), eps * (t + p + 1)))
+            results.append(_em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol))
+            continue
         _capped(n_fact, tol)  # raised at the first point, as a one-point call raises it
+        if not math.isfinite(ln1mq + t * lead):
+            raise TruncationNotConverged(f"t ln[p]_q at t={t!r} overflows double precision", math.inf, 0)
         t_list.append(t)
         lasts.append(_last_nonzero(lambda m: (t + m) * ln_q, 0, p))
     if not t_list:
-        return []
+        return results
     fact = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
     shifted = _sum_rows(lambda x, n: _ln1m_exp_terms((x + n) * ln_q), t_list, 0, lasts)
     return [EvalResult(ln1mq + t * lead + (fact - s), 0.0, n_fact) for t, s in zip(t_list, shifted)]
@@ -698,10 +676,11 @@ def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     """Log of the (p,q)-gamma function, the Krasniqi-Merovci finite product, in log space.
 
     Where at most N0 factorial factors 1 - q^n are nonzero, the product is
-    summed exactly (tail bound 0, terms_used that count).  Past N0 it is the
-    difference of closed Euler-Maclaurin lattice sums, and the tail bound is
-    the two closures' remainder bounds of each of its two finite sums (see the
-    module docstring); terms_used is a few dozen there, and n_max caps it.
+    summed exactly (tail bound 0, terms_used that count).  Past N0 it is four
+    infinite Euler-Maclaurin lattice sums by the q-gamma identity, and the tail
+    bound is their four remainder bounds (see the module docstring);
+    terms_used is a few dozen there, and n_max caps it.  A value that
+    overflows raises TruncationNotConverged on either route.
     """
     params.require(Family.PQ)
     return _ln_gamma_pq_batch(params, (t,), tol)[0]

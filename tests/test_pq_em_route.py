@@ -1,16 +1,20 @@
 """ln Gamma_pq past N0 factors: the Euler-Maclaurin lattice route against closed
 forms, a 40-digit oracle and the direct sum, batches, n_max, and the accuracy of
-the direct route's combination of its sums."""
+the direct route's combination of its sums; on both routes, the q-gamma identity
+against the (q,k) family and typed refusals where the value overflows."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
 
 import numpy as np
 import pytest
 
-from qdigamma import DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_pq
+from qdigamma import DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_pq, ln_gamma_qk
+from qdigamma.cli import main
 from qdigamma.qcore import _N0, _em_lattice, ln1m_exp, ln_q_bracket
 
 U = 2.0 ** -53
@@ -136,18 +140,46 @@ def test_factors_past_n_max_evaluate(p, q):
     assert abs(res.value - want) <= rounding(1.0, q, p, res.value)
 
 
-@pytest.mark.parametrize("count", [3, 8, 9, 40, 10**6])
+@pytest.mark.parametrize("count", [9, 40, 10**6, None])
 def test_finite_lattice_sum_matches_its_terms(count):
-    # up to M = 8 terms the helper sums them all (tail 0); past it, the near closure minus the far one
+    # the infinite sum S(a) (count None), or the finite one S(a) - S(a + c h) as one signed pair
     a, h = 0.3, 0.05
-    (got,), tail, terms = _em_lattice(1, (a,), h, 1.0, Tolerance(), (count,))
+    pair = (a,) if count is None else (a, a + count * h)
+    res = _em_lattice(1, (pair,), h, 0.0, 1.0, Tolerance())
     # terms past m = 1e5 are below 1e-2000
-    direct = math.fsum(-ln1m_exp(-(a + m * h)) for m in range(min(count, 10**5)))
-    if count <= 8:
-        assert (tail, terms) == (0.0, count) and got == pytest.approx(direct, rel=4 * U, abs=0.0)
-    else:
-        assert 0.0 < tail <= Tolerance().abs_tol and terms < 60
-        assert abs(got - direct) <= tail + 64 * U * direct
+    direct = math.fsum(-ln1m_exp(-(a + m * h)) for m in range(min(count or 10**5, 10**5)))
+    assert 0.0 < res.tail_bound <= Tolerance().abs_tol and res.terms_used < 60
+    assert abs(res.value - direct) <= res.tail_bound + 64 * U * direct
+
+
+@pytest.mark.parametrize("p,q", [(3, 0.6), (50, 0.3), (10**4, 0.9), (_N0 + 1, 0.999), (10**6, 0.999)])
+@pytest.mark.parametrize("t", [0.37, 1.0, 2.5])
+def test_q_gamma_identity_across_families(p, q, t):
+    # Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) / Gamma_q(t+p+1), with Gamma_q the (q,k)-gamma at k = 1
+    qk = DeformParams.qk(q, 1.0)
+    pq_res = ln_gamma_pq(t, DeformParams.pq(p, q))
+    assert is_em(pq_res) == (p > _N0)
+    qk_res = [ln_gamma_qk(x, qk) for x in (p + 1.0, t, t + p + 1.0)]
+    terms = [t * ln_q_bracket(p, math.log(q))] + [res.value for res in qk_res]
+    want = terms[0] + terms[1] + terms[2] - terms[3]
+    tails = pq_res.tail_bound + sum(res.tail_bound for res in qk_res)
+    logs = abs(pq_res.value) + sum(map(abs, terms)) + math.pi ** 2 / (3.0 * -math.log(q))
+    assert abs(pq_res.value - want) <= tails + 64.0 * U * logs, (p, q, t, pq_res, want)
+
+
+@pytest.mark.parametrize("p", [10**4, 10**6])  # the direct route, then the lattice route
+def test_overflowing_value_is_refused(p):
+    # t ln[p]_q overflows at t = 1.7e308
+    params = DeformParams.pq(p, 0.999)
+    assert is_em(ln_gamma_pq(1.0, params)) == (p > _N0)
+    with pytest.raises(TruncationNotConverged):
+        ln_gamma_pq(1.7e308, params)
+    with pytest.raises(TruncationNotConverged):  # a batch raises at its first point that fails
+        evaluate("ln-gamma", params, [1.0, 1.7e308, 0.0])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--family", "pq", "--p", str(p), "--q", "0.999", "--t", "1.7e308", "--fn", "ln-gamma"])
+    assert code == 3 and "TruncationNotConverged" in err.getvalue(), err.getvalue()
 
 
 def test_n_max_caps_the_lattice_terms():
