@@ -31,7 +31,7 @@ nonzero terms run past ``n_max`` is refused.  All powers of q are formed in
 log space, so large t cannot underflow the products.
 
 Two routes for the QK series, chosen by one rule for psi, psi' and
-ln Gamma (_qk_routes).  The direct route sums the series above; it needs
+ln Gamma (_qk_batch).  The direct route sums the series above; it needs
 about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point takes
 it only where its majorant stays in the floats: (1-q^k)(1-q^t), the divisor
 of the majorant, is at least the smallest normal float, the closed-form
@@ -57,9 +57,10 @@ until it is within abs_tol.  terms_used counts the terms the route formed:
 M + 2 + P per lattice sum (two for ln Gamma), a few dozen in all.  On either
 route n_max caps terms_used.
 
-ln Gamma_pq takes the same two routes by the same N0 (_ln_gamma_pq_batch).
-A batch whose factorial terms ln(1 - q^n) are nonzero through at most N0
-is summed directly, exactly (tail_bound 0).  Past N0 it takes the q-gamma
+ln Gamma_pq takes the same two routes by the same N0.  Its factorial terms
+ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so their last
+nonzero index routes the whole batch (_pq_batch): through at most N0 it is
+summed directly, exactly (tail_bound 0).  Past N0 it takes the q-gamma
 identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) / Gamma_q(t+p+1),
 Gamma_q = Gamma_qk at k = 1, as four infinite sums S_1 on step eps:
 
@@ -69,11 +70,11 @@ _em_lattice, the one Euler-Maclaurin entry of both families, forms the near
 pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = 8, even for
 10^8 factors.  psi_pq and psi_pq' are always summed directly.
 
-``evaluate`` computes one function at many t in a single call.  Each point
-keeps its own term count and tail bound; only the term arrays are shared,
-one matrix per block of points, and each point's sum is formed exactly as a
-one-point call forms it, so a batch returns the same bits.  The six public
-kernels are its one-point entries.
+``evaluate`` computes one function at many t in one call.  The batch of its
+family routes each t in order, refusing a direct value that leaves the floats
+as the Euler-Maclaurin route does; one assembly (_assemble) sums the direct
+rows, one term matrix per block of points, each as a one-point call sums it,
+and puts the Euler-Maclaurin results back: bit for bit the six kernels.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from ._series import CHUNK, geometric_count, geometric_terms_needed, sum_terms
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
 
@@ -107,17 +108,18 @@ __all__ = [
 # dominates the true tail after double rounding of the bound expression.
 _SAFETY = 1.0 + 1e-12
 
-# Most terms one batch block holds (rows x summed width); less than a CHUNK,
-# so memory stays at the scale of one-point sums whatever the batch size.  A
-# point needing more is summed on its own, one CHUNK at a time.
+# Most terms one sum_terms array holds, so memory stays bounded on multi-million-term
+# series, and one batch block (rows x summed width): less than a CHUNK, so memory stays at
+# the scale of one-point sums whatever the batch size; a wider point is summed on its own.
+CHUNK = 1 << 15
 _BLOCK_TERMS = CHUNK // 4
 
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
 # A (q,k) point whose direct series needs more terms than this, by the closed
-# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_routes);
-# so does a ln Gamma_pq batch with more nonzero factorial terms (_ln_gamma_pq_batch).
+# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_batch);
+# so does a ln Gamma_pq batch with more nonzero factorial terms (_pq_batch).
 _N0 = 1 << 17
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
@@ -232,6 +234,22 @@ def _ln1m_exp_terms(y: np.ndarray) -> np.ndarray:
     return np.log1p(np.negative(e, out=e), out=e)
 
 
+def sum_terms(term_fn, n_first: int, n_last: int) -> float:
+    """Sum the array term_fn(n) for integer n in [n_first, n_last], low index first.
+
+    One CHUNK at a time, each reduced pairwise and the partials added by math.fsum (Shewchuk's
+    error-free transformation), so the rounding error stays far below every certified tail bound.
+    """
+    if n_last < n_first:
+        return 0.0
+    partials = []
+    for lo in range(n_first, n_last + 1, CHUNK):
+        hi = min(lo + CHUNK - 1, n_last)
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        partials.append(float(np.add.reduce(term_fn(n))))
+    return math.fsum(partials)
+
+
 def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
     """Sum terms(x, n) over n = n_first..last for each row x with its own last, as sum_terms would.
 
@@ -284,6 +302,41 @@ def _series_ratio(t: float, ln_q: float):
             f"series ratio q^t indistinguishable from 1 at t={t!r}", math.inf, 0
         )
     return ln_r, one_minus_r
+
+
+def geometric_count(coeff: float, ln_step: float, abs_tol: float) -> float:
+    """The least N >= 1 with coeff * exp((N+1) ln_step) <= abs_tol; inf when abs_tol / coeff
+    underflows to 0 or N is past any float."""
+    ratio = abs_tol / coeff
+    if ratio > 0.0:
+        n = math.log(ratio) / ln_step
+        if n < math.inf:
+            return max(1, math.ceil(n) - 1)
+    return math.inf
+
+
+def geometric_terms_needed(tail_at, n: float, ln_step: float, tol) -> tuple | None:
+    """(N, tail_at(N)) for a term count N whose tail majorant tail_at(N) is <= tol.abs_tol.
+
+    N starts at n, the closed form of the majorant's geometric part
+    (geometric_count), capped at n_max, and widens by as many factors
+    exp(ln_step) as the overshoot of tail_at still needs.  None where that
+    overshoot, tail_at(N) / abs_tol, is not finite: the majorant has left the
+    floats.  Raises TruncationNotConverged when tail_at(n_max) is above abs_tol.
+    """
+    n = min(tol.n_max, n)
+    tail = tail_at(n)
+    while tail > tol.abs_tol:
+        overshoot = tail / tol.abs_tol
+        if not math.isfinite(overshoot):
+            return None
+        if n >= tol.n_max:
+            raise TruncationNotConverged(
+                f"tail bound stuck above {tol.abs_tol:.3e} after {n} terms", tail, n
+            )
+        n = min(tol.n_max, n + max(1, math.ceil(math.log(overshoot) / -ln_step)))
+        tail = tail_at(n)
+    return n, tail
 
 
 def _prime_tail(ln_r: float, one_minus_r: float, coeff: float, n: int) -> float:
@@ -455,10 +508,52 @@ def _psi_qk_majorant(ln_r: float, one_minus_r: float, ln_q: float, one_minus_qk:
     return coeff, lambda m: coeff * math.exp((m + 1) * ln_r)
 
 
-def _qk_routes(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
-    """(xs, ns, tails, em) of a (q,k) batch: the row parameter of the term arrays (t for ln Gamma,
-    t ln q for psi and psi'), N and tail of each point on the direct route, in order, and (index in
-    ts, result) of each point on the Euler-Maclaurin route.
+def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """(N, tail) of the direct psi_qk series at t, summing nothing.
+
+    N is the closed-form term count of the geometric majorant (inf past any
+    float) and tail the majorant after N terms; (0, 0.0) when every term
+    underflows.  Where N <= N0 these are psi_qk's terms_used and tail_bound
+    but for a rare widening by one rounding.
+    """
+    params.require(Family.QK)
+    ln_q = math.log(params.q)
+    ln_r, one_minus_r = _series_ratio(t, ln_q)
+    if one_minus_r is None:
+        return 0, 0.0
+    coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, -math.expm1(params.k * ln_q), False)
+    n = geometric_count(coeff, ln_r, tol.abs_tol)
+    return n, (tail_at(n) if n < math.inf else math.inf)
+
+
+def _direct_lead(lead: float, t: float) -> float:
+    """lead, refused as its t is routed where not finite: a direct sum is bounded, so only a lead overflows."""
+    if not math.isfinite(lead):
+        raise TruncationNotConverged(f"the lead of the value at t={t!r} overflows a double", math.inf, 0)
+    return lead
+
+
+def _assemble(terms, n_first: int, scale: float, rows: tuple, em: list, base=None) -> list:
+    """One EvalResult per point of a batch, in order, from the parallel lists rows = (xs, lasts, leads,
+    tails, ns) of its direct points and the (index, result) pairs em of its Euler-Maclaurin points.
+
+    A direct value is lead + scale * (the sum of terms(x, n) over n = n_first..last, less base(),
+    if base is given)."""
+    xs, lasts, leads, tails, ns = rows
+    if not xs:  # all on the Euler-Maclaurin route: nothing to sum, and base, too long there, is skipped
+        return [res for _, res in em]
+    sums = _sum_rows(terms, xs, n_first, lasts)
+    if base:
+        offset = base()
+        sums = [s - offset for s in sums]
+    results = list(map(EvalResult, [lead + scale * s for lead, s in zip(leads, sums)], tails, ns))
+    for i, res in em:
+        results.insert(i, res)
+    return results
+
+
+def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of ts, by _assemble.
 
     This is the one route rule of the (q,k) kernels.  A point takes the
     direct series only where its majorant stays in the floats: (1-q^k)(1-q^t),
@@ -468,13 +563,15 @@ def _qk_routes(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
     (geometric_terms_needed).  Every t first passes its function's checks,
     _check_ln_gamma_t or _series_ratio, in order.
     """
-    ln_q = math.log(params.q)
-    ln_s = params.k * ln_q
+    q, k = params.q, params.k
+    ln_q = math.log(q)
+    ln_s = k * ln_q
     one_minus_qk = -math.expm1(ln_s)
+    ln1mq = math.log1p(-q)
     gamma, prime = fn == "ln-gamma", fn == "psi-prime"
     # ln Gamma's count, the same at every t, from the numerator tail's geometric part held to abs_tol / 2
     gamma_count = geometric_count(2.0 / (one_minus_qk * one_minus_qk), ln_s, tol.abs_tol) if gamma else None
-    xs, ns, tails, em = [], [], [], []
+    xs, leads, tails, ns, em = [], [], [], [], []
     for t in ts:
         if gamma:
             t = _check_ln_gamma_t(t, ln_q)
@@ -500,112 +597,55 @@ def _qk_routes(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
         if direct is None:
             em.append((len(ns) + len(em), _em_qk(fn, params, t, tol)))
             continue
+        if gamma:
+            leads.append(_direct_lead(-(t / k - 1.0) * ln1mq, t))
         xs.append(t if gamma else ln_r)
         ns.append(direct[0])
         tails.append(direct[1])
-    return xs, ns, tails, em
-
-
-def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """(N, tail) of the direct psi_qk series at t, summing nothing.
-
-    N is the closed-form term count of the geometric majorant (inf past any
-    float) and tail the majorant after N terms; (0, 0.0) when every term
-    underflows.  Where N <= N0 these are psi_qk's terms_used and tail_bound
-    but for a rare widening by one rounding.
-    """
-    params.require(Family.QK)
-    ln_q = math.log(params.q)
-    ln_r, one_minus_r = _series_ratio(t, ln_q)
-    if one_minus_r is None:
-        return 0, 0.0
-    coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, -math.expm1(params.k * ln_q), False)
-    n = geometric_count(coeff, ln_r, tol.abs_tol)
-    return n, (tail_at(n) if n < math.inf else math.inf)
-
-
-def _psi_qk_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
-    ln_rs, ns, tails, em = _qk_routes("psi-prime" if prime else "psi", params, ts, tol)
-    q, k = params.q, params.k
-    ln_q = math.log(q)
-    sums = _sum_rows(_power_terms(k * ln_q, prime), ln_rs, 1, ns)
+    if gamma:  # numerator exponent written as k + n*k so that t = k cancels bitwise
+        terms = lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
+        return _assemble(terms, 0, 1.0, (xs, [n - 1 for n in ns], leads, tails, ns), em)
     # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
-    lead, scale = (0.0, ln_q * ln_q) if prime else (-math.log1p(-q) / k, ln_q)
-    results = [EvalResult(lead + scale * s, tail, n) for s, tail, n in zip(sums, tails, ns)]
-    for i, res in em:
-        results.insert(i, res)
-    return results
+    lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
+    return _assemble(_power_terms(ln_s, prime), 1, scale, (xs, ns, repeat(lead), tails, ns), em)
 
 
-def _ln_gamma_qk_batch(params: DeformParams, ts, tol: Tolerance) -> list:
-    t_list, ns, tails, em = _qk_routes("ln-gamma", params, ts, tol)
-    q, k = params.q, params.k
-    ln_q = math.log(q)
-    ln1mq = math.log1p(-q)
-    # numerator exponent written as k + n*k so that t = k cancels bitwise
-    sums = _sum_rows(
-        lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q),
-        t_list, 0, [n - 1 for n in ns])
-    results = [
-        EvalResult(s + -(t / k - 1.0) * ln1mq, tail, n)
-        for s, t, tail, n in zip(sums, t_list, tails, ns)
-    ]
-    for i, res in em:
-        results.insert(i, res)
-    return results
+def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every t of ts, by _assemble.
 
-
-def _psi_pq_batch(params: DeformParams, ts, tol: Tolerance, prime: bool = False) -> list:
-    q, p = params.q, params.p
-    ln_q = math.log(q)
-    ln_rs, ns = [], []
-    for t in ts:
-        ln_r = _check_t(t) * ln_q
-        ln_rs.append(ln_r)
-        ns.append(_capped(_last_nonzero(lambda m: m * ln_r, 1, p), tol))
-    sums = _sum_rows(_power_terms(ln_q, prime), ln_rs, 1, ns)
-    lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
-    return [EvalResult(lead + scale * s, 0.0, n) for s, n in zip(sums, ns)]
-
-
-def _ln_gamma_pq_batch(params: DeformParams, ts, tol: Tolerance) -> list:
-    """ln Gamma_pq(t) = ln(1-q) + t ln[p]_q + sum_{n=1..p} ln(1-q^n) - sum_{n=0..p} ln(1-q^(t+n)).
-
-    The factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)),
-    so their last nonzero index routes the whole batch: up to N0 it is summed
-    directly, past it by _em_lattice (see the module docstring).
+    psi and psi' are summed directly; ln Gamma's whole batch takes its factorial's route (module docstring).
     """
     q, p = params.q, params.p
     ln_q = math.log(q)
+    xs, lasts = [], []
+    if fn != "ln-gamma":
+        prime = fn == "psi-prime"
+        for t in ts:
+            ln_r = _check_t(t) * ln_q
+            xs.append(ln_r)
+            lasts.append(_capped(_last_nonzero(lambda m: m * ln_r, 1, p), tol))
+        lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
+        return _assemble(_power_terms(ln_q, prime), 1, scale, (xs, lasts, repeat(lead), repeat(0.0), lasts), [])
     ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
     n_fact = _last_nonzero(lambda m: m * ln_q, 1, p)
-    eps, results, t_list, lasts = -ln_q, [], [], []
+    eps, leads, em = -ln_q, [], []
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
         if n_fact > _N0:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
             pairs = ((eps * t, eps), (eps * (p + 1), eps * (t + p + 1)))
-            results.append(_em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol))
+            em.append((len(em), _em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol)))
             continue
         _capped(n_fact, tol)  # raised at the first point, as a one-point call raises it
-        if not math.isfinite(ln1mq + t * lead):
-            raise TruncationNotConverged(f"t ln[p]_q at t={t!r} overflows double precision", math.inf, 0)
-        t_list.append(t)
+        leads.append(_direct_lead(ln1mq + t * lead, t))
+        xs.append(t)
         lasts.append(_last_nonzero(lambda m: (t + m) * ln_q, 0, p))
-    if not t_list:
-        return results
-    fact = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
-    shifted = _sum_rows(lambda x, n: _ln1m_exp_terms((x + n) * ln_q), t_list, 0, lasts)
-    return [EvalResult(ln1mq + t * lead + (fact - s), 0.0, n_fact) for t, s in zip(t_list, shifted)]
+    # lead + -1.0 * (shifted - factorial) has the bits of lead + (factorial - shifted)
+    factorial = partial(sum_terms, lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
+    terms = lambda x, n: _ln1m_exp_terms((x + n) * ln_q)
+    return _assemble(terms, 0, -1.0, (xs, lasts, leads, repeat(0.0), repeat(n_fact)), em, factorial)
 
 
-_KERNELS = {
-    (Family.QK, "psi"): _psi_qk_batch,
-    (Family.QK, "psi-prime"): partial(_psi_qk_batch, prime=True),
-    (Family.QK, "ln-gamma"): _ln_gamma_qk_batch,
-    (Family.PQ, "psi"): _psi_pq_batch,
-    (Family.PQ, "psi-prime"): partial(_psi_pq_batch, prime=True),
-    (Family.PQ, "ln-gamma"): _ln_gamma_pq_batch,
-}
+_KERNELS = {Family.QK: _qk_batch, Family.PQ: _pq_batch}
 
 
 def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -615,10 +655,9 @@ def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) ->
     the one-point kernel at that t: same value, tail_bound and terms_used.
     Raises the error of the first t, in order, that cannot be evaluated.
     """
-    kernel = _KERNELS.get((params.family, fn))
-    if kernel is None:
+    if fn not in ("psi", "psi-prime", "ln-gamma"):
         raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
-    return kernel(params, ts, tol)
+    return _KERNELS[params.family](fn, params, ts, tol)
 
 
 # -- one-point entries ------------------------------------------------------
@@ -632,7 +671,7 @@ def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     remainder bound instead (see the module docstring).
     """
     params.require(Family.QK)
-    return _psi_qk_batch(params, (t,), tol)[0]
+    return _qk_batch("psi", params, (t,), tol)[0]
 
 
 def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -642,7 +681,7 @@ def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
     (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
     """
     params.require(Family.QK)
-    return _psi_qk_batch(params, (t,), tol, prime=True)[0]
+    return _qk_batch("psi-prime", params, (t,), tol)[0]
 
 
 def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -650,10 +689,12 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
 
     Direct route's tail certified via |ln(1-x)| <= x/(1-x) on both product
     tails: after N factor pairs the remainder is at most
-    q^((N+1)k)/(1-q^k)^2 + q^(t+Nk)/((1-q^t)(1-q^k)).
+    q^((N+1)k)/(1-q^k)^2 + q^(t+Nk)/((1-q^t)(1-q^k)).  A value that overflows
+    raises TruncationNotConverged on either route, and so does a value that
+    would fit but whose lead -(t/k - 1) ln(1-q) overflows with t/k.
     """
     params.require(Family.QK)
-    return _ln_gamma_qk_batch(params, (t,), tol)[0]
+    return _qk_batch("ln-gamma", params, (t,), tol)[0]
 
 
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -663,13 +704,13 @@ def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     index (at most p), is the number of terms summed.
     """
     params.require(Family.PQ)
-    return _psi_pq_batch(params, (t,), tol)[0]
+    return _pq_batch("psi", params, (t,), tol)[0]
 
 
 def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (p,q)-digamma: exact finite sum, nonnegative."""
     params.require(Family.PQ)
-    return _psi_pq_batch(params, (t,), tol, prime=True)[0]
+    return _pq_batch("psi-prime", params, (t,), tol)[0]
 
 
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -683,4 +724,4 @@ def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     overflows raises TruncationNotConverged on either route.
     """
     params.require(Family.PQ)
-    return _ln_gamma_pq_batch(params, (t,), tol)[0]
+    return _pq_batch("ln-gamma", params, (t,), tol)[0]

@@ -44,9 +44,15 @@ COMMANDS = [
     ("limits", "--remark", "3.6", "--j-max", "4", "--json"),
     ("root", "--family", "qk", "--q", "0.5", "--k", "1"),
     ("root", "--family", "pq", "--p", "1", "--q", "0.5", "--json"),
+    # the Euler-Maclaurin route: (q,k) near q = 1, and ln Gamma_pq past N0 factors
+    *[("eval", "--family", "qk", "--q", "0.99999", "--k", "1", "--t", "2.5", "--fn", fn)
+      for fn in ("psi", "psi-prime", "ln-gamma")],
+    ("eval", "--family", "pq", "--p", "1000000", "--q", "0.999", "--t", "2.5", "--fn", "ln-gamma"),
     # failures: a truncation target out of reach, and a bad grid
     ("eval", "--family", "qk", "--q", "0.99", "--t", "0.5", "--n-max", "100"),
     ("table", "--t-min", "3", "--t-max", "1"),
+    # a ln Gamma_qk value past double precision, refused on the direct route
+    ("eval", "--family", "qk", "--q", "0.5", "--k", "0.001", "--t", "1e306", "--fn", "ln-gamma"),
 ]
 
 

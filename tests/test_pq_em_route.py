@@ -182,6 +182,21 @@ def test_overflowing_value_is_refused(p):
     assert code == 3 and "TruncationNotConverged" in err.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("q,k,t", [(0.5, 0.001, 1e306), (0.0173, 0.0306, 1.9e307)])
+def test_overflowing_qk_value_is_refused(q, k, t):
+    # ln Gamma_qk on the direct route: about 6.9e308 at the first point, past every double; at the
+    # second the value, about 1.08e307, would fit, but t/k in its lead -(t/k - 1) ln(1-q) overflows
+    params = DeformParams.qk(q, k)
+    with pytest.raises(TruncationNotConverged):
+        ln_gamma_qk(t, params)
+    with pytest.raises(TruncationNotConverged):  # a batch raises at its first point that fails
+        evaluate("ln-gamma", params, [1.0, t, 0.0])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--family", "qk", "--q", str(q), "--k", str(k), "--t", str(t), "--fn", "ln-gamma"])
+    assert code == 3 and "TruncationNotConverged" in err.getvalue(), err.getvalue()
+
+
 def test_n_max_caps_the_lattice_terms():
     params = DeformParams.pq(10**6, 0.999)
     with pytest.raises(TruncationNotConverged):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -27,7 +28,7 @@ from qdigamma import (
     q_bracket,
 )
 
-from qdigamma._series import CHUNK
+from qdigamma.qcore import CHUNK, _em_qk
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 
@@ -326,6 +327,23 @@ def _batch_grid(family: str, rng: random.Random):
     return lines
 
 
+# (params, points that evaluate, a t whose ln Gamma overflows or None) per kernel.  The (q,k) points
+# at q = 1 - 1e-5 take the direct route at t = 1000 and the Euler-Maclaurin route at t = 1; at
+# (q, k) = (0.5, 0.001) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e306,
+# the Euler-Maclaurin route at t = 1e-306.  The PQ ln Gamma batch takes one route for all its points:
+# the lattice route at p = 1e6, the direct one at p = 1e4.  psi_pq is always summed directly.
+FIRST_FAILURE = {
+    ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1000.0, 1.0], None)],
+    ("qk", "psi-prime"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1000.0, 1.0], None)],
+    ("qk", "ln-gamma"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1.0], 1e308),
+                         (DeformParams.qk(0.5, 0.001), [1.0, 1e-306], 1e306)],
+    ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
+    ("pq", "psi-prime"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
+    ("pq", "ln-gamma"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], 1.7e308),
+                         (DeformParams.pq(10**4, 0.999), [1.0, 2.5], 1.7e308)],
+}
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("family", ["qk", "pq"])
     @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
@@ -356,6 +374,21 @@ class TestEvaluate:
             evaluate("psi", params, [5000.0, -1.0, 0.5], tol)
         with pytest.raises(TruncationNotConverged):
             evaluate("psi", params, [5000.0, 0.5, -1.0], tol)
+
+    @pytest.mark.parametrize("family,fn", list(FIRST_FAILURE))
+    def test_each_kernel_raises_its_first_failing_point(self, family, fn):
+        for params, good, overflow in FIRST_FAILURE[family, fn]:
+            for t in good:
+                assert math.isfinite(SCALAR[family, fn](t, params).value), (params, t)
+            if family == "qk" and len(good) == 2:  # the direct route, then the Euler-Maclaurin one
+                em = [SCALAR[family, fn](t, params) == _em_qk(fn, params, t, Tolerance()) for t in good]
+                assert em == [False, True], (params, good)
+            failing = {-1.0: DomainError, **({} if overflow is None else {overflow: TruncationNotConverged})}
+            for order in itertools.permutations(good + list(failing)):
+                want = next(failing[t] for t in order if t in failing)
+                with pytest.raises((DomainError, TruncationNotConverged)) as info:
+                    evaluate(fn, params, list(order))
+                assert type(info.value) is want, (params, order, info.value)
 
     def test_unknown_function(self):
         with pytest.raises(DomainError):
