@@ -40,7 +40,6 @@ __all__ = [
     "SpecVerdict",
     "VerificationReport",
     "Suite",
-    "SUITE_FAMILY",
     "validate_spec",
     "ratio_G",
     "ratio_H",
@@ -180,7 +179,14 @@ SUITES = {
     Suite.MONOTONE_PSI: (None, (0.1, 5.0), "nondecreasing", "psi"),
     Suite.MONOTONE_PSI_PRIME: (None, (0.1, 5.0), "nonincreasing", "psi-prime"),
 }
-SUITE_FAMILY = {suite: row[0] for suite, row in SUITES.items() if row[0] is not None}
+
+
+def _positive(r: EvalResult) -> bool:
+    return r.value - r.tail_bound > 0.0
+
+
+def _negative(r: EvalResult) -> bool:
+    return r.value + r.tail_bound < 0.0
 
 
 def _t_range(t_range: tuple) -> tuple:
@@ -200,19 +206,22 @@ def _psi_lines(fn: str, spec: RatioSpec, params: DeformParams, ts, tol: Toleranc
     return res[0::2], res[1::2]
 
 
+def _entry_psi_lines(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
+    """psi lines at the ts a public entry is given; DomainError at the first t below zero."""
+    for t in ts:
+        if t < 0.0:
+            raise DomainError(f"t={t!r} must be nonnegative")
+    return _psi_lines("psi", spec, params, ts, tol)
+
+
 def _verdict(spec: RatioSpec, t_lo: float, t_hi: float, lo: EvalResult, hi: EvalResult) -> SpecVerdict:
     reasons = []
     for t_end in (t_lo, t_hi):
         if spec.lower_arg(t_end) > spec.upper_arg(t_end):
             reasons.append(f"argument ordering fails at t={t_end:g}")
-    if lo.value - lo.tail_bound <= 0.0:
-        reasons.append(
-            f"psi({spec.lower_arg(t_lo):g}) = {lo.value:.6g} not certainly positive"
-        )
-    if hi.value - hi.tail_bound <= 0.0:
-        reasons.append(
-            f"psi({spec.upper_arg(t_lo):g}) = {hi.value:.6g} not certainly positive"
-        )
+    for arg, r in ((spec.lower_arg(t_lo), lo), (spec.upper_arg(t_lo), hi)):
+        if not _positive(r):
+            reasons.append(f"psi({arg:g}) = {r.value:.6g} not certainly positive")
     return SpecVerdict(not reasons, tuple(reasons), lo.value, hi.value)
 
 
@@ -233,8 +242,8 @@ def validate_spec(
     return _verdict(spec, t_lo, t_hi, lo, hi)
 
 
-def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> EvalResult:
-    """G(t) from x = psi(a+bt) and y = psi(c+dt)."""
+def _positive_lows(t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> tuple:
+    """x - tail and y - tail for x = psi(a+bt), y = psi(c+dt); PositivityViolated unless both are > 0."""
     x_low = x.value - x.tail_bound
     y_low = y.value - y.tail_bound
     if x_low <= 0.0 or y_low <= 0.0:
@@ -242,6 +251,12 @@ def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: D
             f"psi not certainly positive at t={t:g} "
             f"(psi_num={x.value:.6g}, psi_den={y.value:.6g}, {params.label()})"
         )
+    return x_low, y_low
+
+
+def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> EvalResult:
+    """G(t) from x = psi(a+bt) and y = psi(c+dt)."""
+    x_low, y_low = _positive_lows(t, x, y, params)
     # exp of the log expression: no overflow for large exponents, and the
     # truncation error propagates linearly through the logs
     value = math.exp(spec.alpha * math.log(x.value) - spec.beta * math.log(y.value))
@@ -250,9 +265,7 @@ def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: D
 
 
 def _ratio(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    (x,), (y,) = _psi_lines("psi", spec, params, [t], tol)
+    (x,), (y,) = _entry_psi_lines(spec, params, [t], tol)
     return _ratio_of(spec, t, x, y, params)
 
 
@@ -274,9 +287,7 @@ def ratio_values(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance = DEF
     Each t must meet the preconditions on [t, t], as validate_spec checks
     them; the first t that does not raises DomainError.
     """
-    for t in ts:
-        _t_range((t, t))
-    xs, ys = _psi_lines("psi", spec, params, ts, tol)
+    xs, ys = _entry_psi_lines(spec, params, ts, tol)
     values = []
     for t, x, y in zip(ts, xs, ys):
         verdict = _verdict(spec, t, t, x, y)
@@ -286,21 +297,21 @@ def ratio_values(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance = DEF
     return values
 
 
-def _check_positive(t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> None:
-    if x.value - x.tail_bound <= 0.0 or y.value - y.tail_bound <= 0.0:
-        raise PositivityViolated(
-            f"psi not certainly positive at t={t:g} ({params.label()})"
-        )
+def _cross_margins(spec: RatioSpec, params: DeformParams, ts, xs, ys, tol: Tolerance) -> list:
+    """(margin, propagated numerical slack) of the cross product at each t of ts, given psi in xs, ys.
 
-
-def _cross_of(spec: RatioSpec, x: EvalResult, y: EvalResult, xp: EvalResult, yp: EvalResult):
-    """Cross margin and its propagated numerical slack from psi and psi' at a+bt, c+dt."""
+    Every t passes the positivity check before psi' is evaluated at all of them, in one batch.
+    """
+    for t, x, y in zip(ts, xs, ys):
+        _positive_lows(t, x, y, params)
+    xps, yps = _psi_lines("psi-prime", spec, params, ts, tol)
     ab, bd = spec.alpha * spec.b, spec.beta * spec.d
-    margin = ab * y.value * xp.value - bd * x.value * yp.value
-    slack = ab * (abs(y.value) * xp.tail_bound + xp.value * y.tail_bound) + bd * (
-        abs(x.value) * yp.tail_bound + yp.value * x.tail_bound
-    )
-    return margin, slack
+    return [
+        (ab * y.value * xp.value - bd * x.value * yp.value,
+         ab * (abs(y.value) * xp.tail_bound + xp.value * y.tail_bound)
+         + bd * (abs(x.value) * yp.tail_bound + yp.value * x.tail_bound))
+        for x, y, xp, yp in zip(xs, ys, xps, yps)
+    ]
 
 
 def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -308,14 +319,12 @@ def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tole
 
     Nonnegative whenever the precondition (argument ordering, exponent
     condition, positivity) holds; it is the numerator of d/dt ln G times
-    psi(a+bt)*psi(c+dt).
+    psi(a+bt)*psi(c+dt).  The lemma-cross suite's own code at one t: raises
+    DomainError for t < 0, PositivityViolated unless psi(a+bt) and psi(c+dt)
+    are certainly positive, and TruncationNotConverged from the kernels.
     """
-    if t < 0.0:
-        raise DomainError(f"t={t!r} must be nonnegative")
-    (x,), (y,) = _psi_lines("psi", spec, params, [t], tol)
-    _check_positive(t, x, y, params)
-    (xp,), (yp,) = _psi_lines("psi-prime", spec, params, [t], tol)
-    margin, _ = _cross_of(spec, x, y, xp, yp)
+    xs, ys = _entry_psi_lines(spec, params, [t], tol)
+    ((margin, _),) = _cross_margins(spec, params, [t], xs, ys, tol)
     return margin
 
 
@@ -345,15 +354,14 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
             raise DomainError(
                 f"suite {suite.value} is stated for {family.value} parameters; the grid has {params.label()}"
             )
-    if monotone:
-        if grid.t_min <= 0.0:
-            raise DomainError(
-                f"suite {suite.value} evaluates psi at the grid points themselves, "
-                f"so it needs t_min > 0; got t_min={grid.t_min!r}"
-            )
-    else:
+    if not monotone:
         t_lo, t_hi = _t_range(
             (min(grid.t_min, 1.0) if kind == "corollary" else grid.t_min, grid.t_max))
+    elif grid.t_min <= 0.0:
+        raise DomainError(
+            f"suite {suite.value} evaluates psi at the grid points themselves, "
+            f"so it needs t_min > 0; got t_min={grid.t_min!r}"
+        )
     t_vals = grid.t_values()
     checks_run = 0
     skipped = 0
@@ -392,31 +400,22 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
             xs, ys = xs[1:], ys[1:]
 
             if kind == "cross":
-                for t, x, y in zip(t_vals, xs, ys):
-                    _check_positive(t, x, y, params)
-                xps, yps = _psi_lines("psi-prime", spec, params, t_vals, tol)
-                for t, x, y, xp, yp in zip(t_vals, xs, ys, xps, yps):
-                    margin, slack = _cross_of(spec, x, y, xp, yp)
+                for t, (margin, slack) in zip(t_vals, _cross_margins(spec, params, t_vals, xs, ys, tol)):
                     record(margin, _eps_for(slack), {"pair_index": i, "t": t, "check": "cross"})
                 continue
 
             def g(j):
                 return _ratio_of(spec, ts[j + 1], xs[j], ys[j], params)
 
-            # the reference points before the t loop, in the order a t-by-t run meets them
-
-            if kind == "corollary":
-                g_one = g(len(t_vals))
-                for j, t in enumerate(t_vals):
-                    g_t = g(j)
-                    record(g_t.value - g_one.value, _eps_for(g_t.tail_bound + g_one.tail_bound),
-                           {"pair_index": i, "t": t, "check": "corollary"})
-            else:
-                g_lo, g_hi = g(0), g(len(t_vals) - 1)
-                for j, t in enumerate(t_vals):
-                    g_t = g(j)
-                    record(g_t.value - g_lo.value, _eps_for(g_t.tail_bound + g_lo.tail_bound),
-                           {"pair_index": i, "t": t, "check": "lower"})
+            # the reference points before the t loop, in the order a t-by-t run meets them; a
+            # corollary holds G(t) above G(1), a theorem between G(t_min) and G(t_max)
+            g_lo, g_hi = (g(len(t_vals)), None) if kind == "corollary" else (g(0), g(len(t_vals) - 1))
+            lower = "corollary" if g_hi is None else "lower"
+            for j, t in enumerate(t_vals):
+                g_t = g(j)
+                record(g_t.value - g_lo.value, _eps_for(g_t.tail_bound + g_lo.tail_bound),
+                       {"pair_index": i, "t": t, "check": lower})
+                if g_hi is not None:
                     record(g_hi.value - g_t.value, _eps_for(g_hi.tail_bound + g_t.tail_bound),
                            {"pair_index": i, "t": t, "check": "upper"})
         except (PositivityViolated, TruncationNotConverged) as exc:
@@ -433,7 +432,6 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
         checks_run=checks_run,
         skipped=skipped,
         errors=tuple(errors),
-        epsilon=EPS_BASE,
     )
 
 
@@ -444,14 +442,6 @@ ROOT_WIDTH = 1e-12
 # When lo moves by more than this, the next step takes psi' at the new lo (a
 # Newton step); after a shorter move it reuses the last psi' (a chord step).
 _CHORD_STEP = 1e-4
-
-
-def _negative(r: EvalResult) -> bool:
-    return r.value + r.tail_bound < 0.0
-
-
-def _positive(r: EvalResult) -> bool:
-    return r.value - r.tail_bound > 0.0
 
 
 def _targets(t: float, r: EvalResult, slope: float):
@@ -611,8 +601,11 @@ def make_verification_grid(
     When t_max > 1 the slopes are sampled with d >= b so the argument
     ordering holds on the whole range.
     The first two pairs exercise the exact boundary cases a=c, b=d,
-    alpha=beta (ratio identically 1) and beta*d = alpha*b.
+    alpha=beta (ratio identically 1) and beta*d = alpha*b.  DomainError
+    unless n_specs >= 1: a grid without pairs would pass every suite unchecked.
     """
+    if n_specs < 1:
+        raise DomainError(f"n_specs={n_specs!r} must be >= 1")
     family = Family(family)
     rng = random.Random(f"{family.value}:{seed}:{n_specs}")
     full_range = t_max > 1.0
@@ -627,16 +620,13 @@ def make_verification_grid(
             continue
         a = t0 + 0.1 + rng.uniform(0.0, 4.9)
         idx = len(pairs)
-        if idx == 0:
-            # degenerate: identical numerator and denominator, margins all 0
+        if idx < 2:
+            # exponent condition tight: beta*d = alpha*b exactly; pair 0 is also
+            # degenerate, identical numerator and denominator, margins all 0
             b = rng.uniform(0.1, 3.0)
             alpha = rng.uniform(0.25, 3.0)
-            spec = RatioSpec(a=a, b=b, c=a, d=b, alpha=alpha, beta=alpha)
-        elif idx == 1:
-            # exponent condition tight: beta*d = alpha*b exactly
-            b = rng.uniform(0.1, 3.0)
-            alpha = rng.uniform(0.25, 3.0)
-            spec = RatioSpec(a=a, b=b, c=a + rng.uniform(0.1, 2.0), d=b, alpha=alpha, beta=alpha)
+            c = a if idx == 0 else a + rng.uniform(0.1, 2.0)
+            spec = RatioSpec(a=a, b=b, c=c, d=b, alpha=alpha, beta=alpha)
         else:
             b = rng.uniform(0.05, 3.0)
             beta = rng.uniform(0.25, 2.0)

@@ -91,6 +91,13 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("specs", ["0", "-3"])
+    def test_verify_without_specs_exit_2(self, specs):
+        proc = run_cli("verify", "--suite", "qk-theorem", "--specs", specs)
+        assert proc.returncode == 2
+        assert "DomainError" in proc.stderr
+        assert proc.stdout == ""
+
     def test_limits_convergence_failure_exit_1(self):
         proc = run_cli("limits", "--remark", "3.4", "--t", "1", "--p", "1")
         assert proc.returncode == 1

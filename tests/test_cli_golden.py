@@ -53,6 +53,16 @@ COMMANDS = [
     ("table", "--t-min", "3", "--t-max", "1"),
     # a ln Gamma_qk value past double precision, refused on the direct route
     ("eval", "--family", "qk", "--q", "0.5", "--k", "0.001", "--t", "1e306", "--fn", "ln-gamma"),
+    # the other suites of the inequality engine, the family-agnostic ones for both families
+    *[("verify", "--suite", *suite, "--specs", "3", "--t-points", "4", "--seed", "7")
+      for suite in (("qk-corollary",), ("pq-theorem",), ("pq-corollary",), ("lemma-cross",),
+                    ("lemma-cross", "--family", "pq"), ("monotone-psi", "--family", "pq"),
+                    ("monotone-psi-prime",))],
+    # the ratio's precondition refused: psi(0.5) and psi(1) are negative at qk(0.5, 1)
+    ("eval", "--family", "qk", "--q", "0.5", "--k", "1", "--fn", "ratio",
+     "--a", "0.5", "--b", "1", "--c", "1", "--d", "1", "--alpha", "1", "--beta", "1", "--t", "0"),
+    # a grid without specs, refused rather than passed unchecked
+    ("verify", "--suite", "qk-theorem", "--specs", "0"),
 ]
 
 

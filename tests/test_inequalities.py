@@ -28,6 +28,7 @@ from qdigamma import (
     verify_bounds,
 )
 from qdigamma._jsonfmt import dumps
+from qdigamma.inequalities import ratio_values
 
 from conftest import brute_psi_qk
 
@@ -311,6 +312,12 @@ class TestGridGeneration:
         for params, spec in grid.pairs:
             assert validate_spec(spec, params, (0.0, 1.0)).valid
 
+    @pytest.mark.parametrize("n_specs", [0, -3])
+    def test_grid_without_specs_is_refused(self, n_specs):
+        # a grid without pairs would run no check and report PASS
+        with pytest.raises(DomainError, match="must be >= 1"):
+            make_verification_grid("qk", n_specs, 5, seed=1)
+
     def test_grid_spec_invariants(self):
         with pytest.raises(DomainError):
             GridSpec(t_min=0.0, t_max=1.0, t_count=1, pairs=(), seed=0)
@@ -325,3 +332,76 @@ class TestToleranceAccounting:
         grid = make_verification_grid("qk", 6, 6, seed=17, tol=tol)
         report = verify_bounds(Suite.QK_THEOREM, grid, tol)
         assert report.passed
+
+
+def _first_minimum(checks):
+    """(margin, point) of the first smallest margin, as verify_bounds records them."""
+    worst, worst_point = math.inf, None
+    for margin, point in checks:
+        if margin < worst:
+            worst, worst_point = margin, point
+    return worst, worst_point
+
+
+class TestOnePointEntriesAreTheSuitesPath:
+    """check_lemma_cross and ratio_G/ratio_H give the suites' margins bit for bit."""
+
+    @staticmethod
+    def grid(family):
+        # without the two boundary pairs, whose margins are exact ties
+        full = make_verification_grid(family, 6, 7, seed=11)
+        return GridSpec(t_min=full.t_min, t_max=full.t_max, t_count=full.t_count,
+                        pairs=full.pairs[2:], seed=full.seed)
+
+    @pytest.mark.parametrize("family", ["qk", "pq"])
+    def test_lemma_cross_matches_check_lemma_cross(self, family):
+        grid = self.grid(family)
+        report = verify_bounds(Suite.LEMMA_CROSS, grid)
+        assert report.passed and report.skipped == 0
+        worst, point = _first_minimum(
+            (check_lemma_cross(spec, t, params), {"pair_index": i, "t": t, "check": "cross"})
+            for i, (params, spec) in enumerate(grid.pairs) for t in grid.t_values()
+        )
+        assert (report.worst_violation, report.worst_point) == (worst, point)
+
+    @pytest.mark.parametrize("family, suite, ratio", [
+        ("qk", Suite.QK_THEOREM, ratio_G),
+        ("pq", Suite.PQ_THEOREM, ratio_H),
+    ])
+    def test_theorem_matches_ratio_differences(self, family, suite, ratio):
+        grid = self.grid(family)
+        report = verify_bounds(suite, grid)
+        assert report.passed and report.skipped == 0
+        ts = grid.t_values()
+
+        def checks():
+            for i, (params, spec) in enumerate(grid.pairs):
+                g_lo, g_hi = ratio(spec, ts[0], params).value, ratio(spec, ts[-1], params).value
+                for t in ts:
+                    g_t = ratio(spec, t, params).value
+                    yield g_t - g_lo, {"pair_index": i, "t": t, "check": "lower"}
+                    yield g_hi - g_t, {"pair_index": i, "t": t, "check": "upper"}
+
+        assert (report.worst_violation, report.worst_point) == _first_minimum(checks())
+
+    def test_one_positivity_refusal(self):
+        # psi(0.5) and psi(1) are both negative at qk(0.5, 1)
+        spec = RatioSpec(a=0.5, b=1.0, c=1.0, d=1.0, alpha=1.0, beta=1.0)
+        params = DeformParams.qk(0.5, 1.0)
+        with pytest.raises(PositivityViolated) as ratio_exc:
+            ratio_G(spec, 0.0, params)
+        with pytest.raises(PositivityViolated) as cross_exc:
+            check_lemma_cross(spec, 0.0, params)
+        assert str(cross_exc.value) == str(ratio_exc.value)
+        assert "psi_num=-1.63855, psi_den=-0.420529" in str(cross_exc.value)
+
+    def test_one_nonnegative_t_check(self):
+        params = DeformParams.qk(0.5, 1.0)
+        messages = set()
+        for entry in (lambda: ratio_G(spec_example(), -1.0, params),
+                      lambda: check_lemma_cross(spec_example(), -1.0, params),
+                      lambda: ratio_values(spec_example(), params, [0.5, -1.0])):
+            with pytest.raises(DomainError) as exc:
+                entry()
+            messages.add(str(exc.value))
+        assert messages == {"t=-1.0 must be nonnegative"}
