@@ -259,9 +259,13 @@ def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: D
     x_low, y_low = _positive_lows(t, x, y, params)
     # exp of the log expression: no overflow for large exponents, and the
     # truncation error propagates linearly through the logs
-    value = math.exp(spec.alpha * math.log(x.value) - spec.beta * math.log(y.value))
+    terms = x.terms_used + y.terms_used
+    try:
+        value = math.exp(spec.alpha * math.log(x.value) - spec.beta * math.log(y.value))
+    except OverflowError:
+        raise TruncationNotConverged(f"the ratio at t={t!r} overflows a double", math.inf, terms) from None
     rel = spec.alpha * x.tail_bound / x_low + spec.beta * y.tail_bound / y_low
-    return EvalResult(value, value * rel, x.terms_used + y.terms_used)
+    return EvalResult(value, value * rel, terms)
 
 
 def _ratio(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:

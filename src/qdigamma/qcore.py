@@ -108,9 +108,10 @@ __all__ = [
 # dominates the true tail after double rounding of the bound expression.
 _SAFETY = 1.0 + 1e-12
 
-# Most terms one sum_terms array holds, so memory stays bounded on multi-million-term
-# series, and one batch block (rows x summed width): less than a CHUNK, so memory stays at
-# the scale of one-point sums whatever the batch size; a wider point is summed on its own.
+# Terms per fsum partial of sum_terms, and the most terms one term array holds (64 KiB):
+# a long sum is built in blocks of _BLOCK_TERMS combined in numpy's pairwise order
+# (pairwise_sum), and a batch block (rows x summed width) is no larger.  Blocks stay below
+# the allocator's mmap threshold, so their pages are reused rather than faulted in afresh.
 CHUNK = 1 << 15
 _BLOCK_TERMS = CHUNK // 4
 
@@ -217,36 +218,44 @@ def psi_pq_limit(params: DeformParams) -> float:
 
 def _power_terms(kl: float, prime: bool):
     """q^(n t) / (1 - q^(n k)), times n for psi', for rows x = t ln q, with kl = k ln q."""
-    # one expression each, so numpy reuses the temporaries of long rows
     if prime:
         return lambda x, n: n * np.exp(n * x) / -np.expm1(n * kl)
     return lambda x, n: np.exp(n * x) / -np.expm1(n * kl)
 
 
 def _ln1m_exp_terms(y: np.ndarray) -> np.ndarray:
-    """log1p(-exp(y)) for y < 0 falling along its last axis; log(-expm1(y)) where exp(y) rounds to 1.
-
-    Formed in place, as one expression reuses its temporaries: fresh arrays cost page faults on long rows.
-    """
+    """log1p(-exp(y)) for y < 0 falling along its last axis; log(-expm1(y)) where exp(y) rounds to 1."""
     e = np.exp(y)
     if (e[..., :1] == 1.0).any():  # only a row's leading term can round to 1
         return np.where(e == 1.0, np.log(-np.expm1(y)), np.log1p(-np.where(e == 1.0, 0.0, e)))
-    return np.log1p(np.negative(e, out=e), out=e)
+    return np.log1p(-e)
+
+
+def pairwise_sum(term_fn, lo: int, hi: int) -> float:
+    """The sum of the array term_fn(n) for the float indices n = lo..hi-1, built in blocks of at most
+    _BLOCK_TERMS terms and with the bits of one np.add.reduce over all of them.
+
+    numpy reduces a float64 row pairwise, splitting a run of n > 128 terms after n//2
+    rounded down to a multiple of 8.  Runs wider than _BLOCK_TERMS are split here the same
+    way, and each block is reduced by numpy.
+    """
+    n = hi - lo
+    if n <= _BLOCK_TERMS:
+        return float(np.add.reduce(term_fn(np.arange(lo, hi, dtype=np.float64))))
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(term_fn, lo, lo + half) + pairwise_sum(term_fn, lo + half, hi)
 
 
 def sum_terms(term_fn, n_first: int, n_last: int) -> float:
     """Sum the array term_fn(n) for integer n in [n_first, n_last], low index first.
 
-    One CHUNK at a time, each reduced pairwise and the partials added by math.fsum (Shewchuk's
+    One CHUNK at a time, each built in blocks of at most _BLOCK_TERMS terms and reduced in
+    numpy's pairwise order (pairwise_sum), the partials added by math.fsum (Shewchuk's
     error-free transformation), so the rounding error stays far below every certified tail bound.
     """
-    if n_last < n_first:
-        return 0.0
     partials = []
     for lo in range(n_first, n_last + 1, CHUNK):
-        hi = min(lo + CHUNK - 1, n_last)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        partials.append(float(np.add.reduce(term_fn(n))))
+        partials.append(pairwise_sum(term_fn, lo, min(lo + CHUNK, n_last + 1)))
     return math.fsum(partials)
 
 
@@ -256,10 +265,10 @@ def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
     Rows are sorted widest first and packed into blocks of at most
     _BLOCK_TERMS terms (rows times the widest row).  A block's terms are
     built as one array and each run of rows of one width is reduced in one
-    call.  Block rows are narrower than a CHUNK, so each is the single
-    partial of its sum_terms; fsum returns that partial unchanged except that
-    it reads -0.0 as 0.0, which adding 0.0 reproduces.  A row that fills a
-    block alone is summed by sum_terms, which builds it one CHUNK at a time.
+    call.  Block rows are at most _BLOCK_TERMS wide, so each is the single
+    block of its sum_terms; fsum returns that sum unchanged except that it
+    reads -0.0 as 0.0, which adding 0.0 reproduces.  A row that fills a
+    block alone is summed by sum_terms, in blocks of _BLOCK_TERMS terms.
     """
     if len(lasts) == 1:  # the one-point call: no blocks to plan
         return [sum_terms(partial(terms, xs[0]), n_first, lasts[0])]

@@ -2,7 +2,9 @@
 
 These routines deliberately share no truncation or stopping machinery with
 the certified evaluators in ``qcore``; they exist so tests and limit scans
-can cross-check values against a second, simpler route.
+can cross-check values against a second, simpler route.  The plain partial
+sums share only the summation order: their terms are built in blocks of
+2^13 and combined by ``qcore.pairwise_sum`` in numpy's pairwise order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import DeformParams, Family
+from .qcore import pairwise_sum
 
 __all__ = [
     "OracleMethod",
@@ -103,21 +106,27 @@ class SeriesKind(str, Enum):
     LNGAMMA_QK = "ln_gamma_qk"
 
 
-def _neg_expm1(x: np.ndarray) -> np.ndarray:
-    """-expm1(x), in place."""
-    return np.negative(np.expm1(x, out=x), out=x)
-
-
-def _log1m_exp(x: np.ndarray) -> np.ndarray:
-    """log1p(-exp(x)), in place."""
-    return np.log1p(np.negative(np.exp(x, out=x), out=x), out=x)
+def _series_terms(kind: SeriesKind, t: float, k: float, ln_q: float):
+    """The terms of a QK series at the float indices n >= 1, as a function of n."""
+    if kind is SeriesKind.PSI_QK:
+        return lambda n: np.exp(n * (t * ln_q)) / -np.expm1(n * (k * ln_q))
+    if kind is SeriesKind.PSI_QK_PRIME:
+        return lambda n: n * np.exp(n * (t * ln_q)) / -np.expm1(n * (k * ln_q))
+    if kind is SeriesKind.LNGAMMA_QK:
+        # the product index m = n - 1 runs from 0
+        return lambda n: (np.log1p(-np.exp((k + (n - 1.0) * k) * ln_q))
+                          - np.log1p(-np.exp((t + (n - 1.0) * k) * ln_q)))
+    raise DomainError(f"unknown series kind {kind!r}")
 
 
 def brute_force_series(kind: SeriesKind, t: float, params: DeformParams, n_terms: int) -> float:
     """Plain partial sum of a QK series to exactly n_terms, no early stopping.
 
     Used to validate the certified tail bounds: the difference between the
-    partial sums at N and 4N must stay below the bound reported at N.
+    partial sums at N and 4N must stay below the bound reported at N.  The
+    terms are built in blocks of at most 2^13 and combined in numpy's
+    pairwise order, so the sum has the bits of one np.sum over all of them;
+    that order is all the oracle shares with ``qcore``.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms={n_terms!r} must be >= 1")
@@ -126,33 +135,9 @@ def brute_force_series(kind: SeriesKind, t: float, params: DeformParams, n_terms
     params.require(Family.QK)
     q, k = params.q, params.k
     ln_q = math.log(q)
-    # The terms are formed in place in two arrays, n and a, with the
-    # elementwise operations of the plain expressions noted in each branch,
-    # so every term and the one np.sum keep their bits.
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    s = pairwise_sum(_series_terms(kind, t, k, ln_q), 1, n_terms + 1)
     if kind is SeriesKind.PSI_QK:
-        # sum(exp(n*(t ln q)) / -expm1(n*(k ln q)))
-        a = np.multiply(n, t * ln_q)
-        np.exp(a, out=a)
-        _neg_expm1(np.multiply(n, k * ln_q, out=n))
-        s = float(np.sum(np.divide(a, n, out=a)))
         return -math.log1p(-q) / k + ln_q * s
     if kind is SeriesKind.PSI_QK_PRIME:
-        # sum(n*exp(n*(t ln q)) / -expm1(n*(k ln q)))
-        a = np.multiply(n, t * ln_q)
-        np.multiply(n, np.exp(a, out=a), out=a)
-        _neg_expm1(np.multiply(n, k * ln_q, out=n))
-        s = float(np.sum(np.divide(a, n, out=a)))
         return ln_q * ln_q * s
-    if kind is SeriesKind.LNGAMMA_QK:
-        # sum(log1p(-exp((k + m*k) ln q)) - log1p(-exp((t + m*k) ln q))), m = n - 1
-        m = np.subtract(n, 1.0, out=n)  # the product index runs from 0
-        a = np.multiply(m, k)
-        np.add(a, k, out=a)
-        _log1m_exp(np.multiply(a, ln_q, out=a))
-        np.multiply(m, k, out=m)
-        np.add(m, t, out=m)
-        _log1m_exp(np.multiply(m, ln_q, out=m))
-        s = float(np.sum(np.subtract(a, m, out=a)))
-        return s - (t / k - 1.0) * math.log1p(-q)
-    raise DomainError(f"unknown series kind {kind!r}")
+    return s - (t / k - 1.0) * math.log1p(-q)

@@ -86,6 +86,13 @@ class TestExitCodes:
         assert "TruncationNotConverged" in proc.stderr
         assert proc.stdout == ""  # no partial output on failure
 
+    def test_overflowing_ratio_exit_3(self, capsys):
+        argv = ["eval", "--family", "pq", "--p", "30", "--q", "0.9", "--fn", "ratio", "--a", "20", "--b", "1",
+                "--c", "30", "--d", "1", "--alpha", "5000", "--beta", "1", "--t", "0.5"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "TruncationNotConverged" in err and "overflows a double" in err
+
     def test_verify_pass_exit_0(self):
         proc = run_cli("verify", "--suite", "qk-theorem", "--specs", "5", "--t-points", "5", "--seed", "7")
         assert proc.returncode == 0

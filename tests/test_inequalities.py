@@ -137,6 +137,15 @@ class TestRatioH:
         with pytest.raises(TruncationNotConverged):
             ratio_H(spec, 0.0, DeformParams.pq(10**8, 0.5), Tolerance(n_max=1000))
 
+    def test_overflowing_ratio_is_refused(self):
+        # psi_pq(20.5) is about 2.13, so G = psi^5000 / psi(30.5) is about e^3780
+        spec = RatioSpec(a=20.0, b=1.0, c=30.0, d=1.0, alpha=5000.0, beta=1.0)
+        params = DeformParams.pq(30, 0.9)
+        with pytest.raises(TruncationNotConverged, match="overflows a double"):
+            ratio_H(spec, 0.5, params)
+        with pytest.raises(TruncationNotConverged, match="overflows a double"):
+            ratio_values(spec, params, [0.25, 0.5])
+
 
 class TestLemmaCross:
     def test_degenerate_margin_zero(self):

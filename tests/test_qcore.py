@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +29,8 @@ from qdigamma import (
     q_bracket,
 )
 
-from qdigamma.qcore import CHUNK, _em_qk
+from qdigamma import qcore, reference
+from qdigamma.qcore import CHUNK, _em_qk, pairwise_sum
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 
@@ -483,3 +485,46 @@ class TestLnGammaTinyT:
         except TruncationNotConverged:
             return
         assert math.isfinite(res.value)
+
+
+class TestBlockedSums:
+    """Long sums are built in blocks of _BLOCK_TERMS terms, combined in numpy's pairwise order."""
+
+    LENGTHS = [1, 7, 8, 9, 128, 129, 8191, 8192, 8193, 16383, 16384, 16385, 32767, 32768, 32769, 2_000_000]
+
+    def test_pairwise_sum_has_the_bits_of_numpy_reduce(self):
+        # A numpy whose add.reduce stops splitting at n//2 rounded down to a multiple of 8
+        # fails here, rather than moving the values of every long sum.
+        rng = np.random.default_rng(14)
+        lengths = self.LENGTHS + rng.integers(1, 300_000, 12).tolist()
+        split_matters = 0
+        for n in lengths:
+            # magnitudes spread over 2^-40..2^40, so every change of order moves the sum
+            a = rng.standard_normal(n) * np.exp2(rng.integers(-40, 40, n))
+            want = float(np.add.reduce(a))
+            for first in (0, 1):  # the index of a[0]: the sums start at 0 or 1
+                got = pairwise_sum(lambda i: a[int(i[0]) - first:int(i[-1]) + 1 - first], first, first + n)
+                assert got == want, (n, first, got, want)
+            split_matters += float(np.add.reduce(a[:n // 2])) + float(np.add.reduce(a[n // 2:])) != want
+        assert split_matters > 5  # the data tells a split at n//2 from numpy's
+
+    def test_no_term_array_is_wider_than_a_block(self, monkeypatch):
+        widths = []
+
+        def recording(term_fn):
+            def wrapped(n):
+                widths.append(n.size)
+                return term_fn(n)
+            return wrapped
+        sum_terms, series_terms = qcore.sum_terms, reference._series_terms
+        monkeypatch.setattr(qcore, "sum_terms", lambda term_fn, lo, hi: sum_terms(recording(term_fn), lo, hi))
+        monkeypatch.setattr(reference, "_series_terms", lambda *args: recording(series_terms(*args)))
+        qk, pq = DeformParams.qk(0.9999, 1.3), DeformParams.pq(100_000, 0.9999)
+        used = [kernel(3.5, qk).terms_used for kernel in (psi_qk, psi_qk_prime)]
+        used += [kernel(1.0, pq).terms_used for kernel in (psi_pq, ln_gamma_pq)]
+        assert min(used) > 3 * CHUNK
+        for kind in SeriesKind:
+            brute_force_series(kind, 0.5, qk, 200_000)
+        # ln Gamma_pq reports its p factorial terms and sums p + 1 shifted ones too
+        assert sum(widths) == sum(used) + pq.p + 1 + 3 * 200_000
+        assert max(widths) == qcore._BLOCK_TERMS
