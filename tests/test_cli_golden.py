@@ -63,6 +63,9 @@ COMMANDS = [
      "--a", "0.5", "--b", "1", "--c", "1", "--d", "1", "--alpha", "1", "--beta", "1", "--t", "0"),
     # a grid without specs, refused rather than passed unchecked
     ("verify", "--suite", "qk-theorem", "--specs", "0"),
+    # a q -> 1- scan whose term cap is hit at two points: a failing report with two errors
+    ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000"),
+    ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000", "--json"),
 ]
 
 
