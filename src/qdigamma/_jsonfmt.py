@@ -8,11 +8,18 @@ literals the stdlib parser accepts).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 # Version of every JSON document the package writes (CLI output and report dicts).
 SCHEMA_VERSION = "1"
+
+
+def as_dict(report) -> dict:
+    """{schema_version, then each dataclass field of report in declaration order}, values as they are."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {"schema_version": SCHEMA_VERSION, **fields}
 
 
 def format_float(x: float) -> str:

@@ -14,6 +14,7 @@ numerical failure (an unreachable truncation target).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -41,7 +42,7 @@ from .limits import (
     limit_q_to_1_pq,
     limit_q_to_1_qk,
 )
-from .params import DeformParams, Family, Tolerance
+from .params import DEFAULT_TOL, DeformParams, Family, Tolerance
 from .qcore import evaluate
 # the kernels, ratio and threshold functions stay bound here for tools that wrap them by module
 from .inequalities import find_positive_threshold, ratio_G, ratio_H, validate_spec  # noqa: F401
@@ -58,6 +59,9 @@ _REMARKS = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6")
 # (a text flag defaults to "", so that its config value is written as text)
 _REQUIRED = {"eval": "t", "verify": "suite", "limits": "remark"}
 
+# the ratio constants a, b, c, d, alpha, beta, each a flag of eval and table
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(RatioSpec))
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", default=None, help="JSON file whose keys mirror the flags; flags win")
-        p.add_argument("--abs-tol", type=float, default=1e-13, help="series truncation target")
-        p.add_argument("--n-max", type=int, default=10_000_000, help="series term cap")
+        p.add_argument("--abs-tol", type=float, default=DEFAULT_TOL.abs_tol, help="series truncation target")
+        p.add_argument("--n-max", type=int, default=DEFAULT_TOL.n_max, help="series term cap")
 
     def add_family(p):
         p.add_argument("--family", choices=[f.value for f in Family], default="qk")
@@ -80,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=1, help="PQ family integer p >= 1")
 
     def add_spec(p):
-        for name in ("a", "b", "c", "d", "alpha", "beta"):
+        for name in _SPEC_FIELDS:
             p.add_argument(f"--{name}", type=float, default=None, help=f"ratio constant {name}")
 
     def add_values(name, help, fmt):
@@ -170,16 +174,14 @@ def _tol_from(args) -> Tolerance:
 
 
 def _spec_from(args) -> RatioSpec:
-    missing = [n for n in ("a", "b", "c", "d", "alpha", "beta") if getattr(args, n) is None]
+    missing = [n for n in _SPEC_FIELDS if getattr(args, n) is None]
     if missing:
         raise DomainError(f"--fn ratio needs {', '.join('--' + m for m in missing)}")
-    return RatioSpec(a=args.a, b=args.b, c=args.c, d=args.d, alpha=args.alpha, beta=args.beta)
+    return RatioSpec(**{n: getattr(args, n) for n in _SPEC_FIELDS})
 
 
 def _spec_config(args) -> dict:
-    if getattr(args, "fn", None) == "ratio":
-        return {n: getattr(args, n) for n in ("a", "b", "c", "d", "alpha", "beta")}
-    return {}
+    return {n: getattr(args, n) for n in _SPEC_FIELDS} if getattr(args, "fn", None) == "ratio" else {}
 
 
 def _write(fmt: str, config: dict, key: str, doc, lines) -> None:

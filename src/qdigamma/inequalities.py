@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from ._jsonfmt import SCHEMA_VERSION
+from . import _jsonfmt
 from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
 from .qcore import evaluate, psi_pq_limit
@@ -71,8 +71,7 @@ class RatioSpec:
     beta: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "alpha", "beta"):
-            v = getattr(self, name)
+        for name, v in self.as_dict().items():
             if not (v > 0.0) or not math.isfinite(v):
                 raise DomainError(f"{name}={v!r} must be positive and finite")
         if self.a > self.c:
@@ -89,10 +88,7 @@ class RatioSpec:
         return self.c + self.d * t
 
     def as_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "alpha": self.alpha, "beta": self.beta,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -143,18 +139,7 @@ class VerificationReport:
     epsilon: float = EPS_BASE
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "suite": self.suite,
-            "grid": self.grid.as_dict(),
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "worst_point": self.worst_point,
-            "checks_run": self.checks_run,
-            "skipped": self.skipped,
-            "errors": list(self.errors),
-            "epsilon": self.epsilon,
-        }
+        return {**_jsonfmt.as_dict(self), "grid": self.grid.as_dict()}
 
 
 class Suite(str, Enum):
@@ -578,6 +563,10 @@ def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) 
     return 0.5 * (lo + hi)
 
 
+# Consecutive draws without a threshold after which make_verification_grid gives up.
+_MAX_FAILED_DRAWS = 20
+
+
 def _sample_params(rng: random.Random, family: Family) -> DeformParams:
     q = rng.uniform(0.1, 0.9)
     if family is Family.QK:
@@ -601,7 +590,9 @@ def make_verification_grid(
     preconditions hold by construction: t0 is the midpoint of a bracket at
     most ROOT_WIDTH wide (unless the band |psi| <= tail is wider), past
     whose top psi is certainly positive.  A parameter set without a
-    threshold (NoPositiveRegion, TruncationNotConverged) is drawn again.
+    threshold (NoPositiveRegion, TruncationNotConverged) is drawn again, up
+    to _MAX_FAILED_DRAWS times in a row; then the last draw's error is
+    raised, as when the tolerance is out of reach at every draw.
     When t_max > 1 the slopes are sampled with d >= b so the argument
     ordering holds on the whole range.
     The first two pairs exercise the exact boundary cases a=c, b=d,
@@ -614,6 +605,7 @@ def make_verification_grid(
     rng = random.Random(f"{family.value}:{seed}:{n_specs}")
     full_range = t_max > 1.0
     pairs = []
+    failed = 0
     while len(pairs) < n_specs:
         params = _sample_params(rng, family)
         try:
@@ -621,7 +613,11 @@ def make_verification_grid(
         except NoRootInBracket as exc:
             t0 = exc.floor
         except (NoPositiveRegion, TruncationNotConverged):
+            failed += 1
+            if failed == _MAX_FAILED_DRAWS:
+                raise
             continue
+        failed = 0
         a = t0 + 0.1 + rng.uniform(0.0, 4.9)
         idx = len(pairs)
         if idx < 2:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._jsonfmt import SCHEMA_VERSION
+from . import _jsonfmt
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, Q_MAX, Tolerance
 from .qcore import ln1m_exp, psi_pq, psi_qk, psi_qk_direct_count
@@ -55,25 +55,14 @@ class ConvergenceReport:
     passed: bool
     values: tuple = ()
     target_values: tuple = ()
-    cert_bounds: Optional[tuple] = None
     errors: tuple = ()
     discrepancy: Optional[str] = None
+    cert_bounds: Optional[tuple] = None  # last, as as_dict leaves it out where it is None
 
     def as_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "target_desc": self.target_desc,
-            "sequence": [[p, g] for p, g in self.sequence],
-            "monotone_tail": self.monotone_tail,
-            "final_gap": self.final_gap,
-            "passed": self.passed,
-            "values": list(self.values),
-            "target_values": list(self.target_values),
-            "errors": list(self.errors),
-            "discrepancy": self.discrepancy,
-        }
-        if self.cert_bounds is not None:
-            out["cert_bounds"] = list(self.cert_bounds)
+        out = _jsonfmt.as_dict(self)
+        if self.cert_bounds is None:
+            del out["cert_bounds"]
         return out
 
 
@@ -88,16 +77,7 @@ class SubstitutionCheck:
     ok: bool
     terms_used: int
 
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "value": self.value,
-            "oracle_value": self.oracle_value,
-            "gap": self.gap,
-            "allowance": self.allowance,
-            "ok": self.ok,
-            "terms_used": self.terms_used,
-        }
+    as_dict = _jsonfmt.as_dict
 
 
 def _monotone_tail(gaps: Sequence[float]) -> bool:

@@ -478,6 +478,12 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
     return EvalResult(value, tail, terms)
 
 
+def _qk_gamma_lead(t: float, k: float, ln1mq: float) -> float:
+    """-(t/k - 1) ln(1-q), the lead of ln Gamma_qk; t (-ln(1-q)/k) + ln(1-q) where t/k overflows first."""
+    lead = -(t / k - 1.0) * ln1mq
+    return lead if math.isfinite(lead) else t * (-ln1mq / k) + ln1mq
+
+
 def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResult:
     """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at t by the Euler-Maclaurin route.
 
@@ -490,7 +496,7 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
     q, k = params.q, params.k
     eps = -math.log(q)
     if fn == "ln-gamma":  # at t = k the two sums are the same bits, so ln Gamma(k) is 0.0
-        s, lead, scale, pairs = 1, -(t / k - 1.0) * math.log1p(-q), 1.0, ((eps * t, eps * k),)
+        s, lead, scale, pairs = 1, _qk_gamma_lead(t, k, math.log1p(-q)), 1.0, ((eps * t, eps * k),)
     elif fn == "psi":
         s, lead, scale, pairs = 0, -math.log1p(-q) / k, -eps, ((eps * t,),)
     else:
@@ -607,7 +613,7 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
             em.append((len(ns) + len(em), _em_qk(fn, params, t, tol)))
             continue
         if gamma:
-            leads.append(_direct_lead(-(t / k - 1.0) * ln1mq, t))
+            leads.append(_direct_lead(_qk_gamma_lead(t, k, ln1mq), t))
         xs.append(t if gamma else ln_r)
         ns.append(direct[0])
         tails.append(direct[1])
@@ -699,8 +705,9 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     Direct route's tail certified via |ln(1-x)| <= x/(1-x) on both product
     tails: after N factor pairs the remainder is at most
     q^((N+1)k)/(1-q^k)^2 + q^(t+Nk)/((1-q^t)(1-q^k)).  A value that overflows
-    raises TruncationNotConverged on either route, and so does a value that
-    would fit but whose lead -(t/k - 1) ln(1-q) overflows with t/k.
+    raises TruncationNotConverged on either route.  The lead -(t/k - 1) ln(1-q)
+    is formed as t (-ln(1-q)/k) + ln(1-q) where t/k overflows first, so a
+    value that fits is returned.
     """
     params.require(Family.QK)
     return _qk_batch("ln-gamma", params, (t,), tol)[0]

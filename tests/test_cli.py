@@ -105,6 +105,14 @@ class TestExitCodes:
         assert "DomainError" in proc.stderr
         assert proc.stdout == ""
 
+    def test_verify_without_thresholds_exit_3(self):
+        # at n_max = 5 no draw's threshold can be certified; the grid gives up instead of drawing
+        # forever (run_cli's timeout fails the test rather than letting it stall)
+        proc = run_cli("verify", "--suite", "qk-theorem", "--specs", "1", "--t-points", "3", "--n-max", "5")
+        assert proc.returncode == 3
+        assert "TruncationNotConverged" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_limits_convergence_failure_exit_1(self):
         proc = run_cli("limits", "--remark", "3.4", "--t", "1", "--p", "1")
         assert proc.returncode == 1

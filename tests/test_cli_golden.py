@@ -66,6 +66,8 @@ COMMANDS = [
     # a q -> 1- scan whose term cap is hit at two points: a failing report with two errors
     ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000"),
     ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000", "--json"),
+    # no draw of the grid has a certified threshold at n_max = 5: refused after a bounded number of draws
+    ("verify", "--suite", "qk-theorem", "--specs", "1", "--t-points", "3", "--n-max", "5"),
 ]
 
 

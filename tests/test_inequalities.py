@@ -28,7 +28,8 @@ from qdigamma import (
     verify_bounds,
 )
 from qdigamma._jsonfmt import dumps
-from qdigamma.inequalities import ratio_values
+from qdigamma import inequalities
+from qdigamma.inequalities import _MAX_FAILED_DRAWS, ratio_values
 
 from conftest import brute_psi_qk
 
@@ -326,6 +327,35 @@ class TestGridGeneration:
         # a grid without pairs would run no check and report PASS
         with pytest.raises(DomainError, match="must be >= 1"):
             make_verification_grid("qk", n_specs, 5, seed=1)
+
+    def test_draws_without_threshold_give_up(self, monkeypatch):
+        # every draw fails: the last draw's error is raised after _MAX_FAILED_DRAWS draws
+        calls = []
+
+        def no_threshold(params, tol):
+            calls.append(params)
+            if len(calls) > 1000:
+                raise AssertionError("the grid draws without end")
+            raise TruncationNotConverged(f"draw {len(calls)}", 1.0, 5)
+
+        monkeypatch.setattr(inequalities, "find_positive_threshold", no_threshold)
+        with pytest.raises(TruncationNotConverged, match=f"^draw {_MAX_FAILED_DRAWS}$"):
+            make_verification_grid("qk", 1, 3, seed=0)
+        assert len(calls) == _MAX_FAILED_DRAWS
+
+    def test_failed_draws_are_counted_in_a_row(self, monkeypatch):
+        # one draw in _MAX_FAILED_DRAWS has a threshold, so no run of failures reaches the bound
+        calls = []
+
+        def sparse_threshold(params, tol):
+            calls.append(params)
+            if len(calls) % _MAX_FAILED_DRAWS:
+                raise NoPositiveRegion("no threshold")
+            return 1.0
+
+        monkeypatch.setattr(inequalities, "find_positive_threshold", sparse_threshold)
+        grid = make_verification_grid("qk", 3, 3, seed=0)
+        assert len(grid.pairs) == 3 and len(calls) == 3 * _MAX_FAILED_DRAWS
 
     def test_grid_spec_invariants(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import random
 
@@ -15,7 +16,7 @@ import pytest
 
 from qdigamma import DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_pq, ln_gamma_qk
 from qdigamma.cli import main
-from qdigamma.qcore import _N0, _em_lattice, ln1m_exp, ln_q_bracket
+from qdigamma.qcore import _N0, _em_lattice, _em_qk, ln1m_exp, ln_q_bracket
 
 U = 2.0 ** -53
 P_EM = (_N0 + 1, 10**6, 10**7, 10**8)
@@ -182,10 +183,9 @@ def test_overflowing_value_is_refused(p):
     assert code == 3 and "TruncationNotConverged" in err.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("q,k,t", [(0.5, 0.001, 1e306), (0.0173, 0.0306, 1.9e307)])
+@pytest.mark.parametrize("q,k,t", [(0.5, 0.001, 1e306)])
 def test_overflowing_qk_value_is_refused(q, k, t):
-    # ln Gamma_qk on the direct route: about 6.9e308 at the first point, past every double; at the
-    # second the value, about 1.08e307, would fit, but t/k in its lead -(t/k - 1) ln(1-q) overflows
+    # ln Gamma_qk on the direct route: about 6.9e308, past every double
     params = DeformParams.qk(q, k)
     with pytest.raises(TruncationNotConverged):
         ln_gamma_qk(t, params)
@@ -195,6 +195,27 @@ def test_overflowing_qk_value_is_refused(q, k, t):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["eval", "--family", "qk", "--q", str(q), "--k", str(k), "--t", str(t), "--fn", "ln-gamma"])
     assert code == 3 and "TruncationNotConverged" in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("q,k,t,value,em", [
+    (0.0173, 0.0306, 1.9e307, 1.0835832635992211e307, False),
+    (0.5, 1e-6, 2e302, 1.3862943611198907e308, True),
+])
+def test_qk_value_past_an_overflowing_t_over_k_is_returned(q, k, t, value, em):
+    # t/k overflows in the lead -(t/k - 1) ln(1-q) of ln Gamma_qk, but the value fits in a double
+    mp = pytest.importorskip("mpmath")
+    params = DeformParams.qk(q, k)
+    res = ln_gamma_qk(t, params)
+    assert res.value == value
+    assert (_em_qk("ln-gamma", params, t, Tolerance()) == res) == em
+    with mp.workdps(40):  # the summed part is O(1), far below the lead's last bit
+        lead = float(-(mp.mpf(t) / mp.mpf(k) - 1) * mp.log1p(-mp.mpf(q)))
+    assert abs(value - lead) <= 4.0 * math.ulp(lead)
+    assert evaluate("ln-gamma", params, [1.0, t]) == [ln_gamma_qk(1.0, params), res]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["eval", "--family", "qk", "--q", str(q), "--k", str(k), "--t", str(t), "--fn", "ln-gamma"])
+    assert code == 0 and json.loads(out.getvalue())["result"]["value"] == value
 
 
 def test_n_max_caps_the_lattice_terms():
