@@ -35,10 +35,12 @@ ln Gamma (_qk_batch).  The direct route sums the series above; it needs
 about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point takes
 it only where its majorant stays in the floats: (1-q^k)(1-q^t), the divisor
 of the majorant, is at least the smallest normal float, the closed-form
-count of the majorant's geometric part is finite and at most N0 = 2^17, and
-the majorant after that count is a finite multiple of abs_tol.  Every other
-point takes the Euler-Maclaurin route.  Swapping the double sum puts each
-series on the lattice y_m = eps (a + m k), eps = -ln q:
+count of the majorant's geometric part is finite and at most N0_PSI = 2^10
+for psi and psi' (past about 10^3 terms the Euler-Maclaurin route is the
+faster) or N0 = 2^17 for ln Gamma, and the majorant after that count is a
+finite multiple of abs_tol.  Every other point takes the Euler-Maclaurin
+route.  Swapping the double sum puts each series on the lattice
+y_m = eps (a + m k), eps = -ln q:
 
     psi_qk(t)      = -ln(1-q)/k - eps * S_0(t)
     psi_qk'(t)     =  eps^2 * S_-1(t)
@@ -55,7 +57,9 @@ Li of negative order, with positive coefficients).  That bound, scaled and
 times the usual safety factor, is the tail_bound; M starts at 8 and grows
 until it is within abs_tol.  terms_used counts the terms the route formed:
 M + 2 + P per lattice sum (two for ln Gamma), a few dozen in all.  On either
-route n_max caps terms_used.
+route n_max caps terms_used.  Where psi's first lattice term Li_0(e^-eps t)
+overflows (eps t subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to
+within eps t relative, goes in the lead and the lattice starts at eps (t + k).
 
 ln Gamma_pq takes the same two routes by the same N0.  Its factorial terms
 ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so their last
@@ -119,9 +123,13 @@ _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
 # A (q,k) point whose direct series needs more terms than this, by the closed
-# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_batch);
-# so does a ln Gamma_pq batch with more nonzero factorial terms (_pq_batch).
+# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_batch):
+# _N0_PSI for psi and psi', where that route is the faster from about 10^3
+# terms; _N0 for ln Gamma_qk, whose Euler-Maclaurin route loses digits near
+# q = 1.  So does a ln Gamma_pq batch with more than _N0 nonzero factorial
+# terms (_pq_batch).
 _N0 = 1 << 17
+_N0_PSI = 1 << 10
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
 # the half end term and P = len(_BERNOULLI) Bernoulli corrections.
@@ -503,6 +511,10 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
         s, lead, scale, pairs = -1, 0.0, eps * eps, ((eps * t,),)
     if (-math.expm1(-eps * t)) ** (1 - s) == 0.0:
         raise TruncationNotConverged(f"{fn} at t={t!r}: (1 - q^t)^{1 - s} underflows", math.inf, 0)
+    if s == 0 and math.isinf(_li(0, eps * t)):
+        # 1/(e^y - 1) overflows at the subnormal y = eps t; the scaled term -eps/(e^y - 1) goes in
+        # the lead as -1/t, its value to within y relative, which keeps the digits y has lost
+        lead, pairs = lead - 1.0 / t, ((eps * (t + k),),)
     return _em_lattice(s, pairs, eps * k, lead, scale, tol)
 
 
@@ -528,8 +540,9 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
 
     N is the closed-form term count of the geometric majorant (inf past any
     float) and tail the majorant after N terms; (0, 0.0) when every term
-    underflows.  Where N <= N0 these are psi_qk's terms_used and tail_bound
-    but for a rare widening by one rounding.
+    underflows.  Where N <= N0_PSI these are psi_qk's terms_used and tail_bound
+    but for a rare widening by one rounding; past N0_PSI psi_qk takes the
+    Euler-Maclaurin route, and N is the count the direct series would need.
     """
     params.require(Family.QK)
     ln_q = math.log(params.q)
@@ -574,9 +587,9 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     direct series only where its majorant stays in the floats: (1-q^k)(1-q^t),
     which divides the majorant, is at least the smallest normal float; the
     closed-form count of the majorant's geometric part is finite and at most
-    N0; and the majorant's overshoot of abs_tol there is finite
-    (geometric_terms_needed).  Every t first passes its function's checks,
-    _check_ln_gamma_t or _series_ratio, in order.
+    N0_PSI (psi, psi') or N0 (ln Gamma); and the majorant's overshoot of
+    abs_tol there is finite (geometric_terms_needed).  Every t first passes
+    its function's checks, _check_ln_gamma_t or _series_ratio, in order.
     """
     q, k = params.q, params.k
     ln_q = math.log(q)
@@ -586,6 +599,10 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     gamma, prime = fn == "ln-gamma", fn == "psi-prime"
     # ln Gamma's count, the same at every t, from the numerator tail's geometric part held to abs_tol / 2
     gamma_count = geometric_count(2.0 / (one_minus_qk * one_minus_qk), ln_s, tol.abs_tol) if gamma else None
+    # ln Gamma's shifted terms ln(1 - q^(x + n k)) are formed at x = min(t, t_cap): past t_cap the power
+    # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
+    # a numpy warning on stderr, is never formed
+    t_cap = sys.float_info.max / (2.0 * -ln_q)
     xs, leads, tails, ns, em = [], [], [], [], []
     for t in ts:
         if gamma:
@@ -608,13 +625,13 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
             else:
                 coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, one_minus_qk, prime)
                 n, ln_step = geometric_count(coeff, ln_r, tol.abs_tol), ln_r
-            direct = geometric_terms_needed(tail_at, n, ln_step, tol) if n <= _N0 else None
+            direct = geometric_terms_needed(tail_at, n, ln_step, tol) if n <= (_N0 if gamma else _N0_PSI) else None
         if direct is None:
             em.append((len(ns) + len(em), _em_qk(fn, params, t, tol)))
             continue
         if gamma:
             leads.append(_direct_lead(_qk_gamma_lead(t, k, ln1mq), t))
-        xs.append(t if gamma else ln_r)
+        xs.append(min(t, t_cap) if gamma else ln_r)
         ns.append(direct[0])
         tails.append(direct[1])
     if gamma:  # numerator exponent written as k + n*k so that t = k cancels bitwise

@@ -57,6 +57,20 @@ class TestEval:
         expected = brute_psi_qk(2.5, 0.5, 1.0) / brute_psi_qk(3.5, 0.5, 1.0)
         assert doc["result"]["value"] == pytest.approx(expected, rel=1e-11)
 
+    def test_psi_of_a_finite_value_at_tiny_t(self):
+        # 1/(e^y - 1) overflows at y = eps t, but psi, about -1/t, is a finite double
+        proc = run_cli("eval", "--family", "qk", "--fn", "psi", "--q", "0.999999999", "--k", "1", "--t", "1e-300")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["value"] == pytest.approx(-1e300, rel=1e-14)
+
+    def test_ln_gamma_past_an_overflowing_exponent_writes_no_warning(self):
+        # (t + n k) ln q overflows to -inf, where q^(t + n k) is the 0 it rounds to: no numpy warning
+        proc = run_cli("eval", "--family", "qk", "--fn", "ln-gamma", "--q", "1e-9", "--k", "1", "--t", "1e308")
+        assert proc.returncode == 0 and proc.stderr == ""
+        result = json.loads(proc.stdout)["result"]
+        assert (result["value"], result["tail_bound"], result["terms_used"]) == \
+            (1.0000000005000002e+299, 1.0000000020010014e-18, 1)
+
     def test_ratio_missing_constants_exit_2(self):
         proc = run_cli("eval", "--family", "qk", "--q", "0.5", "--t", "0.5", "--fn", "ratio")
         assert proc.returncode == 2
@@ -79,8 +93,9 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_truncation_failure_exit_3(self):
+        # about 570 direct terms at q = 0.9, t = 0.5, past n_max
         proc = run_cli(
-            "eval", "--family", "qk", "--q", "0.99", "--t", "0.5", "--fn", "psi", "--n-max", "100"
+            "eval", "--family", "qk", "--q", "0.9", "--t", "0.5", "--fn", "psi", "--n-max", "100"
         )
         assert proc.returncode == 3
         assert "TruncationNotConverged" in proc.stderr

@@ -48,8 +48,10 @@ COMMANDS = [
     *[("eval", "--family", "qk", "--q", "0.99999", "--k", "1", "--t", "2.5", "--fn", fn)
       for fn in ("psi", "psi-prime", "ln-gamma")],
     ("eval", "--family", "pq", "--p", "1000000", "--q", "0.999", "--t", "2.5", "--fn", "ln-gamma"),
-    # failures: a truncation target out of reach, and a bad grid
+    # n_max = 100: within reach on the Euler-Maclaurin route at q = 0.99 (18 terms), out of reach
+    # on the direct route at q = 0.9 (about 570 terms); and a bad grid
     ("eval", "--family", "qk", "--q", "0.99", "--t", "0.5", "--n-max", "100"),
+    ("eval", "--family", "qk", "--q", "0.9", "--t", "0.5", "--n-max", "100"),
     ("table", "--t-min", "3", "--t-max", "1"),
     # a ln Gamma_qk value past double precision, refused on the direct route
     ("eval", "--family", "qk", "--q", "0.5", "--k", "0.001", "--t", "1e306", "--fn", "ln-gamma"),
@@ -63,9 +65,12 @@ COMMANDS = [
      "--a", "0.5", "--b", "1", "--c", "1", "--d", "1", "--alpha", "1", "--beta", "1", "--t", "0"),
     # a grid without specs, refused rather than passed unchecked
     ("verify", "--suite", "qk-theorem", "--specs", "0"),
-    # a q -> 1- scan whose term cap is hit at two points: a failing report with two errors
+    # q -> 1- scans: at n_max = 1000 every point evaluates (the Euler-Maclaurin route past N0_PSI
+    # direct terms); at n_max = 100 the term cap is hit at q = 0.9 only, a failing report with one error
     ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000"),
     ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000", "--json"),
+    ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "100"),
+    ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "100", "--json"),
     # no draw of the grid has a certified threshold at n_max = 5: refused after a bounded number of draws
     ("verify", "--suite", "qk-theorem", "--specs", "1", "--t-points", "3", "--n-max", "5"),
 ]

@@ -15,7 +15,8 @@ from qdigamma import (DeformParams, Tolerance, TruncationNotConverged, evaluate,
                       psi_qk_prime)
 from qdigamma.cli import main
 from qdigamma.params import K_MAX, K_MIN, Q_MAX, Q_MIN
-from qdigamma.qcore import _N0, _em_qk, psi_qk_direct_count
+from qdigamma import qcore
+from qdigamma.qcore import _N0, _N0_PSI, _em_qk, psi_qk_direct_count
 
 mp = pytest.importorskip("mpmath")
 
@@ -72,7 +73,8 @@ def oracle(fn: str, t: float, q: float, k: float):
 
 
 @pytest.mark.parametrize("fn", list(KERNELS))
-def test_em_helper_agrees_with_the_direct_route(fn):
+def test_em_helper_agrees_with_the_direct_route(fn, monkeypatch):
+    monkeypatch.setattr(qcore, "_N0_PSI", _N0)  # psi and psi' summed directly up to N0 terms, as ln Gamma is
     for q in (0.3, 0.9, 0.99, 0.999):
         for k in (0.5, 1.0, 2.5):
             params = DeformParams.qk(q, k)
@@ -104,8 +106,71 @@ def test_routes_near_one():
     for kernel in KERNELS.values():
         res = kernel(1.0, params)
         assert res.terms_used < 100
-    direct = DeformParams.qk(0.99, 1.0)
-    assert psi_qk(1.0, direct).terms_used == psi_qk_direct_count(1.0, direct)[0] <= _N0
+    # past N0_PSI direct terms psi and psi' take the Euler-Maclaurin route; ln Gamma keeps N0
+    params = DeformParams.qk(0.99, 1.0)
+    assert _N0_PSI < psi_qk_direct_count(1.0, params)[0] <= _N0
+    assert [route(fn, 1.0, params, KERNELS[fn](1.0, params)) for fn in KERNELS] == ["em", "em", "direct"]
+    direct = DeformParams.qk(0.9, 1.0)
+    assert psi_qk(1.0, direct).terms_used == psi_qk_direct_count(1.0, direct)[0] <= _N0_PSI
+
+
+def _cut_off_pair(params: DeformParams) -> tuple:
+    """(t_em, t_direct): the two ends of a bisected bracket on which psi's closed-form direct count
+    falls from above N0_PSI to at most N0_PSI (the count falls as t grows)."""
+    lo, hi = 1e-3, 1e6
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if psi_qk_direct_count(mid, params)[0] > _N0_PSI else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("q,k", [(0.9, 1.0), (0.99, 0.3), (0.999, 2.5), (1.0 - 1e-5, 7.0)])
+def test_psi_routes_at_the_cut_off(q, k):
+    params = DeformParams.qk(q, k)
+    t_em, t_direct = _cut_off_pair(params)
+    count = psi_qk_direct_count(t_direct, params)[0]
+    assert psi_qk_direct_count(t_em, params)[0] > _N0_PSI >= count > _N0_PSI // 2
+    res = psi_qk(t_em, params)
+    assert res.terms_used < 100 and res == _em_qk("psi", params, t_em, Tolerance())
+    # the count sits on its rounding boundary here, so the majorant may widen it by one term
+    assert count <= psi_qk(t_direct, params).terms_used <= count + 1
+
+
+def test_rerouted_points_match_the_oracle():
+    # psi and psi' points whose direct count lies in (N0_PSI, N0]: the direct route before the cut-off moved
+    rng = random.Random("em-cut-off")
+    rerouted = 0
+    while rerouted < 60:
+        q, k = 1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.5)), 10.0 ** rng.uniform(math.log10(0.05), math.log10(20.0))
+        t = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
+        params = DeformParams.qk(q, k)
+        if not _N0_PSI < psi_qk_direct_count(t, params)[0] <= _N0:
+            continue
+        rerouted += 1
+        for fn in ("psi", "psi-prime"):
+            res = KERNELS[fn](t, params)
+            assert res.terms_used < 100 and res.tail_bound <= Tolerance().abs_tol
+            error = abs(mp.mpf(res.value) - oracle(fn, t, q, k))
+            allowed = res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used)
+            assert error <= allowed, (fn, q, k, t, res, float(error), allowed)
+
+
+def test_psi_of_a_finite_value_next_to_an_overflowing_term():
+    # at y = eps t near 1e-309, 1/(e^y - 1) overflows, but eps/(e^y - 1), and psi, about -1/t, do not
+    params = DeformParams.qk(0.999999999, 1.0)
+    for t in (1e-300, 3e-305):
+        res = psi_qk(t, params)
+        assert res.tail_bound <= Tolerance().abs_tol and res.terms_used < 100
+        with mp.workdps(40):  # psi(t) = psi(t + k) - eps/(e^(eps t) - 1); psi(t + k) is psi(k) to far below 1 ulp
+            eps = -mp.log(mp.mpf(params.q))
+            want = oracle("psi", 1.0, params.q, 1.0) - eps / mp.expm1(eps * mp.mpf(t))
+        error = abs(mp.mpf(res.value) - want)
+        assert error <= res.tail_bound + rounding("psi", res.value, t, params.q, 1.0, res.terms_used), (t, res)
+        assert evaluate("psi", params, [1.0, t]) == [psi_qk(1.0, params), res]
+    with pytest.raises(TruncationNotConverged):  # q^t rounds to 1 here
+        psi_qk(1e-320, params)
 
 
 def test_ln_gamma_at_k_is_exactly_zero():

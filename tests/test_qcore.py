@@ -30,7 +30,7 @@ from qdigamma import (
 )
 
 from qdigamma import qcore, reference
-from qdigamma.qcore import CHUNK, _em_qk, pairwise_sum
+from qdigamma.qcore import _N0_PSI, CHUNK, _em_qk, pairwise_sum
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 
@@ -104,7 +104,7 @@ class TestPsiQK:
             DeformParams.qk(q=0.5, k=0.0)
 
     def test_not_converged_reports_best_bound(self):
-        params = DeformParams.qk(q=0.99, k=1.0)
+        params = DeformParams.qk(q=0.9, k=1.0)  # about 570 direct terms at t = 0.5
         with pytest.raises(TruncationNotConverged) as exc_info:
             psi_qk(0.5, params, Tolerance(abs_tol=1e-13, n_max=50))
         assert exc_info.value.best_bound > 1e-13
@@ -309,8 +309,9 @@ SCALAR = {
 
 
 def _batch_grid(family: str, rng: random.Random):
-    """Seeded (params, ts) lines: sums past one CHUNK (q = 0.999, p > CHUNK),
-    blocks of many rows, and t ranges over which the term count changes."""
+    """Seeded (params, ts) lines: sums past one CHUNK (q = 0.999 for ln Gamma_qk, p > CHUNK),
+    blocks of many rows, and t ranges over which the term count changes (and, for the (q,k)
+    psi and psi', the route: their small t take the Euler-Maclaurin route)."""
     if family == "qk":
         wide = [DeformParams.qk(0.999, 1.0)]
         params = [DeformParams.qk(q, k) for q, k in ((0.5, 1.0), (0.9, 2.5))]
@@ -329,14 +330,14 @@ def _batch_grid(family: str, rng: random.Random):
     return lines
 
 
-# (params, points that evaluate, a t whose ln Gamma overflows or None) per kernel.  The (q,k) points
-# at q = 1 - 1e-5 take the direct route at t = 1000 and the Euler-Maclaurin route at t = 1; at
+# (params, points that evaluate, a t whose ln Gamma overflows or None) per kernel.  The (q,k) psi and
+# psi' points at q = 1 - 1e-5 take the direct route at t = 1e4 and the Euler-Maclaurin route at t = 1; at
 # (q, k) = (0.5, 0.001) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e306,
 # the Euler-Maclaurin route at t = 1e-306.  The PQ ln Gamma batch takes one route for all its points:
 # the lattice route at p = 1e6, the direct one at p = 1e4.  psi_pq is always summed directly.
 FIRST_FAILURE = {
-    ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1000.0, 1.0], None)],
-    ("qk", "psi-prime"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1000.0, 1.0], None)],
+    ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
+    ("qk", "psi-prime"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "ln-gamma"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1.0], 1e308),
                          (DeformParams.qk(0.5, 0.001), [1.0, 1e-306], 1e306)],
     ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
@@ -351,7 +352,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
     def test_batch_is_bit_identical_to_scalar_kernel(self, family, fn):
         rng = random.Random(f"batch:{family}:{fn}")
-        counts = set()
+        counts, crossing = set(), 0
         for params, ts in _batch_grid(family, rng):
             batch = evaluate(fn, params, ts)
             assert len(batch) == len(ts)
@@ -360,8 +361,16 @@ class TestEvaluate:
                 assert (got.value, got.tail_bound, got.terms_used) == (want.value, want.tail_bound, want.terms_used)
                 assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
                 counts.add(got.terms_used)
-        # the grid reaches past one CHUNK and lets the term count vary
-        assert max(counts) > CHUNK and len(counts) > 5
+            if family == "qk" and fn != "ln-gamma":
+                em = {got == _em_qk(fn, params, t, Tolerance()) for t, got in zip(ts, batch)}
+                crossing += em == {True, False}
+        # the grid lets the term count vary and reaches past one CHUNK, or, for the (q,k) psi and
+        # psi', which sum at most N0_PSI terms directly, has batches that cross the cut-off
+        assert len(counts) > 5
+        if family == "qk" and fn != "ln-gamma":
+            assert crossing > 0 and max(counts) > _N0_PSI // 2
+        else:
+            assert max(counts) > CHUNK
 
     def test_one_result_per_point(self):
         params = DeformParams.qk(0.5, 1.0)
@@ -370,7 +379,7 @@ class TestEvaluate:
         assert isinstance(res, EvalResult) and res == psi_qk(2.0, params)
 
     def test_raises_first_failing_point(self):
-        params = DeformParams.qk(0.99, 1.0)
+        params = DeformParams.qk(0.9, 1.0)  # psi(0.5) takes about 570 direct terms, past n_max
         tol = Tolerance(abs_tol=1e-13, n_max=50)
         with pytest.raises(DomainError, match="t=-1.0"):
             evaluate("psi", params, [5000.0, -1.0, 0.5], tol)
@@ -519,9 +528,10 @@ class TestBlockedSums:
         sum_terms, series_terms = qcore.sum_terms, reference._series_terms
         monkeypatch.setattr(qcore, "sum_terms", lambda term_fn, lo, hi: sum_terms(recording(term_fn), lo, hi))
         monkeypatch.setattr(reference, "_series_terms", lambda *args: recording(series_terms(*args)))
-        qk, pq = DeformParams.qk(0.9999, 1.3), DeformParams.pq(100_000, 0.9999)
-        used = [kernel(3.5, qk).terms_used for kernel in (psi_qk, psi_qk_prime)]
-        used += [kernel(1.0, pq).terms_used for kernel in (psi_pq, ln_gamma_pq)]
+        # psi and psi' sum their long (q,k) series on the Euler-Maclaurin route; ln Gamma_qk sums directly
+        qk, pq = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999)
+        used = [ln_gamma_qk(3.5, qk).terms_used]
+        used += [kernel(1.0, pq).terms_used for kernel in (psi_pq, psi_pq_prime, ln_gamma_pq)]
         assert min(used) > 3 * CHUNK
         for kind in SeriesKind:
             brute_force_series(kind, 0.5, qk, 200_000)
