@@ -118,8 +118,8 @@ def limit_k_to_1(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> Substituti
     oracle_tail = -ln_q * math.exp((n_oracle + 1) * t * ln_q) / ((-math.expm1(ln_q)) * one_minus_r)
     if n_direct > tol.n_max or oracle_tail > tol.abs_tol:
         raise TruncationNotConverged(
-            f"partial-sum oracle out of reach: the direct series needs {n_direct} terms "
-            f"(n_max {tol.n_max}), and after {n_oracle} terms its tail bound is {oracle_tail:.3e}",
+            f"partial-sum oracle out of reach: direct count {n_direct:.3e} (n_max {tol.n_max}), "
+            f"oracle tail {oracle_tail:.3e}",
             oracle_tail, n_oracle,
         )
     oracle = brute_force_series(SeriesKind.PSI_QK, t, params, n_oracle)

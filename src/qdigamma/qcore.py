@@ -34,13 +34,14 @@ Two routes for the QK series, chosen by one rule for psi, psi' and
 ln Gamma (_qk_batch).  The direct route sums the series above; it needs
 about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point takes
 it only where its majorant stays in the floats: (1-q^k)(1-q^t), the divisor
-of the majorant, is at least the smallest normal float, the closed-form
-count of the majorant's geometric part is finite and at most N0_PSI = 2^10
-for psi and psi' (past about 10^3 terms the Euler-Maclaurin route is the
-faster) or N0 = 2^17 for ln Gamma, and the majorant after that count is a
-finite multiple of abs_tol.  Every other point takes the Euler-Maclaurin
-route.  Swapping the double sum puts each series on the lattice
-y_m = eps (a + m k), eps = -ln q:
+of the majorant, is at least the smallest normal float, and the majorant
+after the closed-form count n of its geometric part is a finite multiple of
+abs_tol.  Of those points, one with n at most N0 = 2^10 is summed directly;
+one with N0 < n <= n_max only where the Euler-Maclaurin route below needs
+more than 8 n / N0 direct lattice terms (8 lattice terms cost about as much
+as 2^10 direct ones).  Every other point takes the Euler-Maclaurin route.
+Swapping the double sum puts each series on the lattice y_m = eps (a + m k),
+eps = -ln q:
 
     psi_qk(t)      = -ln(1-q)/k - eps * S_0(t)
     psi_qk'(t)     =  eps^2 * S_-1(t)
@@ -48,31 +49,38 @@ y_m = eps (a + m k), eps = -ln q:
 
 with S_s(a) = sum_{m>=0} Li_s(e^-y_m), Li_0 = 1/(e^y - 1), Li_-1 its
 negated derivative and Li_1 = -ln(1 - e^-y).  Each S sums M terms
-directly, then adds the integral Li_(s+1)(e^-y_M) / h (h = eps k; Li_2 is
-computed in-house with its reflection formula), the half end term and P = 8
-Bernoulli corrections (DLMF 2.10.1).  Li_s(e^-y) is completely monotone in
-y, so the remainder is at most the size of the last correction,
-|B_2P|/(2P)! h^(2P-1) |Li_(s-2P+1)(e^-y_M)| (Eulerian polynomials give every
-Li of negative order, with positive coefficients).  That bound, scaled and
-times the usual safety factor, is the tail_bound; M starts at 8 and grows
-until it is within abs_tol.  terms_used counts the terms the route formed:
-M + 2 + P per lattice sum (two for ln Gamma), a few dozen in all.  On either
-route n_max caps terms_used.  Where psi's first lattice term Li_0(e^-eps t)
-overflows (eps t subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to
-within eps t relative, goes in the lead and the lattice starts at eps (t + k).
+directly, then adds the integral Li_(s+1)(e^-y_M) / h (h = eps k), the half
+end term and P = 8 Bernoulli corrections (DLMF 2.10.1).  Li_s(e^-y) is
+completely monotone in y, so the remainder is at most the size of the last
+correction, |B_2P|/(2P)! h^(2P-1) |Li_(s-2P+1)(e^-y_M)| (Eulerian polynomials
+give every Li of negative order, with positive coefficients).  That bound,
+scaled and times the usual safety factor, is the tail_bound; M starts at 8
+and grows until it is within abs_tol.  Li_2 is computed in-house;
+near y = 0 by its reflection formula, whose constant pi^2/6 is left out of
+each integral and added back once per pair, exactly, as the difference of
+the constants the pair left out.  So S_1(t) - S_1(k), two sums of about
+pi^2/(6 eps k), lose no digits to their cancellation as q -> 1-.
+terms_used counts the terms the route formed: M + 2 + P per lattice sum
+(two for ln Gamma), a few dozen in all.  On either route n_max caps
+terms_used.  Where psi's first lattice term Li_0(e^-eps t) overflows (eps t
+subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to within eps t
+relative, goes in the lead and the lattice starts at eps (t + k).
 
-ln Gamma_pq takes the same two routes by the same N0.  Its factorial terms
-ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so their last
-nonzero index routes the whole batch (_pq_batch): through at most N0 it is
-summed directly, exactly (tail_bound 0).  Past N0 it takes the q-gamma
-identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) / Gamma_q(t+p+1),
-Gamma_q = Gamma_qk at k = 1, as four infinite sums S_1 on step eps:
+ln Gamma_pq takes the same two routes by its own cut-off N0_PQ = 2^17.  Its
+factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so
+their last nonzero index routes the whole batch (_pq_batch): through at
+most N0_PQ it is summed directly, exactly (tail_bound 0).  Past N0_PQ it
+takes the q-gamma identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) /
+Gamma_q(t+p+1), Gamma_q = Gamma_qk at k = 1, as four infinite sums S_1 on
+step eps:
 
     ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(1)] - [S_1(t+p+1) - S_1(p+1)]
 
 _em_lattice, the one Euler-Maclaurin entry of both families, forms the near
 pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = 8, even for
-10^8 factors.  psi_pq and psi_pq' are always summed directly.
+10^8 factors.  The far pair still loses digits: its two sums, each up to
+about pi^2/(6 eps), differ by only about t |ln(1 - q^(p+1))|.  psi_pq and
+psi_pq' are always summed directly.
 
 ``evaluate`` computes one function at many t in one call.  The batch of its
 family routes each t in order, refusing a direct value that leaves the floats
@@ -122,14 +130,14 @@ _BLOCK_TERMS = CHUNK // 4
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
-# A (q,k) point whose direct series needs more terms than this, by the closed
-# form of its geometric majorant, takes the Euler-Maclaurin route (_qk_batch):
-# _N0_PSI for psi and psi', where that route is the faster from about 10^3
-# terms; _N0 for ln Gamma_qk, whose Euler-Maclaurin route loses digits near
-# q = 1.  So does a ln Gamma_pq batch with more than _N0 nonzero factorial
-# terms (_pq_batch).
-_N0 = 1 << 17
-_N0_PSI = 1 << 10
+# A (q,k) point whose direct series needs at most _N0 terms, by the closed form of
+# its geometric majorant, is summed directly (_qk_batch).  Past _N0 it takes the
+# Euler-Maclaurin route unless that route's lattice needs more than n _EM_M / _N0
+# direct terms for a direct count n: _EM_M lattice terms cost about as much as _N0
+# direct ones.  A ln Gamma_pq batch with more than _N0_PQ nonzero factorial terms
+# takes the lattice route (_pq_batch), whose far pair still loses digits near q = 1.
+_N0 = 1 << 10
+_N0_PQ = 1 << 17
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
 # the half end term and P = len(_BERNOULLI) Bernoulli corrections.
@@ -412,13 +420,7 @@ def _li2_series(u: float) -> float:
 
 
 def _li(s: int, y: float) -> float:
-    """Li_s(e^-y) for y > 0 and an integer s <= 2, without cancellation."""
-    if s == 2:
-        z = math.exp(-y)
-        if z <= 0.5:
-            return _li2_series(-math.log1p(-z))
-        # reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z), and -ln(1 - (1-z)) = y
-        return _PI2_6 + y * math.log(-math.expm1(-y)) - _li2_series(y)
+    """Li_s(e^-y) for y > 0 and an integer s <= 1, without cancellation."""
     if s == 1:
         return -ln1m_exp(-y)
     z = math.exp(-y)
@@ -426,13 +428,17 @@ def _li(s: int, y: float) -> float:
 
 
 def _em_closure(s: int, y: float, h: float) -> tuple:
-    """(closure, remainder bound) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
+    """(closure, remainder bound, units) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
 
-    The closure is the integral Li_(s+1)(e^-y) / h, the half end term and the
-    corrections B_2j/(2j)! h^(2j-1) Li_(s-2j+1)(e^-y) for j = 1..P (DLMF
-    2.10.1 with f^(2j-1) = -Li_(s-2j+1)(e^-x)).  f is completely monotone, so
-    f^(2P) keeps one sign and the remainder after P corrections is at most
-    the size of the last one, |B_2P|/(2P)! h^(2P-1) |f^(2P-1)(y)|.
+    The closure is the integral Li_(s+1)(e^-y) / h less units pi^2/(6h), the
+    half end term and the corrections B_2j/(2j)! h^(2j-1) Li_(s-2j+1)(e^-y)
+    for j = 1..P (DLMF 2.10.1 with f^(2j-1) = -Li_(s-2j+1)(e^-x)).  f is
+    completely monotone, so f^(2P) keeps one sign and the remainder after P
+    corrections is at most the size of the last one, |B_2P|/(2P)! h^(2P-1)
+    |f^(2P-1)(y)|.  Li_2(z), z = e^-y, is summed in u = -ln(1-z) up to z = 1/2;
+    above, by the reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z) (DLMF
+    25.12.6) without its pi^2/6, which units = 1 counts, so that two sums near
+    y = 0 leave their largest part to an exact cancellation (_em_lattice).
     """
     z, w = math.exp(-y), -math.expm1(-y)
     r = h / w  # h^(2j-1) Li_(s-2j+1)(z) = z A_(2j-1-s)(z) r^(2j-1) / w^(1-s)
@@ -443,18 +449,28 @@ def _em_closure(s: int, y: float, h: float) -> tuple:
         corrections += last
         power *= r2
     scale = z / w ** (1 - s)
-    return _li(s + 1, y) / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale
+    units = 0
+    if s < 1:
+        integral = _li(s + 1, y)
+    elif z <= 0.5:
+        integral = _li2_series(-math.log1p(-z))
+    else:  # -ln(1 - (1-z)) = y
+        integral, units = y * math.log(w) - _li2_series(y), 1
+    return integral / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale, units
 
 
-def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: Tolerance) -> EvalResult:
+def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: Tolerance,
+                m_cap: float = math.inf) -> EvalResult | None:
     """lead + scale * (the sum over pairs of S(a) - S(b), or S(a) for a pair (a,)), by Euler-Maclaurin.
 
     S(a) is the infinite sum of f(y) = Li_s(e^-y) over y = a + m h, m >= 0:
     M terms directly, closed by _em_closure at a + M h.  Each pair is
-    differenced before the pairs are added.  M starts at _EM_M and grows
-    until tail, the closures' bounds times |scale| and _SAFETY, is within
-    abs_tol.  terms_used, M + 2 + P per sum, is capped by n_max.  A value
-    that is not finite raises TruncationNotConverged.
+    differenced before the pairs are added, and then gets back the pi^2/(6h)
+    units its closures left out, as their difference times pi^2/(6h).  M
+    starts at _EM_M and grows until tail, the closures' bounds times |scale|
+    and _SAFETY, is within abs_tol; None, before any term is summed, where
+    it would grow past m_cap.  terms_used, M + 2 + P per sum, is capped by
+    n_max.  A value that is not finite raises TruncationNotConverged.
     """
     starts = [a for pair in pairs for a in pair]
     m = _EM_M
@@ -471,15 +487,19 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
         a = min(starts)
         grow = math.exp((math.log(tail) - math.log(tol.abs_tol)) / (2 * len(_BERNOULLI) - s))
         m = max(m + 1, math.ceil(((a + m * h) * grow - a) / h))
+        if m > m_cap:
+            return None
     sums = {}
-    for a, (closure, _) in closures.items():
+    for a, (closure, _, units) in closures.items():
         direct = 0.0
         for i in range(m):
             direct += _li(s, a + i * h)
-        sums[a] = direct + closure
+        sums[a] = direct + closure, units
     total = 0.0
     for pair in pairs:
-        total += sums[pair[0]] - sums[pair[1]] if len(pair) == 2 else sums[pair[0]]
+        near, near_units = sums[pair[0]]
+        far, far_units = sums[pair[1]] if len(pair) == 2 else (0.0, 0)
+        total += near - far + (near_units - far_units) * _PI2_6 / h
     value = lead + scale * total
     if not math.isfinite(value):
         raise TruncationNotConverged("Euler-Maclaurin value overflows double precision", math.inf, terms)
@@ -492,14 +512,15 @@ def _qk_gamma_lead(t: float, k: float, ln1mq: float) -> float:
     return lead if math.isfinite(lead) else t * (-ln1mq / k) + ln1mq
 
 
-def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResult:
+def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance, m_cap: float = math.inf) -> EvalResult | None:
     """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at t by the Euler-Maclaurin route.
 
     Each series is a sum over the lattice y = eps (a + m k), eps = -ln q, of
     Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
-    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q), summed by _em_lattice.
-    Raises TruncationNotConverged where (1 - q^t)^(1-s), which divides the
-    terms, underflows.
+    ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q), summed by _em_lattice
+    (None where it needs more than m_cap direct lattice terms).  Raises
+    TruncationNotConverged where (1 - q^t)^(1-s), which divides the terms,
+    underflows.
     """
     q, k = params.q, params.k
     eps = -math.log(q)
@@ -515,7 +536,7 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance) -> EvalResul
         # 1/(e^y - 1) overflows at the subnormal y = eps t; the scaled term -eps/(e^y - 1) goes in
         # the lead as -1/t, its value to within y relative, which keeps the digits y has lost
         lead, pairs = lead - 1.0 / t, ((eps * (t + k),),)
-    return _em_lattice(s, pairs, eps * k, lead, scale, tol)
+    return _em_lattice(s, pairs, eps * k, lead, scale, tol, m_cap)
 
 
 # -- batch kernels ----------------------------------------------------------
@@ -540,9 +561,11 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
 
     N is the closed-form term count of the geometric majorant (inf past any
     float) and tail the majorant after N terms; (0, 0.0) when every term
-    underflows.  Where N <= N0_PSI these are psi_qk's terms_used and tail_bound
-    but for a rare widening by one rounding; past N0_PSI psi_qk takes the
-    Euler-Maclaurin route, and N is the count the direct series would need.
+    underflows.  Where psi_qk sums the direct series these are its terms_used
+    and tail_bound but for a rare widening by one rounding: at N <= N0, and
+    past N0 where the Euler-Maclaurin lattice would need more than N _EM_M /
+    N0 terms (_qk_batch).  Elsewhere N is the count the direct series would
+    need.
     """
     params.require(Family.QK)
     ln_q = math.log(params.q)
@@ -583,13 +606,16 @@ def _assemble(terms, n_first: int, scale: float, rows: tuple, em: list, base=Non
 def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of ts, by _assemble.
 
-    This is the one route rule of the (q,k) kernels.  A point takes the
-    direct series only where its majorant stays in the floats: (1-q^k)(1-q^t),
-    which divides the majorant, is at least the smallest normal float; the
-    closed-form count of the majorant's geometric part is finite and at most
-    N0_PSI (psi, psi') or N0 (ln Gamma); and the majorant's overshoot of
-    abs_tol there is finite (geometric_terms_needed).  Every t first passes
-    its function's checks, _check_ln_gamma_t or _series_ratio, in order.
+    This is the one route rule of the (q,k) kernels, the same for all three.
+    A point takes the direct series only where its majorant stays in the
+    floats: (1-q^k)(1-q^t), which divides the majorant, is at least the
+    smallest normal float, and the majorant's overshoot of abs_tol at the
+    closed-form count n of its geometric part is finite
+    (geometric_terms_needed).  Of those points, one with n <= N0 is summed
+    directly, and one with N0 < n <= n_max only where the Euler-Maclaurin
+    lattice would need more than n _EM_M / N0 direct terms.  Every other
+    point takes the Euler-Maclaurin route.  Every t first passes its
+    function's checks, _check_ln_gamma_t or _series_ratio, in order.
     """
     q, k = params.q, params.k
     ln_q = math.log(q)
@@ -605,6 +631,7 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     t_cap = sys.float_info.max / (2.0 * -ln_q)
     xs, leads, tails, ns, em = [], [], [], [], []
     for t in ts:
+        res = None
         if gamma:
             t = _check_ln_gamma_t(t, ln_q)
             ln_r = t * ln_q
@@ -625,9 +652,12 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
             else:
                 coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, one_minus_qk, prime)
                 n, ln_step = geometric_count(coeff, ln_r, tol.abs_tol), ln_r
-            direct = geometric_terms_needed(tail_at, n, ln_step, tol) if n <= (_N0 if gamma else _N0_PSI) else None
+            if n > _N0:  # the lattice's cost capped at that of n direct terms; uncapped past n_max
+                res = _em_qk(fn, params, t, tol, n * _EM_M / _N0 if n <= tol.n_max else math.inf)
+            if res is None:
+                direct = geometric_terms_needed(tail_at, n, ln_step, tol)
         if direct is None:
-            em.append((len(ns) + len(em), _em_qk(fn, params, t, tol)))
+            em.append((len(ns) + len(em), _em_qk(fn, params, t, tol) if res is None else res))
             continue
         if gamma:
             leads.append(_direct_lead(_qk_gamma_lead(t, k, ln1mq), t))
@@ -663,7 +693,7 @@ def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     eps, leads, em = -ln_q, [], []
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
-        if n_fact > _N0:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
+        if n_fact > _N0_PQ:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
             pairs = ((eps * t, eps), (eps * (p + 1), eps * (t + p + 1)))
             em.append((len(em), _em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol)))
             continue
@@ -749,8 +779,8 @@ def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Log of the (p,q)-gamma function, the Krasniqi-Merovci finite product, in log space.
 
-    Where at most N0 factorial factors 1 - q^n are nonzero, the product is
-    summed exactly (tail bound 0, terms_used that count).  Past N0 it is four
+    Where at most N0_PQ factorial factors 1 - q^n are nonzero, the product is
+    summed exactly (tail bound 0, terms_used that count).  Past N0_PQ it is four
     infinite Euler-Maclaurin lattice sums by the q-gamma identity, and the tail
     bound is their four remainder bounds (see the module docstring);
     terms_used is a few dozen there, and n_max caps it.  A value that

@@ -246,6 +246,12 @@ class TestLimitsOutput:
         doc = json.loads(proc.stdout)
         assert doc["report"]["ok"] is True
 
+    def test_remark_31_out_of_reach_writes_a_short_error(self):
+        # the direct count at t = 1e-300 has about 300 digits; it is written like the tail, as %.3e
+        proc = run_cli("limits", "--remark", "3.1", "--t", "1e-300")
+        assert proc.returncode == 3 and len(proc.stderr.encode()) < 200, proc.stderr
+        assert "direct count 1.041e+303" in proc.stderr, proc.stderr
+
     def test_remark_35_passes_with_growing_first_gap(self):
         # the gap grows from p = 1 to p = 2, inside its certified bound
         proc = run_cli("limits", "--remark", "3.5", "--q", "0.7", "--t", "0.5", "--p-list", "1,2,5,10,20,30")

@@ -53,7 +53,7 @@ COMMANDS = [
     ("eval", "--family", "qk", "--q", "0.99", "--t", "0.5", "--n-max", "100"),
     ("eval", "--family", "qk", "--q", "0.9", "--t", "0.5", "--n-max", "100"),
     ("table", "--t-min", "3", "--t-max", "1"),
-    # a ln Gamma_qk value past double precision, refused on the direct route
+    # a ln Gamma_qk value past double precision, refused on the Euler-Maclaurin route
     ("eval", "--family", "qk", "--q", "0.5", "--k", "0.001", "--t", "1e306", "--fn", "ln-gamma"),
     # the other suites of the inequality engine, the family-agnostic ones for both families
     *[("verify", "--suite", *suite, "--specs", "3", "--t-points", "4", "--seed", "7")
@@ -65,7 +65,7 @@ COMMANDS = [
      "--a", "0.5", "--b", "1", "--c", "1", "--d", "1", "--alpha", "1", "--beta", "1", "--t", "0"),
     # a grid without specs, refused rather than passed unchecked
     ("verify", "--suite", "qk-theorem", "--specs", "0"),
-    # q -> 1- scans: at n_max = 1000 every point evaluates (the Euler-Maclaurin route past N0_PSI
+    # q -> 1- scans: at n_max = 1000 every point evaluates (the Euler-Maclaurin route past N0
     # direct terms); at n_max = 100 the term cap is hit at q = 0.9 only, a failing report with one error
     ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000"),
     ("limits", "--remark", "3.3", "--j-max", "4", "--n-max", "1000", "--json"),

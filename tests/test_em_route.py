@@ -8,6 +8,9 @@ import contextlib
 import io
 import math
 import random
+import time
+
+import numpy as np
 
 import pytest
 
@@ -16,7 +19,9 @@ from qdigamma import (DeformParams, Tolerance, TruncationNotConverged, evaluate,
 from qdigamma.cli import main
 from qdigamma.params import K_MAX, K_MIN, Q_MAX, Q_MIN
 from qdigamma import qcore
-from qdigamma.qcore import _N0, _N0_PSI, _em_qk, psi_qk_direct_count
+from qdigamma.qcore import _EM_M, _N0, _em_qk, ln1m_exp, psi_qk_direct_count
+
+from lattice_oracle import qk_oracle
 
 mp = pytest.importorskip("mpmath")
 
@@ -29,52 +34,32 @@ def route(fn: str, t: float, params: DeformParams, res) -> str:
     return "em" if res == _em_qk(fn, params, t, Tolerance()) else "direct"
 
 
-def rounding(fn: str, value: float, t: float, q: float, k: float, terms: int) -> float:
-    """Rounding allowance of a (q,k) value formed from `terms` terms.
+def rounding(fn: str, value: float, t: float, q: float, k: float, terms: int, how: str) -> float:
+    """Rounding allowance of a (q,k) value formed from `terms` terms on the route `how`.
 
-    psi and psi': 256 u |value - lead| + 8 u |lead|.  ln Gamma: each log term
-    and its rounding are at most 1/y for y = eps (a + m k), whose sum over
-    m < n is (1/a + ln(1 + (n-1) k/a)/k) / eps, for a = k and a = t.
+    psi and psi': 256 u |value - lead| + 8 u |lead|.  ln Gamma: 8 u |lead| + 64 u (e(k) + e(t) + 2),
+    where e(a) sums, over the log terms ln(1 - e^-y) at y = eps (a + m k), m < n, the scale of each
+    term's rounding: on the Euler-Maclaurin route, which forms it as ln(-expm1(-y)), its size, at
+    most 1/y, so that allowance does not grow like 1/eps; on the direct route, whose log1p(-e^-y) is
+    off by up to u / y, 1/y.
     """
     eps = -math.log(q)
     if fn != "ln-gamma":
         lead = -math.log1p(-q) / k if fn == "psi" else 0.0
         return U * (256.0 * abs(value - lead) + 8.0 * abs(lead))
-    n = max(terms, 1)
+    m = np.arange(max(terms, 1), dtype=np.float64)
 
-    def log_bound(a: float) -> float:
-        return (1.0 / a + math.log1p((n - 1) * k / a) / k) / eps
+    def log_terms(a: float) -> float:
+        y = eps * (a + m * k)
+        return float(np.sum(-np.log(-np.expm1(-y)) if how == "em" else 1.0 / y))
 
     lead = (t / k - 1.0) * math.log1p(-q)
-    return U * (8.0 * abs(lead) + 64.0 * (log_bound(k) + log_bound(t) + 2.0))
-
-
-def oracle(fn: str, t: float, q: float, k: float):
-    """fn at 40 digits: each sum over the lattice y = eps (a + m k) of Li_s(e^-y),
-    16 terms directly, then Euler-Maclaurin with 12 corrections, all from mpmath."""
-    with mp.workdps(40):
-        eps = -mp.log(mp.mpf(q))
-        t, k = mp.mpf(t), mp.mpf(k)
-        h = eps * k
-
-        def lattice(s, a):
-            y = a + 16 * h
-            closure = [mp.polylog(s + 1, mp.exp(-y)) / h, mp.polylog(s, mp.exp(-y)) / 2]
-            closure += [mp.bernoulli(2 * j) / mp.factorial(2 * j) * h ** (2 * j - 1)
-                        * mp.polylog(s - 2 * j + 1, mp.exp(-y)) for j in range(1, 13)]
-            return mp.fsum(mp.polylog(s, mp.exp(-(a + m * h))) for m in range(16)) + mp.fsum(closure)
-
-        ln1mq = mp.log(-mp.expm1(-eps))
-        if fn == "psi":
-            return -ln1mq / k - eps * lattice(0, eps * t)
-        if fn == "psi-prime":
-            return eps * eps * lattice(-1, eps * t)
-        return lattice(1, eps * t) - lattice(1, eps * k) - (t / k - 1) * ln1mq
+    return U * (8.0 * abs(lead) + 64.0 * (log_terms(k) + log_terms(t) + 2.0))
 
 
 @pytest.mark.parametrize("fn", list(KERNELS))
 def test_em_helper_agrees_with_the_direct_route(fn, monkeypatch):
-    monkeypatch.setattr(qcore, "_N0_PSI", _N0)  # psi and psi' summed directly up to N0 terms, as ln Gamma is
+    monkeypatch.setattr(qcore, "_N0", 1 << 17)  # every point below summed directly
     for q in (0.3, 0.9, 0.99, 0.999):
         for k in (0.5, 1.0, 2.5):
             params = DeformParams.qk(q, k)
@@ -83,8 +68,8 @@ def test_em_helper_agrees_with_the_direct_route(fn, monkeypatch):
                 em = _em_qk(fn, params, t, Tolerance())
                 assert route(fn, t, params, direct) == "direct"
                 allowed = (direct.tail_bound + em.tail_bound
-                           + rounding(fn, direct.value, t, q, k, direct.terms_used)
-                           + rounding(fn, em.value, t, q, k, em.terms_used))
+                           + rounding(fn, direct.value, t, q, k, direct.terms_used, "direct")
+                           + rounding(fn, em.value, t, q, k, em.terms_used, "em"))
                 assert abs(direct.value - em.value) <= allowed, (fn, q, k, t, direct, em)
 
 
@@ -96,8 +81,9 @@ def test_values_near_q_max_match_the_oracle(fn):
             for t in (1e-3, 1.0, 50.0):
                 res = KERNELS[fn](t, params)
                 assert res.tail_bound <= Tolerance().abs_tol
-                error = abs(mp.mpf(res.value) - oracle(fn, t, q, k))
-                allowed = res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used)
+                error = abs(mp.mpf(res.value) - qk_oracle(fn, t, q, k))
+                how = route(fn, t, params, res)
+                allowed = res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used, how)
                 assert error <= allowed, (fn, q, k, t, res, float(error), allowed)
 
 
@@ -106,23 +92,55 @@ def test_routes_near_one():
     for kernel in KERNELS.values():
         res = kernel(1.0, params)
         assert res.terms_used < 100
-    # past N0_PSI direct terms psi and psi' take the Euler-Maclaurin route; ln Gamma keeps N0
+    # past N0 direct terms all three take the Euler-Maclaurin route, ln Gamma included
     params = DeformParams.qk(0.99, 1.0)
-    assert _N0_PSI < psi_qk_direct_count(1.0, params)[0] <= _N0
-    assert [route(fn, 1.0, params, KERNELS[fn](1.0, params)) for fn in KERNELS] == ["em", "em", "direct"]
+    assert _N0 < psi_qk_direct_count(1.0, params)[0] <= 1 << 17
+    assert [route(fn, 1.0, params, KERNELS[fn](1.0, params)) for fn in KERNELS] == ["em", "em", "em"]
     direct = DeformParams.qk(0.9, 1.0)
-    assert psi_qk(1.0, direct).terms_used == psi_qk_direct_count(1.0, direct)[0] <= _N0_PSI
+    assert psi_qk(1.0, direct).terms_used == psi_qk_direct_count(1.0, direct)[0] <= _N0
+    assert [route(fn, 1.0, direct, KERNELS[fn](1.0, direct)) for fn in KERNELS] == ["direct"] * 3
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-5, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_ln_gamma_near_one_matches_the_oracle(q):
+    # S_1(t) - S_1(k), two sums of about pi^2/(6 eps k), leave their pi^2/6 to an exact cancellation
+    ln_q = math.log(q)
+    for k in (0.5, 1.0, 2.5):
+        params = DeformParams.qk(q, k)
+        for t in (0.3, 2.5, 7.0):
+            res = ln_gamma_qk(t, params)
+            assert route("ln-gamma", t, params, res) == "em" and res.tail_bound <= Tolerance().abs_tol
+            error = abs(mp.mpf(res.value) - qk_oracle("ln-gamma", t, q, k))
+            assert error <= 1e-13, (q, k, t, res, float(error))
+            # Gamma_qk(t + k) = [t]_q Gamma_qk(t)
+            shift = ln_gamma_qk(t + k, params).value - res.value
+            assert abs(shift - (ln1m_exp(t * ln_q) - ln1m_exp(ln_q))) <= 1e-12, (q, k, t)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-100, 1e-120])
+def test_tight_tolerance_takes_the_cheaper_route(abs_tol):
+    # about 2,200 to 2,700 direct terms, where the Euler-Maclaurin lattice would need millions
+    params, tol = DeformParams.qk(0.9, 1.0), Tolerance(abs_tol=abs_tol)
+    for fn, kernel in KERNELS.items():
+        start = time.perf_counter()
+        res = kernel(1.0, params, tol)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05 and res.tail_bound <= abs_tol, (fn, res, elapsed)
+        assert _N0 < res.terms_used < 4 * _N0, (fn, res)
+        # the lattice returns None once its predicted length passes the cap, before summing a term
+        assert _em_qk(fn, params, 1.0, tol, m_cap=res.terms_used * _EM_M / _N0) is None
+    assert psi_qk(1.0, params, tol).terms_used == psi_qk_direct_count(1.0, params, tol)[0]
 
 
 def _cut_off_pair(params: DeformParams) -> tuple:
     """(t_em, t_direct): the two ends of a bisected bracket on which psi's closed-form direct count
-    falls from above N0_PSI to at most N0_PSI (the count falls as t grows)."""
+    falls from above N0 to at most N0 (the count falls as t grows)."""
     lo, hi = 1e-3, 1e6
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if mid in (lo, hi):
             break
-        lo, hi = (mid, hi) if psi_qk_direct_count(mid, params)[0] > _N0_PSI else (lo, mid)
+        lo, hi = (mid, hi) if psi_qk_direct_count(mid, params)[0] > _N0 else (lo, mid)
     return lo, hi
 
 
@@ -131,7 +149,7 @@ def test_psi_routes_at_the_cut_off(q, k):
     params = DeformParams.qk(q, k)
     t_em, t_direct = _cut_off_pair(params)
     count = psi_qk_direct_count(t_direct, params)[0]
-    assert psi_qk_direct_count(t_em, params)[0] > _N0_PSI >= count > _N0_PSI // 2
+    assert psi_qk_direct_count(t_em, params)[0] > _N0 >= count > _N0 // 2
     res = psi_qk(t_em, params)
     assert res.terms_used < 100 and res == _em_qk("psi", params, t_em, Tolerance())
     # the count sits on its rounding boundary here, so the majorant may widen it by one term
@@ -139,21 +157,21 @@ def test_psi_routes_at_the_cut_off(q, k):
 
 
 def test_rerouted_points_match_the_oracle():
-    # psi and psi' points whose direct count lies in (N0_PSI, N0]: the direct route before the cut-off moved
+    # psi and psi' points whose direct count lies in (N0, 2^17]: the direct route's cut-off was 2^17 for them
     rng = random.Random("em-cut-off")
     rerouted = 0
     while rerouted < 60:
         q, k = 1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.5)), 10.0 ** rng.uniform(math.log10(0.05), math.log10(20.0))
         t = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
         params = DeformParams.qk(q, k)
-        if not _N0_PSI < psi_qk_direct_count(t, params)[0] <= _N0:
+        if not _N0 < psi_qk_direct_count(t, params)[0] <= 1 << 17:
             continue
         rerouted += 1
         for fn in ("psi", "psi-prime"):
             res = KERNELS[fn](t, params)
             assert res.terms_used < 100 and res.tail_bound <= Tolerance().abs_tol
-            error = abs(mp.mpf(res.value) - oracle(fn, t, q, k))
-            allowed = res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used)
+            error = abs(mp.mpf(res.value) - qk_oracle(fn, t, q, k))
+            allowed = res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used, "em")
             assert error <= allowed, (fn, q, k, t, res, float(error), allowed)
 
 
@@ -165,9 +183,9 @@ def test_psi_of_a_finite_value_next_to_an_overflowing_term():
         assert res.tail_bound <= Tolerance().abs_tol and res.terms_used < 100
         with mp.workdps(40):  # psi(t) = psi(t + k) - eps/(e^(eps t) - 1); psi(t + k) is psi(k) to far below 1 ulp
             eps = -mp.log(mp.mpf(params.q))
-            want = oracle("psi", 1.0, params.q, 1.0) - eps / mp.expm1(eps * mp.mpf(t))
+            want = qk_oracle("psi", 1.0, params.q, 1.0) - eps / mp.expm1(eps * mp.mpf(t))
         error = abs(mp.mpf(res.value) - want)
-        assert error <= res.tail_bound + rounding("psi", res.value, t, params.q, 1.0, res.terms_used), (t, res)
+        assert error <= res.tail_bound + rounding("psi", res.value, t, params.q, 1.0, res.terms_used, "em"), (t, res)
         assert evaluate("psi", params, [1.0, t]) == [psi_qk(1.0, params), res]
     with pytest.raises(TruncationNotConverged):  # q^t rounds to 1 here
         psi_qk(1e-320, params)

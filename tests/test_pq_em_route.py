@@ -1,4 +1,4 @@
-"""ln Gamma_pq past N0 factors: the Euler-Maclaurin lattice route against closed
+"""ln Gamma_pq past N0_PQ factors: the Euler-Maclaurin lattice route against closed
 forms, a 40-digit oracle and the direct sum, batches, n_max, and the accuracy of
 the direct route's combination of its sums; on both routes, the q-gamma identity
 against the (q,k) family and typed refusals where the value overflows."""
@@ -16,11 +16,13 @@ import pytest
 
 from qdigamma import DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_pq, ln_gamma_qk
 from qdigamma.cli import main
-from qdigamma.qcore import _N0, _em_lattice, _em_qk, ln1m_exp, ln_q_bracket
+from qdigamma.qcore import _N0_PQ, _em_lattice, _em_qk, ln1m_exp, ln_q_bracket
+
+from lattice_oracle import pq_ln_gamma_oracle
 
 U = 2.0 ** -53
-P_EM = (_N0 + 1, 10**6, 10**7, 10**8)
-# q^n stays nonzero past n = N0 at these q, so every p above takes the lattice route
+P_EM = (_N0_PQ + 1, 10**6, 10**7, 10**8)
+# q^n stays nonzero past n = N0_PQ at these q, so every p above takes the lattice route
 Q_EM = (0.999, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
@@ -70,29 +72,6 @@ def test_closed_forms(p, q):
             assert abs((hi.value - lo.value) - want) <= allowed, (p, q, t, lo, hi)
 
 
-def oracle(t: float, q: float, p: int):
-    """ln Gamma_pq(t) at 40 digits from mpmath: each finite sum of Li_1(e^-y) over
-    y = eps (a + m), m < c, is S(a) - S(a + c) for the infinite sum S, which is
-    24 terms directly, then Euler-Maclaurin with 12 corrections."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        eps = -mp.log(mp.mpf(q))
-
-        def lattice(y0):
-            y = y0 + 24 * eps
-            closure = [mp.polylog(2, mp.exp(-y)) / eps, mp.polylog(1, mp.exp(-y)) / 2]
-            closure += [mp.bernoulli(2 * j) / mp.factorial(2 * j) * eps ** (2 * j - 1)
-                        * mp.polylog(2 - 2 * j, mp.exp(-y)) for j in range(1, 13)]
-            return mp.fsum(mp.polylog(1, mp.exp(-(y0 + m * eps))) for m in range(24)) + mp.fsum(closure)
-
-        def finite(a, c):
-            return lattice(eps * a) - lattice(eps * (a + c))
-
-        t = mp.mpf(t)
-        ln_bracket_p = mp.log(-mp.expm1(-eps * p)) - mp.log(-mp.expm1(-eps))
-        return mp.log(-mp.expm1(-eps)) + t * ln_bracket_p + finite(t, p + 1) - finite(1, p)
-
-
 @pytest.mark.parametrize("q", Q_EM)
 @pytest.mark.parametrize("p", P_EM)
 def test_em_values_match_the_40_digit_oracle(p, q):
@@ -100,13 +79,13 @@ def test_em_values_match_the_40_digit_oracle(p, q):
     for t in (1e-3, 0.5, 7.3):
         res = ln_gamma_pq(t, params)
         assert is_em(res) and res.terms_used < 100 and res.tail_bound <= Tolerance().abs_tol
-        error = abs(oracle(t, q, p) - res.value)
+        error = abs(pq_ln_gamma_oracle(t, q, p) - res.value)
         assert error <= res.tail_bound + rounding(t, q, p, res.value), (p, q, t, res, float(error))
 
 
 def test_batch_is_bit_identical_to_scalar_calls():
     rng = random.Random("pq-em-batch")
-    for p, q in ((_N0 + 1, 0.999), (10**7, 1.0 - 1e-6), (10**8, 1.0 - 1e-9)):
+    for p, q in ((_N0_PQ + 1, 0.999), (10**7, 1.0 - 1e-6), (10**8, 1.0 - 1e-9)):
         params = DeformParams.pq(p, q)
         ts = [1.0, 1e-200, 1e-3] + sorted(10.0 ** rng.uniform(-2.0, 3.0) for _ in range(8))
         for t, got in zip(ts, evaluate("ln-gamma", params, ts)):
@@ -120,14 +99,14 @@ def test_batch_is_bit_identical_to_scalar_calls():
 def test_em_agrees_with_the_direct_sum_just_above_n0(monkeypatch):
     import qdigamma.qcore as qcore
 
-    params = DeformParams.pq(_N0 + 1, 0.999)
+    params = DeformParams.pq(_N0_PQ + 1, 0.999)
     ts = (0.05, 1.0, 3.7)
     em = evaluate("ln-gamma", params, ts)
-    monkeypatch.setattr(qcore, "_N0", 1 << 18)  # the same points, summed term by term
+    monkeypatch.setattr(qcore, "_N0_PQ", 1 << 18)  # the same points, summed term by term
     direct = evaluate("ln-gamma", params, ts)
     for t, a, b in zip(ts, em, direct):
-        assert is_em(a) and not is_em(b) and b.terms_used > _N0
-        allowed = a.tail_bound + rounding(t, 0.999, _N0 + 1, a.value) + rounding(t, 0.999, _N0 + 1, b.value)
+        assert is_em(a) and not is_em(b) and b.terms_used > _N0_PQ
+        allowed = a.tail_bound + rounding(t, 0.999, _N0_PQ + 1, a.value) + rounding(t, 0.999, _N0_PQ + 1, b.value)
         assert abs(a.value - b.value) <= allowed, (t, a, b)
 
 
@@ -153,13 +132,13 @@ def test_finite_lattice_sum_matches_its_terms(count):
     assert abs(res.value - direct) <= res.tail_bound + 64 * U * direct
 
 
-@pytest.mark.parametrize("p,q", [(3, 0.6), (50, 0.3), (10**4, 0.9), (_N0 + 1, 0.999), (10**6, 0.999)])
+@pytest.mark.parametrize("p,q", [(3, 0.6), (50, 0.3), (10**4, 0.9), (_N0_PQ + 1, 0.999), (10**6, 0.999)])
 @pytest.mark.parametrize("t", [0.37, 1.0, 2.5])
 def test_q_gamma_identity_across_families(p, q, t):
     # Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) / Gamma_q(t+p+1), with Gamma_q the (q,k)-gamma at k = 1
     qk = DeformParams.qk(q, 1.0)
     pq_res = ln_gamma_pq(t, DeformParams.pq(p, q))
-    assert is_em(pq_res) == (p > _N0)
+    assert is_em(pq_res) == (p > _N0_PQ)
     qk_res = [ln_gamma_qk(x, qk) for x in (p + 1.0, t, t + p + 1.0)]
     terms = [t * ln_q_bracket(p, math.log(q))] + [res.value for res in qk_res]
     want = terms[0] + terms[1] + terms[2] - terms[3]
@@ -172,7 +151,7 @@ def test_q_gamma_identity_across_families(p, q, t):
 def test_overflowing_value_is_refused(p):
     # t ln[p]_q overflows at t = 1.7e308
     params = DeformParams.pq(p, 0.999)
-    assert is_em(ln_gamma_pq(1.0, params)) == (p > _N0)
+    assert is_em(ln_gamma_pq(1.0, params)) == (p > _N0_PQ)
     with pytest.raises(TruncationNotConverged):
         ln_gamma_pq(1.7e308, params)
     with pytest.raises(TruncationNotConverged):  # a batch raises at its first point that fails
@@ -185,7 +164,7 @@ def test_overflowing_value_is_refused(p):
 
 @pytest.mark.parametrize("q,k,t", [(0.5, 0.001, 1e306)])
 def test_overflowing_qk_value_is_refused(q, k, t):
-    # ln Gamma_qk on the direct route: about 6.9e308, past every double
+    # ln Gamma_qk on the Euler-Maclaurin route: about 6.9e308, past every double
     params = DeformParams.qk(q, k)
     with pytest.raises(TruncationNotConverged):
         ln_gamma_qk(t, params)

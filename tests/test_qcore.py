@@ -30,7 +30,7 @@ from qdigamma import (
 )
 
 from qdigamma import qcore, reference
-from qdigamma.qcore import _N0_PSI, CHUNK, _em_qk, pairwise_sum
+from qdigamma.qcore import _N0, CHUNK, _em_qk, pairwise_sum
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 
@@ -309,9 +309,9 @@ SCALAR = {
 
 
 def _batch_grid(family: str, rng: random.Random):
-    """Seeded (params, ts) lines: sums past one CHUNK (q = 0.999 for ln Gamma_qk, p > CHUNK),
-    blocks of many rows, and t ranges over which the term count changes (and, for the (q,k)
-    psi and psi', the route: their small t take the Euler-Maclaurin route)."""
+    """Seeded (params, ts) lines: blocks of many rows, t ranges over which the term count changes,
+    and for the PQ sums p > CHUNK, sums past one CHUNK; for the (q,k) family, lines past N0 direct
+    terms (q = 0.999) and lines whose route changes with t."""
     if family == "qk":
         wide = [DeformParams.qk(0.999, 1.0)]
         params = [DeformParams.qk(q, k) for q, k in ((0.5, 1.0), (0.9, 2.5))]
@@ -327,19 +327,21 @@ def _batch_grid(family: str, rng: random.Random):
             if family == "qk":
                 ts[count // 2] = prm.k  # ln Gamma_qk(k) = 0: every term is an exact zero
             lines.append((prm, ts))
+    if family == "qk":  # ln Gamma sums about 900 to 1,000 terms directly here
+        lines.append((DeformParams.qk(0.96, 1.0), sorted(rng.uniform(0.01, 50.0) for _ in range(40))))
     return lines
 
 
 # (params, points that evaluate, a t whose ln Gamma overflows or None) per kernel.  The (q,k) psi and
 # psi' points at q = 1 - 1e-5 take the direct route at t = 1e4 and the Euler-Maclaurin route at t = 1; at
-# (q, k) = (0.5, 0.001) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e306,
-# the Euler-Maclaurin route at t = 1e-306.  The PQ ln Gamma batch takes one route for all its points:
+# (q, k) = (0.5, 0.1) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e308,
+# the Euler-Maclaurin route at t = 1e-307.  The PQ ln Gamma batch takes one route for all its points:
 # the lattice route at p = 1e6, the direct one at p = 1e4.  psi_pq is always summed directly.
 FIRST_FAILURE = {
     ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "psi-prime"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "ln-gamma"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1.0], 1e308),
-                         (DeformParams.qk(0.5, 0.001), [1.0, 1e-306], 1e306)],
+                         (DeformParams.qk(0.5, 0.1), [1.0, 1e-307], 1e308)],
     ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
     ("pq", "psi-prime"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
     ("pq", "ln-gamma"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], 1.7e308),
@@ -352,7 +354,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
     def test_batch_is_bit_identical_to_scalar_kernel(self, family, fn):
         rng = random.Random(f"batch:{family}:{fn}")
-        counts, crossing = set(), 0
+        counts, routes, crossing = set(), set(), 0
         for params, ts in _batch_grid(family, rng):
             batch = evaluate(fn, params, ts)
             assert len(batch) == len(ts)
@@ -361,14 +363,17 @@ class TestEvaluate:
                 assert (got.value, got.tail_bound, got.terms_used) == (want.value, want.tail_bound, want.terms_used)
                 assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
                 counts.add(got.terms_used)
-            if family == "qk" and fn != "ln-gamma":
+            if family == "qk":
                 em = {got == _em_qk(fn, params, t, Tolerance()) for t, got in zip(ts, batch)}
+                routes |= em
                 crossing += em == {True, False}
-        # the grid lets the term count vary and reaches past one CHUNK, or, for the (q,k) psi and
-        # psi', which sum at most N0_PSI terms directly, has batches that cross the cut-off
+        # the grid lets the term count vary and, for the PQ sums, reaches past one CHUNK; the (q,k)
+        # kernels sum at most about N0 terms directly at the default tolerance, and take both routes,
+        # psi and psi' within one batch (ln Gamma's direct count does not depend on t)
         assert len(counts) > 5
-        if family == "qk" and fn != "ln-gamma":
-            assert crossing > 0 and max(counts) > _N0_PSI // 2
+        if family == "qk":
+            assert routes == {True, False} and max(counts) > _N0 // 2
+            assert crossing > 0 or fn == "ln-gamma"
         else:
             assert max(counts) > CHUNK
 
@@ -528,10 +533,9 @@ class TestBlockedSums:
         sum_terms, series_terms = qcore.sum_terms, reference._series_terms
         monkeypatch.setattr(qcore, "sum_terms", lambda term_fn, lo, hi: sum_terms(recording(term_fn), lo, hi))
         monkeypatch.setattr(reference, "_series_terms", lambda *args: recording(series_terms(*args)))
-        # psi and psi' sum their long (q,k) series on the Euler-Maclaurin route; ln Gamma_qk sums directly
+        # the (q,k) kernels sum their long series on the Euler-Maclaurin route; the PQ sums sum directly
         qk, pq = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999)
-        used = [ln_gamma_qk(3.5, qk).terms_used]
-        used += [kernel(1.0, pq).terms_used for kernel in (psi_pq, psi_pq_prime, ln_gamma_pq)]
+        used = [kernel(1.0, pq).terms_used for kernel in (psi_pq, psi_pq_prime, ln_gamma_pq)]
         assert min(used) > 3 * CHUNK
         for kind in SeriesKind:
             brute_force_series(kind, 0.5, qk, 200_000)
