@@ -50,21 +50,22 @@ eps = -ln q:
 with S_s(a) = sum_{m>=0} Li_s(e^-y_m), Li_0 = 1/(e^y - 1), Li_-1 its
 negated derivative and Li_1 = -ln(1 - e^-y).  Each S sums M terms
 directly, then adds the integral Li_(s+1)(e^-y_M) / h (h = eps k), the half
-end term and P = 8 Bernoulli corrections (DLMF 2.10.1).  Li_s(e^-y) is
-completely monotone in y, so the remainder is at most the size of the last
-correction, |B_2P|/(2P)! h^(2P-1) |Li_(s-2P+1)(e^-y_M)| (Eulerian polynomials
-give every Li of negative order, with positive coefficients).  That bound,
-scaled and times the usual safety factor, is the tail_bound; M starts at 8
-and grows until it is within abs_tol.  Li_2 is computed in-house;
+end term and P = 8 Bernoulli corrections (DLMF 2.10.1), and up to 25 as the
+tolerance needs.  Li_s(e^-y) is completely monotone in y, so the remainder
+is at most the size of the last correction, |B_2P|/(2P)! h^(2P-1)
+|Li_(s-2P+1)(e^-y_M)| (Eulerian polynomials give every Li of negative order,
+with positive coefficients).  That bound, scaled and times the usual safety
+factor, is the tail_bound; P grows first, M from 8 only where P cannot
+reach abs_tol.  Li_2 is computed in-house;
 near y = 0 by its reflection formula, whose constant pi^2/6 is left out of
 each integral and added back once per pair, exactly, as the difference of
 the constants the pair left out.  So S_1(t) - S_1(k), two sums of about
 pi^2/(6 eps k), lose no digits to their cancellation as q -> 1-.
 terms_used counts the terms the route formed: M + 2 + P per lattice sum
-(two for ln Gamma), a few dozen in all.  On either route n_max caps
-terms_used.  Where psi's first lattice term Li_0(e^-eps t) overflows (eps t
-subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to within eps t
-relative, goes in the lead and the lattice starts at eps (t + k).
+(two for ln Gamma), a few dozen in all at the default tolerance.  On either
+route n_max caps terms_used.  Where psi's first lattice term Li_0(e^-eps t)
+overflows (eps t subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to
+within eps t relative, goes in the lead and the lattice starts at eps (t + k).
 
 ln Gamma_pq takes the same two routes by its own cut-off N0_PQ = 2^17.  Its
 factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so
@@ -77,7 +78,7 @@ step eps:
     ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(1)] - [S_1(t+p+1) - S_1(p+1)]
 
 _em_lattice, the one Euler-Maclaurin entry of both families, forms the near
-pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = 8, even for
+pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = P = 8, even for
 10^8 factors.  The far pair still loses digits: its two sums, each up to
 about pi^2/(6 eps), differ by only about t |ln(1 - q^(p+1))|.  psi_pq and
 psi_pq' are always summed directly.
@@ -94,7 +95,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -139,36 +139,30 @@ _MIN_NORMAL = sys.float_info.min
 _N0 = 1 << 10
 _N0_PQ = 1 << 17
 
-# Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral,
-# the half end term and P = len(_BERNOULLI) Bernoulli corrections.
+# Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral, the
+# half end term and _EM_P Bernoulli corrections, up to _P_MAX as the tolerance needs.
 _EM_M = 8
-_BERNOULLI = (  # B_2j / (2j)!, j = 1..8
-    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
-    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
-)
-_EULERIAN = (  # coefficients of the Eulerian polynomial A_n, n = 0..16: Li_-n(z) = z A_n(z) / (1-z)^(n+1)
-    (1,),
-    (1,),
-    (1, 1),
-    (1, 4, 1),
-    (1, 11, 11, 1),
-    (1, 26, 66, 26, 1),
-    (1, 57, 302, 302, 57, 1),
-    (1, 120, 1191, 2416, 1191, 120, 1),
-    (1, 247, 4293, 15619, 15619, 4293, 247, 1),
-    (1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1),
-    (1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1),
-    (1, 2036, 152637, 2203488, 9738114, 15724248, 9738114, 2203488, 152637, 2036, 1),
-    (1, 4083, 478271, 10187685, 66318474, 162512286, 162512286, 66318474, 10187685, 478271, 4083, 1),
-    (1, 8178, 1479726, 45533450, 423281535, 1505621508, 2275172004, 1505621508, 423281535,
-     45533450, 1479726, 8178, 1),
-    (1, 16369, 4537314, 198410786, 2571742175, 12843262863, 27971176092, 27971176092,
-     12843262863, 2571742175, 198410786, 4537314, 16369, 1),
-    (1, 32752, 13824739, 848090912, 15041229521, 102776998928, 311387598411, 447538817472,
-     311387598411, 102776998928, 15041229521, 848090912, 13824739, 32752, 1),
-    (1, 65519, 41932745, 3572085255, 85383238549, 782115518299, 3207483178157, 6382798925475,
-     6382798925475, 3207483178157, 782115518299, 85383238549, 3572085255, 41932745, 65519, 1),
-)
+_EM_P = 8
+_P_MAX = 25
+
+
+def _em_tables(p_max: int) -> tuple:
+    """(B_2j/(2j)!, j = 1..p_max; the Eulerian polynomials' coefficient rows A_0..A_(2 p_max)), correctly rounded.
+
+    Li_-n(z) = z A_n(z) / (1-z)^(n+1), with A(n, m) = (m+1) A(n-1, m) + (n-m) A(n-1, m-1).  The generating
+    function of A_n(-1) is 1 + tanh x, so A_(2j-1)(-1) = (-1)^(j-1) T_(2j-1), a tangent number, and
+    B_2j/(2j)! = A_(2j-1)(-1) / (4^j (4^j - 1) (2j-1)!) (DLMF 4.19.3), one correctly rounded division.
+    """
+    rows = [(1,)]
+    for n in range(1, 2 * p_max + 1):
+        prev = (0,) + rows[-1] + (0,)
+        rows.append(tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n)))
+    weights = tuple(sum(c if m % 2 == 0 else -c for m, c in enumerate(rows[2 * j - 1]))
+                    / (4 ** j * (4 ** j - 1) * math.factorial(2 * j - 1)) for j in range(1, p_max + 1))
+    return weights, tuple(tuple(map(float, row)) for row in rows)
+
+
+_BERNOULLI, _EULERIAN = _em_tables(_P_MAX)
 _PI2_6 = 1.6449340668482264  # pi^2 / 6 = Li_2(1)
 
 
@@ -240,11 +234,17 @@ def _power_terms(kl: float, prime: bool):
 
 
 def _ln1m_exp_terms(y: np.ndarray) -> np.ndarray:
-    """log1p(-exp(y)) for y < 0 falling along its last axis; log(-expm1(y)) where exp(y) rounds to 1."""
-    e = np.exp(y)
-    if (e[..., :1] == 1.0).any():  # only a row's leading term can round to 1
-        return np.where(e == 1.0, np.log(-np.expm1(y)), np.log1p(-np.where(e == 1.0, 0.0, e)))
-    return np.log1p(-e)
+    """ln(1 - e^y) for y < 0 falling along its last axis, by the rule of ln1m_exp: log(-expm1(y)) above -ln 2."""
+    if not (y[..., :1] > -_LN2).any():
+        return np.log1p(-np.exp(y))
+    near = y > -_LN2
+    if y.ndim == 1:  # y falls, so its terms above -ln 2 are a leading run
+        c = np.count_nonzero(near)
+        return np.concatenate((np.log(-np.expm1(y[:c])), np.log1p(-np.exp(y[c:]))))
+    c = near.sum(axis=-1).max()  # the longest such run of a row
+    out = np.log1p(-np.exp(np.minimum(y, -_LN2)))
+    out[:, :c] = np.where(near[:, :c], np.log(-np.expm1(y[:, :c])), out[:, :c])
+    return out
 
 
 def pairwise_sum(term_fn, lo: int, hi: int) -> float:
@@ -414,7 +414,7 @@ def _li2_series(u: float) -> float:
     """Li_2(x) from u = -ln(1-x) <= ln 2: u - u^2/4 + sum_j B_2j u^(2j+1) / (2j+1)!."""
     u2 = u * u
     acc = 0.0
-    for j in range(len(_BERNOULLI), 0, -1):
+    for j in range(_EM_P, 0, -1):
         acc = acc * u2 + _BERNOULLI[j - 1] / (2 * j + 1)
     return u - 0.25 * u2 + u * u2 * acc
 
@@ -427,28 +427,32 @@ def _li(s: int, y: float) -> float:
     return z * _eulerian(-s, z) / (-math.expm1(-y)) ** (1 - s)
 
 
-def _em_closure(s: int, y: float, h: float) -> tuple:
-    """(closure, remainder bound, units) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
+def _em_closure(s: int, y: float, h: float, share: float) -> tuple:
+    """(closure, remainder bound, units, P) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
 
     The closure is the integral Li_(s+1)(e^-y) / h less units pi^2/(6h), the
     half end term and the corrections B_2j/(2j)! h^(2j-1) Li_(s-2j+1)(e^-y)
     for j = 1..P (DLMF 2.10.1 with f^(2j-1) = -Li_(s-2j+1)(e^-x)).  f is
     completely monotone, so f^(2P) keeps one sign and the remainder after P
     corrections is at most the size of the last one, |B_2P|/(2P)! h^(2P-1)
-    |f^(2P-1)(y)|.  Li_2(z), z = e^-y, is summed in u = -ln(1-z) up to z = 1/2;
-    above, by the reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z) (DLMF
-    25.12.6) without its pi^2/6, which units = 1 counts, so that two sums near
-    y = 0 leave their largest part to an exact cancellation (_em_lattice).
+    |f^(2P-1)(y)|.  P is _EM_P, and grows to at most _P_MAX while that bound
+    is above share and the (divergent) corrections still fall.
+    Li_2(z), z = e^-y, is summed in u = -ln(1-z) up to z = 1/2; above, by the
+    reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z) (DLMF 25.12.6)
+    without its pi^2/6, which units = 1 counts, so that two sums near y = 0
+    leave their largest part to an exact cancellation (_em_lattice).
     """
     z, w = math.exp(-y), -math.expm1(-y)
     r = h / w  # h^(2j-1) Li_(s-2j+1)(z) = z A_(2j-1-s)(z) r^(2j-1) / w^(1-s)
     r2 = r * r
-    corrections, power = 0.0, r
-    for j, weight in enumerate(_BERNOULLI, start=1):
-        last = weight * _eulerian(2 * j - 1 - s, z) * power
-        corrections += last
-        power *= r2
     scale = z / w ** (1 - s)
+    corrections, power, p = 0.0, r, 0
+    while p < _P_MAX and (p < _EM_P or abs(last) * scale > share):
+        term = _BERNOULLI[p] * _eulerian(2 * p + 1 - s, z) * power
+        if p >= _EM_P and abs(term) >= abs(last):
+            break
+        corrections += term
+        last, power, p = term, power * r2, p + 1
     units = 0
     if s < 1:
         integral = _li(s + 1, y)
@@ -456,7 +460,7 @@ def _em_closure(s: int, y: float, h: float) -> tuple:
         integral = _li2_series(-math.log1p(-z))
     else:  # -ln(1 - (1-z)) = y
         integral, units = y * math.log(w) - _li2_series(y), 1
-    return integral / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale, units
+    return integral / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale, units, p
 
 
 def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: Tolerance,
@@ -464,33 +468,35 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
     """lead + scale * (the sum over pairs of S(a) - S(b), or S(a) for a pair (a,)), by Euler-Maclaurin.
 
     S(a) is the infinite sum of f(y) = Li_s(e^-y) over y = a + m h, m >= 0:
-    M terms directly, closed by _em_closure at a + M h.  Each pair is
-    differenced before the pairs are added, and then gets back the pi^2/(6h)
-    units its closures left out, as their difference times pi^2/(6h).  M
-    starts at _EM_M and grows until tail, the closures' bounds times |scale|
-    and _SAFETY, is within abs_tol; None, before any term is summed, where
-    it would grow past m_cap.  terms_used, M + 2 + P per sum, is capped by
-    n_max.  A value that is not finite raises TruncationNotConverged.
+    M terms directly, closed by _em_closure at a + M h, its bound held to a
+    share of abs_tol: abs_tol / (_SAFETY |scale| times the number of sums).
+    Each pair is differenced before the pairs are added, and then gets back
+    the pi^2/(6h) units its closures left out, as their difference times
+    pi^2/(6h).  M starts at _EM_M and grows until tail, the closures' bounds
+    times |scale| and _SAFETY, is within abs_tol; None, before any term is
+    summed, where it would grow past m_cap.  terms_used, M + 2 + P per sum,
+    is capped by n_max.  A value that is not finite raises TruncationNotConverged.
     """
     starts = [a for pair in pairs for a in pair]
+    share = tol.abs_tol / (_SAFETY * abs(scale) * len(starts))
     m = _EM_M
     while True:
-        closures = {a: _em_closure(s, a + m * h, h) for a in starts}
-        terms = len(starts) * (m + 2 + len(_BERNOULLI))
-        tail = _SAFETY * abs(scale) * sum(closures[a][1] for a in starts)
+        closures = {a: _em_closure(s, a + m * h, h, share) for a in starts}
+        terms = sum([m + 2 + closures[a][3] for a in starts])
+        tail = _SAFETY * abs(scale) * sum([closures[a][1] for a in starts])
         if terms > tol.n_max:
             raise TruncationNotConverged(
                 f"Euler-Maclaurin route needs {terms} terms, past the cap of {tol.n_max}", tail, tol.n_max)
         if tail <= tol.abs_tol:
             break
-        # the remainder falls at least like y^-(2P - s) as y = a + m h grows
+        # the remainder after P corrections falls at least like y^-(2P - s) as y = a + m h grows
         a = min(starts)
-        grow = math.exp((math.log(tail) - math.log(tol.abs_tol)) / (2 * len(_BERNOULLI) - s))
+        grow = math.exp((math.log(tail) - math.log(tol.abs_tol)) / (2 * closures[a][3] - s))
         m = max(m + 1, math.ceil(((a + m * h) * grow - a) / h))
         if m > m_cap:
             return None
     sums = {}
-    for a, (closure, _, units) in closures.items():
+    for a, (closure, _, units, _) in closures.items():
         direct = 0.0
         for i in range(m):
             direct += _li(s, a + i * h)
@@ -584,23 +590,18 @@ def _direct_lead(lead: float, t: float) -> float:
     return lead
 
 
-def _assemble(terms, n_first: int, scale: float, rows: tuple, em: list, base=None) -> list:
-    """One EvalResult per point of a batch, in order, from the parallel lists rows = (xs, lasts, leads,
-    tails, ns) of its direct points and the (index, result) pairs em of its Euler-Maclaurin points.
+def _assemble(terms, n_first: int, scale: float, points: list, base=None) -> list:
+    """One EvalResult per point of a batch, in order: points holds the result of each Euler-Maclaurin point
+    and the row (x, last, lead, tail, terms_used) of each direct one.
 
     A direct value is lead + scale * (the sum of terms(x, n) over n = n_first..last, less base(),
     if base is given)."""
-    xs, lasts, leads, tails, ns = rows
-    if not xs:  # all on the Euler-Maclaurin route: nothing to sum, and base, too long there, is skipped
-        return [res for _, res in em]
-    sums = _sum_rows(terms, xs, n_first, lasts)
-    if base:
-        offset = base()
-        sums = [s - offset for s in sums]
-    results = list(map(EvalResult, [lead + scale * s for lead, s in zip(leads, sums)], tails, ns))
-    for i, res in em:
-        results.insert(i, res)
-    return results
+    rows = [p for p in points if type(p) is tuple]
+    if not rows:  # all on the Euler-Maclaurin route: nothing to sum, and base, too long there, is skipped
+        return points
+    sums = iter(_sum_rows(terms, [row[0] for row in rows], n_first, [row[1] for row in rows]))
+    offset = base() if base else 0.0
+    return [EvalResult(p[2] + scale * (next(sums) - offset), p[3], p[4]) if type(p) is tuple else p for p in points]
 
 
 def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
@@ -629,7 +630,9 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
     # a numpy warning on stderr, is never formed
     t_cap = sys.float_info.max / (2.0 * -ln_q)
-    xs, leads, tails, ns, em = [], [], [], [], []
+    # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
+    lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
+    points = []
     for t in ts:
         res = None
         if gamma:
@@ -657,19 +660,16 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
             if res is None:
                 direct = geometric_terms_needed(tail_at, n, ln_step, tol)
         if direct is None:
-            em.append((len(ns) + len(em), _em_qk(fn, params, t, tol) if res is None else res))
-            continue
-        if gamma:
-            leads.append(_direct_lead(_qk_gamma_lead(t, k, ln1mq), t))
-        xs.append(min(t, t_cap) if gamma else ln_r)
-        ns.append(direct[0])
-        tails.append(direct[1])
+            points.append(_em_qk(fn, params, t, tol) if res is None else res)
+        elif gamma:
+            n, tail = direct
+            points.append((min(t, t_cap), n - 1, _direct_lead(_qk_gamma_lead(t, k, ln1mq), t), tail, n))
+        else:
+            points.append((ln_r, direct[0], lead, direct[1], direct[0]))
     if gamma:  # numerator exponent written as k + n*k so that t = k cancels bitwise
         terms = lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
-        return _assemble(terms, 0, 1.0, (xs, [n - 1 for n in ns], leads, tails, ns), em)
-    # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
-    lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
-    return _assemble(_power_terms(ln_s, prime), 1, scale, (xs, ns, repeat(lead), tails, ns), em)
+        return _assemble(terms, 0, 1.0, points)
+    return _assemble(_power_terms(ln_s, prime), 1, scale, points)
 
 
 def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
@@ -679,32 +679,31 @@ def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     """
     q, p = params.q, params.p
     ln_q = math.log(q)
-    xs, lasts = [], []
+    points = []
     if fn != "ln-gamma":
         prime = fn == "psi-prime"
+        lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
         for t in ts:
             ln_r = _check_t(t) * ln_q
-            xs.append(ln_r)
-            lasts.append(_capped(_last_nonzero(lambda m: m * ln_r, 1, p), tol))
-        lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
-        return _assemble(_power_terms(ln_q, prime), 1, scale, (xs, lasts, repeat(lead), repeat(0.0), lasts), [])
+            last = _capped(_last_nonzero(lambda m: m * ln_r, 1, p), tol)
+            points.append((ln_r, last, lead, 0.0, last))
+        return _assemble(_power_terms(ln_q, prime), 1, scale, points)
     ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
     n_fact = _last_nonzero(lambda m: m * ln_q, 1, p)
-    eps, leads, em = -ln_q, [], []
+    eps = -ln_q
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
         if n_fact > _N0_PQ:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
             pairs = ((eps * t, eps), (eps * (p + 1), eps * (t + p + 1)))
-            em.append((len(em), _em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol)))
+            points.append(_em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol))
             continue
         _capped(n_fact, tol)  # raised at the first point, as a one-point call raises it
-        leads.append(_direct_lead(ln1mq + t * lead, t))
-        xs.append(t)
-        lasts.append(_last_nonzero(lambda m: (t + m) * ln_q, 0, p))
+        last = _last_nonzero(lambda m: (t + m) * ln_q, 0, p)
+        points.append((t, last, _direct_lead(ln1mq + t * lead, t), 0.0, n_fact))
     # lead + -1.0 * (shifted - factorial) has the bits of lead + (factorial - shifted)
     factorial = partial(sum_terms, lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
     terms = lambda x, n: _ln1m_exp_terms((x + n) * ln_q)
-    return _assemble(terms, 0, -1.0, (xs, lasts, leads, repeat(0.0), repeat(n_fact)), em, factorial)
+    return _assemble(terms, 0, -1.0, points, factorial)
 
 
 _KERNELS = {Family.QK: _qk_batch, Family.PQ: _pq_batch}

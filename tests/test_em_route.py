@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from fractions import Fraction
 import math
 import random
 import time
@@ -19,7 +20,7 @@ from qdigamma import (DeformParams, Tolerance, TruncationNotConverged, evaluate,
 from qdigamma.cli import main
 from qdigamma.params import K_MAX, K_MIN, Q_MAX, Q_MIN
 from qdigamma import qcore
-from qdigamma.qcore import _EM_M, _N0, _em_qk, ln1m_exp, psi_qk_direct_count
+from qdigamma.qcore import _EM_M, _N0, _P_MAX, _em_qk, ln1m_exp, psi_qk_direct_count
 
 from lattice_oracle import qk_oracle
 
@@ -130,6 +131,70 @@ def test_tight_tolerance_takes_the_cheaper_route(abs_tol):
         # the lattice returns None once its predicted length passes the cap, before summing a term
         assert _em_qk(fn, params, 1.0, tol, m_cap=res.terms_used * _EM_M / _N0) is None
     assert psi_qk(1.0, params, tol).terms_used == psi_qk_direct_count(1.0, params, tol)[0]
+
+
+def test_found_point_grows_the_order_before_the_lattice():
+    # with 8 corrections the lattice summed 9,474,365 terms here (seconds); up to 25 need a few hundred
+    params, tol = DeformParams.qk(0.9998747630499818, 0.012873206549316946), Tolerance(abs_tol=1.2847920292193221e-110)
+    start = time.perf_counter()
+    res = psi_qk(2.23793538828821e-227, params, tol)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.05 and res.value == -4.4684042498872e+226 and res.tail_bound <= tol.abs_tol, (res, elapsed)
+
+
+@pytest.mark.parametrize("fn", list(KERNELS))
+def test_tight_tolerance_near_one_matches_the_oracle(fn):
+    q, k, t, tol = 1.0 - 1e-9, 1.0, 1.0, Tolerance(abs_tol=1e-100)
+    params = DeformParams.qk(q, k)
+    start = time.perf_counter()
+    res = KERNELS[fn](t, params, tol)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.05 and res.tail_bound <= tol.abs_tol, (res, elapsed)
+    error = abs(mp.mpf(res.value) - qk_oracle(fn, t, q, k))
+    assert error <= res.tail_bound + rounding(fn, res.value, t, q, k, res.terms_used, "em"), (res, float(error))
+
+
+# B_2j / (2j)!, j = 1..8, and the Eulerian rows A_0..A_16, as the module held them before it generated them
+PINNED_WEIGHTS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+)
+PINNED_ROWS = (
+    (1,),
+    (1,),
+    (1, 1),
+    (1, 4, 1),
+    (1, 11, 11, 1),
+    (1, 26, 66, 26, 1),
+    (1, 57, 302, 302, 57, 1),
+    (1, 120, 1191, 2416, 1191, 120, 1),
+    (1, 247, 4293, 15619, 15619, 4293, 247, 1),
+    (1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1),
+    (1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1),
+    (1, 2036, 152637, 2203488, 9738114, 15724248, 9738114, 2203488, 152637, 2036, 1),
+    (1, 4083, 478271, 10187685, 66318474, 162512286, 162512286, 66318474, 10187685, 478271, 4083, 1),
+    (1, 8178, 1479726, 45533450, 423281535, 1505621508, 2275172004, 1505621508, 423281535,
+     45533450, 1479726, 8178, 1),
+    (1, 16369, 4537314, 198410786, 2571742175, 12843262863, 27971176092, 27971176092,
+     12843262863, 2571742175, 198410786, 4537314, 16369, 1),
+    (1, 32752, 13824739, 848090912, 15041229521, 102776998928, 311387598411, 447538817472,
+     311387598411, 102776998928, 15041229521, 848090912, 13824739, 32752, 1),
+    (1, 65519, 41932745, 3572085255, 85383238549, 782115518299, 3207483178157, 6382798925475,
+     6382798925475, 3207483178157, 782115518299, 85383238549, 3572085255, 41932745, 65519, 1),
+)
+
+
+def test_em_tables_match_an_exact_regeneration():
+    # Bernoulli numbers from sum_{i<=n} C(n+1, i) B_i = 0, Eulerian numbers from their explicit alternating sum
+    bernoulli = [Fraction(1)]
+    for n in range(1, 2 * _P_MAX + 1):
+        bernoulli.append(-sum(math.comb(n + 1, i) * bernoulli[i] for i in range(n)) / (n + 1))
+    weights = tuple(float(bernoulli[2 * j] / math.factorial(2 * j)) for j in range(1, _P_MAX + 1))
+    rows = ((1,),) + tuple(tuple(sum((-1) ** i * math.comb(n + 1, i) * (m + 1 - i) ** n for i in range(m + 1))
+                                 for m in range(n)) for n in range(1, 2 * _P_MAX + 1))
+    # rows past A_18 hold integers above 2^53: the module keeps each as its correctly rounded float
+    assert qcore._BERNOULLI == weights and qcore._EULERIAN == tuple(tuple(map(float, row)) for row in rows)
+    assert qcore._BERNOULLI[:8] == PINNED_WEIGHTS and qcore._EULERIAN[:17] == PINNED_ROWS
 
 
 def _cut_off_pair(params: DeformParams) -> tuple:

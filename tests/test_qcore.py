@@ -33,6 +33,7 @@ from qdigamma import qcore, reference
 from qdigamma.qcore import _N0, CHUNK, _em_qk, pairwise_sum
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
+from lattice_oracle import pq_ln_gamma_oracle, qk_oracle
 
 # Values frozen from the plain-loop oracles in conftest (20000 terms).
 PSI_QK_1_HALF_K1 = -0.4205290343560458      # brute_psi_qk(1, 0.5, 1)
@@ -499,6 +500,21 @@ class TestLnGammaTinyT:
         except TruncationNotConverged:
             return
         assert math.isfinite(res.value)
+
+
+class TestLnGammaLeadingTerms:
+    """Log terms ln(1 - e^y) above y = -ln 2 are formed as log(-expm1(y)), as ln1m_exp forms them."""
+
+    @pytest.mark.parametrize("family,t,q,k", [("qk", 1e-3, 1.0 - 1e-6, 1e6), ("qk", 1e-3, 1.0 - 1e-7, 1e6),
+                                              ("pq", 1e-3, 1.0 - 1e-6, 50)])
+    def test_direct_values_match_the_oracle(self, family, t, q, k):
+        # log1p(-exp(y)) was off by about u / |y| at |y| = 1e-9: 3e-8 absolute in each value
+        mp = pytest.importorskip("mpmath")
+        if family == "qk":
+            res, exact = ln_gamma_qk(t, DeformParams.qk(q, k)), qk_oracle("ln-gamma", t, q, k)
+        else:
+            res, exact = ln_gamma_pq(t, DeformParams.pq(k, q)), pq_ln_gamma_oracle(t, q, k)
+        assert abs(mp.mpf(res.value) - exact) <= 1e-13, (res, float(abs(mp.mpf(res.value) - exact)))
 
 
 class TestBlockedSums:
