@@ -21,7 +21,9 @@ from . import _jsonfmt
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, Q_MAX, Tolerance
 from .qcore import ln1m_exp, psi_pq, psi_qk, psi_qk_direct_count
-from .reference import SeriesKind, brute_force_series, classical_digamma, k_digamma_ref, p_digamma_ref
+from .reference import classical_digamma, k_digamma_ref, p_digamma_ref, q_digamma_split
+# bound here, unused, for tools that wrap the oracles by module name
+from .reference import brute_force_series  # noqa: F401
 
 __all__ = [
     "ConvergenceReport",
@@ -98,11 +100,13 @@ def _q_schedule(j_max: int):
 
 
 def limit_k_to_1(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> SubstitutionCheck:
-    """Check psi_qk at k=1 against a plain partial-sum oracle of the q-digamma.
+    """Check psi_qk at k=1 against an independent oracle of the q-digamma.
 
     With N the direct series' closed-form term count, the certified value and
-    the plain sum at 4N terms (at most 2e6) must agree within twice the two
-    truncation bounds.  N and its tail come from the direct route even where
+    the oracle must agree within twice the two truncation bounds.  The oracle's
+    bound is the tail of the plain sum at 4N terms (at most 2e6); the Lambert
+    split (reference.q_digamma_split) stays within it in about
+    2 sqrt(4N t) terms.  N and its tail come from the direct route even where
     the value takes the Euler-Maclaurin route, whose few dozen terms would
     shrink the oracle; the value's bound is the larger of the two tails.
     Raises TruncationNotConverged where N is above n_max or the oracle's tail
@@ -122,7 +126,7 @@ def limit_k_to_1(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> Substituti
             f"oracle tail {oracle_tail:.3e}",
             oracle_tail, n_oracle,
         )
-    oracle = brute_force_series(SeriesKind.PSI_QK, t, params, n_oracle)
+    oracle = q_digamma_split(t, q, n_oracle)
     allowance = 2.0 * (max(res.tail_bound, direct_tail) + oracle_tail)
     gap = abs(res.value - oracle)
     return SubstitutionCheck(

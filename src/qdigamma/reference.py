@@ -5,6 +5,9 @@ the certified evaluators in ``qcore``; they exist so tests and limit scans
 can cross-check values against a second, simpler route.  The plain partial
 sums share only the summation order: their terms are built in blocks of
 2^13 and combined by ``qcore.pairwise_sum`` in numpy's pairwise order.
+The q-digamma of remark 3.1 (``q_digamma_split``) shares nothing with
+``qcore``: it reaches the plain sum's tail at n terms with the Lambert split,
+in about 2 sqrt(n t) terms.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +31,7 @@ __all__ = [
     "k_digamma_ref",
     "p_digamma_ref",
     "brute_force_series",
+    "q_digamma_split",
 ]
 
 
@@ -141,3 +146,69 @@ def brute_force_series(kind: SeriesKind, t: float, params: DeformParams, n_terms
     if kind is SeriesKind.PSI_QK_PRIME:
         return ln_q * ln_q * s
     return s - (t / k - 1.0) * math.log1p(-q)
+
+
+_SPLIT_BLOCK = 1 << 13
+
+
+def _block_sums(term_fn, lo: int, hi: int):
+    """np.sum of the array term_fn(i) for each block of at most _SPLIT_BLOCK float indices in lo..hi-1.
+
+    A block stays below glibc's mmap threshold, so no array is a fresh mapping faulted in page by page.
+    """
+    for a in range(lo, hi, _SPLIT_BLOCK):
+        yield float(np.sum(term_fn(np.arange(a, min(a + _SPLIT_BLOCK, hi), dtype=np.float64))))
+
+
+def _split_counts(t: float, n_terms: int) -> tuple:
+    """(T, N') for q_digamma_split: T shifts of t, then N' >= 1 terms of the shifted series,
+    with (N' + 1)(t + T) >= (n_terms + 1) t.
+
+    T = floor(sqrt(t) (sqrt(n+1) - sqrt(t))) minimises T + (n+1) t / (t + T), so T + N' is at
+    most n_terms, and at most 2 sqrt((n+1) t) + 2 wherever (n+1) t >= 4.  (n+1) t is formed
+    only where T > 0, that is below t = n + 1, so it cannot overflow.
+    """
+    n = n_terms
+    shifts = math.floor(math.sqrt(t) * (math.sqrt(n + 1) - math.sqrt(t))) if t < n + 1 else 0
+    if shifts == 0:
+        return 0, n
+    s = t + shifts
+    n_tail = max(1, math.ceil((n + 1) * t / s) - 1)
+    if (n_tail + 1) * s < (n + 1) * t:  # the quotient rounded down
+        n_tail += 1
+    return shifts, n_tail
+
+
+def q_digamma_split(t: float, q: float, n_terms: int) -> float:
+    """psi_q(t) = -ln(1-q) + ln q sum_{n>=1} q^(nt)/(1-q^n), at most the tail of n_terms plain terms off.
+
+    The Lambert split
+        sum_{n>=1} q^(nt)/(1-q^n) = sum_{m<T} q^(t+m)/(1-q^(t+m)) + sum_{n>=1} q^(n(t+T))/(1-q^n)
+    is Gamma_q(t+1) = [t]_q Gamma_q(t) applied T times, and every term is positive.  The
+    second sum is cut after N' terms (_split_counts), so its tail
+    q^((N'+1)(t+T)) / ((1-q)(1-q^(t+T))) is at most the plain sum's,
+    q^((n+1)t) / ((1-q)(1-q^t)), with T + N' terms, about 2 sqrt((n+1) t), in place of n.
+    The terms are built in blocks (_block_sums) whose sums math.fsum adds.
+    """
+    if n_terms < 1:
+        raise DomainError(f"n_terms={n_terms!r} must be >= 1")
+    if not (t > 0.0) or not math.isfinite(t):
+        raise DomainError(f"t={t!r} must be a positive finite real")
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q={q!r} must lie in (0, 1)")
+    ln_q = math.log(q)
+    shifts, n_tail = _split_counts(t, n_terms)
+
+    def head(m):
+        y = (t + m) * ln_q
+        return np.exp(y) / -np.expm1(y)
+
+    # every power q^(n s) with s ln q <= -750 underflows to 0, so the clamp keeps each term's bits,
+    # and n s ln q, which would overflow with a numpy warning on stderr near t = 1e308, is never formed
+    x = max((t + shifts) * ln_q, -750.0)
+
+    def tail(n):
+        return np.exp(n * x) / -np.expm1(n * ln_q)
+
+    s = math.fsum(chain(_block_sums(head, 0, shifts), _block_sums(tail, 1, n_tail + 1)))
+    return -math.log1p(-q) + ln_q * s

@@ -252,6 +252,12 @@ class TestLimitsOutput:
         assert proc.returncode == 3 and len(proc.stderr.encode()) < 200, proc.stderr
         assert "direct count 1.041e+303" in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("t", ["1e308", "1.7976931348623157e308"])
+    def test_remark_31_at_huge_t_writes_nothing_to_stderr(self, t):
+        proc = run_cli("limits", "--remark", "3.1", "--q", "0.5", "--t", t, "--json")
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert json.loads(proc.stdout)["report"]["ok"] is True
+
     def test_remark_35_passes_with_growing_first_gap(self):
         # the gap grows from p = 1 to p = 2, inside its certified bound
         proc = run_cli("limits", "--remark", "3.5", "--q", "0.7", "--t", "0.5", "--p-list", "1,2,5,10,20,30")

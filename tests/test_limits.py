@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,20 @@ from qdigamma import (
     psi_qk,
 )
 from qdigamma._jsonfmt import dumps
+from qdigamma.params import DEFAULT_TOL
 from qdigamma.qcore import _N0, psi_qk_direct_count
+
+from lattice_oracle import qk_oracle
+
+U = 2.0 ** -53
+
+
+def _k1_oracle_tail(t: float, q: float) -> float:
+    """The truncation bound limit_k_to_1 states for its oracle: the plain sum's tail at 4N terms."""
+    n_direct, _ = psi_qk_direct_count(t, DeformParams.qk(q, 1.0), DEFAULT_TOL)
+    n = min(4 * max(n_direct, 8), 2_000_000)
+    ln_q = math.log(q)
+    return -ln_q * math.exp((n + 1) * t * ln_q) / (-math.expm1(ln_q) * -math.expm1(t * ln_q))
 
 
 class TestKToOneSubstitution:
@@ -42,7 +56,7 @@ class TestKToOneSubstitution:
         assert check.ok
 
     def test_oracle_keeps_its_length_on_the_euler_maclaurin_route(self):
-        # psi takes the Euler-Maclaurin route here; the oracle still sums 2e6 terms
+        # psi takes the Euler-Maclaurin route here; the oracle's bound is still the plain sum's at 2e6 terms
         check = limit_k_to_1(0.5, 0.9999)
         assert psi_qk_direct_count(0.5, DeformParams.qk(0.9999, 1.0))[0] > _N0
         assert check.terms_used < 100
@@ -61,6 +75,32 @@ class TestKToOneSubstitution:
         # the value alone would take a few dozen Euler-Maclaurin terms; the oracle would need 8e5
         with pytest.raises(TruncationNotConverged):
             limit_k_to_1(0.5, 0.9999, Tolerance(n_max=1000))
+
+    def test_oracle_within_its_tail_of_the_lattice_oracle(self):
+        rng = random.Random(19)
+        checked = 0
+        while checked < 100:
+            if rng.random() < 0.5:
+                q = 10.0 ** rng.uniform(-9.0, math.log10(0.9))
+            else:
+                q = 1.0 - 10.0 ** rng.uniform(math.log10(5e-5), math.log10(0.9))
+            t = 10.0 ** rng.uniform(-4.0, math.log10(20.0))
+            try:
+                check = limit_k_to_1(t, q)
+            except TruncationNotConverged:
+                continue
+            checked += 1
+            slack = _k1_oracle_tail(t, q) + 32 * U * (abs(math.log1p(-q)) + abs(check.oracle_value))
+            assert abs(check.oracle_value - qk_oracle("psi", t, q, 1.0)) <= slack, (t, q)
+
+    def test_oracle_cost_does_not_grow_like_one_over_one_minus_q(self):
+        # the bound is the plain sum's at 2e6 terms (about 20 ms to sum); the split reaches it in 1,999
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            limit_k_to_1(0.5, 0.9999)
+            best = min(best, time.perf_counter() - start)
+        assert best < 5e-3, best
 
 
 class TestQToOneQK:

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import digamma as scipy_digamma
 
 from qdigamma import (
@@ -19,6 +20,7 @@ from qdigamma import (
     k_digamma_ref,
     p_digamma_ref,
 )
+from qdigamma.reference import _split_counts, q_digamma_split
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -150,3 +152,34 @@ def test_in_place_terms_keep_every_bit(kind):
         t, n_terms = 10.0 ** rng.uniform(-3.0, 1.5), rng.randint(1, 50_000)
         got = brute_force_series(kind, t, DeformParams.qk(q, k), n_terms)
         assert got == _plain_series(kind, t, q, k, n_terms), (q, k, t, n_terms)
+
+
+class TestLambertSplit:
+    @given(n=st.integers(8, 2_000_000), t=st.floats(1e-4, 1.7e308))
+    def test_counts_reach_the_plain_tail_in_fewer_terms(self, n, t):
+        shifts, n_tail = _split_counts(t, n)
+        assert shifts >= 0 and n_tail >= 1
+        if shifts:
+            assert (n_tail + 1) * (t + shifts) >= (n + 1) * t
+        else:
+            assert n_tail == n  # (N' + 1) t >= (n + 1) t, with no product that could overflow
+        assert shifts + n_tail <= n
+        # below (n + 1) t = 4 no shift pays, and the split sums the plain sum's n terms
+        if (n + 1) * t >= 4.0:
+            assert shifts + n_tail <= 2.0 * math.sqrt((n + 1) * t) + 2.0
+
+    def test_split_matches_the_plain_sum(self):
+        # both sum the same positive series; the plain sum of n terms is the reference
+        rng = random.Random(31)
+        for _ in range(40):
+            q, t, n = rng.uniform(0.05, 0.999), 10.0 ** rng.uniform(-2.0, 1.3), rng.randint(8, 200_000)
+            plain = brute_force_series(SeriesKind.PSI_QK, t, DeformParams.qk(q, 1.0), n)
+            ln_q = math.log(q)
+            tail = -ln_q * math.exp((n + 1) * t * ln_q) / (-math.expm1(ln_q) * -math.expm1(t * ln_q))
+            slack = tail + 64 * 2.0 ** -53 * (abs(math.log1p(-q)) + abs(plain))
+            assert q_digamma_split(t, q, n) == pytest.approx(plain, abs=slack), (q, t, n)
+
+    def test_rejects_bad_input(self):
+        for t, q, n in ((1.0, 0.5, 0), (-1.0, 0.5, 10), (math.inf, 0.5, 10), (1.0, 1.0, 10), (1.0, 0.0, 10)):
+            with pytest.raises(DomainError):
+                q_digamma_split(t, q, n)
