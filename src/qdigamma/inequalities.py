@@ -30,7 +30,7 @@ import numpy as np
 from . import _jsonfmt
 from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
-from .qcore import evaluate, psi_pq_limit
+from .qcore import evaluate, evaluate_columns, psi_pq_limit
 # the kernels stay bound here for tools that wrap them by module
 from .qcore import psi_pq, psi_pq_prime, psi_qk, psi_qk_prime  # noqa: F401
 
@@ -184,11 +184,12 @@ def _t_range(t_range: tuple) -> tuple:
 def _psi_lines(fn: str, spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
     """fn at the lower arguments a+bt and the upper arguments c+dt of every t, in one batch.
 
-    The points go in as (lower, upper) per t, in order, so the first point
-    that fails is the one a t-by-t loop would meet first.
+    Returns the (values, tails, terms) columns of each.  The points go in as
+    (lower, upper) per t, in order, so the first point that fails is the one
+    a t-by-t loop would meet first.
     """
-    res = evaluate(fn, params, [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))], tol)
-    return res[0::2], res[1::2]
+    cols = evaluate_columns(fn, params, [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))], tol)
+    return tuple(c[0::2] for c in cols), tuple(c[1::2] for c in cols)
 
 
 def _entry_psi_lines(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
@@ -199,14 +200,23 @@ def _entry_psi_lines(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
     return _psi_lines("psi", spec, params, ts, tol)
 
 
+def _result(line: tuple, j: int) -> EvalResult:
+    return EvalResult(*(c[j] for c in line))
+
+
+def _failing(spec: RatioSpec, t_lo, t_hi, lo: EvalResult, hi: EvalResult) -> tuple:
+    """The ratio preconditions on [t_lo, t_hi] that fail, as four flags: the argument ordering at t_lo and at
+    t_hi, and psi(a + b t_lo) = lo and psi(c + d t_lo) = hi certainly positive.  Each is a flag array where the
+    ts and the psi results are arrays."""
+    return (spec.lower_arg(t_lo) > spec.upper_arg(t_lo), spec.lower_arg(t_hi) > spec.upper_arg(t_hi),
+            np.logical_not(_positive(lo)), np.logical_not(_positive(hi)))
+
+
 def _verdict(spec: RatioSpec, t_lo: float, t_hi: float, lo: EvalResult, hi: EvalResult) -> SpecVerdict:
-    reasons = []
-    for t_end in (t_lo, t_hi):
-        if spec.lower_arg(t_end) > spec.upper_arg(t_end):
-            reasons.append(f"argument ordering fails at t={t_end:g}")
-    for arg, r in ((spec.lower_arg(t_lo), lo), (spec.upper_arg(t_lo), hi)):
-        if not _positive(r):
-            reasons.append(f"psi({arg:g}) = {r.value:.6g} not certainly positive")
+    order_lo, order_hi, low_lo, low_hi = _failing(spec, t_lo, t_hi, lo, hi)
+    reasons = [f"argument ordering fails at t={t_end:g}" for t_end, bad in ((t_lo, order_lo), (t_hi, order_hi)) if bad]
+    reasons += [f"psi({arg:g}) = {r.value:.6g} not certainly positive"
+                for arg, r, bad in ((spec.lower_arg(t_lo), lo, low_lo), (spec.upper_arg(t_lo), hi, low_hi)) if bad]
     return SpecVerdict(not reasons, tuple(reasons), lo.value, hi.value)
 
 
@@ -223,39 +233,59 @@ def validate_spec(
     range.  The argument ordering is linear, so both endpoints suffice.
     """
     t_lo, t_hi = _t_range(t_range)
-    (lo,), (hi,) = _psi_lines("psi", spec, params, [t_lo], tol)
-    return _verdict(spec, t_lo, t_hi, lo, hi)
+    x, y = _psi_lines("psi", spec, params, [t_lo], tol)
+    return _verdict(spec, t_lo, t_hi, _result(x, 0), _result(y, 0))
 
 
-def _positive_lows(t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> tuple:
-    """x - tail and y - tail for x = psi(a+bt), y = psi(c+dt); PositivityViolated unless both are > 0."""
-    x_low = x.value - x.tail_bound
-    y_low = y.value - y.tail_bound
-    if x_low <= 0.0 or y_low <= 0.0:
-        raise PositivityViolated(
-            f"psi not certainly positive at t={t:g} "
-            f"(psi_num={x.value:.6g}, psi_den={y.value:.6g}, {params.label()})"
-        )
-    return x_low, y_low
+def _positive_lows(x: tuple, y: tuple) -> tuple:
+    """psi - tail along the columns x = psi(a+bt) and y = psi(c+dt), and the mask of the t where either is not > 0."""
+    x_low, y_low = np.array(x[0]) - np.array(x[1]), np.array(y[0]) - np.array(y[1])
+    return x_low, y_low, (x_low <= 0.0) | (y_low <= 0.0)
 
 
-def _ratio_of(spec: RatioSpec, t: float, x: EvalResult, y: EvalResult, params: DeformParams) -> EvalResult:
-    """G(t) from x = psi(a+bt) and y = psi(c+dt)."""
-    x_low, y_low = _positive_lows(t, x, y, params)
-    # exp of the log expression: no overflow for large exponents, and the
-    # truncation error propagates linearly through the logs
-    terms = x.terms_used + y.terms_used
+def _not_positive(t: float, x: float, y: float, params: DeformParams) -> PositivityViolated:
+    return PositivityViolated(
+        f"psi not certainly positive at t={t:g} (psi_num={x:.6g}, psi_den={y:.6g}, {params.label()})")
+
+
+def _ratios(spec: RatioSpec, ts, x: tuple, y: tuple, params: DeformParams) -> tuple:
+    """G at every t of ts from the psi columns x = psi(a+bt) and y = psi(c+dt): (values, tails, terms, refused).
+
+    refused maps the index of each t that a t-by-t loop would refuse to its
+    error: PositivityViolated unless psi(a+bt) and psi(c+dt) are certainly
+    positive, else TruncationNotConverged where G overflows.  Logs and exps
+    are math's (numpy's SIMD versions differ in the last place), so each G
+    has the bits of that loop.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf or nan, as the floats give
+        x_low, y_low, bad = _positive_lows(x, y)
+        # exp of the log expression: no overflow for large exponents, and the
+        # truncation error propagates linearly through the logs; a psi that is
+        # not certainly positive is refused, and takes the log of 1.0 here
+        ln_x, ln_y = (np.array(list(map(math.log, np.where(bad, 1.0, v).tolist()))) for v in (x[0], y[0]))
+        arg = spec.alpha * ln_x - spec.beta * ln_y
+        values = np.array(list(map(_exp_or_inf, arg.tolist())))
+        rel = spec.alpha * np.array(x[1]) / x_low + spec.beta * np.array(y[1]) / y_low  # unread where refused
+        tails = values * rel
+    over = np.isinf(values) & np.isfinite(arg)  # where math.exp raised; exp(inf) is inf, as in a t-by-t loop
+    refused = {j: _not_positive(ts[j], x[0][j], y[0][j], params) if bad[j]
+               else TruncationNotConverged(f"the ratio at t={ts[j]!r} overflows a double", math.inf, x[2][j] + y[2][j])
+               for j in np.flatnonzero(bad | over).tolist()}
+    return values, tails, [m + n for m, n in zip(x[2], y[2])], refused
+
+
+def _exp_or_inf(a: float) -> float:
     try:
-        value = math.exp(spec.alpha * math.log(x.value) - spec.beta * math.log(y.value))
+        return math.exp(a)
     except OverflowError:
-        raise TruncationNotConverged(f"the ratio at t={t!r} overflows a double", math.inf, terms) from None
-    rel = spec.alpha * x.tail_bound / x_low + spec.beta * y.tail_bound / y_low
-    return EvalResult(value, value * rel, terms)
+        return math.inf
 
 
 def _ratio(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    (x,), (y,) = _entry_psi_lines(spec, params, [t], tol)
-    return _ratio_of(spec, t, x, y, params)
+    values, tails, terms, refused = _ratios(spec, [t], *_entry_psi_lines(spec, params, [t], tol), params)
+    if refused:
+        raise refused[0]
+    return EvalResult(values.item(), tails.item(), terms[0])
 
 
 def ratio_G(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -276,31 +306,34 @@ def ratio_values(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance = DEF
     Each t must meet the preconditions on [t, t], as validate_spec checks
     them; the first t that does not raises DomainError.
     """
-    xs, ys = _entry_psi_lines(spec, params, ts, tol)
-    values = []
-    for t, x, y in zip(ts, xs, ys):
-        verdict = _verdict(spec, t, t, x, y)
-        if not verdict.valid:
-            raise DomainError("ratio preconditions fail: " + "; ".join(verdict.reasons))
-        values.append(_ratio_of(spec, t, x, y, params))
-    return values
+    x, y = _entry_psi_lines(spec, params, ts, tol)
+    t = np.array(ts, dtype=np.float64)
+    fails = np.logical_or.reduce(_failing(spec, t, t, EvalResult(*map(np.array, x)), EvalResult(*map(np.array, y))))
+    j = int(np.argmax(fails)) if fails.any() else len(ts)
+    values, tails, terms, refused = _ratios(spec, ts, x, y, params)
+    if min(refused, default=j) < j:  # a ratio that overflows before the first t that fails its preconditions
+        raise refused[min(refused)]
+    if j < len(ts):
+        verdict = _verdict(spec, ts[j], ts[j], _result(x, j), _result(y, j))
+        raise DomainError("ratio preconditions fail: " + "; ".join(verdict.reasons))
+    return list(map(EvalResult, values.tolist(), tails.tolist(), terms))
 
 
-def _cross_margins(spec: RatioSpec, params: DeformParams, ts, xs, ys, tol: Tolerance) -> list:
-    """(margin, propagated numerical slack) of the cross product at each t of ts, given psi in xs, ys.
+def _cross_margins(spec: RatioSpec, params: DeformParams, ts, x: tuple, y: tuple, tol: Tolerance) -> tuple:
+    """(margins, propagated numerical slacks) of the cross product at each t of ts, given psi in the columns x, y.
 
     Every t passes the positivity check before psi' is evaluated at all of them, in one batch.
     """
-    for t, x, y in zip(ts, xs, ys):
-        _positive_lows(t, x, y, params)
-    xps, yps = _psi_lines("psi-prime", spec, params, ts, tol)
-    ab, bd = spec.alpha * spec.b, spec.beta * spec.d
-    return [
-        (ab * y.value * xp.value - bd * x.value * yp.value,
-         ab * (abs(y.value) * xp.tail_bound + xp.value * y.tail_bound)
-         + bd * (abs(x.value) * yp.tail_bound + yp.value * x.tail_bound))
-        for x, y, xp, yp in zip(xs, ys, xps, yps)
-    ]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf or nan, as the floats give
+        bad = _positive_lows(x, y)[2]
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise _not_positive(ts[j], x[0][j], y[0][j], params)
+        xp, yp = _psi_lines("psi-prime", spec, params, ts, tol)
+        xv, xt, yv, yt, xpv, xpt, ypv, ypt = map(np.array, (*x[:2], *y[:2], *xp[:2], *yp[:2]))
+        ab, bd = spec.alpha * spec.b, spec.beta * spec.d
+        return (ab * yv * xpv - bd * xv * ypv,
+                ab * (np.abs(yv) * xpt + xpv * yt) + bd * (np.abs(xv) * ypt + ypv * xt))
 
 
 def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -312,13 +345,13 @@ def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tole
     DomainError for t < 0, PositivityViolated unless psi(a+bt) and psi(c+dt)
     are certainly positive, and TruncationNotConverged from the kernels.
     """
-    xs, ys = _entry_psi_lines(spec, params, [t], tol)
-    ((margin, _),) = _cross_margins(spec, params, [t], xs, ys, tol)
-    return margin
+    margins, _ = _cross_margins(spec, params, [t], *_entry_psi_lines(spec, params, [t], tol), tol)
+    return margins.item()
 
 
-def _eps_for(slack: float) -> float:
-    return max(EPS_BASE, 10.0 * slack)
+def _eps(slack: np.ndarray) -> np.ndarray:
+    """The slack of each ratio or cross check: max(EPS_BASE, 10 * propagated slack)."""
+    return np.fmax(10.0 * slack, EPS_BASE)
 
 
 def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
@@ -331,8 +364,9 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
 
     Each (params, spec) line is evaluated in one batch: psi at every lower
     and upper argument it needs (and psi' for lemma-cross), precondition
-    points included.  A grid the suite cannot run on raises DomainError
-    before anything is evaluated.
+    points included, and its margins and slacks are formed as arrays.  A
+    grid the suite cannot run on raises DomainError before anything is
+    evaluated.
     """
     suite = Suite(suite)
     family, _, kind, fn = SUITES[suite]
@@ -352,6 +386,7 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
             f"so it needs t_min > 0; got t_min={grid.t_min!r}"
         )
     t_vals = grid.t_values()
+    n = len(t_vals)
     checks_run = 0
     skipped = 0
     errors = []
@@ -359,56 +394,62 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     worst_point = None
     violated = False
 
-    def record(margin: float, eps_pt: float, point: dict):
+    def record(margins: np.ndarray, eps: np.ndarray, point):
+        """The checks of one line, in order; point(j) is the report's point of check j."""
         nonlocal checks_run, worst, worst_point, violated
-        checks_run += 1
-        if margin < worst:
-            worst = margin
-            worst_point = point
-        if margin < -eps_pt:
-            violated = True
+        checks_run += len(margins)
+        found = margins.tolist()
+        low = min(found, default=math.inf)
+        if low != low:  # min stops at a leading nan, which a check-by-check scan skips
+            low = min((m for m in found if m == m), default=math.inf)
+        if low < worst:  # the first check at the minimum, as the scan keeps it
+            j = found.index(low)
+            worst, worst_point = found[j], point(j)
+        violated = violated or bool(np.count_nonzero(margins < -eps))
 
-    for i, (params, spec) in enumerate(grid.pairs):
-        try:
-            if monotone:
-                vals = evaluate(fn, params, t_vals, tol)
-                for j in range(len(vals) - 1):
-                    s_res, t_res = vals[j], vals[j + 1]
-                    margin = (t_res.value - s_res.value if kind == "nondecreasing"
-                              else s_res.value - t_res.value)
-                    record(margin, 2.0 * (s_res.tail_bound + t_res.tail_bound),
-                           {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": check})
-                continue
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf or nan, as the floats give
+        for i, (params, spec) in enumerate(grid.pairs):
+            try:
+                if monotone:
+                    values, tails = map(np.array, evaluate_columns(fn, params, t_vals, tol)[:2])
+                    record(values[1:] - values[:-1] if kind == "nondecreasing" else values[:-1] - values[1:],
+                           2.0 * (tails[:-1] + tails[1:]),
+                           lambda j: {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": check})
+                    continue
 
-            # the precondition point first, then the grid, then t = 1 for a corollary
-            ts = [t_lo, *t_vals, *([1.0] if kind == "corollary" else [])]
-            xs, ys = _psi_lines("psi", spec, params, ts, tol)
-            if not _verdict(spec, t_lo, t_hi, xs[0], ys[0]).valid:
-                skipped += 1
-                continue
-            xs, ys = xs[1:], ys[1:]
+                # the precondition point first, then the grid, then t = 1 for a corollary
+                ts = [t_lo, *t_vals, *([1.0] if kind == "corollary" else [])]
+                x, y = _psi_lines("psi", spec, params, ts, tol)
+                if not _verdict(spec, t_lo, t_hi, _result(x, 0), _result(y, 0)).valid:
+                    skipped += 1
+                    continue
+                x, y = (tuple(c[1:] for c in line) for line in (x, y))
 
-            if kind == "cross":
-                for t, (margin, slack) in zip(t_vals, _cross_margins(spec, params, t_vals, xs, ys, tol)):
-                    record(margin, _eps_for(slack), {"pair_index": i, "t": t, "check": "cross"})
-                continue
+                if kind == "cross":
+                    margins, slack = _cross_margins(spec, params, t_vals, x, y, tol)
+                    record(margins, _eps(slack), lambda j: {"pair_index": i, "t": t_vals[j], "check": "cross"})
+                    continue
 
-            def g(j):
-                return _ratio_of(spec, ts[j + 1], xs[j], ys[j], params)
-
-            # the reference points before the t loop, in the order a t-by-t run meets them; a
-            # corollary holds G(t) above G(1), a theorem between G(t_min) and G(t_max)
-            g_lo, g_hi = (g(len(t_vals)), None) if kind == "corollary" else (g(0), g(len(t_vals) - 1))
-            lower = "corollary" if g_hi is None else "lower"
-            for j, t in enumerate(t_vals):
-                g_t = g(j)
-                record(g_t.value - g_lo.value, _eps_for(g_t.tail_bound + g_lo.tail_bound),
-                       {"pair_index": i, "t": t, "check": lower})
-                if g_hi is not None:
-                    record(g_hi.value - g_t.value, _eps_for(g_hi.tail_bound + g_t.tail_bound),
-                           {"pair_index": i, "t": t, "check": "upper"})
-        except (PositivityViolated, TruncationNotConverged) as exc:
-            errors.append(f"pair {i}: {type(exc).__name__}: {exc}")
+                # a t-by-t run takes the reference points first, then records the checks of each t until
+                # one is refused; a corollary holds G(t) above G(1), a theorem between G(t_min) and G(t_max)
+                g, tail, _, refused = _ratios(spec, ts[1:], x, y, params)
+                for j in [n] if kind == "corollary" else [0, n - 1]:
+                    if j in refused:
+                        raise refused[j]
+                m = min(refused, default=n)
+                if kind == "corollary":
+                    record(g[:m] - g[n], _eps(tail[:m] + tail[n]),
+                           lambda j: {"pair_index": i, "t": t_vals[j], "check": "corollary"})
+                else:  # per t, the lower check and then the upper one
+                    margins, slack = np.empty(2 * m), np.empty(2 * m)
+                    margins[0::2], slack[0::2] = g[:m] - g[0], tail[:m] + tail[0]
+                    margins[1::2], slack[1::2] = g[n - 1] - g[:m], tail[n - 1] + tail[:m]
+                    record(margins, _eps(slack),
+                           lambda j: {"pair_index": i, "t": t_vals[j // 2], "check": ("lower", "upper")[j % 2]})
+                if m < n:
+                    raise refused[m]
+            except (PositivityViolated, TruncationNotConverged) as exc:
+                errors.append(f"pair {i}: {type(exc).__name__}: {exc}")
 
     if checks_run == 0:
         worst = 0.0
@@ -470,8 +511,9 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
     def psi(*ts):
         return evaluate("psi", params, ts, tol)
 
-    def slope(t):
-        return evaluate("psi-prime", params, (t,), tol)[0].value
+    def slope(t, r):
+        # where psi at t summed no terms, q^t underflowed and psi'(t) is exactly 0.0
+        return evaluate("psi-prime", params, (t,), tol)[0].value if r.terms_used else 0.0
 
     # The first bracketing step, down to a certified-negative point.  It starts
     # at 1 + k/2, about the root of the k-digamma (ln k + digamma(t/k))/k, the
@@ -483,7 +525,7 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
     while not _negative(r):
         if _positive(r):
             hi = t
-        s = slope(t)
+        s = slope(t, r)
         x = _targets(t, r, s)[0] if s > 0.0 else 0.0
         t = x if x >= T_FLOOR else 0.5 * t  # bisection of (0, t) when the target leaves it
         if t < T_FLOOR:
@@ -493,7 +535,7 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
             )
         (r,) = psi(t)
 
-    lo, r_lo, s = t, r, slope(t)
+    lo, r_lo, s = t, r, slope(t, r)
     inside = None  # (first, last) of the points found inside the band |psi| <= tail
     step_prev = 0.0
     while True:
@@ -540,7 +582,7 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
             else:
                 inside = (x, x) if inside is None else (min(inside[0], x), max(inside[1], x))
         if lo - lo_before > _CHORD_STEP:
-            s = slope(lo)
+            s = slope(lo, r_lo)
 
 
 def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> float:

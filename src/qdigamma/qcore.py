@@ -83,11 +83,11 @@ pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = P = 8, even for
 about pi^2/(6 eps), differ by only about t |ln(1 - q^(p+1))|.  psi_pq and
 psi_pq' are always summed directly.
 
-``evaluate`` computes one function at many t in one call.  The batch of its
-family routes each t in order, refusing a direct value that leaves the floats
-as the Euler-Maclaurin route does; one assembly (_assemble) sums the direct
-rows, one term matrix per block of points, each as a one-point call sums it,
-and puts the Euler-Maclaurin results back: bit for bit the six kernels.
+``evaluate_columns`` computes one function at many t in one call, as three
+columns (values, tail bounds, terms used); ``evaluate`` makes them EvalResults.
+The batch of its family routes each t in order in one pass, refusing a direct
+value that leaves the floats as the Euler-Maclaurin route does, and sums the
+direct rows together (_sum_rows): bit for bit the six kernels.
 """
 
 from __future__ import annotations
@@ -164,25 +164,6 @@ def _em_tables(p_max: int) -> tuple:
 
 _BERNOULLI, _EULERIAN = _em_tables(_P_MAX)
 _PI2_6 = 1.6449340668482264  # pi^2 / 6 = Li_2(1)
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError(f"t={t!r} must be a positive finite real")
-    return t
-
-
-def _check_ln_gamma_t(t: float, ln_q: float) -> float:
-    """t, checked for a ln Gamma kernel: refused where t |ln q| is below the smallest normal float.
-
-    There t ln q is rounded on the subnormal grid, so ln(1 - q^t), about
-    ln(t |ln q|), has lost its leading digits.
-    """
-    t = _check_t(t)
-    if -t * ln_q < _MIN_NORMAL:
-        raise TruncationNotConverged(f"t |ln q| at t={t!r} is below the smallest normal float", math.inf, 0)
-    return t
 
 
 def ln1m_exp(x: float) -> float:
@@ -315,20 +296,6 @@ def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
 # -- term counts ------------------------------------------------------------
 
 
-def _series_ratio(t: float, ln_q: float):
-    """(ln r, 1 - r) for the series ratio r = q^t; 1 - r is None when r underflows to 0."""
-    t = _check_t(t)
-    ln_r = t * ln_q
-    if math.exp(ln_r) == 0.0:
-        return ln_r, None
-    one_minus_r = -math.expm1(ln_r)
-    if one_minus_r <= 0.0:
-        raise TruncationNotConverged(
-            f"series ratio q^t indistinguishable from 1 at t={t!r}", math.inf, 0
-        )
-    return ln_r, one_minus_r
-
-
 def geometric_count(coeff: float, ln_step: float, abs_tol: float) -> float:
     """The least N >= 1 with coeff * exp((N+1) ln_step) <= abs_tol; inf when abs_tol / coeff
     underflows to 0 or N is past any float."""
@@ -340,17 +307,15 @@ def geometric_count(coeff: float, ln_step: float, abs_tol: float) -> float:
     return math.inf
 
 
-def geometric_terms_needed(tail_at, n: float, ln_step: float, tol) -> tuple | None:
+def geometric_terms_needed(tail_at, n: int, tail: float, ln_step: float, tol) -> tuple | None:
     """(N, tail_at(N)) for a term count N whose tail majorant tail_at(N) is <= tol.abs_tol.
 
-    N starts at n, the closed form of the majorant's geometric part
-    (geometric_count), capped at n_max, and widens by as many factors
-    exp(ln_step) as the overshoot of tail_at still needs.  None where that
-    overshoot, tail_at(N) / abs_tol, is not finite: the majorant has left the
-    floats.  Raises TruncationNotConverged when tail_at(n_max) is above abs_tol.
+    N widens from n, the closed form of the majorant's geometric part capped
+    at n_max, whose majorant is tail, by as many factors exp(ln_step) as the
+    overshoot of tail_at still needs.  None where that overshoot is not
+    finite: the majorant has left the floats.  Raises TruncationNotConverged
+    when tail_at(n_max) is above abs_tol.
     """
-    n = min(tol.n_max, n)
-    tail = tail_at(n)
     while tail > tol.abs_tol:
         overshoot = tail / tol.abs_tol
         if not math.isfinite(overshoot):
@@ -364,38 +329,26 @@ def geometric_terms_needed(tail_at, n: float, ln_step: float, tol) -> tuple | No
     return n, tail
 
 
-def _prime_tail(ln_r: float, one_minus_r: float, coeff: float, n: int) -> float:
-    # coeff * sum_{m>N} m r^m = coeff * r^(N+1) ((N+1)(1-r) + r) / (1-r)^2
-    r = math.exp(ln_r)
-    return coeff * math.exp((n + 1) * ln_r) * ((n + 1) * one_minus_r + r) / (one_minus_r * one_minus_r)
+# exp(x) is 0.0 from a little below x = ln(2^-1075), half the smallest subnormal float
+_EXP_ZERO = -1075 * _LN2
 
 
-def _last_nonzero(exponent, n_first: int, n_last: int) -> int:
-    """Index of the last nonzero term of a PQ sum whose n-th term vanishes with exp(exponent(n)).
+def _last_nonzero(a: float, b: float, n_first: int, n_last: int) -> int:
+    """Index of the last nonzero term of a PQ sum whose n-th term vanishes with exp((a + n) b).
 
-    exponent is decreasing in n, so the terms past the first exact zero are
-    zeros too; n_first - 1 means no nonzero term.
+    (a + n) b falls with n, so the terms past the first exact zero are zeros
+    too; n_first - 1 means no nonzero term.  Where the term at n_last is zero,
+    the index starts at the closed form floor(_EXP_ZERO / b - a) of the cut,
+    held to [n_first - 1, n_last], and takes unit steps by the same test
+    exp((a + n) b) == 0.0.
     """
-    n = n_last
-    if math.exp(exponent(n_last)) == 0.0:
-        n, hi = n_first - 1, n_last
-        while hi - n > 1:
-            mid = (n + hi) // 2
-            if math.exp(exponent(mid)) == 0.0:
-                hi = mid
-            else:
-                n = mid
-    return n
-
-
-def _capped(n: int, tol: Tolerance) -> int:
-    """n, the last nonzero index of a directly summed PQ sum; raises TruncationNotConverged past n_max."""
-    if n > tol.n_max:
-        raise TruncationNotConverged(
-            f"finite sum has nonzero terms up to n={n}, past the cap of {tol.n_max} terms",
-            math.inf,
-            tol.n_max,
-        )
+    if math.exp((a + n_last) * b) != 0.0:
+        return n_last
+    n = min(n_last, max(n_first - 1, math.floor(_EXP_ZERO / b - a)))
+    while n < n_last and math.exp((a + (n + 1)) * b) != 0.0:
+        n += 1
+    while n >= n_first and math.exp((a + n) * b) == 0.0:
+        n -= 1
     return n
 
 
@@ -546,20 +499,60 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance, m_cap: float
 
 
 # -- batch kernels ----------------------------------------------------------
+# A batch is routed in one pass over its points, in order: each t's checks,
+# term count and route.  A point on the direct route gets no tuple or result
+# object: it fills the columns of its sum (the parameter x of its terms and
+# its last term), tail and count; _sum_rows sums the rows together, and a
+# batch leaves as three columns: values, tail bounds and terms used.
 
 
-def _psi_qk_majorant(ln_r: float, one_minus_r: float, ln_q: float, one_minus_qk: float, prime: bool):
-    """(coeff, tail_at) of the direct psi or psi' series at r = q^t.
+def _check_t(t: float) -> float:
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t={t!r} must be a positive finite real")
+    return t
 
-    tail_at(N) bounds the terms after the N-th; coeff r^(N+1) is its geometric
-    part, from which the term count is searched.
+
+def _check_ln_gamma_t(t: float, ln_q: float) -> float:
+    """t, checked for a ln Gamma kernel: refused where t |ln q| is below the smallest normal float.
+
+    There t ln q is rounded on the subnormal grid, so ln(1 - q^t), about
+    ln(t |ln q|), has lost its leading digits.
     """
-    if prime:
-        # the arithmetico-geometric majorant, searched from its geometric part
-        prime_coeff = _SAFETY * ln_q * ln_q / one_minus_qk
-        return prime_coeff / one_minus_r, partial(_prime_tail, ln_r, one_minus_r, prime_coeff)
-    coeff = _SAFETY * -ln_q / (one_minus_qk * one_minus_r)
-    return coeff, lambda m: coeff * math.exp((m + 1) * ln_r)
+    t = _check_t(t)
+    if -t * ln_q < _MIN_NORMAL:
+        raise TruncationNotConverged(f"t |ln q| at t={t!r} is below the smallest normal float", math.inf, 0)
+    return t
+
+
+def _series_ratio(t: float, ln_q: float) -> tuple:
+    """(ln r, 1 - r) for the series ratio r = q^t of a checked t; 1 - r is None when r underflows to 0."""
+    ln_r = t * ln_q
+    if math.exp(ln_r) == 0.0:
+        return ln_r, None
+    one_minus_r = -math.expm1(ln_r)
+    if one_minus_r <= 0.0:
+        raise TruncationNotConverged(f"series ratio q^t indistinguishable from 1 at t={t!r}", math.inf, 0)
+    return ln_r, one_minus_r
+
+
+def _lead_refusal(t: float) -> TruncationNotConverged:
+    # a direct sum is bounded, so only its lead overflows
+    return TruncationNotConverged(f"the lead of the value at t={t!r} overflows a double", math.inf, 0)
+
+
+def _majorant(fn: str, ln_q: float, ln_s: float, one_minus_qk: float):
+    """tail_at(n, ln_r, one_minus_r): the direct-route majorant of fn's terms after the n-th, at r = q^t."""
+    if fn == "ln-gamma":  # both product tails after N factor pairs
+        return lambda n, ln_r, one_minus_r: _SAFETY * (math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
+                                                       + math.exp(ln_r + n * ln_s) / (one_minus_r * one_minus_qk))
+    if fn == "psi-prime":
+        # (ln q)^2 / (1-q^k) * sum_{m>N} m r^m = coeff r^(N+1) ((N+1)(1-r) + r) / (1-r)^2
+        coeff = _SAFETY * ln_q * ln_q / one_minus_qk
+        return lambda n, ln_r, one_minus_r: (coeff * math.exp((n + 1) * ln_r) * ((n + 1) * one_minus_r
+                                             + math.exp(ln_r)) / (one_minus_r * one_minus_r))
+    coeff = _SAFETY * -ln_q
+    return lambda n, ln_r, one_minus_r: coeff / (one_minus_qk * one_minus_r) * math.exp((n + 1) * ln_r)
 
 
 def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> tuple:
@@ -575,37 +568,17 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
     """
     params.require(Family.QK)
     ln_q = math.log(params.q)
-    ln_r, one_minus_r = _series_ratio(t, ln_q)
+    ln_r, one_minus_r = _series_ratio(_check_t(t), ln_q)
     if one_minus_r is None:
         return 0, 0.0
-    coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, -math.expm1(params.k * ln_q), False)
-    n = geometric_count(coeff, ln_r, tol.abs_tol)
-    return n, (tail_at(n) if n < math.inf else math.inf)
+    one_minus_qk = -math.expm1(params.k * ln_q)
+    n = geometric_count(_SAFETY * -ln_q / (one_minus_qk * one_minus_r), ln_r, tol.abs_tol)
+    tail_at = _majorant("psi", ln_q, params.k * ln_q, one_minus_qk)
+    return n, (tail_at(n, ln_r, one_minus_r) if n < math.inf else math.inf)
 
 
-def _direct_lead(lead: float, t: float) -> float:
-    """lead, refused as its t is routed where not finite: a direct sum is bounded, so only a lead overflows."""
-    if not math.isfinite(lead):
-        raise TruncationNotConverged(f"the lead of the value at t={t!r} overflows a double", math.inf, 0)
-    return lead
-
-
-def _assemble(terms, n_first: int, scale: float, points: list, base=None) -> list:
-    """One EvalResult per point of a batch, in order: points holds the result of each Euler-Maclaurin point
-    and the row (x, last, lead, tail, terms_used) of each direct one.
-
-    A direct value is lead + scale * (the sum of terms(x, n) over n = n_first..last, less base(),
-    if base is given)."""
-    rows = [p for p in points if type(p) is tuple]
-    if not rows:  # all on the Euler-Maclaurin route: nothing to sum, and base, too long there, is skipped
-        return points
-    sums = iter(_sum_rows(terms, [row[0] for row in rows], n_first, [row[1] for row in rows]))
-    offset = base() if base else 0.0
-    return [EvalResult(p[2] + scale * (next(sums) - offset), p[3], p[4]) if type(p) is tuple else p for p in points]
-
-
-def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of ts, by _assemble.
+def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of ts, as (values, tails, terms).
 
     This is the one route rule of the (q,k) kernels, the same for all three.
     A point takes the direct series only where its majorant stays in the
@@ -616,7 +589,8 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     directly, and one with N0 < n <= n_max only where the Euler-Maclaurin
     lattice would need more than n _EM_M / N0 direct terms.  Every other
     point takes the Euler-Maclaurin route.  Every t first passes its
-    function's checks, _check_ln_gamma_t or _series_ratio, in order.
+    function's checks, in order: _check_ln_gamma_t, or _check_t and
+    _series_ratio.
     """
     q, k = params.q, params.k
     ln_q = math.log(q)
@@ -625,88 +599,129 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
     ln1mq = math.log1p(-q)
     gamma, prime = fn == "ln-gamma", fn == "psi-prime"
     # ln Gamma's count, the same at every t, from the numerator tail's geometric part held to abs_tol / 2
-    gamma_count = geometric_count(2.0 / (one_minus_qk * one_minus_qk), ln_s, tol.abs_tol) if gamma else None
-    # ln Gamma's shifted terms ln(1 - q^(x + n k)) are formed at x = min(t, t_cap): past t_cap the power
-    # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
-    # a numpy warning on stderr, is never formed
-    t_cap = sys.float_info.max / (2.0 * -ln_q)
-    # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
-    lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
-    points = []
-    for t in ts:
-        res = None
+    count = geometric_count(2.0 / (one_minus_qk * one_minus_qk), ln_s, tol.abs_tol) if gamma else None
+    # the coefficient of the geometric part is coeff / ((1-q^k)(1-r)) for psi, coeff / (1-r) for psi'
+    coeff = _SAFETY * ln_q * ln_q / one_minus_qk if prime else _SAFETY * -ln_q
+    tail_at = None  # the majorant, formed at the first point that needs it
+    # the three result columns, and for the points on the direct route (rows) the parameter x of their
+    # terms, their last term and their ln Gamma lead
+    values, tails, terms, rows, xs, lasts, leads = [], [], [], [], [], [], []
+    for i, t in enumerate(ts):
         if gamma:
             t = _check_ln_gamma_t(t, ln_q)
-            ln_r = t * ln_q
-            one_minus_r, direct = -math.expm1(ln_r), None
+            ln_r, one_minus_r = t * ln_q, -math.expm1(t * ln_q)
         else:
+            t = _check_t(t)
             ln_r, one_minus_r = _series_ratio(t, ln_q)
-            # (0, 0.0) where every term underflows: the limit value is exact
-            direct = (0, 0.0) if one_minus_r is None else None
-        if direct is None and one_minus_qk * one_minus_r >= _MIN_NORMAL:
-            if gamma:
-                n, ln_step = gamma_count, ln_s
-
-                def tail_at(n, ln_r=ln_r, one_minus_r=one_minus_r):
-                    # both product tails after N factor pairs
-                    piece_num = math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
-                    piece_den = math.exp(ln_r + n * ln_s) / (one_minus_r * one_minus_qk)
-                    return _SAFETY * (piece_num + piece_den)
-            else:
-                coeff, tail_at = _psi_qk_majorant(ln_r, one_minus_r, ln_q, one_minus_qk, prime)
-                n, ln_step = geometric_count(coeff, ln_r, tol.abs_tol), ln_r
-            if n > _N0:  # the lattice's cost capped at that of n direct terms; uncapped past n_max
+            if one_minus_r is None:  # every term underflows: the limit value is exact
+                rows.append(i), xs.append(ln_r), lasts.append(0)
+                values.append(0.0), tails.append(0.0), terms.append(0)
+                continue
+        found = res = None
+        if one_minus_qk * one_minus_r >= _MIN_NORMAL:
+            n = count if gamma else geometric_count(
+                coeff / one_minus_r if prime else coeff / (one_minus_qk * one_minus_r), ln_r, tol.abs_tol)
+            if n > _N0:  # the lattice goes first, its cost capped at that of n direct terms; uncapped past n_max
                 res = _em_qk(fn, params, t, tol, n * _EM_M / _N0 if n <= tol.n_max else math.inf)
             if res is None:
-                direct = geometric_terms_needed(tail_at, n, ln_step, tol)
-        if direct is None:
-            points.append(_em_qk(fn, params, t, tol) if res is None else res)
-        elif gamma:
-            n, tail = direct
-            points.append((min(t, t_cap), n - 1, _direct_lead(_qk_gamma_lead(t, k, ln1mq), t), tail, n))
-        else:
-            points.append((ln_r, direct[0], lead, direct[1], direct[0]))
-    if gamma:  # numerator exponent written as k + n*k so that t = k cancels bitwise
-        terms = lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
-        return _assemble(terms, 0, 1.0, points)
-    return _assemble(_power_terms(ln_s, prime), 1, scale, points)
+                tail_at = tail_at or _majorant(fn, ln_q, ln_s, one_minus_qk)
+                n = min(tol.n_max, n)
+                found = n, tail_at(n, ln_r, one_minus_r)
+                if found[1] > tol.abs_tol:  # widen, over the points still above abs_tol only
+                    found = geometric_terms_needed(lambda m: tail_at(m, ln_r, one_minus_r), *found,
+                                                   ln_s if gamma else ln_r, tol)
+        if found is None:
+            res = res or _em_qk(fn, params, t, tol)
+            values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
+            continue
+        if gamma:
+            leads.append(_qk_gamma_lead(t, k, ln1mq))
+            if not math.isfinite(leads[-1]):
+                raise _lead_refusal(t)
+        # ln Gamma's N factor pairs are its terms n = 0..N-1
+        rows.append(i), xs.append(t if gamma else ln_r), lasts.append(found[0] - 1 if gamma else found[0])
+        values.append(0.0), tails.append(found[1]), terms.append(found[0])
+    if not rows:  # all on the Euler-Maclaurin route: nothing to sum
+        return values, tails, terms
+    if gamma:
+        # ln Gamma's shifted terms ln(1 - q^(x + n k)) are formed at x = min(t, t_cap): past t_cap the power
+        # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
+        # a numpy warning on stderr, is never formed
+        t_cap = sys.float_info.max / (2.0 * -ln_q)
+        # numerator exponent written as k + n*k so that t = k cancels bitwise
+        summand = lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
+        sums = _sum_rows(summand, [min(x, t_cap) for x in xs], 0, lasts)
+        direct = [x + s for x, s in zip(leads, sums)]
+    else:
+        # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
+        lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
+        direct = [lead + scale * s for s in _sum_rows(_power_terms(ln_s, prime), xs, 1, lasts)]
+    for i, v in zip(rows, direct):
+        values[i] = v
+    return values, tails, terms
 
 
-def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> list:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every t of ts, by _assemble.
+def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every t of ts, as (values, tails, terms).
 
-    psi and psi' are summed directly; ln Gamma's whole batch takes its factorial's route (module docstring).
+    psi and psi' are summed directly; ln Gamma's whole batch takes its
+    factorial's route (module docstring).  A direct sum runs through its last
+    nonzero term (_last_nonzero) and is refused where that is past n_max.
     """
     q, p = params.q, params.p
     ln_q = math.log(q)
-    points = []
+
+    def capped(n: int) -> TruncationNotConverged:
+        return TruncationNotConverged(
+            f"finite sum has nonzero terms up to n={n}, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
     if fn != "ln-gamma":
+        xs, lasts = [], []
+        for t in map(_check_t, ts):
+            xs.append(t * ln_q), lasts.append(_last_nonzero(0.0, t * ln_q, 1, p))
+            if lasts[-1] > tol.n_max:
+                raise capped(lasts[-1])
         prime = fn == "psi-prime"
         lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
-        for t in ts:
-            ln_r = _check_t(t) * ln_q
-            last = _capped(_last_nonzero(lambda m: m * ln_r, 1, p), tol)
-            points.append((ln_r, last, lead, 0.0, last))
-        return _assemble(_power_terms(ln_q, prime), 1, scale, points)
+        values = [lead + scale * s for s in _sum_rows(_power_terms(ln_q, prime), xs, 1, lasts)]
+        return values, [0.0] * len(xs), lasts
     ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
-    n_fact = _last_nonzero(lambda m: m * ln_q, 1, p)
+    n_fact = _last_nonzero(0.0, ln_q, 1, p)
     eps = -ln_q
+    tl, values, tails, terms, leads, lasts = [], [], [], [], [], []
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
+        tl.append(t), leads.append(ln1mq + t * lead)
         if n_fact > _N0_PQ:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
             pairs = ((eps * t, eps), (eps * (p + 1), eps * (t + p + 1)))
-            points.append(_em_lattice(1, pairs, eps, ln1mq + t * lead, 1.0, tol))
+            res = _em_lattice(1, pairs, eps, leads[-1], 1.0, tol)
+            values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
             continue
-        _capped(n_fact, tol)  # raised at the first point, as a one-point call raises it
-        last = _last_nonzero(lambda m: (t + m) * ln_q, 0, p)
-        points.append((t, last, _direct_lead(ln1mq + t * lead, t), 0.0, n_fact))
+        if n_fact > tol.n_max:  # refused at the first point, as a one-point call refuses it
+            raise capped(n_fact)
+        if not math.isfinite(leads[-1]):
+            raise _lead_refusal(t)
+        lasts.append(_last_nonzero(t, ln_q, 0, p))
+    if not lasts:  # every point on the lattice, or none at all
+        return values, tails, terms
+    shifted = _sum_rows(lambda x, n: _ln1m_exp_terms((x + n) * ln_q), tl, 0, lasts)
     # lead + -1.0 * (shifted - factorial) has the bits of lead + (factorial - shifted)
-    factorial = partial(sum_terms, lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
-    terms = lambda x, n: _ln1m_exp_terms((x + n) * ln_q)
-    return _assemble(terms, 0, -1.0, points, factorial)
+    factorial = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
+    return [x + -1.0 * (s - factorial) for x, s in zip(leads, shifted)], [0.0] * len(tl), [n_fact] * len(tl)
 
 
 _KERNELS = {Family.QK: _qk_batch, Family.PQ: _pq_batch}
+
+
+def evaluate_columns(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """fn ("psi", "psi-prime" or "ln-gamma") of params' family at every t in ts, as columns.
+
+    Returns (values, tail_bounds, terms_used), three lists in the order of
+    ts; each element is that of the one-point kernel at its t, bit for bit.
+    Raises the error of the first t, in order, that cannot be evaluated.
+    """
+    if fn not in ("psi", "psi-prime", "ln-gamma"):
+        raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
+    return _KERNELS[params.family](fn, params, ts, tol)
 
 
 def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -716,12 +731,15 @@ def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) ->
     the one-point kernel at that t: same value, tail_bound and terms_used.
     Raises the error of the first t, in order, that cannot be evaluated.
     """
-    if fn not in ("psi", "psi-prime", "ln-gamma"):
-        raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
-    return _KERNELS[params.family](fn, params, ts, tol)
+    return list(map(EvalResult, *evaluate_columns(fn, params, ts, tol)))
 
 
 # -- one-point entries ------------------------------------------------------
+
+
+def _point(columns: tuple) -> EvalResult:
+    (value,), (tail,), (terms,) = columns
+    return EvalResult(value, tail, terms)
 
 
 def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -732,7 +750,7 @@ def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     remainder bound instead (see the module docstring).
     """
     params.require(Family.QK)
-    return _qk_batch("psi", params, (t,), tol)[0]
+    return _point(_qk_batch("psi", params, (t,), tol))
 
 
 def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -742,7 +760,7 @@ def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
     (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
     """
     params.require(Family.QK)
-    return _qk_batch("psi-prime", params, (t,), tol)[0]
+    return _point(_qk_batch("psi-prime", params, (t,), tol))
 
 
 def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -756,7 +774,7 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     value that fits is returned.
     """
     params.require(Family.QK)
-    return _qk_batch("ln-gamma", params, (t,), tol)[0]
+    return _point(_qk_batch("ln-gamma", params, (t,), tol))
 
 
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -766,13 +784,13 @@ def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     index (at most p), is the number of terms summed.
     """
     params.require(Family.PQ)
-    return _pq_batch("psi", params, (t,), tol)[0]
+    return _point(_pq_batch("psi", params, (t,), tol))
 
 
 def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (p,q)-digamma: exact finite sum, nonnegative."""
     params.require(Family.PQ)
-    return _pq_batch("psi-prime", params, (t,), tol)[0]
+    return _point(_pq_batch("psi-prime", params, (t,), tol))
 
 
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -786,4 +804,4 @@ def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     overflows raises TruncationNotConverged on either route.
     """
     params.require(Family.PQ)
-    return _pq_batch("ln-gamma", params, (t,), tol)[0]
+    return _point(_pq_batch("ln-gamma", params, (t,), tol))

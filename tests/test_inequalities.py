@@ -10,6 +10,7 @@ import pytest
 from qdigamma import (
     DeformParams,
     DomainError,
+    Family,
     GridSpec,
     NoPositiveRegion,
     PositivityViolated,
@@ -21,7 +22,9 @@ from qdigamma import (
     find_positive_threshold,
     make_verification_grid,
     psi_pq,
+    psi_pq_prime,
     psi_qk,
+    psi_qk_prime,
     ratio_G,
     ratio_H,
     validate_spec,
@@ -106,6 +109,14 @@ class TestRatioG:
     def test_rejects_negative_t(self):
         with pytest.raises(DomainError):
             ratio_G(spec_example(), -0.5, DeformParams.qk(0.5, 1.0))
+
+    def test_ratio_whose_log_leaves_the_floats_is_inf(self):
+        # alpha ln psi_qk(200.5) = 1.7e308 * 1.50 overflows to inf before any exp, and exp(inf) = inf
+        # raises nothing: G is inf, not refused
+        spec = RatioSpec(a=200.0, b=1.0, c=300.0, d=1.0, alpha=1.7e308, beta=1.0)
+        params = DeformParams.qk(0.99, 1.0)
+        assert ratio_G(spec, 0.5, params).value == math.inf
+        assert [g.value for g in ratio_values(spec, params, [0.25, 0.5])] == [math.inf, math.inf]
 
 
 class TestRatioH:
@@ -444,3 +455,24 @@ class TestOnePointEntriesAreTheSuitesPath:
                 entry()
             messages.add(str(exc.value))
         assert messages == {"t=-1.0 must be nonnegative"}
+
+
+ONE_POINT = {("qk", "psi"): psi_qk, ("qk", "psi-prime"): psi_qk_prime,
+             ("pq", "psi"): psi_pq, ("pq", "psi-prime"): psi_pq_prime}
+
+
+@pytest.mark.parametrize("suite", list(Suite), ids=lambda s: s.value)
+def test_suites_on_columns_report_as_on_one_point_calls(suite, monkeypatch):
+    # the engine reads a line's columns from one batch; fed instead from one-point kernel calls, t by t,
+    # every report keeps its bytes
+    family = inequalities.SUITES[suite][0] or (Family.PQ if suite is Suite.MONOTONE_PSI else Family.QK)
+    t_min, t_max = inequalities.SUITES[suite][1]
+    grid = make_verification_grid(family, 20, 10, seed=29, t_min=t_min, t_max=t_max)
+    report = dumps(verify_bounds(suite, grid).as_dict())
+
+    def one_point_columns(fn, params, ts, tol):
+        results = [ONE_POINT[params.family.value, fn](t, params, tol) for t in ts]
+        return [r.value for r in results], [r.tail_bound for r in results], [r.terms_used for r in results]
+    monkeypatch.setattr(inequalities, "evaluate_columns", one_point_columns)
+    assert dumps(verify_bounds(suite, grid).as_dict()) == report
+    assert '"checks_run": 0' not in report

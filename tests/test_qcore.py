@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qdigamma import (
     DeformParams,
     EvalResult,
     DomainError,
+    QDigammaError,
     SeriesKind,
     Tolerance,
     TruncationNotConverged,
@@ -30,7 +32,7 @@ from qdigamma import (
 )
 
 from qdigamma import qcore, reference
-from qdigamma.qcore import _N0, CHUNK, _em_qk, pairwise_sum
+from qdigamma.qcore import _N0, CHUNK, _em_qk, evaluate_columns, pairwise_sum
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 from lattice_oracle import pq_ln_gamma_oracle, qk_oracle
@@ -410,6 +412,69 @@ class TestEvaluate:
     def test_unknown_function(self):
         with pytest.raises(DomainError):
             evaluate("zeta", DeformParams.qk(0.5, 1.0), [1.0])
+
+
+def _column_lines(family: str, rng: random.Random) -> list:
+    """Seeded (params, ts, tol) lines for TestColumns, after edge lines that each route must meet."""
+    tol = Tolerance()
+    if family == "qk":
+        lines = [
+            (DeformParams.qk(1e-9, 1.0), [0.5, 50.0, 2.0], tol),  # q^t underflows at t = 50: psi sums no terms
+            (DeformParams.qk(0.5, 1e-3), [1e-306, 1.0, 1e-308], tol),  # (1-q^k)(1-q^t) subnormal: the lattice
+            (DeformParams.qk(0.9, 1.0), [0.3, 1.0, 0.31], tol),  # psi' widens its count twice at t = 0.3
+            (DeformParams.qk(0.97, 1.0), sorted(rng.uniform(0.3, 3.0) for _ in range(30)), tol),  # psi's N about N0
+            (DeformParams.qk(0.5, 0.7), [0.7, 1.4, 3.0], tol),  # ln Gamma(k) = 0
+        ]
+        return lines + [(DeformParams.qk(rng.uniform(0.05, 0.999), rng.uniform(0.3, 3.0)),
+                         [rng.uniform(0.01, 20.0) for _ in range(rng.randint(1, 40))],
+                         Tolerance(abs_tol=10.0 ** rng.uniform(-16.0, -6.0))) for _ in range(12)]
+    lines = [
+        # m ln r for q = 0.5, t = 1 crosses the zero cut of exp between m = 1074 and 1075: the last term is
+        # nonzero at p = 1074, zero at p = 1075 (the closed form and its steps)
+        (DeformParams.pq(1074, 0.5), [1.0, 1.0 - 1e-9, 1.0 + 1e-9], tol),
+        (DeformParams.pq(1075, 0.5), [1.0, 1.0 - 1e-9, 1.0 + 1e-9], tol),
+        (DeformParams.pq(50, 1e-5), [100.0, 1.0], tol),  # q^t underflows: psi sums no terms
+        (DeformParams.pq(10**6, 0.999), [1.0, 2.5], tol),  # ln Gamma on the lattice
+    ]
+    return lines + [(DeformParams.pq(rng.randint(1, 3000), rng.uniform(0.05, 0.99)),
+                     [rng.uniform(0.01, 20.0) for _ in range(rng.randint(1, 40))], tol) for _ in range(12)]
+
+
+class TestColumns:
+    """evaluate_columns, a line of t at once, against one-point calls, bit for bit and with the sign of zero."""
+
+    @pytest.mark.parametrize("family", ["qk", "pq"])
+    def test_columns_are_the_one_point_results(self, family, monkeypatch):
+        widened, search = [], qcore.geometric_terms_needed
+
+        def counting_search(tail_at, n, tail, ln_step, tol):
+            calls = []
+            found = search(lambda m: calls.append(m) or tail_at(m), n, tail, ln_step, tol)
+            widened.append(len(calls))
+            return found
+        monkeypatch.setattr(qcore, "geometric_terms_needed", counting_search)
+        rng = random.Random(f"columns:{family}")
+        seen = set()
+        for params, ts, tol in _column_lines(family, rng):
+            for fn in ("psi", "psi-prime", "ln-gamma"):
+                try:
+                    wants = [SCALAR[family, fn](t, params, tol) for t in ts]
+                except QDigammaError as exc:  # the batch raises the error of its first failing t
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        evaluate_columns(fn, params, ts, tol)
+                    seen.add("refused")
+                    continue
+                for t, want, v, x, n in zip(ts, wants, *evaluate_columns(fn, params, ts, tol), strict=True):
+                    assert (v, x, n) == (want.value, want.tail_bound, want.terms_used), (fn, params, t)
+                    assert math.copysign(1.0, v) == math.copysign(1.0, want.value)
+                    seen.add("no terms" if n == 0 else "zero" if v == 0.0 else "value")
+                    if family == "qk":
+                        seen.add("lattice" if want == _em_qk(fn, params, t, tol) else "direct")
+        routes = {"lattice", "direct", "refused"} if family == "qk" else set()
+        assert seen == {"no terms", "zero", "value"} | routes
+        assert max(widened) >= 2 if family == "qk" else True
+        if family == "pq":  # both sides of the zero cut end on the same last nonzero term
+            assert {psi_pq(1.0, DeformParams.pq(p, 0.5)).terms_used for p in (1074, 1075)} == {1074}
 
 
 class TestPQUnderflow:

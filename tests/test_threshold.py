@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from qdigamma import DeformParams, Family, find_positive_threshold, make_verification_grid
+from qdigamma import DeformParams, Family, Tolerance, find_positive_threshold, make_verification_grid
 from qdigamma import inequalities as ineq
 from qdigamma.cli import main
 from qdigamma.inequalities import ROOT_WIDTH, _sample_params, _threshold_bracket
@@ -119,3 +119,18 @@ def test_cli_root_without_a_root_prints_null_ends():
     result = _root_json("--family", "pq", "--p", "1", "--q", "0.5")
     assert result["threshold"] is None and result["lo"] is None and result["hi"] is None
     assert result["reason"].startswith("no-positive-region")
+
+
+def test_no_psi_prime_call_where_psi_summed_no_terms(monkeypatch):
+    # at qk(8.9e-7, 6.99e5) the start 1 + k/2 lies far right of the root, where q^t underflows: psi there
+    # sums no terms and psi' is exactly 0.0, so the halvings down to the root make no psi' call
+    params, tol = DeformParams.qk(8.9e-7, 6.99e5), Tolerance(abs_tol=1e-10)
+    calls = []
+
+    def counting_evaluate(fn, params, ts, tol=DEFAULT_TOL):
+        calls.append(fn)
+        return evaluate(fn, params, ts, tol)
+
+    monkeypatch.setattr(ineq, "evaluate", counting_evaluate)
+    assert _threshold_bracket(params, tol) == (2.1550061628818926, 2.155006162882399)  # as before the skip
+    assert len(calls) == 56
