@@ -27,7 +27,7 @@ terms is dominated by an explicit geometric (or arithmetico-geometric)
 expression.  Evaluation stops at the first N whose majorant falls below
 the requested tolerance, never on raw term size.  The PQ sums stop where
 their terms underflow to exact zeros, and a directly summed point whose
-nonzero terms run past ``n_max`` is refused.  All powers of q are formed in
+count runs past ``n_max`` is refused.  All powers of q are formed in
 log space, so large t cannot underflow the products.
 
 Two routes for the QK series, chosen by one rule for psi, psi' and
@@ -80,8 +80,24 @@ step eps:
 _em_lattice, the one Euler-Maclaurin entry of both families, forms the near
 pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = P = 8, even for
 10^8 factors.  The far pair still loses digits: its two sums, each up to
-about pi^2/(6 eps), differ by only about t |ln(1 - q^(p+1))|.  psi_pq and
-psi_pq' are always summed directly.
+about pi^2/(6 eps), differ by only about t |ln(1 - q^(p+1))|.
+
+psi_pq and psi_pq' are exact finite sums of F(t) = sum_{n=1..p} q^(nt) /
+(1 - q^n), times n for psi'.  Their nonzero terms run to L = _last_nonzero,
+about Z / t with Z = _EXP_ZERO / ln q, up to p.  Expanding 1/(1 - q^n)
+geometrically and swapping the sums gives, for every integer T >= 0, the
+exact finite Lambert split
+
+    F(t) = sum_{m<T} sum_{n=1..p} x_m^n + F(t + T),   x_m = q^(t+m),
+
+whose head terms have closed forms (_head_terms).  A point whose unsplit
+L is past N0 = 2^10 takes T = floor(sqrt(Z) - t) where T plus the tail's
+own L is below the unsplit L, about 2 sqrt(Z) terms in place of up to p;
+every other point takes T = 0, the plain sum.  Up to N0 terms a sum is
+cheap as it stands (as in the (q,k) route rule), and a split saves a few
+terms for a second pass of term arrays.  tail_bound stays 0 and terms_used
+is T + L.  At huge p and tiny t a value can pass the largest float (psi'
+near 1 / t^2); it is refused, as the Euler-Maclaurin route refuses one.
 
 ``evaluate_columns`` computes one function at many t in one call, as three
 columns (values, tail bounds, terms used); ``evaluate`` makes them EvalResults.
@@ -98,7 +114,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, TruncationNotConverged
+from .errors import DomainError, QDigammaError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
 
 __all__ = [
@@ -134,8 +150,9 @@ _MIN_NORMAL = sys.float_info.min
 # its geometric majorant, is summed directly (_qk_batch).  Past _N0 it takes the
 # Euler-Maclaurin route unless that route's lattice needs more than n _EM_M / _N0
 # direct terms for a direct count n: _EM_M lattice terms cost about as much as _N0
-# direct ones.  A ln Gamma_pq batch with more than _N0_PQ nonzero factorial terms
-# takes the lattice route (_pq_batch), whose far pair still loses digits near q = 1.
+# direct ones.  A psi_pq or psi_pq' sum of more than _N0 terms may take the finite
+# Lambert split (_pq_batch).  A ln Gamma_pq batch with more than _N0_PQ nonzero factorial
+# terms takes the lattice route (_pq_batch), whose far pair still loses digits near q = 1.
 _N0 = 1 << 10
 _N0_PQ = 1 << 17
 
@@ -214,6 +231,50 @@ def _power_terms(kl: float, prime: bool):
     return lambda x, n: np.exp(n * x) / -np.expm1(n * kl)
 
 
+# Taylor coefficients, highest power first (np.polyval), of (1 - e^-z (1 + z)) / z^2 and
+# (z - 1 + e^-z) / z^2 below z = 1, where the closed forms cancel; the first term left out is
+# below 2^-58 of each at z = 1
+_HEAD_A = tuple((-1) ** k * (k - 1) / math.factorial(k) for k in range(20, 1, -1))
+_HEAD_B = tuple((-1) ** k / math.factorial(k) for k in range(20, 1, -1))
+
+
+def _head_terms(eps: float, p: int, prime: bool):
+    """sum_{n=1..p} x^n, or sum_{n=1..p} n x^n for psi', at x = q^(t+m) = e^-a, for rows t and indices m.
+
+    With b = p a, the psi term is (1 - e^-b) / (e^a - 1) and the psi' term (A(b) + p e^-b B(a)) e^-a /
+    (1 - e^-a)^2, with A(b) = 1 - e^-b (1 + b) and B(a) = a - 1 + e^-a both positive, so neither part
+    cancels the other as 1 - x^p - p x^p (1 - x) does.  Below b = 1 (so a < 1 too) A and B are b^2 and
+    a^2 times their Taylor series (_HEAD_A, _HEAD_B), and the term is p (p A(b)/b^2 + e^-b B(a)/a^2)
+    times a^2 e^-a / (1 - e^-a)^2 formed as two ratios near 1, so a tiny a underflows nothing.  a is
+    at least the smallest subnormal, so a t whose t eps underflows to 0 gets p (p + 1) / 2 or p, not 0/0.
+    b is held at 750, where e^-b is 0.0 already, so p a never overflows (p up to about 1e308).
+    """
+    pf, tiny, cap = float(p), math.ulp(0.0), 750.0 / float(p)
+    if not prime:
+        def terms(x, m):
+            a = np.maximum((x + m) * eps, tiny)
+            return -np.expm1(-pf * np.minimum(a, cap)) / np.expm1(a)
+        return terms
+
+    def closed(a, b):
+        e, em = np.exp(-b), np.expm1(-a)
+        return (-np.expm1(-b) - b * e + pf * e * (a + em)) / (np.expm1(a) * -em)
+
+    def terms(x, m):
+        a = np.maximum((x + m) * eps, tiny)
+        b = pf * np.minimum(a, cap)
+        if not (b[..., :1] < 1.0).any():  # b rises along a row: no term below b = 1, no series
+            return closed(a, b)
+        small = b < 1.0
+        out = np.empty_like(b)
+        out[~small] = closed(a[~small], b[~small])
+        a, b = a[small], b[small]
+        out[small] = (pf * (pf * np.polyval(_HEAD_A, b) + np.exp(-b) * np.polyval(_HEAD_B, a))
+                      * (a / np.expm1(a)) * (a / -np.expm1(-a)))
+        return out
+    return terms
+
+
 def _ln1m_exp_terms(y: np.ndarray) -> np.ndarray:
     """ln(1 - e^y) for y < 0 falling along its last axis, by the rule of ln1m_exp: log(-expm1(y)) above -ln 2."""
     if not (y[..., :1] > -_LN2).any():
@@ -266,15 +327,19 @@ def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
     block of its sum_terms; fsum returns that sum unchanged except that it
     reads -0.0 as 0.0, which adding 0.0 reproduces.  A row that fills a
     block alone is summed by sum_terms, in blocks of _BLOCK_TERMS terms.
+    Rows that sum no terms are 0.0 and build none, so their x, which may be
+    far outside the range of the others (t ln q near -1e308), is never used.
     """
     if len(lasts) == 1:  # the one-point call: no blocks to plan
         return [sum_terms(partial(terms, xs[0]), n_first, lasts[0])]
     sums = [0.0] * len(lasts)
     order = sorted(range(len(lasts)), key=lasts.__getitem__, reverse=True)
+    while order and lasts[order[-1]] < n_first:  # the narrowest rows sum no terms
+        order.pop()
     k = 0
     while k < len(order):
         width = lasts[order[k]] - n_first + 1
-        rows = order[k:k + max(1, _BLOCK_TERMS // max(width, 1))]
+        rows = order[k:k + max(1, _BLOCK_TERMS // width)]
         k += len(rows)
         if len(rows) == 1:
             (r,) = rows
@@ -298,12 +363,15 @@ def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
 
 def geometric_count(coeff: float, ln_step: float, abs_tol: float) -> float:
     """The least N >= 1 with coeff * exp((N+1) ln_step) <= abs_tol; inf when abs_tol / coeff
-    underflows to 0 or N is past any float."""
+    underflows to 0 or N is past any float, and 1 when abs_tol / coeff overflows to inf."""
     ratio = abs_tol / coeff
     if ratio > 0.0:
         n = math.log(ratio) / ln_step
         if n < math.inf:
-            return max(1, math.ceil(n) - 1)
+            try:
+                return max(1, math.ceil(n) - 1)
+            except OverflowError:  # n = -inf: abs_tol / coeff is inf, which one term reaches
+                return 1
     return math.inf
 
 
@@ -340,11 +408,14 @@ def _last_nonzero(a: float, b: float, n_first: int, n_last: int) -> int:
     too; n_first - 1 means no nonzero term.  Where the term at n_last is zero,
     the index starts at the closed form floor(_EXP_ZERO / b - a) of the cut,
     held to [n_first - 1, n_last], and takes unit steps by the same test
-    exp((a + n) b) == 0.0.
+    exp((a + n) b) == 0.0.  Past 2^53 a unit step no longer moves a + n,
+    so there the closed form is the index.
     """
     if math.exp((a + n_last) * b) != 0.0:
         return n_last
     n = min(n_last, max(n_first - 1, math.floor(_EXP_ZERO / b - a)))
+    if n > 1 << 53:
+        return n
     while n < n_last and math.exp((a + (n + 1)) * b) != 0.0:
         n += 1
     while n >= n_first and math.exp((a + n) * b) == 0.0:
@@ -664,26 +735,56 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
 def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
     """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every t of ts, as (values, tails, terms).
 
-    psi and psi' are summed directly; ln Gamma's whole batch takes its
-    factorial's route (module docstring).  A direct sum runs through its last
-    nonzero term (_last_nonzero) and is refused where that is past n_max.
+    psi and psi' sum F(t) = sum_{n=1..p} q^(nt) / (1 - q^n), times n for psi',
+    by the finite Lambert split (module docstring): T closed-form head terms,
+    then F(t + T) through its last nonzero term L (_last_nonzero), with
+    T = floor(sqrt(Z) - t), Z = _EXP_ZERO / ln q, where the unsplit count
+    (L at T = 0) is past N0 and T + L is below it, and T = 0 otherwise.
+    terms_used is T + L and tail_bound 0.  ln Gamma's whole batch takes its
+    factorial's route.  A direct sum is refused where its count is past n_max.
     """
     q, p = params.q, params.p
     ln_q = math.log(q)
 
     def capped(n: int) -> TruncationNotConverged:
         return TruncationNotConverged(
-            f"finite sum has nonzero terms up to n={n}, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
+            f"finite sum needs {n} terms, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
     if fn != "ln-gamma":
-        xs, lasts = [], []
-        for t in map(_check_t, ts):
-            xs.append(t * ln_q), lasts.append(_last_nonzero(0.0, t * ln_q, 1, p))
-            if lasts[-1] > tol.n_max:
-                raise capped(lasts[-1])
+        root = math.sqrt(_EXP_ZERO / ln_q)
+        # the rows of the tails (x = (t + T) ln q, last index L), and (point, t, T) of the split points
+        xs, lasts, heads = [], [], []
+        try:
+            for t in map(_check_t, ts):
+                x = t * ln_q
+                last = count = _last_nonzero(0.0, x, 1, p)
+                shift = math.floor(root - t) if last > _N0 else 0
+                if shift > 0:
+                    split = _last_nonzero(0.0, (t + shift) * ln_q, 1, p)
+                    if shift + split < last:
+                        heads.append((len(xs), t, shift))
+                        x, last, count = (t + shift) * ln_q, split, shift + split
+                if count > tol.n_max:
+                    raise capped(count)
+                xs.append(x), lasts.append(last)
+        except QDigammaError:  # a split point before this t may overflow, and its refusal comes first
+            if heads:
+                _pq_batch(fn, params, [t for i, t, _ in heads if i < len(xs)], tol)
+            raise
         prime = fn == "psi-prime"
+        sums, terms = _sum_rows(_power_terms(ln_q, prime), xs, 1, lasts), lasts
+        if heads:
+            rows, tl, shifts = zip(*heads)
+            terms = lasts.copy()
+            with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, refused below
+                head_sums = _sum_rows(_head_terms(-ln_q, p, prime), tl, 0, [s - 1 for s in shifts])
+            for i, shift, h in zip(rows, shifts, head_sums):
+                sums[i], terms[i] = h + sums[i], shift + terms[i]
         lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
-        values = [lead + scale * s for s in _sum_rows(_power_terms(ln_q, prime), xs, 1, lasts)]
-        return values, [0.0] * len(xs), lasts
+        values = [lead + scale * s for s in sums]
+        for value, n in zip(values, terms):
+            if not math.isfinite(value):
+                raise TruncationNotConverged("finite sum overflows double precision", math.inf, n)
+        return values, [0.0] * len(xs), terms
     ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
     n_fact = _last_nonzero(0.0, ln_q, 1, p)
     eps = -ln_q
@@ -780,15 +881,17 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """(p,q)-digamma at t: an exact finite sum (tail bound 0).
 
-    The sum runs through its last nonzero term, so terms_used, that term's
-    index (at most p), is the number of terms summed.
+    The sum is split into T closed-form head terms and a tail through its
+    last nonzero term L (T = 0 up to N0 terms or where splitting saves
+    nothing; see the module docstring), so terms_used, T + L (at most p), is
+    the number of terms summed.
     """
     params.require(Family.PQ)
     return _point(_pq_batch("psi", params, (t,), tol))
 
 
 def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """Derivative of the (p,q)-digamma: exact finite sum, nonnegative."""
+    """Derivative of the (p,q)-digamma: exact finite sum, nonnegative, split as psi_pq's; terms_used is T + L."""
     params.require(Family.PQ)
     return _point(_pq_batch("psi-prime", params, (t,), tol))
 

@@ -210,12 +210,40 @@ class TestPQSums:
         assert result["terms_used"] <= 1100
 
     def test_n_max_caps_nonzero_terms(self):
-        proc = run_cli(*self.ARGS, "--n-max", "1000")
+        # the Lambert split sums 31 head terms and the 33 nonzero terms of the tail at t + 31: 64 in all
+        proc = run_cli(*self.ARGS, "--n-max", "63")
         assert proc.returncode == 3
         assert "TruncationNotConverged" in proc.stderr
-        proc = run_cli(*self.ARGS, "--n-max", "2000")
+        proc = run_cli(*self.ARGS, "--n-max", "64")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["value"] == -0.42052903435604583
+
+    def test_value_past_the_floats_exits_3_with_one_error_line(self):
+        # psi' near 1 / t^2: the 65 terms of the split sum to inf, refused without a numpy warning
+        proc = run_cli("eval", "--family", "pq", "--p", str(10**200), "--q", "0.5", "--t", "1e-160",
+                       "--fn", "psi-prime")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: TruncationNotConverged: finite sum overflows double precision")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# Each ended in a traceback or wrote a numpy RuntimeWarning to stderr: a count whose abs_tol / coeff
+# overflows, and batch rows that sum no terms (t ln q near -1e308) beside rows that do.  The tables
+# are json, as csv echoes its config to stderr.
+QUIET = [
+    ("eval", "--family", "qk", "--q", "0.999999999", "--k", "1", "--t", "1000", "--fn", "psi-prime",
+     "--abs-tol", "1.7e308"),
+    ("table", "--family", "pq", "--p", "20", "--q", "0.5", "--fn", "psi", "--t-min", "1", "--t-max", "1e308",
+     "--t-count", "2", "--format", "json"),
+    ("table", "--family", "pq", "--p", "2", "--q", "1e-6", "--fn", "ln-gamma", "--t-min", "1",
+     "--t-max", "1e308", "--t-count", "2", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("args", QUIET, ids=" ".join)
+def test_exits_0_with_empty_stderr(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 class TestVerifyOutput:

@@ -144,10 +144,10 @@ class TestRatioH:
         assert ratio_H(spec, 2.0, params).value >= ratio_H(spec, 1.0, params).value
 
     def test_n_max_caps_it(self):
-        # a + b*0 = 1: the nonzero terms of psi_pq run to n ~ 1075
+        # a + b*0 = 1: psi_pq sums 31 head terms of its Lambert split and 33 tail terms
         spec = RatioSpec(a=1.0, b=1.0, c=2.0, d=1.0, alpha=1.0, beta=1.0)
         with pytest.raises(TruncationNotConverged):
-            ratio_H(spec, 0.0, DeformParams.pq(10**8, 0.5), Tolerance(n_max=1000))
+            ratio_H(spec, 0.0, DeformParams.pq(10**8, 0.5), Tolerance(n_max=50))
 
     def test_overflowing_ratio_is_refused(self):
         # psi_pq(20.5) is about 2.13, so G = psi^5000 / psi(30.5) is about e^3780

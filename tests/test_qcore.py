@@ -313,14 +313,16 @@ SCALAR = {
 
 def _batch_grid(family: str, rng: random.Random):
     """Seeded (params, ts) lines: blocks of many rows, t ranges over which the term count changes,
-    and for the PQ sums p > CHUNK, sums past one CHUNK; for the (q,k) family, lines past N0 direct
-    terms (q = 0.999) and lines whose route changes with t."""
+    and for the PQ sums p > CHUNK, sums past one CHUNK, unsplit (q = 1 - 1e-7) and split (q = 1 - 1e-8,
+    each part past one CHUNK); for the (q,k) family, lines past N0 direct terms (q = 0.999); and lines
+    whose route, or whether the PQ sums split, changes with t."""
     if family == "qk":
         wide = [DeformParams.qk(0.999, 1.0)]
         params = [DeformParams.qk(q, k) for q, k in ((0.5, 1.0), (0.9, 2.5))]
         params += [DeformParams.qk(rng.uniform(0.05, 0.95), rng.uniform(0.3, 3.0)) for _ in range(3)]
     else:
-        wide = [DeformParams.pq(CHUNK + 7000, 0.9999)]
+        wide = [DeformParams.pq(p, q) for p, q in ((CHUNK + 7000, 0.9999), (CHUNK + 7000, 1.0 - 1e-7),
+                                                    (10**6, 1.0 - 1e-8))]
         params = [DeformParams.pq(p, q) for p, q in ((CHUNK + 7000, 0.5), (30, 0.1))]
         params += [DeformParams.pq(rng.randint(1, 300), rng.uniform(0.05, 0.99)) for _ in range(3)]
     lines = [(prm, sorted(rng.uniform(0.2, 0.4) for _ in range(6))) for prm in wide]
@@ -339,14 +341,19 @@ def _batch_grid(family: str, rng: random.Random):
 # psi' points at q = 1 - 1e-5 take the direct route at t = 1e4 and the Euler-Maclaurin route at t = 1; at
 # (q, k) = (0.5, 0.1) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e308,
 # the Euler-Maclaurin route at t = 1e-307.  The PQ ln Gamma batch takes one route for all its points:
-# the lattice route at p = 1e6, the direct one at p = 1e4.  psi_pq is always summed directly.
+# the lattice route at p = 1e6, the direct one at p = 1e4.  psi_pq and psi_pq' are exact finite sums,
+# split at p = 1e6, q = 0.999.
 FIRST_FAILURE = {
     ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "psi-prime"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "ln-gamma"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1.0], 1e308),
                          (DeformParams.qk(0.5, 0.1), [1.0, 1e-307], 1e308)],
-    ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
-    ("pq", "psi-prime"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None)],
+    # at huge p and tiny t the split sums a few dozen terms to a value past the floats: psi near p ln q,
+    # psi' near 1 / t^2
+    ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None),
+                    (DeformParams.pq(10**307, 1e-9), [1.0, 2.5], 1e-310)],
+    ("pq", "psi-prime"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None),
+                          (DeformParams.pq(10**200, 0.5), [1.0, 2.5], 1e-160)],
     ("pq", "ln-gamma"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], 1.7e308),
                          (DeformParams.pq(10**4, 0.999), [1.0, 2.5], 1.7e308)],
 }
@@ -357,7 +364,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
     def test_batch_is_bit_identical_to_scalar_kernel(self, family, fn):
         rng = random.Random(f"batch:{family}:{fn}")
-        counts, routes, crossing = set(), set(), 0
+        counts, routes, long, crossing = set(), set(), set(), 0
         for params, ts in _batch_grid(family, rng):
             batch = evaluate(fn, params, ts)
             assert len(batch) == len(ts)
@@ -367,18 +374,25 @@ class TestEvaluate:
                 assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
                 counts.add(got.terms_used)
             if family == "qk":
-                em = {got == _em_qk(fn, params, t, Tolerance()) for t, got in zip(ts, batch)}
-                routes |= em
-                crossing += em == {True, False}
-        # the grid lets the term count vary and, for the PQ sums, reaches past one CHUNK; the (q,k)
-        # kernels sum at most about N0 terms directly at the default tolerance, and take both routes,
-        # psi and psi' within one batch (ln Gamma's direct count does not depend on t)
+                em = [got == _em_qk(fn, params, t, Tolerance()) for t, got in zip(ts, batch)]
+            elif fn != "ln-gamma":
+                em = [_is_split(params, t, got.terms_used) for t, got in zip(ts, batch)]
+                long |= {split for got, split in zip(batch, em) if got.terms_used > CHUNK}
+            else:
+                continue
+            routes |= set(em)
+            crossing += set(em) == {True, False}
+        # the grid lets the term count vary and, for the PQ sums, reaches past one CHUNK, split and
+        # unsplit; the (q,k) kernels sum at most about N0 terms directly at the default tolerance,
+        # and take both routes.  psi and psi' take both routes, or split and unsplit sums, within one
+        # batch (ln Gamma's direct count does not depend on t)
         assert len(counts) > 5
         if family == "qk":
             assert routes == {True, False} and max(counts) > _N0 // 2
-            assert crossing > 0 or fn == "ln-gamma"
         else:
             assert max(counts) > CHUNK
+            assert long == routes == ({True, False} if fn != "ln-gamma" else set())
+        assert crossing > 0 or fn == "ln-gamma"
 
     def test_one_result_per_point(self):
         params = DeformParams.qk(0.5, 1.0)
@@ -414,6 +428,11 @@ class TestEvaluate:
             evaluate("zeta", DeformParams.qk(0.5, 1.0), [1.0])
 
 
+def _is_split(params: DeformParams, t: float, terms_used: int) -> bool:
+    """Whether a psi_pq or psi_pq' sum took the Lambert split: fewer terms than its unsplit count."""
+    return terms_used < qcore._last_nonzero(0.0, t * math.log(params.q), 1, params.p)
+
+
 def _column_lines(family: str, rng: random.Random) -> list:
     """Seeded (params, ts, tol) lines for TestColumns, after edge lines that each route must meet."""
     tol = Tolerance()
@@ -428,13 +447,21 @@ def _column_lines(family: str, rng: random.Random) -> list:
         return lines + [(DeformParams.qk(rng.uniform(0.05, 0.999), rng.uniform(0.3, 3.0)),
                          [rng.uniform(0.01, 20.0) for _ in range(rng.randint(1, 40))],
                          Tolerance(abs_tol=10.0 ** rng.uniform(-16.0, -6.0))) for _ in range(12)]
+    cut = 1075 / 33  # q = 0.5: unsplit, as sqrt(Z) - t < 1
     lines = [
-        # m ln r for q = 0.5, t = 1 crosses the zero cut of exp between m = 1074 and 1075: the last term is
-        # nonzero at p = 1074, zero at p = 1075 (the closed form and its steps)
+        # m ln r for q = 0.5, t = 1 crosses the zero cut of exp between m = 1074 and 1075: the unsplit count,
+        # which decides whether to split, ends at p = 1074 and at 1075 on the same last nonzero term
         (DeformParams.pq(1074, 0.5), [1.0, 1.0 - 1e-9, 1.0 + 1e-9], tol),
         (DeformParams.pq(1075, 0.5), [1.0, 1.0 - 1e-9, 1.0 + 1e-9], tol),
+        # m t ln q crosses the same cut between m = 33 and 34 near t = cut: the last term is nonzero at
+        # p = 33, zero at p = 34 (the closed form and its steps), and every sum is unsplit
+        (DeformParams.pq(33, 0.5), [cut, cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)], tol),
+        (DeformParams.pq(34, 0.5), [cut, cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)], tol),
+        (DeformParams.pq(2000, 0.99), [0.5, 300.0, 2.0, 280.0, 1e-322], tol),  # split or not; t ln q = -0.0
         (DeformParams.pq(50, 1e-5), [100.0, 1.0], tol),  # q^t underflows: psi sums no terms
+        (DeformParams.pq(20, 0.5), [1.0, 1e308], tol),  # a row of no terms at t ln q near -1e308
         (DeformParams.pq(10**6, 0.999), [1.0, 2.5], tol),  # ln Gamma on the lattice
+        (DeformParams.pq(10**200, 0.5), [1.0, 1e-160, 2.5], tol),  # a psi' head past the floats: refused
     ]
     return lines + [(DeformParams.pq(rng.randint(1, 3000), rng.uniform(0.05, 0.99)),
                      [rng.uniform(0.01, 20.0) for _ in range(rng.randint(1, 40))], tol) for _ in range(12)]
@@ -470,11 +497,15 @@ class TestColumns:
                     seen.add("no terms" if n == 0 else "zero" if v == 0.0 else "value")
                     if family == "qk":
                         seen.add("lattice" if want == _em_qk(fn, params, t, tol) else "direct")
-        routes = {"lattice", "direct", "refused"} if family == "qk" else set()
-        assert seen == {"no terms", "zero", "value"} | routes
+                    elif fn != "ln-gamma":
+                        seen.add("split" if _is_split(params, t, n) else "unsplit")
+        routes = {"lattice", "direct"} if family == "qk" else {"split", "unsplit"}
+        assert seen == {"no terms", "zero", "value", "refused"} | routes
         assert max(widened) >= 2 if family == "qk" else True
-        if family == "pq":  # both sides of the zero cut end on the same last nonzero term
-            assert {psi_pq(1.0, DeformParams.pq(p, 0.5)).terms_used for p in (1074, 1075)} == {1074}
+        if family == "pq":  # both sides of each zero cut end on the same last nonzero term
+            assert {qcore._last_nonzero(0.0, math.log(0.5), 1, p) for p in (1074, 1075)} == {1074}
+            t = 1075 / 33 * (1.0 - 1e-9)
+            assert {psi_pq(t, DeformParams.pq(p, 0.5)).terms_used for p in (33, 34)} == {33}
 
 
 class TestPQUnderflow:
@@ -485,18 +516,17 @@ class TestPQUnderflow:
         assert res.terms_used <= 1100
 
     def test_n_max_caps_the_nonzero_terms(self):
+        # psi and psi' sum 64 terms by the Lambert split, ln Gamma its 1074 nonzero factorial terms
         params = DeformParams.pq(10**8, 0.5)
-        with pytest.raises(TruncationNotConverged):
-            psi_pq(1.0, params, Tolerance(n_max=1000))
-        for kernel in (psi_pq_prime, ln_gamma_pq):
+        for kernel in (psi_pq, psi_pq_prime):
             with pytest.raises(TruncationNotConverged):
-                kernel(1.0, params, Tolerance(n_max=1000))
-        assert psi_pq(1.0, params, Tolerance(n_max=2000)) == psi_pq(1.0, params)
+                kernel(1.0, params, Tolerance(n_max=63))
+            assert kernel(1.0, params, Tolerance(n_max=64)) == kernel(1.0, params)
+        with pytest.raises(TruncationNotConverged):
+            ln_gamma_pq(1.0, params, Tolerance(n_max=1000))
 
     @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
     def test_sums_exactly_the_terms_it_reports(self, kernel, monkeypatch):
-        import qdigamma.qcore as qcore
-
         asked, sum_terms = [], qcore.sum_terms
 
         def recording_sum_terms(term_fn, n_first, n_last):
@@ -504,7 +534,14 @@ class TestPQUnderflow:
             return sum_terms(term_fn, n_first, n_last)
         monkeypatch.setattr(qcore, "sum_terms", recording_sum_terms)
         res = kernel(1.0, DeformParams.pq(10**8, 0.5))
-        assert asked == [res.terms_used]
+        # Z = 1075 at q = 1/2: the tail at t + T = 32 through its last nonzero term, floor(1075 / 32) = 33,
+        # and T = floor(sqrt(Z) - 1) = 31 head terms
+        assert asked == [33, 31] and res.terms_used == 64
+
+    def test_last_nonzero_past_2_to_53_is_the_closed_form(self):
+        # a unit step no longer moves n there; stepping never ended
+        b = 1e-160 * math.log(0.5)
+        assert qcore._last_nonzero(0.0, b, 1, 10**200) == math.floor(qcore._EXP_ZERO / b)
 
     def test_all_zero_terms(self):
         # q^t itself underflows: every term is 0 and the value is ln[p]_q
@@ -524,6 +561,65 @@ class TestQBracketAccuracy:
                 qm ** (n * t) / (1 - qm ** n) for n in range(1, p + 1)
             )
         assert abs(psi_pq(t, DeformParams.pq(p, q)).value - float(exact)) <= 1e-15
+
+
+class TestLambertSplit:
+    """psi_pq and psi_pq' by the finite Lambert split, against 50-digit sums of the unsplit series."""
+
+    U = 2.0 ** -53
+    # q = 1 - 1e-9, p = 1e8, t = 0.01: the head's first p a are 1e-3, 0.1, 0.2, ..., where the closed form
+    # of sum n x^n, 1 - x^p - p x^p (1 - x), would cancel to about 1e-13 relative
+    POINTS = [(0.999, 10**6, 1.95), (1.0 - 1e-6, 10**6, 1.3), (0.5, 10**8, 1.0), (1.0 - 1e-9, 10**8, 0.01)]
+
+    @staticmethod
+    def exact(prime: bool, t: float, q: float, p: int) -> tuple:
+        """(value, |lead| + |scale| F) at 50 digits: F's first 200 terms summed, the rest by mpmath's
+        Euler-Maclaurin sumem over n = 201..p."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            eps, t = -mp.log(mp.mpf(q)), mp.mpf(t)
+
+            def term(n):
+                v = mp.exp(-eps * t * n) / -mp.expm1(-eps * n)
+                return n * v if prime else v
+            f = mp.fsum(term(n) for n in range(1, 201)) + mp.sumem(term, [201, p])
+            lead = 0 if prime else mp.log(-mp.expm1(-eps * p)) - mp.log(-mp.expm1(-eps))
+            scale = eps * eps if prime else -eps
+            return lead + scale * f, abs(lead) + abs(scale) * f
+
+    @pytest.mark.parametrize("q,p,t", POINTS)
+    @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
+    def test_values_match_a_50_digit_sum(self, kernel, q, p, t):
+        # rounding bound 16 u (|lead| + |scale| F): a few roundings per term, the pairwise sum's
+        # depth and the lead; every term is positive, so F is also the sum of their sizes
+        params = DeformParams.pq(p, q)
+        res = kernel(t, params)
+        assert _is_split(params, t, res.terms_used) and res.tail_bound == 0.0
+        exact, size = self.exact(kernel is psi_pq_prime, t, q, p)
+        assert abs(res.value - exact) <= 16 * self.U * size, float(abs(res.value - exact) / (self.U * size))
+
+    @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
+    def test_huge_p_is_the_sum_of_its_nonzero_terms(self, kernel):
+        # p a would overflow in the head at p = 1e307; q^p is 0 at both p, so the values agree
+        huge, large = (kernel(0.01, DeformParams.pq(p, 1e-9)) for p in (10**307, 10**300))
+        assert _is_split(DeformParams.pq(10**307, 1e-9), 0.01, huge.terms_used) and huge == large
+
+    @pytest.mark.parametrize("prime", [False, True])
+    def test_head_terms_keep_their_digits(self, prime):
+        # each head term within 8 u of sum_{n=1..p} x^n (times n for psi') at its own float a, on both
+        # sides of b = p a = 1, down to p a = 1e-4 and to a t whose t eps underflows to 0
+        mp = pytest.importorskip("mpmath")
+        for q, p, t in [(1.0 - 1e-9, 10**8, 0.01), (1.0 - 1e-9, 10**8, 0.001), (0.999, 10**6, 1.95),
+                        (0.395, 123, 0.00494), (0.9, 3, 0.2), (1.0 - 1e-9, 10**8, 1e-320)]:
+            eps = -math.log(q)
+            m = np.arange(40, dtype=np.float64)
+            for mi, got in zip(m, qcore._head_terms(eps, p, prime)(t, m)):
+                a = max((t + mi) * eps, math.ulp(0.0))
+                with mp.workdps(60 + 2 * max(0, int(-math.log10(p * a)))):  # the closed form cancels to p a
+                    a = mp.mpf(a)
+                    x, u, v = mp.exp(-a), -mp.expm1(-a), -mp.expm1(-p * a)
+                    want = x * (v - p * (1 - v) * u) / u ** 2 if prime else x * v / u
+                    assert abs(got - want) <= 8 * self.U * want, (q, p, t, mi)
 
 
 class TestLnGammaTinyT:
@@ -614,9 +710,10 @@ class TestBlockedSums:
         sum_terms, series_terms = qcore.sum_terms, reference._series_terms
         monkeypatch.setattr(qcore, "sum_terms", lambda term_fn, lo, hi: sum_terms(recording(term_fn), lo, hi))
         monkeypatch.setattr(reference, "_series_terms", lambda *args: recording(series_terms(*args)))
-        # the (q,k) kernels sum their long series on the Euler-Maclaurin route; the PQ sums sum directly
-        qk, pq = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999)
-        used = [kernel(1.0, pq).terms_used for kernel in (psi_pq, psi_pq_prime, ln_gamma_pq)]
+        # the (q,k) kernels sum their long series on the Euler-Maclaurin route; the PQ sums sum directly,
+        # psi and psi' by the Lambert split: about 61,000 head and 61,000 tail terms at q = 1 - 2e-7
+        qk, pq, split = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999), DeformParams.pq(10**6, 1 - 2e-7)
+        used = [kernel(1.0, split).terms_used for kernel in (psi_pq, psi_pq_prime)] + [ln_gamma_pq(1.0, pq).terms_used]
         assert min(used) > 3 * CHUNK
         for kind in SeriesKind:
             brute_force_series(kind, 0.5, qk, 200_000)
