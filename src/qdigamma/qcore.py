@@ -30,6 +30,10 @@ their terms underflow to exact zeros, and a directly summed point whose
 count runs past ``n_max`` is refused.  All powers of q are formed in
 log space, so large t cannot underflow the products.
 
+N0 = 2^10 is the one cut-off of direct summation: up to N0 terms every
+kernel sums its series directly, and past it each takes a route whose term
+count does not grow like 1 / (1-q) wherever that route is the cheaper.
+
 Two routes for the QK series, chosen by one rule for psi, psi' and
 ln Gamma (_qk_batch).  The direct route sums the series above; it needs
 about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point takes
@@ -67,20 +71,29 @@ route n_max caps terms_used.  Where psi's first lattice term Li_0(e^-eps t)
 overflows (eps t subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to
 within eps t relative, goes in the lead and the lattice starts at eps (t + k).
 
-ln Gamma_pq takes the same two routes by its own cut-off N0_PQ = 2^17.  Its
+ln Gamma_pq takes the same two routes by the same cut-off N0.  Its
 factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so
 their last nonzero index routes the whole batch (_pq_batch): through at
-most N0_PQ it is summed directly, exactly (tail_bound 0).  Past N0_PQ it
-takes the q-gamma identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) /
+most N0 it is summed directly, exactly (tail_bound 0).  Past N0 it takes
+the q-gamma identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) /
 Gamma_q(t+p+1), Gamma_q = Gamma_qk at k = 1, as four infinite sums S_1 on
 step eps:
 
-    ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(1)] - [S_1(t+p+1) - S_1(p+1)]
+    ln Gamma_pq(t) = ln(1-q) + t*ln[p]_q + [S_1(t) - S_1(1)] + [S_1(p+1) - S_1(t+p+1)]
 
 _em_lattice, the one Euler-Maclaurin entry of both families, forms the near
-pair minus the far one; terms_used is 4 (M + 2 + P), 72 at M = P = 8, even for
-10^8 factors.  The far pair still loses digits: its two sums, each up to
-about pi^2/(6 eps), differ by only about t |ln(1 - q^(p+1))|.
+pair as the (q,k) ln Gamma does.  The far pair, two sums each up to about
+pi^2/(6 eps) that differ by only about t |ln(1 - q^(p+1))|, is formed term
+by term, so it loses no digits to their cancellation: each lattice term is
+ln(1 + e^-y (1 - e^-d) / (1 - e^-y)), d = eps t, and the integral of the
+closure [Li_2(e^-y) - Li_2(e^-(y+d))] / h is a Taylor series in d whose
+Li of negative order come from the Eulerian polynomials (DLMF 25.12.ii,
+2.10.i).  The difference of the two sums is completely monotone in y, so
+the remainder bound of one sum still holds, and where the whole far pair is
+within its share of abs_tol (e^-eps(p+1) tiny or 0.0) it is left out and
+its bound added to the tail.  terms_used is a few dozen, even for 10^8
+factors.  p is held at the largest float before it meets a float: every
+power of q that p reaches is 0.0 there.
 
 psi_pq and psi_pq' are exact finite sums of F(t) = sum_{n=1..p} q^(nt) /
 (1 - q^n), times n for psi'.  Their nonzero terms run to L = _last_nonzero,
@@ -96,8 +109,11 @@ own L is below the unsplit L, about 2 sqrt(Z) terms in place of up to p;
 every other point takes T = 0, the plain sum.  Up to N0 terms a sum is
 cheap as it stands (as in the (q,k) route rule), and a split saves a few
 terms for a second pass of term arrays.  tail_bound stays 0 and terms_used
-is T + L.  At huge p and tiny t a value can pass the largest float (psi'
-near 1 / t^2); it is refused, as the Euler-Maclaurin route refuses one.
+is T + L.  At huge p and tiny t the head sum can pass the largest float
+before its scale ln q or (ln q)^2 while the value fits; that head is summed
+again with the scale taken into its terms, and a value that still passes
+the largest float (psi' near 1 / t^2) is refused, as the Euler-Maclaurin
+route refuses one.
 
 ``evaluate_columns`` computes one function at many t in one call, as three
 columns (values, tail bounds, terms used); ``evaluate`` makes them EvalResults.
@@ -146,15 +162,19 @@ _BLOCK_TERMS = CHUNK // 4
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
-# A (q,k) point whose direct series needs at most _N0 terms, by the closed form of
-# its geometric majorant, is summed directly (_qk_batch).  Past _N0 it takes the
-# Euler-Maclaurin route unless that route's lattice needs more than n _EM_M / _N0
-# direct terms for a direct count n: _EM_M lattice terms cost about as much as _N0
-# direct ones.  A psi_pq or psi_pq' sum of more than _N0 terms may take the finite
-# Lambert split (_pq_batch).  A ln Gamma_pq batch with more than _N0_PQ nonzero factorial
-# terms takes the lattice route (_pq_batch), whose far pair still loses digits near q = 1.
+# The one cut-off of direct summation.  A (q,k) point whose direct series needs at
+# most _N0 terms, by the closed form of its geometric majorant, is summed directly
+# (_qk_batch).  Past _N0 it takes the Euler-Maclaurin route unless that route's
+# lattice needs more than n _EM_M / _N0 direct terms for a direct count n: _EM_M
+# lattice terms cost about as much as _N0 direct ones.  A psi_pq or psi_pq' sum of
+# more than _N0 terms may take the finite Lambert split, and a ln Gamma_pq batch with
+# more than _N0 nonzero factorial terms takes the lattice route (_pq_batch).
 _N0 = 1 << 10
-_N0_PQ = 1 << 17
+
+# p is held here, the largest float, before it meets a float: past it every power q^n and
+# q^(t+n) of ln Gamma_pq is 0.0, as is every q^(n t) and e^(-p a) of psi_pq and psi_pq' at
+# t |ln q| >= 750 / _P_HOLD, so the held p gives the value of p (_pq_batch)
+_P_HOLD = int(sys.float_info.max)
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral, the
 # half end term and _EM_P Bernoulli corrections, up to _P_MAX as the tolerance needs.
@@ -197,12 +217,12 @@ def q_bracket(p: int, q: float) -> float:
     if not (0.0 < q < 1.0):
         raise DomainError(f"q={q!r} must lie strictly inside (0,1)")
     ln_q = math.log(q)
-    return math.expm1(p * ln_q) / math.expm1(ln_q)
+    return math.expm1(min(p, _P_HOLD) * ln_q) / math.expm1(ln_q)
 
 
 def ln_q_bracket(x: float, ln_q: float) -> float:
-    """ln [x]_q for real x > 0, given ln(q); exact for q^x underflowing to 0."""
-    return ln1m_exp(x * ln_q) - ln1m_exp(ln_q)
+    """ln [x]_q for real x > 0, given ln(q); exact for q^x underflowing to 0, an integer x past the floats too."""
+    return ln1m_exp(min(x, _P_HOLD) * ln_q) - ln1m_exp(ln_q)
 
 
 def psi_qk_limit(params: DeformParams) -> float:
@@ -238,7 +258,7 @@ _HEAD_A = tuple((-1) ** k * (k - 1) / math.factorial(k) for k in range(20, 1, -1
 _HEAD_B = tuple((-1) ** k / math.factorial(k) for k in range(20, 1, -1))
 
 
-def _head_terms(eps: float, p: int, prime: bool):
+def _head_terms(eps: float, p: int, prime: bool, scaled: bool = False):
     """sum_{n=1..p} x^n, or sum_{n=1..p} n x^n for psi', at x = q^(t+m) = e^-a, for rows t and indices m.
 
     With b = p a, the psi term is (1 - e^-b) / (e^a - 1) and the psi' term (A(b) + p e^-b B(a)) e^-a /
@@ -248,17 +268,22 @@ def _head_terms(eps: float, p: int, prime: bool):
     times a^2 e^-a / (1 - e^-a)^2 formed as two ratios near 1, so a tiny a underflows nothing.  a is
     at least the smallest subnormal, so a t whose t eps underflows to 0 gets p (p + 1) / 2 or p, not 0/0.
     b is held at 750, where e^-b is 0.0 already, so p a never overflows (p up to about 1e308).
+    scaled: each term times its kernel's scale, -eps for psi and eps^2 for psi', taken into its
+    factors 1 / (e^a - 1) and 1 / (1 - e^-a) as eps over them, so a term whose unscaled value passes
+    the largest float (about 1 / a or 1 / a^2) is formed where its scaled value fits.
     """
     pf, tiny, cap = float(p), math.ulp(0.0), 750.0 / float(p)
     if not prime:
         def terms(x, m):
             a = np.maximum((x + m) * eps, tiny)
-            return -np.expm1(-pf * np.minimum(a, cap)) / np.expm1(a)
+            head = -np.expm1(-pf * np.minimum(a, cap))
+            return head * (-eps / np.expm1(a)) if scaled else head / np.expm1(a)
         return terms
 
     def closed(a, b):
         e, em = np.exp(-b), np.expm1(-a)
-        return (-np.expm1(-b) - b * e + pf * e * (a + em)) / (np.expm1(a) * -em)
+        head = -np.expm1(-b) - b * e + pf * e * (a + em)
+        return head * (eps / np.expm1(a)) * (eps / -em) if scaled else head / (np.expm1(a) * -em)
 
     def terms(x, m):
         a = np.maximum((x + m) * eps, tiny)
@@ -270,7 +295,7 @@ def _head_terms(eps: float, p: int, prime: bool):
         out[~small] = closed(a[~small], b[~small])
         a, b = a[small], b[small]
         out[small] = (pf * (pf * np.polyval(_HEAD_A, b) + np.exp(-b) * np.polyval(_HEAD_B, a))
-                      * (a / np.expm1(a)) * (a / -np.expm1(-a)))
+                      * (a / np.expm1(a)) * (a / -np.expm1(-a)) * (eps * eps if scaled else 1.0))
         return out
     return terms
 
@@ -452,15 +477,16 @@ def _li(s: int, y: float) -> float:
 
 
 def _em_closure(s: int, y: float, h: float, share: float) -> tuple:
-    """(closure, remainder bound, units, P) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
+    """(closure, remainder bound, units, P, corrections) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
 
     The closure is the integral Li_(s+1)(e^-y) / h less units pi^2/(6h), the
     half end term and the corrections B_2j/(2j)! h^(2j-1) Li_(s-2j+1)(e^-y)
-    for j = 1..P (DLMF 2.10.1 with f^(2j-1) = -Li_(s-2j+1)(e^-x)).  f is
-    completely monotone, so f^(2P) keeps one sign and the remainder after P
-    corrections is at most the size of the last one, |B_2P|/(2P)! h^(2P-1)
-    |f^(2P-1)(y)|.  P is _EM_P, and grows to at most _P_MAX while that bound
-    is above share and the (divergent) corrections still fall.
+    for j = 1..P (DLMF 2.10.1 with f^(2j-1) = -Li_(s-2j+1)(e^-x)), whose sum
+    is returned too.  f is completely monotone, so f^(2P) keeps one sign and
+    the remainder after P corrections is at most the size of the last one,
+    |B_2P|/(2P)! h^(2P-1) |f^(2P-1)(y)|.  P is _EM_P, and grows to at most
+    _P_MAX while that bound is above share and the (divergent) corrections
+    still fall.
     Li_2(z), z = e^-y, is summed in u = -ln(1-z) up to z = 1/2; above, by the
     reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z) (DLMF 25.12.6)
     without its pi^2/6, which units = 1 counts, so that two sums near y = 0
@@ -484,30 +510,100 @@ def _em_closure(s: int, y: float, h: float, share: float) -> tuple:
         integral = _li2_series(-math.log1p(-z))
     else:  # -ln(1 - (1-z)) = y
         integral, units = y * math.log(w) - _li2_series(y), 1
-    return integral / h + 0.5 * _li(s, y) + corrections * scale, abs(last) * scale, units, p
+    corrections *= scale
+    return integral / h + 0.5 * _li(s, y) + corrections, abs(last) * scale, units, p, corrections
+
+
+def _li2_drop(y: float, d: float, z: float, w: float, share: float) -> tuple:
+    """(Li_2(z) - Li_2(z e^-d), remainder bound, terms) at z = e^-y, w = 1 - z, for 0 < d <= y / 8.
+
+    The Taylor series sum_{j>=1} (-1)^(j+1) d^j/j! Li_(2-j)(z) (DLMF 25.12.ii,
+    d/dy Li_s(e^-y) = -Li_(s-1)(e^-y)): d Li_1(z), then the terms d z (-r)^(j-1)
+    A_(j-2)(z) / j!, r = d / w, which fall about like (d / y)^j.  Li_(1-j)(e^-x)
+    falls as x grows, so the remainder after j terms is at most the size of term
+    j + 1 (Lagrange's form); the terms are summed until that is within share, or
+    the Eulerian table ends.
+    """
+    drop, coeff, r = d * _li(1, y), d * z, d / w
+    for j in range(2, len(_EULERIAN) + 2):
+        coeff *= -r / j
+        term = coeff * _eulerian(j - 2, z)
+        if abs(term) <= share or j == len(_EULERIAN) + 1:
+            break
+        drop += term
+    return drop, abs(term), j - 1
+
+
+def _em_pair_closure(y: float, d: float, h: float, share: float) -> tuple:
+    """(closure, remainder bound, P, terms) of sum_{m>=0} F(y + m h), F(x) = Li_1(e^-x) - Li_1(e^-(x+d)).
+
+    F is completely monotone, each of its derivatives no larger than that of
+    Li_1(e^-x), so P corrections (_em_closure's at y, and at y + d with the
+    same P) leave a remainder within the size of the last one at y.  The
+    integral [Li_2(e^-y) - Li_2(e^-(y+d))] / h is _li2_drop's Taylor series in
+    d, its bound within share too, where d <= min(y / 8, 1).  Past that the
+    two sums differ by at least about an eighth of the larger, and each is
+    closed by _em_closure as a pair of _em_lattice is.  terms counts the half
+    end terms, the corrections and the integral's terms.
+    """
+    near, bound, near_units, p, corrections = _em_closure(1, y, h, share)
+    if d > min(y / 8.0, 1.0):
+        far, far_bound, far_units, far_p, _ = _em_closure(1, y + d, h, share)
+        return near - far + (near_units - far_units) * _PI2_6 / h, bound + far_bound, p, 4 + p + far_p
+    z, w = math.exp(-y), -math.expm1(-y)
+    z_d, r_d = math.exp(-(y + d)), h / -math.expm1(-(y + d))
+    far, power = 0.0, r_d
+    for j in range(p):  # the corrections at y + d, s = 1
+        far += _BERNOULLI[j] * _eulerian(2 * j, z_d) * power
+        power *= r_d * r_d
+    drop, drop_bound, n = _li2_drop(y, d, z, w, share * h)
+    half = 0.5 * _pair_term(y, -math.expm1(-d))
+    return drop / h + half + (corrections - far * z_d), bound + drop_bound / h, p, 1 + 2 * p + n
+
+
+def _pair_term(y: float, one_minus_e_d: float) -> float:
+    """Li_1(e^-y) - Li_1(e^-(y+d)) = ln((1 - e^-(y+d)) / (1 - e^-y)), given 1 - e^-d, without cancellation."""
+    return math.log1p(math.exp(-y) * one_minus_e_d / -math.expm1(-y))
 
 
 def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: Tolerance,
-                m_cap: float = math.inf) -> EvalResult | None:
-    """lead + scale * (the sum over pairs of S(a) - S(b), or S(a) for a pair (a,)), by Euler-Maclaurin.
+                m_cap: float = math.inf, paired: tuple | None = None) -> EvalResult | None:
+    """lead + scale * (the sum over pairs of S(a) - S(b), or S(a) for a pair (a,), plus S(c) - S(c + d)
+    for paired = (c, d), s = 1), by Euler-Maclaurin.
 
     S(a) is the infinite sum of f(y) = Li_s(e^-y) over y = a + m h, m >= 0:
     M terms directly, closed by _em_closure at a + M h, its bound held to a
-    share of abs_tol: abs_tol / (_SAFETY |scale| times the number of sums).
+    share of abs_tol: abs_tol / (_SAFETY |scale| times the number of bounds).
     Each pair is differenced before the pairs are added, and then gets back
     the pi^2/(6h) units its closures left out, as their difference times
-    pi^2/(6h).  M starts at _EM_M and grows until tail, the closures' bounds
-    times |scale| and _SAFETY, is within abs_tol; None, before any term is
-    summed, where it would grow past m_cap.  terms_used, M + 2 + P per sum,
-    is capped by n_max.  A value that is not finite raises TruncationNotConverged.
+    pi^2/(6h).  The paired difference is formed term by term instead, so it
+    loses no digits where S(c) and S(c + d) are large and close: M terms
+    F(c + m h) (_pair_term), closed by _em_pair_closure, two bounds; where
+    the whole difference, at most S(c) <= e^-c / ((1 - e^-c)(1 - e^-h)), is
+    within a share, it is left out and that bound goes in the tail.  M
+    starts at _EM_M and grows until tail, the closures' bounds times |scale|
+    and _SAFETY, is within abs_tol; None, before any term is summed, where
+    it would grow past m_cap.  terms_used, M + 2 + P per sum and M plus the
+    pair closure's terms for the paired difference, is capped by n_max.  A
+    value that is not finite raises TruncationNotConverged.
     """
     starts = [a for pair in pairs for a in pair]
-    share = tol.abs_tol / (_SAFETY * abs(scale) * len(starts))
+    share = tol.abs_tol / (_SAFETY * abs(scale) * (len(starts) + (2 if paired else 0)))
+    dropped = 0.0
+    if paired:
+        c, d = paired
+        whole = math.exp(-c) / (-math.expm1(-c) * -math.expm1(-h))
+        if whole <= share:
+            paired, dropped = None, whole
     m = _EM_M
     while True:
         closures = {a: _em_closure(s, a + m * h, h, share) for a in starts}
         terms = sum([m + 2 + closures[a][3] for a in starts])
-        tail = _SAFETY * abs(scale) * sum([closures[a][1] for a in starts])
+        tail = sum([closures[a][1] for a in starts])
+        if paired:
+            pair_closure = _em_pair_closure(c + m * h, d, h, share)
+            terms, tail = terms + m + pair_closure[3], tail + pair_closure[1]
+        tail = _SAFETY * abs(scale) * (tail + dropped)
         if terms > tol.n_max:
             raise TruncationNotConverged(
                 f"Euler-Maclaurin route needs {terms} terms, past the cap of {tol.n_max}", tail, tol.n_max)
@@ -520,7 +616,7 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
         if m > m_cap:
             return None
     sums = {}
-    for a, (closure, _, units, _) in closures.items():
+    for a, (closure, _, units, _, _) in closures.items():
         direct = 0.0
         for i in range(m):
             direct += _li(s, a + i * h)
@@ -530,6 +626,11 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
         near, near_units = sums[pair[0]]
         far, far_units = sums[pair[1]] if len(pair) == 2 else (0.0, 0)
         total += near - far + (near_units - far_units) * _PI2_6 / h
+    if paired:
+        one_minus_e_d, direct = -math.expm1(-d), 0.0
+        for i in range(m):
+            direct += _pair_term(c + i * h, one_minus_e_d)
+        total += direct + pair_closure[0]
     value = lead + scale * total
     if not math.isfinite(value):
         raise TruncationNotConverged("Euler-Maclaurin value overflows double precision", math.inf, terms)
@@ -741,9 +842,11 @@ def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
     T = floor(sqrt(Z) - t), Z = _EXP_ZERO / ln q, where the unsplit count
     (L at T = 0) is past N0 and T + L is below it, and T = 0 otherwise.
     terms_used is T + L and tail_bound 0.  ln Gamma's whole batch takes its
-    factorial's route.  A direct sum is refused where its count is past n_max.
+    factorial's route: the lattice past N0 nonzero factors.  A direct sum is
+    refused where its count is past n_max.  p past _P_HOLD is held there; psi
+    and psi' refuse a t where that would not give the value of p.
     """
-    q, p = params.q, params.p
+    q, p = params.q, min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
     ln_q = math.log(q)
 
     def capped(n: int) -> TruncationNotConverged:
@@ -756,6 +859,8 @@ def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
         try:
             for t in map(_check_t, ts):
                 x = t * ln_q
+                if params.p > p and x * p > -750.0:  # e^(-p a) of a head, or q^(p t), may be nonzero at p
+                    raise TruncationNotConverged(f"p past the largest float at t={t!r}", math.inf, 0)
                 last = count = _last_nonzero(0.0, x, 1, p)
                 shift = math.floor(root - t) if last > _N0 else 0
                 if shift > 0:
@@ -774,13 +879,18 @@ def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
         sums, terms = _sum_rows(_power_terms(ln_q, prime), xs, 1, lasts), lasts
         if heads:
             rows, tl, shifts = zip(*heads)
-            terms = lasts.copy()
-            with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, refused below
+            terms, rest = lasts.copy(), sums.copy()  # rest: the tails F(t + T)
+            with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, re-summed below
                 head_sums = _sum_rows(_head_terms(-ln_q, p, prime), tl, 0, [s - 1 for s in shifts])
             for i, shift, h in zip(rows, shifts, head_sums):
                 sums[i], terms[i] = h + sums[i], shift + terms[i]
         lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
         values = [lead + scale * s for s in sums]
+        for i, t, shift in heads:
+            if not math.isfinite(values[i]):  # the head may pass the floats only unscaled: re-sum it scaled
+                with np.errstate(over="ignore", divide="ignore"):
+                    (h,) = _sum_rows(_head_terms(-ln_q, p, prime, scaled=True), [t], 0, [shift - 1])
+                values[i] = lead + (h + scale * rest[i])
         for value, n in zip(values, terms):
             if not math.isfinite(value):
                 raise TruncationNotConverged("finite sum overflows double precision", math.inf, n)
@@ -792,9 +902,8 @@ def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
         tl.append(t), leads.append(ln1mq + t * lead)
-        if n_fact > _N0_PQ:  # the near pair, then the far one reversed: [S_1(p+1) - S_1(t+p+1)]
-            pairs = ((eps * t, eps), (eps * (p + 1), eps * (t + p + 1)))
-            res = _em_lattice(1, pairs, eps, leads[-1], 1.0, tol)
+        if n_fact > _N0:  # the near pair, and the far one reversed, S_1(p+1) - S_1(t+p+1), term by term
+            res = _em_lattice(1, ((eps * t, eps),), eps, leads[-1], 1.0, tol, paired=(eps * (p + 1), eps * t))
             values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
             continue
         if n_fact > tol.n_max:  # refused at the first point, as a one-point call refuses it
@@ -899,12 +1008,13 @@ def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Log of the (p,q)-gamma function, the Krasniqi-Merovci finite product, in log space.
 
-    Where at most N0_PQ factorial factors 1 - q^n are nonzero, the product is
-    summed exactly (tail bound 0, terms_used that count).  Past N0_PQ it is four
-    infinite Euler-Maclaurin lattice sums by the q-gamma identity, and the tail
-    bound is their four remainder bounds (see the module docstring);
-    terms_used is a few dozen there, and n_max caps it.  A value that
-    overflows raises TruncationNotConverged on either route.
+    Where at most N0 = 2^10 factorial factors 1 - q^n are nonzero, the product
+    is summed exactly (tail bound 0, terms_used that count).  Past N0 it is
+    four infinite Euler-Maclaurin lattice sums by the q-gamma identity, the
+    far pair formed term by term, and the tail bound is their remainder
+    bounds (see the module docstring); terms_used is a few dozen there, and
+    n_max caps it.  A value that overflows raises TruncationNotConverged on
+    either route.
     """
     params.require(Family.PQ)
     return _point(_pq_batch("ln-gamma", params, (t,), tol))

@@ -226,6 +226,17 @@ class TestPQSums:
         assert proc.stderr.startswith("error: TruncationNotConverged: finite sum overflows double precision")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
+    def test_p_past_the_largest_float(self, fn):
+        # p = 10^309 once ended in an OverflowError traceback; q^n is 0.0 past n = 1074, so the value is
+        # that of p = 10^8 to the bit
+        values = []
+        for p in (10**309, 10**8):
+            proc = run_cli("eval", "--family", "pq", "--p", str(p), "--q", "0.5", "--t", "1", "--fn", fn)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            values.append(json.loads(proc.stdout)["result"])
+        assert values[0] == values[1]
+
 
 # Each ended in a traceback or wrote a numpy RuntimeWarning to stderr: a count whose abs_tol / coeff
 # overflows, and batch rows that sum no terms (t ln q near -1e308) beside rows that do.  The tables

@@ -1,7 +1,8 @@
-"""ln Gamma_pq past N0_PQ factors: the Euler-Maclaurin lattice route against closed
-forms, a 40-digit oracle and the direct sum, batches, n_max, and the accuracy of
-the direct route's combination of its sums; on both routes, the q-gamma identity
-against the (q,k) family and typed refusals where the value overflows."""
+"""ln Gamma_pq past N0 nonzero factors: the Euler-Maclaurin lattice route, its far
+pair formed term by term, against closed forms, a 40-digit oracle and the direct
+sum, the cut-off itself, batches, n_max, and the accuracy of the direct route's
+combination of its sums; on both routes, the q-gamma identity against the (q,k)
+family and typed refusals where the value overflows."""
 
 from __future__ import annotations
 
@@ -16,14 +17,17 @@ import pytest
 
 from qdigamma import DeformParams, Tolerance, TruncationNotConverged, evaluate, ln_gamma_pq, ln_gamma_qk
 from qdigamma.cli import main
-from qdigamma.qcore import _N0_PQ, _em_lattice, _em_qk, ln1m_exp, ln_q_bracket
+from qdigamma.qcore import _EXP_ZERO, _N0, _em_lattice, _em_qk, _last_nonzero, ln1m_exp, ln_q_bracket
 
 from lattice_oracle import pq_ln_gamma_oracle
 
 U = 2.0 ** -53
-P_EM = (_N0_PQ + 1, 10**6, 10**7, 10**8)
-# q^n stays nonzero past n = N0_PQ at these q, so every p above takes the lattice route
+P_EM = (_N0 + 1, 10**4, 10**5, 10**6, 10**7, 10**8)
+# q^n stays nonzero past n = N0 at these q, so every p above takes the lattice route
 Q_EM = (0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+# the points of P_EM x Q_EM with p eps << 1 that the direct route summed while its cut-off was 2^17
+# factors: S_1(eps (p+1)) and S_1(eps (t+p+1)) are both near pi^2/(6 eps) there
+MOVED = [(p, q) for p in P_EM if p < 1 << 17 for q in Q_EM if q > 0.999]
 
 
 def is_em(res) -> bool:
@@ -34,14 +38,16 @@ def is_em(res) -> bool:
 def rounding(t: float, q: float, p: int, value: float) -> float:
     """Rounding allowance 64 u (sum of |log factors| + |value|) of ln Gamma_pq(t).
 
-    The log factors are ln(1-q), t ln[p]_q and the terms ln(1 - q^(a+n)) of
-    the factorial (a = 1) and shifted (a = t) sums.  A sum of the decreasing
-    -ln(1 - q^(a+n)) over n >= 0 is at most its first term plus its integral,
-    Li_2(q^a) / eps <= pi^2 / (6 eps) with eps = -ln q.
+    The log factors are ln(1-q), t ln[p]_q and the first terms ln(1 - q^a) of
+    the factorial (a = 1) and shifted (a = t) sums.  The sums themselves, each
+    up to about pi^2 / (6 eps) with eps = -ln q, are not counted: the direct
+    route adds their terms pairwise, and the lattice route leaves their
+    largest parts to exact cancellations (the near pair's pi^2/6 units) or
+    forms their difference term by term (the far pair).
     """
     ln_q = math.log(q)
     logs = abs(ln1m_exp(ln_q)) + abs(t * ln_q_bracket(p, ln_q))
-    logs += abs(ln1m_exp(t * ln_q)) + abs(ln1m_exp(ln_q)) + 2.0 * (math.pi ** 2 / 6.0) / -ln_q
+    logs += abs(ln1m_exp(t * ln_q)) + abs(ln1m_exp(ln_q))
     return 64.0 * U * (logs + abs(value))
 
 
@@ -59,7 +65,7 @@ def test_closed_forms(p, q):
             return mp.log(-mp.expm1(x * mp.log(qq))) - mp.log(1 - qq)
 
         at_one = ln_gamma_pq(1.0, params)
-        assert is_em(at_one) == (q != 0.9)  # at q = 0.9, q^n underflows near n = 7,072
+        assert is_em(at_one)  # at q = 0.9, q^n underflows near n = 7,072, past N0 too
         assert at_one.tail_bound <= Tolerance().abs_tol
         want = ln_bracket(p) - ln_bracket(p + 1)
         assert abs(at_one.value - want) <= at_one.tail_bound + rounding(1.0, q, p, at_one.value)
@@ -83,9 +89,24 @@ def test_em_values_match_the_40_digit_oracle(p, q):
         assert error <= res.tail_bound + rounding(t, q, p, res.value), (p, q, t, res, float(error))
 
 
+@pytest.mark.parametrize("p,q", MOVED)
+def test_moved_points_are_no_farther_from_the_oracle(p, q, monkeypatch):
+    """Points whose factorial has more than N0 but at most 2^17 nonzero terms left the direct route."""
+    import qdigamma.qcore as qcore
+
+    params, ts = DeformParams.pq(p, q), (1e-3, 0.37, 0.5, 1.0, 2.5, 7.3)
+    lattice = evaluate("ln-gamma", params, ts)
+    monkeypatch.setattr(qcore, "_N0", 1 << 17)  # the direct route of the former cut-off
+    direct = evaluate("ln-gamma", params, ts)
+    for t, new, old in zip(ts, lattice, direct):
+        assert is_em(new) and not is_em(old) and old.terms_used == p
+        want = pq_ln_gamma_oracle(t, q, p)
+        assert abs(want - new.value) <= abs(want - old.value), (p, q, t, new, old)
+
+
 def test_batch_is_bit_identical_to_scalar_calls():
     rng = random.Random("pq-em-batch")
-    for p, q in ((_N0_PQ + 1, 0.999), (10**7, 1.0 - 1e-6), (10**8, 1.0 - 1e-9)):
+    for p, q in ((_N0 + 1, 0.999), (10**4, 1.0 - 1e-9), (10**7, 1.0 - 1e-6), (10**8, 1.0 - 1e-9)):
         params = DeformParams.pq(p, q)
         ts = [1.0, 1e-200, 1e-3] + sorted(10.0 ** rng.uniform(-2.0, 3.0) for _ in range(8))
         for t, got in zip(ts, evaluate("ln-gamma", params, ts)):
@@ -99,14 +120,14 @@ def test_batch_is_bit_identical_to_scalar_calls():
 def test_em_agrees_with_the_direct_sum_just_above_n0(monkeypatch):
     import qdigamma.qcore as qcore
 
-    params = DeformParams.pq(_N0_PQ + 1, 0.999)
+    params = DeformParams.pq(_N0 + 1, 0.999)
     ts = (0.05, 1.0, 3.7)
     em = evaluate("ln-gamma", params, ts)
-    monkeypatch.setattr(qcore, "_N0_PQ", 1 << 18)  # the same points, summed term by term
+    monkeypatch.setattr(qcore, "_N0", 1 << 18)  # the same points, summed term by term
     direct = evaluate("ln-gamma", params, ts)
     for t, a, b in zip(ts, em, direct):
-        assert is_em(a) and not is_em(b) and b.terms_used > _N0_PQ
-        allowed = a.tail_bound + rounding(t, 0.999, _N0_PQ + 1, a.value) + rounding(t, 0.999, _N0_PQ + 1, b.value)
+        assert is_em(a) and not is_em(b) and b.terms_used > _N0
+        allowed = a.tail_bound + rounding(t, 0.999, _N0 + 1, a.value) + rounding(t, 0.999, _N0 + 1, b.value)
         assert abs(a.value - b.value) <= allowed, (t, a, b)
 
 
@@ -132,13 +153,13 @@ def test_finite_lattice_sum_matches_its_terms(count):
     assert abs(res.value - direct) <= res.tail_bound + 64 * U * direct
 
 
-@pytest.mark.parametrize("p,q", [(3, 0.6), (50, 0.3), (10**4, 0.9), (_N0_PQ + 1, 0.999), (10**6, 0.999)])
+@pytest.mark.parametrize("p,q", [(3, 0.6), (50, 0.3), (10**4, 0.9), (_N0 + 1, 0.999), (10**6, 0.999)])
 @pytest.mark.parametrize("t", [0.37, 1.0, 2.5])
 def test_q_gamma_identity_across_families(p, q, t):
     # Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) / Gamma_q(t+p+1), with Gamma_q the (q,k)-gamma at k = 1
     qk = DeformParams.qk(q, 1.0)
     pq_res = ln_gamma_pq(t, DeformParams.pq(p, q))
-    assert is_em(pq_res) == (p > _N0_PQ)
+    assert is_em(pq_res) == (p > _N0)
     qk_res = [ln_gamma_qk(x, qk) for x in (p + 1.0, t, t + p + 1.0)]
     terms = [t * ln_q_bracket(p, math.log(q))] + [res.value for res in qk_res]
     want = terms[0] + terms[1] + terms[2] - terms[3]
@@ -147,11 +168,11 @@ def test_q_gamma_identity_across_families(p, q, t):
     assert abs(pq_res.value - want) <= tails + 64.0 * U * logs, (p, q, t, pq_res, want)
 
 
-@pytest.mark.parametrize("p", [10**4, 10**6])  # the direct route, then the lattice route
+@pytest.mark.parametrize("p", [10**3, 10**6])  # the direct route, then the lattice route
 def test_overflowing_value_is_refused(p):
     # t ln[p]_q overflows at t = 1.7e308
     params = DeformParams.pq(p, 0.999)
-    assert is_em(ln_gamma_pq(1.0, params)) == (p > _N0_PQ)
+    assert is_em(ln_gamma_pq(1.0, params)) == (p > _N0)
     with pytest.raises(TruncationNotConverged):
         ln_gamma_pq(1.7e308, params)
     with pytest.raises(TruncationNotConverged):  # a batch raises at its first point that fails
@@ -222,9 +243,9 @@ def direct_oracle(t: float, q: float, p: int):
         return value, float(logs)
 
 
-@pytest.mark.parametrize("p,q,t", [(10**6, 0.9, 2.0), (10**5, 0.9, 0.7)])
+@pytest.mark.parametrize("p,q,t", [(_N0, 0.99, 2.0), (1000, 0.999, 0.7)])
 def test_direct_route_points_that_lost_digits_to_cancellation(p, q, t):
-    # ln(1-q) + t ln[p]_q + (fact - s): no p ln(1-q) pieces to cancel against each other
+    # ln(1-q) + t ln[p]_q + (fact - s): no p ln(1-q) pieces, some 5,000 here, to cancel against each other
     res = ln_gamma_pq(t, DeformParams.pq(p, q))
     assert not is_em(res)
     assert abs(direct_oracle(t, q, p)[0] - res.value) <= 1e-13
@@ -233,7 +254,9 @@ def test_direct_route_points_that_lost_digits_to_cancellation(p, q, t):
 def test_direct_route_sweep_within_rounding():
     rng = random.Random("pq-direct-rounding")
     for _ in range(12):
-        p, q, t = round(10.0 ** rng.uniform(0.0, 5.0)), rng.uniform(0.1, 0.99), rng.uniform(0.05, 8.0)
+        # up to N0 factors for any q; for larger p, q <= 0.48, where q^n underflows before n = N0
+        p, t = round(10.0 ** rng.uniform(0.0, 5.0)), rng.uniform(0.05, 8.0)
+        q = rng.uniform(0.1, 0.99 if p <= _N0 else 0.48)
         res = ln_gamma_pq(t, DeformParams.pq(p, q))
         assert not is_em(res)
         want, logs = direct_oracle(t, q, p)
@@ -241,7 +264,27 @@ def test_direct_route_sweep_within_rounding():
 
 
 def test_direct_route_term_count_is_what_it_sums():
-    # the factorial terms' last nonzero index, as summed: q^n underflows past n = 7,072 at q = 0.9
-    res = ln_gamma_pq(1.5, DeformParams.pq(10**6, 0.9))
+    # the factorial terms' last nonzero index, as summed: q^n underflows past n = 933 at q = 0.45
+    res = ln_gamma_pq(1.5, DeformParams.pq(10**6, 0.45))
     n = np.arange(1, 10**4, dtype=np.float64)
-    assert res.terms_used == int(np.count_nonzero(np.exp(n * math.log(0.9))))
+    assert not is_em(res) and res.terms_used == int(np.count_nonzero(np.exp(n * math.log(0.45)))) == 933
+
+
+def _q_with_last_nonzero_factor(n: int) -> float:
+    """A q whose power q^m is 0.0 from m = n + 1 on, not before."""
+    q = math.exp(_EXP_ZERO / (n + 0.5))
+    assert _last_nonzero(0.0, math.log(q), 1, 10**8) == n
+    return q
+
+
+@pytest.mark.parametrize("n", [_N0, _N0 + 1])
+def test_the_cut_off_is_n0_nonzero_factorial_terms(n):
+    # N0 nonzero factors are summed directly and N0 + 1 take the lattice, whether p or the
+    # underflow of q^n ends the factorial, in one-point and batch calls alike
+    ts = [0.37, 1.0, 2.5, 1e-3]
+    for params in (DeformParams.pq(n, 0.9), DeformParams.pq(10**8, _q_with_last_nonzero_factor(n))):
+        batch = evaluate("ln-gamma", params, ts)
+        for t, got in zip(ts, batch):
+            one = ln_gamma_pq(t, params)
+            assert got == one and is_em(one) == (n > _N0), (params, t, one)
+            assert one.terms_used == n if n <= _N0 else one.terms_used < 100

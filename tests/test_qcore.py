@@ -341,7 +341,7 @@ def _batch_grid(family: str, rng: random.Random):
 # psi' points at q = 1 - 1e-5 take the direct route at t = 1e4 and the Euler-Maclaurin route at t = 1; at
 # (q, k) = (0.5, 0.1) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e308,
 # the Euler-Maclaurin route at t = 1e-307.  The PQ ln Gamma batch takes one route for all its points:
-# the lattice route at p = 1e6, the direct one at p = 1e4.  psi_pq and psi_pq' are exact finite sums,
+# the lattice route at p = 1e6, the direct one at p = 1e3.  psi_pq and psi_pq' are exact finite sums,
 # split at p = 1e6, q = 0.999.
 FIRST_FAILURE = {
     ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
@@ -350,12 +350,15 @@ FIRST_FAILURE = {
                          (DeformParams.qk(0.5, 0.1), [1.0, 1e-307], 1e308)],
     # at huge p and tiny t the split sums a few dozen terms to a value past the floats: psi near p ln q,
     # psi' near 1 / t^2
+    # psi' near 1 / t^2; and p past the largest float, where q^(p t) may be nonzero at the held p at t = 1e-307
     ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None),
-                    (DeformParams.pq(10**307, 1e-9), [1.0, 2.5], 1e-310)],
+                    (DeformParams.pq(10**307, 1e-9), [1.0, 2.5], 1e-310),
+                    (DeformParams.pq(10**309, 0.5), [1.0, 2.5], 1e-307)],
     ("pq", "psi-prime"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None),
-                          (DeformParams.pq(10**200, 0.5), [1.0, 2.5], 1e-160)],
+                          (DeformParams.pq(10**200, 0.5), [1.0, 2.5], 1e-160),
+                          (DeformParams.pq(10**309, 0.5), [1.0, 2.5], 1e-307)],
     ("pq", "ln-gamma"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], 1.7e308),
-                         (DeformParams.pq(10**4, 0.999), [1.0, 2.5], 1.7e308)],
+                         (DeformParams.pq(10**3, 0.999), [1.0, 2.5], 1.7e308)],
 }
 
 
@@ -378,20 +381,22 @@ class TestEvaluate:
             elif fn != "ln-gamma":
                 em = [_is_split(params, t, got.terms_used) for t, got in zip(ts, batch)]
                 long |= {split for got, split in zip(batch, em) if got.terms_used > CHUNK}
-            else:
-                continue
+            else:  # the lattice route bounds a remainder, the direct one sums the finite product exactly
+                em = [got.tail_bound > 0.0 for got in batch]
             routes |= set(em)
             crossing += set(em) == {True, False}
         # the grid lets the term count vary and, for the PQ sums, reaches past one CHUNK, split and
-        # unsplit; the (q,k) kernels sum at most about N0 terms directly at the default tolerance,
-        # and take both routes.  psi and psi' take both routes, or split and unsplit sums, within one
-        # batch (ln Gamma's direct count does not depend on t)
+        # unsplit; the (q,k) kernels and ln Gamma_pq sum at most about N0 terms directly at the
+        # default tolerance, and take both routes.  psi and psi' take both routes, or split and
+        # unsplit sums, within one batch (ln Gamma_pq's route does not depend on t)
         assert len(counts) > 5
         if family == "qk":
             assert routes == {True, False} and max(counts) > _N0 // 2
+        elif fn == "ln-gamma":
+            assert routes == {True, False}
         else:
             assert max(counts) > CHUNK
-            assert long == routes == ({True, False} if fn != "ln-gamma" else set())
+            assert long == routes == {True, False}
         assert crossing > 0 or fn == "ln-gamma"
 
     def test_one_result_per_point(self):
@@ -461,7 +466,8 @@ def _column_lines(family: str, rng: random.Random) -> list:
         (DeformParams.pq(50, 1e-5), [100.0, 1.0], tol),  # q^t underflows: psi sums no terms
         (DeformParams.pq(20, 0.5), [1.0, 1e308], tol),  # a row of no terms at t ln q near -1e308
         (DeformParams.pq(10**6, 0.999), [1.0, 2.5], tol),  # ln Gamma on the lattice
-        (DeformParams.pq(10**200, 0.5), [1.0, 1e-160, 2.5], tol),  # a psi' head past the floats: refused
+        # a psi' head past the floats only before its scale: re-summed scaled at 9e-155, refused at 1e-160
+        (DeformParams.pq(10**200, 0.5), [1.0, 9e-155, 1e-160, 2.5], tol),
     ]
     return lines + [(DeformParams.pq(rng.randint(1, 3000), rng.uniform(0.05, 0.99)),
                      [rng.uniform(0.01, 20.0) for _ in range(rng.randint(1, 40))], tol) for _ in range(12)]
@@ -516,14 +522,16 @@ class TestPQUnderflow:
         assert res.terms_used <= 1100
 
     def test_n_max_caps_the_nonzero_terms(self):
-        # psi and psi' sum 64 terms by the Lambert split, ln Gamma its 1074 nonzero factorial terms
+        # psi and psi' sum 64 terms by the Lambert split, ln Gamma at p = 1000 its 1000 factorial terms
         params = DeformParams.pq(10**8, 0.5)
         for kernel in (psi_pq, psi_pq_prime):
             with pytest.raises(TruncationNotConverged):
                 kernel(1.0, params, Tolerance(n_max=63))
             assert kernel(1.0, params, Tolerance(n_max=64)) == kernel(1.0, params)
+        params = DeformParams.pq(1000, 0.5)
         with pytest.raises(TruncationNotConverged):
-            ln_gamma_pq(1.0, params, Tolerance(n_max=1000))
+            ln_gamma_pq(1.0, params, Tolerance(n_max=999))
+        assert ln_gamma_pq(1.0, params, Tolerance(n_max=1000)) == ln_gamma_pq(1.0, params)
 
     @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
     def test_sums_exactly_the_terms_it_reports(self, kernel, monkeypatch):
@@ -537,6 +545,13 @@ class TestPQUnderflow:
         # Z = 1075 at q = 1/2: the tail at t + T = 32 through its last nonzero term, floor(1075 / 32) = 33,
         # and T = floor(sqrt(Z) - 1) = 31 head terms
         assert asked == [33, 31] and res.terms_used == 64
+
+    @pytest.mark.parametrize("t", [9e-155, 1.2e-154])
+    def test_psi_prime_whose_head_passes_the_floats_before_its_scale(self, t):
+        # the unscaled head sum, about 1 / (t ln q)^2, overflows at t = 9e-155; psi' itself is 1 / t^2
+        # to within its rounding (the sum's terms past the first add about 1e-308 of it)
+        res = psi_pq_prime(t, DeformParams.pq(10**200, 0.5))
+        assert res.tail_bound == 0.0 and abs(res.value - 1.0 / t ** 2) <= 64 * 2.0 ** -53 * res.value
 
     def test_last_nonzero_past_2_to_53_is_the_closed_form(self):
         # a unit step no longer moves n there; stepping never ended
@@ -710,13 +725,14 @@ class TestBlockedSums:
         sum_terms, series_terms = qcore.sum_terms, reference._series_terms
         monkeypatch.setattr(qcore, "sum_terms", lambda term_fn, lo, hi: sum_terms(recording(term_fn), lo, hi))
         monkeypatch.setattr(reference, "_series_terms", lambda *args: recording(series_terms(*args)))
-        # the (q,k) kernels sum their long series on the Euler-Maclaurin route; the PQ sums sum directly,
-        # psi and psi' by the Lambert split: about 61,000 head and 61,000 tail terms at q = 1 - 2e-7
+        # the (q,k) kernels and ln Gamma_pq sum their long series on the Euler-Maclaurin route, no term
+        # array; psi_pq and psi_pq' by the Lambert split: about 61,000 head and 61,000 tail terms at
+        # q = 1 - 2e-7
         qk, pq, split = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999), DeformParams.pq(10**6, 1 - 2e-7)
-        used = [kernel(1.0, split).terms_used for kernel in (psi_pq, psi_pq_prime)] + [ln_gamma_pq(1.0, pq).terms_used]
+        assert ln_gamma_pq(1.0, pq).tail_bound > 0.0 and widths == []
+        used = [kernel(1.0, split).terms_used for kernel in (psi_pq, psi_pq_prime)]
         assert min(used) > 3 * CHUNK
         for kind in SeriesKind:
             brute_force_series(kind, 0.5, qk, 200_000)
-        # ln Gamma_pq reports its p factorial terms and sums p + 1 shifted ones too
-        assert sum(widths) == sum(used) + pq.p + 1 + 3 * 200_000
+        assert sum(widths) == sum(used) + 3 * 200_000
         assert max(widths) == qcore._BLOCK_TERMS
