@@ -28,9 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import _jsonfmt
-from .errors import DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, TruncationNotConverged
+from .errors import (DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, QDigammaError,
+                     TruncationNotConverged)
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
-from .qcore import evaluate, evaluate_columns, psi_pq_limit
+from .qcore import evaluate, evaluate_columns, evaluate_lines, psi_pq_limit
 # the kernels stay bound here for tools that wrap them by module
 from .qcore import psi_pq, psi_pq_prime, psi_qk, psi_qk_prime  # noqa: F401
 
@@ -181,6 +182,16 @@ def _t_range(t_range: tuple) -> tuple:
     return t_lo, t_hi
 
 
+def _args(spec: RatioSpec, ts) -> list:
+    """The lower argument a+bt and the upper argument c+dt of every t, as (lower, upper) per t, in order."""
+    return [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))]
+
+
+def _halves(cols: tuple) -> tuple:
+    """The columns of a line of _args split into those of the lower and of the upper arguments."""
+    return tuple(c[0::2] for c in cols), tuple(c[1::2] for c in cols)
+
+
 def _psi_lines(fn: str, spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
     """fn at the lower arguments a+bt and the upper arguments c+dt of every t, in one batch.
 
@@ -188,8 +199,7 @@ def _psi_lines(fn: str, spec: RatioSpec, params: DeformParams, ts, tol: Toleranc
     (lower, upper) per t, in order, so the first point that fails is the one
     a t-by-t loop would meet first.
     """
-    cols = evaluate_columns(fn, params, [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))], tol)
-    return tuple(c[0::2] for c in cols), tuple(c[1::2] for c in cols)
+    return _halves(evaluate_columns(fn, params, _args(spec, ts), tol))
 
 
 def _entry_psi_lines(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
@@ -319,17 +329,20 @@ def ratio_values(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance = DEF
     return list(map(EvalResult, values.tolist(), tails.tolist(), terms))
 
 
-def _cross_margins(spec: RatioSpec, params: DeformParams, ts, x: tuple, y: tuple, tol: Tolerance) -> tuple:
-    """(margins, propagated numerical slacks) of the cross product at each t of ts, given psi in the columns x, y.
-
-    Every t passes the positivity check before psi' is evaluated at all of them, in one batch.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf or nan, as the floats give
+def _positivity_refusal(ts, x: tuple, y: tuple, params: DeformParams) -> Optional[PositivityViolated]:
+    """The refusal of the first t of ts where psi(a+bt) = x or psi(c+dt) = y is not certainly positive, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as the floats give
         bad = _positive_lows(x, y)[2]
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise _not_positive(ts[j], x[0][j], y[0][j], params)
-        xp, yp = _psi_lines("psi-prime", spec, params, ts, tol)
+    if bad.any():
+        j = int(np.argmax(bad))
+        return _not_positive(ts[j], x[0][j], y[0][j], params)
+    return None
+
+
+def _cross_margins(spec: RatioSpec, x: tuple, y: tuple, xp: tuple, yp: tuple) -> tuple:
+    """(margins, propagated numerical slacks) of the cross product at each t, given psi in the columns x, y
+    and psi' in xp, yp."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as the floats give
         xv, xt, yv, yt, xpv, xpt, ypv, ypt = map(np.array, (*x[:2], *y[:2], *xp[:2], *yp[:2]))
         ab, bd = spec.alpha * spec.b, spec.beta * spec.d
         return (ab * yv * xpv - bd * xv * ypv,
@@ -345,7 +358,11 @@ def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tole
     DomainError for t < 0, PositivityViolated unless psi(a+bt) and psi(c+dt)
     are certainly positive, and TruncationNotConverged from the kernels.
     """
-    margins, _ = _cross_margins(spec, params, [t], *_entry_psi_lines(spec, params, [t], tol), tol)
+    x, y = _entry_psi_lines(spec, params, [t], tol)
+    refusal = _positivity_refusal([t], x, y, params)
+    if refusal:
+        raise refusal
+    margins, _ = _cross_margins(spec, x, y, *_psi_lines("psi-prime", spec, params, [t], tol))
     return margins.item()
 
 
@@ -362,11 +379,15 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     as failures; evaluation errors at individual points are recorded.
     The report is deterministic given the grid.
 
-    Each (params, spec) line is evaluated in one batch: psi at every lower
-    and upper argument it needs (and psi' for lemma-cross), precondition
-    points included, and its margins and slacks are formed as arrays.  A
-    grid the suite cannot run on raises DomainError before anything is
-    evaluated.
+    The suite makes one evaluate_lines call per function: psi at every
+    lower and upper argument of every (params, spec) line, precondition
+    points included, and for lemma-cross then psi' at the lines that pass
+    the preconditions and positivity.  The lines are checked as the call
+    yields them, so only a group of them is in flight (lemma-cross keeps
+    the psi values and tails of its lines as arrays until their psi'
+    arrives); each line's margins and slacks are formed as arrays, and its
+    refusal recorded, in the order of the pairs.  A grid the suite cannot
+    run on raises DomainError before anything is evaluated.
     """
     suite = Suite(suite)
     family, _, kind, fn = SUITES[suite]
@@ -407,26 +428,53 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
             worst, worst_point = found[j], point(j)
         violated = violated or bool(np.count_nonzero(margins < -eps))
 
+    # a line's psi: the precondition point first, then the grid, then t = 1 for a corollary
+    ts = [t_lo, *t_vals, *([1.0] if kind == "corollary" else [])] if not monotone else t_vals
+    lines = evaluate_lines(fn, ((params, ts if monotone else _args(spec, ts)) for params, spec in grid.pairs), tol)
+
+    def at_grid(spec: RatioSpec, line: tuple) -> Optional[tuple]:
+        """The psi columns x, y of a line at the grid, or None where the spec's preconditions fail."""
+        x, y = _halves(line)
+        if not _verdict(spec, t_lo, t_hi, _result(x, 0), _result(y, 0)).valid:
+            return None
+        return tuple(tuple(c[1:] for c in half) for half in (x, y))
+
+    if kind == "cross":
+        # per pair its refusal, None where it is skipped, or its psi values and tails at the grid as arrays,
+        # and then psi' in one call at the lines whose psi is certainly positive at every t
+        found = []
+        for (params, spec), line in zip(grid.pairs, lines):
+            xy = line if isinstance(line, QDigammaError) else at_grid(spec, line)
+            if isinstance(xy, tuple):
+                xy = _positivity_refusal(t_vals, *xy, params) or tuple(tuple(map(np.array, c[:2])) for c in xy)
+            found.append(xy)
+        primes = iter(evaluate_lines("psi-prime", ((params, _args(spec, t_vals))
+                                                   for (params, spec), xy in zip(grid.pairs, found)
+                                                   if isinstance(xy, tuple)), tol))
+        lines = found
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf or nan, as the floats give
-        for i, (params, spec) in enumerate(grid.pairs):
+        for i, ((params, spec), line) in enumerate(zip(grid.pairs, lines)):
             try:
+                if isinstance(line, QDigammaError):
+                    raise line
                 if monotone:
-                    values, tails = map(np.array, evaluate_columns(fn, params, t_vals, tol)[:2])
+                    values, tails = map(np.array, line[:2])
                     record(values[1:] - values[:-1] if kind == "nondecreasing" else values[:-1] - values[1:],
                            2.0 * (tails[:-1] + tails[1:]),
                            lambda j: {"pair_index": i, "s": t_vals[j], "t": t_vals[j + 1], "check": check})
                     continue
-
-                # the precondition point first, then the grid, then t = 1 for a corollary
-                ts = [t_lo, *t_vals, *([1.0] if kind == "corollary" else [])]
-                x, y = _psi_lines("psi", spec, params, ts, tol)
-                if not _verdict(spec, t_lo, t_hi, _result(x, 0), _result(y, 0)).valid:
+                xy = line if kind == "cross" else at_grid(spec, line)
+                if xy is None:
                     skipped += 1
                     continue
-                x, y = (tuple(c[1:] for c in line) for line in (x, y))
+                x, y = xy
 
                 if kind == "cross":
-                    margins, slack = _cross_margins(spec, params, t_vals, x, y, tol)
+                    prime = next(primes)
+                    if isinstance(prime, QDigammaError):
+                        raise prime
+                    margins, slack = _cross_margins(spec, x, y, *_halves(prime))
                     record(margins, _eps(slack), lambda j: {"pair_index": i, "t": t_vals[j], "check": "cross"})
                     continue
 
@@ -491,8 +539,11 @@ def _targets(t: float, r: EvalResult, slope: float):
     return root - half, root + half, margin, max(ROOT_WIDTH, band + 4.0 * margin)
 
 
-def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
-    """Certified bracket (lo, hi) of the root of psi: psi(lo) + tail < 0 < psi(hi) - tail.
+def _bracket_steps(params: DeformParams, tol: Tolerance):
+    """Certified bracket (lo, hi) of the root of psi: psi(lo) + tail < 0 < psi(hi) - tail, as a generator.
+
+    It yields its requests (fn, ts), is sent each one's EvalResults, and
+    returns (lo, hi); _threshold_bracket drives one, _lock_step many together.
 
     On t > 0 psi is increasing and concave (psi' > 0 and nonincreasing), so a
     tangent step from any point lands left of the root, and from a point left
@@ -508,24 +559,18 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
             f"psi_pq stays negative for {params.label()}: supremum ln[p]_q <= 0"
         )
 
-    def psi(*ts):
-        return evaluate("psi", params, ts, tol)
-
-    def slope(t, r):
-        # where psi at t summed no terms, q^t underflowed and psi'(t) is exactly 0.0
-        return evaluate("psi-prime", params, (t,), tol)[0].value if r.terms_used else 0.0
-
     # The first bracketing step, down to a certified-negative point.  It starts
     # at 1 + k/2, about the root of the k-digamma (ln k + digamma(t/k))/k, the
     # q -> 1- limit of psi_qk (from digamma^-1(y) ~ e^y + 1/2); PQ starts at
     # the k = 1 value 1.5.
     hi = math.inf
     t = 1.0 + 0.5 * (params.k if params.family is Family.QK else 1.0)
-    (r,) = psi(t)
+    (r,) = yield "psi", (t,)
     while not _negative(r):
         if _positive(r):
             hi = t
-        s = slope(t, r)
+        # where psi at t summed no terms, q^t underflowed and psi'(t) is exactly 0.0
+        s = (yield "psi-prime", (t,))[0].value if r.terms_used else 0.0
         x = _targets(t, r, s)[0] if s > 0.0 else 0.0
         t = x if x >= T_FLOOR else 0.5 * t  # bisection of (0, t) when the target leaves it
         if t < T_FLOOR:
@@ -533,9 +578,10 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
                 f"psi already positive at the argument floor {T_FLOOR:g} for {params.label()}",
                 floor=T_FLOOR,
             )
-        (r,) = psi(t)
+        (r,) = yield "psi", (t,)
 
-    lo, r_lo, s = t, r, slope(t, r)
+    lo, r_lo = t, r
+    s = (yield "psi-prime", (t,))[0].value if r.terms_used else 0.0
     inside = None  # (first, last) of the points found inside the band |psi| <= tail
     step_prev = 0.0
     while True:
@@ -573,7 +619,7 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
         if ts[-1] > 1e9:
             raise NoPositiveRegion(f"psi never positive up to t=1e9 for {params.label()}")
         lo_before = lo
-        for x, r in zip(ts, psi(*ts)):
+        for x, r in zip(ts, (yield "psi", ts)):
             if _negative(r):
                 if x > lo:
                     lo, r_lo = x, r
@@ -582,7 +628,53 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
             else:
                 inside = (x, x) if inside is None else (min(inside[0], x), max(inside[1], x))
         if lo - lo_before > _CHORD_STEP:
-            s = slope(lo, r_lo)
+            s = (yield "psi-prime", (lo,))[0].value if r_lo.terms_used else 0.0
+
+
+def _lock_step(params_list: list, tol: Tolerance) -> list:
+    """Run the bracket searches (_bracket_steps) of every params together: per params its (lo, hi), or its error.
+
+    Each round makes at most two evaluate_lines calls: psi at every search
+    that asks for psi, then psi' at every search that asks for psi', those
+    that asked for it after their psi of this round among them.  A search
+    whose line is refused ends with that error, as a kernel call would raise it.
+    """
+    searches = [_bracket_steps(params, tol) for params in params_list]
+    out, pending = [None] * len(searches), {"psi": {}, "psi-prime": {}}  # per function, the ts of each search
+
+    def advance(i: int, results) -> None:
+        try:
+            fn, ts = searches[i].send(results)
+            pending[fn][i] = ts
+        except StopIteration as stop:
+            out[i] = stop.value
+        except QDigammaError as exc:
+            out[i] = exc
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending["psi"] or pending["psi-prime"]:
+        for fn in ("psi", "psi-prime"):
+            asked, pending[fn] = pending[fn], {}
+            if not asked:  # no call for a function no search asks for
+                continue
+            for i, line in zip(asked, evaluate_lines(fn, [(params_list[i], ts) for i, ts in asked.items()], tol)):
+                if isinstance(line, QDigammaError):
+                    out[i] = line
+                else:
+                    advance(i, list(map(EvalResult, *line)))
+    return out
+
+
+def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
+    """The certified bracket (lo, hi) of _bracket_steps for one params, one kernel call a request; raises its error."""
+    steps = _bracket_steps(params, tol)
+    try:
+        fn, ts = next(steps)
+        while True:
+            fn, ts = steps.send(evaluate(fn, params, ts, tol))
+    except StopIteration as stop:
+        return stop.value
 
 
 def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -595,7 +687,8 @@ def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) 
     hi - lo <= ROOT_WIDTH unless the band where |psi| <= tail is wider than
     that, or the float spacing at the root.  Safeguarded Newton steps on psi
     and psi' find it in about nine kernel calls for the parameter sets the
-    grids sample.
+    grids sample; make_verification_grid runs the searches of all its draws
+    in lock-step (_lock_step), 10 to 15 kernel calls for a grid of 100.
 
     Raises NoPositiveRegion when psi never becomes positive (PQ with p = 1,
     where the supremum ln[1]_q = 0) and NoRootInBracket when psi is not
@@ -603,6 +696,12 @@ def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) 
     """
     lo, hi = _threshold_bracket(params, tol)
     return 0.5 * (lo + hi)
+
+
+def _thresholds(params_list: list, tol: Tolerance) -> list:
+    """find_positive_threshold at every params, in lock-step: per params its t0, or its error."""
+    return [found if isinstance(found, QDigammaError) else 0.5 * (found[0] + found[1])
+            for found in _lock_step(params_list, tol)]
 
 
 # Consecutive draws without a threshold after which make_verification_grid gives up.
@@ -614,6 +713,36 @@ def _sample_params(rng: random.Random, family: Family) -> DeformParams:
     if family is Family.QK:
         return DeformParams.qk(q=q, k=rng.uniform(0.3, 3.0))
     return DeformParams.pq(p=rng.randint(2, 30), q=q)
+
+
+def _spec_draws(rng: random.Random, idx: int, full_range: bool):
+    """Draw the uniforms of pair idx's spec, in order; returns spec(t0), the spec placed above the threshold t0."""
+    u = rng.uniform(0.0, 4.9)
+    if idx < 2:
+        # exponent condition tight: beta*d = alpha*b exactly; pair 0 is also
+        # degenerate, identical numerator and denominator, margins all 0
+        b = rng.uniform(0.1, 3.0)
+        alpha = rng.uniform(0.25, 3.0)
+        shift = None if idx == 0 else rng.uniform(0.1, 2.0)
+
+        def spec(t0):
+            a = t0 + 0.1 + u
+            return RatioSpec(a=a, b=b, c=a if shift is None else a + shift, d=b, alpha=alpha, beta=alpha)
+        return spec
+    b = rng.uniform(0.05, 3.0)
+    beta = rng.uniform(0.25, 2.0)
+    if full_range:
+        alpha = beta * rng.uniform(1.0, 2.5)
+        d = b * (1.0 + rng.uniform(0.0, 0.999) * (alpha / beta - 1.0))
+    else:
+        alpha = rng.uniform(0.25, 3.0)
+        d = b * (alpha / beta) * rng.uniform(0.05, 0.999)
+    gap = max(0.0, b - d) + rng.uniform(0.01, 2.0)
+
+    def spec(t0):
+        a = t0 + 0.1 + u
+        return RatioSpec(a=a, b=b, c=a + gap, d=d, alpha=alpha, beta=beta)
+    return spec
 
 
 def make_verification_grid(
@@ -628,18 +757,26 @@ def make_verification_grid(
     """Sample n_specs valid (params, spec) pairs, reproducibly from the seed.
 
     Arguments are placed at least 0.1 above each parameter set's positivity
-    threshold t0 (find_positive_threshold, about nine kernel calls), so the
-    preconditions hold by construction: t0 is the midpoint of a bracket at
-    most ROOT_WIDTH wide (unless the band |psi| <= tail is wider), past
-    whose top psi is certainly positive.  A parameter set without a
-    threshold (NoPositiveRegion, TruncationNotConverged) is drawn again, up
-    to _MAX_FAILED_DRAWS times in a row; then the last draw's error is
-    raised, as when the tolerance is out of reach at every draw.
+    threshold t0 (find_positive_threshold), so the preconditions hold by
+    construction: t0 is the midpoint of a bracket at most ROOT_WIDTH wide
+    (unless the band |psi| <= tail is wider), past whose top psi is
+    certainly positive.  A parameter set without a threshold
+    (NoPositiveRegion, TruncationNotConverged) is drawn again, up to
+    _MAX_FAILED_DRAWS times in a row; then the last draw's error is raised,
+    as when the tolerance is out of reach at every draw.
     When t_max > 1 the slopes are sampled with d >= b so the argument
     ordering holds on the whole range.
     The first two pairs exercise the exact boundary cases a=c, b=d,
     alpha=beta (ratio identically 1) and beta*d = alpha*b.  DomainError
     unless n_specs >= 1: a grid without pairs would pass every suite unchecked.
+
+    The thresholds of all draws are found in lock-step (_thresholds), at
+    most two kernel calls a round, 10 to 15 for a grid of 100.  Each draw's
+    params and its spec's uniforms are drawn in the order of a draw-by-draw
+    loop, as if every draw had a threshold; at the first draw without one,
+    the rng is taken back to the state after its params (the batch's start
+    state, replayed) and the draws go on from there, so the grid is the one
+    that loop would sample.
     """
     if n_specs < 1:
         raise DomainError(f"n_specs={n_specs!r} must be >= 1")
@@ -649,36 +786,25 @@ def make_verification_grid(
     pairs = []
     failed = 0
     while len(pairs) < n_specs:
-        params = _sample_params(rng, family)
-        try:
-            t0 = find_positive_threshold(params, tol)
-        except NoRootInBracket as exc:
-            t0 = exc.floor
-        except (NoPositiveRegion, TruncationNotConverged):
-            failed += 1
-            if failed == _MAX_FAILED_DRAWS:
-                raise
-            continue
-        failed = 0
-        a = t0 + 0.1 + rng.uniform(0.0, 4.9)
-        idx = len(pairs)
-        if idx < 2:
-            # exponent condition tight: beta*d = alpha*b exactly; pair 0 is also
-            # degenerate, identical numerator and denominator, margins all 0
-            b = rng.uniform(0.1, 3.0)
-            alpha = rng.uniform(0.25, 3.0)
-            c = a if idx == 0 else a + rng.uniform(0.1, 2.0)
-            spec = RatioSpec(a=a, b=b, c=c, d=b, alpha=alpha, beta=alpha)
-        else:
-            b = rng.uniform(0.05, 3.0)
-            beta = rng.uniform(0.25, 2.0)
-            if full_range:
-                alpha = beta * rng.uniform(1.0, 2.5)
-                d = b * (1.0 + rng.uniform(0.0, 0.999) * (alpha / beta - 1.0))
-            else:
-                alpha = rng.uniform(0.25, 3.0)
-                d = b * (alpha / beta) * rng.uniform(0.05, 0.999)
-            gap = max(0.0, b - d) + rng.uniform(0.01, 2.0)
-            spec = RatioSpec(a=a, b=b, c=a + gap, d=d, alpha=alpha, beta=beta)
-        pairs.append((params, spec))
+        start, draws = rng.getstate(), []
+        for idx in range(len(pairs), n_specs):
+            params = _sample_params(rng, family)
+            draws.append((params, _spec_draws(rng, idx, full_range)))
+        for j, ((params, spec), t0) in enumerate(zip(draws, _thresholds([params for params, _ in draws], tol))):
+            if isinstance(t0, NoRootInBracket):
+                t0 = t0.floor
+            elif isinstance(t0, (NoPositiveRegion, TruncationNotConverged)):
+                failed += 1
+                if failed == _MAX_FAILED_DRAWS:
+                    raise t0
+                rng.setstate(start)  # draw again up to this draw's params: it draws no spec
+                for idx in range(len(pairs) - j, len(pairs) + 1):
+                    _sample_params(rng, family)
+                    if idx < len(pairs):
+                        _spec_draws(rng, idx, full_range)
+                break
+            elif isinstance(t0, QDigammaError):
+                raise t0
+            failed = 0
+            pairs.append((params, spec(t0)))
     return GridSpec(t_min=t_min, t_max=t_max, t_count=t_count, pairs=tuple(pairs), seed=seed)

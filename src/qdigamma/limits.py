@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import _jsonfmt
 from .errors import DomainError, TruncationNotConverged
 from .params import DEFAULT_TOL, DeformParams, Q_MAX, Tolerance
-from .qcore import ln1m_exp, psi_pq, psi_qk, psi_qk_direct_count
+from .qcore import _P_HOLD, ln1m_exp, psi_pq, psi_qk, psi_qk_direct_count
 from .reference import classical_digamma, k_digamma_ref, p_digamma_ref, q_digamma_split
 # bound here, unused, for tools that wrap the oracles by module name
 from .reference import brute_force_series  # noqa: F401
@@ -240,6 +240,7 @@ def limit_p_to_inf(
     for p in p_list:
         v = psi_pq(t, DeformParams.pq(p=p, q=q), tol).value
         gap = abs(v - target)
+        p = min(p, _P_HOLD)  # past the largest float q^p is 0.0, at p and at the held p alike
         bound = abs(ln1m_exp(p * ln_q)) - ln_q * math.exp(
             (p + 1) * t * ln_q
         ) / (one_minus_q * one_minus_qt)

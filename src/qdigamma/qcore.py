@@ -115,11 +115,36 @@ again with the scale taken into its terms, and a value that still passes
 the largest float (psi' near 1 / t^2) is refused, as the Euler-Maclaurin
 route refuses one.
 
-``evaluate_columns`` computes one function at many t in one call, as three
-columns (values, tail bounds, terms used); ``evaluate`` makes them EvalResults.
-The batch of its family routes each t in order in one pass, refusing a direct
-value that leaves the floats as the Euler-Maclaurin route does, and sums the
-direct rows together (_sum_rows): bit for bit the six kernels.
+``evaluate_lines`` computes one function at many lines (params, ts) in one
+call: an iterator over, per line, three columns (values, tail bounds, terms
+used), or the error of its first t that cannot be evaluated, returned, not
+raised, so one refused line leaves its neighbours' columns as they are.
+``evaluate_columns`` is its one-line case and raises that error;
+``evaluate`` makes the columns EvalResults.  The batch of each family routes
+every line, each in t order, in one pass, refusing a direct value that
+leaves the floats as the Euler-Maclaurin route does, and sums the direct
+rows of all lines together (_sum_rows), each row with its own parameters:
+bit for bit the six kernels.  Consecutive lines of one family go in groups
+of at most _BLOCK_TERMS / 4 points, read and evaluated as the iterator
+reaches them, so a batch in flight stays small.
+
+A (q,k) batch of at least _ARRAY_MIN = 96 points decides the direct route
+by array expressions over its whole column of t (_qk_direct): the t checks,
+the series ratio, the geometric count, the majorant and its widening, with
+math's exp, expm1 and log mapped over the elements so every bit is that of
+the scalar loop (_qk_line), which routes the other points and every smaller
+batch.  The one-point calls of the kernels stay on the loop.  Cost per point
+in microseconds, loop / arrays, over lines of q in (0.1, 0.9), k in (0.3,
+3), t in (0.3, 6), on a shared 2-vCPU Intel Xeon (best of 5):
+
+    points       1          16         64         100        200        10200
+    psi         18.8/87.2  4.7/8.6    3.0/3.2    2.6/2.5    2.4/2.0    1.9/1.1
+    psi'        13.8/118   6.2/12.9   4.3/4.8    4.3/4.0    3.6/2.7    3.4/1.6
+    ln Gamma    21.3/94.7  5.4/9.2    4.4/4.7    4.1/3.7    4.1/3.2    3.2/2.2
+
+A finer run put the crossing at 80 to 96 points.  A verify suite's psi
+batches (groups of up to 2,048 of its 10,200 points) are far above it, the
+one-point calls far below.
 """
 
 from __future__ import annotations
@@ -127,6 +152,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
+from itertools import compress
+from operator import not_
 
 import numpy as np
 
@@ -135,6 +162,8 @@ from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
 
 __all__ = [
     "evaluate",
+    "evaluate_columns",
+    "evaluate_lines",
     "q_bracket",
     "ln_q_bracket",
     "ln1m_exp",
@@ -238,17 +267,27 @@ def psi_pq_limit(params: DeformParams) -> float:
 
 
 # -- term arrays ------------------------------------------------------------
-# Each factory returns terms(x, n), the terms at the indices n of the row
-# whose parameter is the float x, or of the rows whose parameters are the
-# column x as a (rows, len(n)) array.  A block broadcasts the one-row
-# arithmetic, so every element has the same bits either way.
+# Each term function terms(*x, n) (or the one _head_terms returns) gives the
+# terms at the indices n of the row whose parameters are the floats x, or of
+# the rows whose parameters are the columns x, each a (rows, 1) array or a
+# float all rows share, as a (rows, len(n)) array.  A block broadcasts the
+# one-row arithmetic, so every element has the same bits either way.
 
 
-def _power_terms(kl: float, prime: bool):
-    """q^(n t) / (1 - q^(n k)), times n for psi', for rows x = t ln q, with kl = k ln q."""
-    if prime:
-        return lambda x, n: n * np.exp(n * x) / -np.expm1(n * kl)
-    return lambda x, n: np.exp(n * x) / -np.expm1(n * kl)
+def _psi_terms(x, kl, n):
+    """q^(n t) / (1 - q^(n k)) for rows x = t ln q with their own kl = k ln q."""
+    return np.exp(n * x) / -np.expm1(n * kl)
+
+
+def _psi_prime_terms(x, kl, n):
+    """n q^(n t) / (1 - q^(n k)), psi's terms times n."""
+    return n * np.exp(n * x) / -np.expm1(n * kl)
+
+
+def _ln_gamma_qk_terms(x, k, ln_q, n):
+    """ln(1 - q^(k + n k)) - ln(1 - q^(x + n k)), the numerator exponent written as k + n k so that t = k
+    cancels bitwise."""
+    return _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
 
 
 # Taylor coefficients, highest power first (np.polyval), of (1 - e^-z (1 + z)) / z^2 and
@@ -336,51 +375,76 @@ def sum_terms(term_fn, n_first: int, n_last: int) -> float:
     numpy's pairwise order (pairwise_sum), the partials added by math.fsum (Shewchuk's
     error-free transformation), so the rounding error stays far below every certified tail bound.
     """
+    if 0 <= n_last - n_first < CHUNK:  # one chunk, as most sums are
+        return math.fsum((pairwise_sum(term_fn, n_first, n_last + 1),))
     partials = []
     for lo in range(n_first, n_last + 1, CHUNK):
         partials.append(pairwise_sum(term_fn, lo, min(lo + CHUNK, n_last + 1)))
     return math.fsum(partials)
 
 
-def _sum_rows(terms, xs: list, n_first: int, lasts: list) -> list:
-    """Sum terms(x, n) over n = n_first..last for each row x with its own last, as sum_terms would.
+# Rows from which _sum_rows plans blocks: planning a block costs about what summing four or five
+# rows of a few dozen terms one by one does (20 us for four, 32 us for six, on a 2-vCPU Xeon).
+_BLOCK_ROWS_MIN = 6
+
+
+def _block_column(c: np.ndarray):
+    """A line parameter c of a block's rows as a (rows, 1) column, or as one float where every row has its bits.
+
+    A line's rows share its k ln q: as one float the block forms the terms that depend on it once per
+    column, not once per row, with the same bits.  The first parameter, x, is each point's own.
+    """
+    bits = c.view(np.int64)
+    return float(c[0]) if (bits == bits[0]).all() else c.reshape(-1, 1)
+
+
+def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> list:
+    """Sum terms(*x, n) over n = n_first..last for each row, its parameters x in cols and its own last, as
+    sum_terms would; cut: rows that end at their last nonzero term, so that their terms past it underflow.
 
     Rows are sorted widest first and packed into blocks of at most
     _BLOCK_TERMS terms (rows times the widest row).  A block's terms are
-    built as one array and each run of rows of one width is reduced in one
+    built as one array, a parameter its rows share passed as one float
+    (_block_column), and each run of rows of one width is reduced in one
     call.  Block rows are at most _BLOCK_TERMS wide, so each is the single
     block of its sum_terms; fsum returns that sum unchanged except that it
-    reads -0.0 as 0.0, which adding 0.0 reproduces.  A row that fills a
-    block alone is summed by sum_terms, in blocks of _BLOCK_TERMS terms.
-    Rows that sum no terms are 0.0 and build none, so their x, which may be
-    far outside the range of the others (t ln q near -1e308), is never used.
+    reads -0.0 as 0.0, which adding 0.0 reproduces.  Where the rows are
+    cut, a block forms a row's terms past its last, which no sum reads, at
+    n = n_first instead: numpy's exp takes about 16 times as long for a
+    result that underflows.  A row that fills a block alone, and every row
+    of a batch of fewer than _BLOCK_ROWS_MIN, is summed by sum_terms, in
+    blocks of _BLOCK_TERMS terms.
+    Rows that sum no terms are 0.0 and build none, so their parameters, which
+    may be far outside the range of the others (t ln q near -1e308), are
+    never used.
     """
-    if len(lasts) == 1:  # the one-point call: no blocks to plan
-        return [sum_terms(partial(terms, xs[0]), n_first, lasts[0])]
-    sums = [0.0] * len(lasts)
-    order = sorted(range(len(lasts)), key=lasts.__getitem__, reverse=True)
-    while order and lasts[order[-1]] < n_first:  # the narrowest rows sum no terms
-        order.pop()
+    if len(lasts) == 1:  # the one-point call
+        return [sum_terms(partial(terms, *[c[0] for c in cols]), n_first, lasts[0])]
+    if len(lasts) < _BLOCK_ROWS_MIN:  # few rows: no blocks to plan
+        return [sum_terms(partial(terms, *x), n_first, last) for x, last in zip(zip(*cols), lasts)]
+    lasts = np.asarray(lasts, dtype=np.int64)
+    cols = [np.asarray(c, dtype=np.float64) for c in cols]
+    sums = np.zeros(len(lasts))
+    order = np.argsort(-lasts, kind="stable")  # widest first, rows of one width in order
+    order = order[:np.count_nonzero(lasts >= n_first)]  # the narrowest rows sum no terms
     k = 0
     while k < len(order):
-        width = lasts[order[k]] - n_first + 1
+        width = int(lasts[order[k]]) - n_first + 1
         rows = order[k:k + max(1, _BLOCK_TERMS // width)]
         k += len(rows)
         if len(rows) == 1:
-            (r,) = rows
-            sums[r] = sum_terms(partial(terms, xs[r]), n_first, lasts[r])
+            r = int(rows[0])
+            sums[r] = sum_terms(partial(terms, *(float(c[r]) for c in cols)), n_first, int(lasts[r]))
             continue
-        block = terms(np.array([xs[r] for r in rows]).reshape(-1, 1),
-                      np.arange(n_first, n_first + width, dtype=np.float64))
-        widths = [lasts[r] - n_first + 1 for r in rows]
-        parts, lo = [], 0
-        for hi in range(1, len(rows) + 1):
-            if hi == len(rows) or widths[hi] != widths[lo]:
-                parts.append(np.add.reduce(block[lo:hi, :widths[lo]], axis=1))
-                lo = hi
-        for r, value in zip(rows, (np.concatenate(parts) + 0.0).tolist()):
-            sums[r] = value
-    return sums
+        n = np.arange(n_first, n_first + width, dtype=np.float64)
+        if cut:
+            n = np.where(n <= lasts[rows].reshape(-1, 1), n, float(n_first))
+        block = terms(cols[0][rows].reshape(-1, 1), *map(_block_column, (c[rows] for c in cols[1:])), n)
+        widths = lasts[rows] - (n_first - 1)
+        cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(rows)]
+        sums[rows] = np.concatenate([np.add.reduce(block[lo:hi, :widths[lo]], axis=1)
+                                     for lo, hi in zip(cuts, cuts[1:])]) + 0.0
+    return sums.tolist()
 
 
 # -- term counts ------------------------------------------------------------
@@ -671,11 +735,13 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance, m_cap: float
 
 
 # -- batch kernels ----------------------------------------------------------
-# A batch is routed in one pass over its points, in order: each t's checks,
-# term count and route.  A point on the direct route gets no tuple or result
-# object: it fills the columns of its sum (the parameter x of its terms and
-# its last term), tail and count; _sum_rows sums the rows together, and a
-# batch leaves as three columns: values, tail bounds and terms used.
+# A batch is a list of lines (params, ts) of one family, routed in one pass
+# over their points, each line in t order: each t's checks, term count and
+# route.  A point on the direct route gets no tuple or result object: it
+# appends the row of its sum (the parameters of its terms and its last term)
+# to the batch's rows; _sum_rows sums the rows of all lines together, and
+# each line leaves as three columns (values, tail bounds and terms used), or
+# as the error of its first t that cannot be evaluated.
 
 
 def _check_t(t: float) -> float:
@@ -713,18 +779,29 @@ def _lead_refusal(t: float) -> TruncationNotConverged:
     return TruncationNotConverged(f"the lead of the value at t={t!r} overflows a double", math.inf, 0)
 
 
-def _majorant(fn: str, ln_q: float, ln_s: float, one_minus_qk: float):
-    """tail_at(n, ln_r, one_minus_r): the direct-route majorant of fn's terms after the n-th, at r = q^t."""
+def _majorant(fn: str, ln_q: float, ln_s: float, one_minus_qk: float, exp=math.exp):
+    """tail_at(n, ln_r, one_minus_r): the direct-route majorant of fn's terms after the n-th, at r = q^t.
+
+    The arguments may be arrays, one element per point, with exp = _exps: every element has the bits of the floats.
+    """
     if fn == "ln-gamma":  # both product tails after N factor pairs
-        return lambda n, ln_r, one_minus_r: _SAFETY * (math.exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
-                                                       + math.exp(ln_r + n * ln_s) / (one_minus_r * one_minus_qk))
+        return lambda n, ln_r, one_minus_r: _SAFETY * (exp((n + 1) * ln_s) / (one_minus_qk * one_minus_qk)
+                                                       + exp(ln_r + n * ln_s) / (one_minus_r * one_minus_qk))
     if fn == "psi-prime":
         # (ln q)^2 / (1-q^k) * sum_{m>N} m r^m = coeff r^(N+1) ((N+1)(1-r) + r) / (1-r)^2
         coeff = _SAFETY * ln_q * ln_q / one_minus_qk
-        return lambda n, ln_r, one_minus_r: (coeff * math.exp((n + 1) * ln_r) * ((n + 1) * one_minus_r
-                                             + math.exp(ln_r)) / (one_minus_r * one_minus_r))
+        return lambda n, ln_r, one_minus_r: (coeff * exp((n + 1) * ln_r) * ((n + 1) * one_minus_r
+                                             + exp(ln_r)) / (one_minus_r * one_minus_r))
     coeff = _SAFETY * -ln_q
-    return lambda n, ln_r, one_minus_r: coeff / (one_minus_qk * one_minus_r) * math.exp((n + 1) * ln_r)
+    return lambda n, ln_r, one_minus_r: coeff / (one_minus_qk * one_minus_r) * exp((n + 1) * ln_r)
+
+
+def _mapped(fn, a: np.ndarray) -> np.ndarray:
+    """math's fn at every element of a: numpy's SIMD exp, expm1 and log differ from it in the last place."""
+    return np.array(list(map(fn, a.tolist())), dtype=np.float64)
+
+
+_exps = partial(_mapped, math.exp)
 
 
 def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> tuple:
@@ -749,8 +826,8 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
     return n, (tail_at(n, ln_r, one_minus_r) if n < math.inf else math.inf)
 
 
-def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of ts, as (values, tails, terms).
+def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of one line, t by t in order.
 
     This is the one route rule of the (q,k) kernels, the same for all three.
     A point takes the direct series only where its majorant stays in the
@@ -763,6 +840,12 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
     point takes the Euler-Maclaurin route.  Every t first passes its
     function's checks, in order: _check_ln_gamma_t, or _check_t and
     _series_ratio.
+
+    Returns (values, tails, terms, rows, scale).  A direct point appends its
+    row to the batch's: the parameters of its terms to cols and its last
+    index to lasts; rows lists those points in order, and each one's value,
+    its lead here, becomes lead + scale * its sum (_qk_batch).
+    Raises the error of the first t that cannot be evaluated.
     """
     q, k = params.q, params.k
     ln_q = math.log(q)
@@ -775,9 +858,17 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
     # the coefficient of the geometric part is coeff / ((1-q^k)(1-r)) for psi, coeff / (1-r) for psi'
     coeff = _SAFETY * ln_q * ln_q / one_minus_qk if prime else _SAFETY * -ln_q
     tail_at = None  # the majorant, formed at the first point that needs it
-    # the three result columns, and for the points on the direct route (rows) the parameter x of their
-    # terms, their last term and their ln Gamma lead
-    values, tails, terms, rows, xs, lasts, leads = [], [], [], [], [], [], []
+    if gamma:
+        # ln Gamma's shifted terms ln(1 - q^(x + n k)) are formed at x = min(t, t_cap): past t_cap the power
+        # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
+        # a numpy warning on stderr, is never formed
+        scale, t_cap = 1.0, sys.float_info.max / (2.0 * -ln_q)
+        add_x, add_k, add_ln_q = cols[0].append, cols[1].append, cols[2].append
+    else:
+        # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
+        lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
+        add_x, add_kl = cols[0].append, cols[1].append
+    values, tails, terms, rows = [], [], [], []
     for i, t in enumerate(ts):
         if gamma:
             t = _check_ln_gamma_t(t, ln_q)
@@ -786,8 +877,8 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
             t = _check_t(t)
             ln_r, one_minus_r = _series_ratio(t, ln_q)
             if one_minus_r is None:  # every term underflows: the limit value is exact
-                rows.append(i), xs.append(ln_r), lasts.append(0)
-                values.append(0.0), tails.append(0.0), terms.append(0)
+                add_x(ln_r), add_kl(ln_s), lasts.append(0), rows.append(i)
+                values.append(lead), tails.append(0.0), terms.append(0)
                 continue
         found = res = None
         if one_minus_qk * one_minus_r >= _MIN_NORMAL:
@@ -807,131 +898,437 @@ def _qk_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
             values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
             continue
         if gamma:
-            leads.append(_qk_gamma_lead(t, k, ln1mq))
-            if not math.isfinite(leads[-1]):
+            lead = _qk_gamma_lead(t, k, ln1mq)
+            if not math.isfinite(lead):
                 raise _lead_refusal(t)
+            add_x(min(t, t_cap)), add_k(k), add_ln_q(ln_q)
+        else:
+            add_x(ln_r), add_kl(ln_s)
         # ln Gamma's N factor pairs are its terms n = 0..N-1
-        rows.append(i), xs.append(t if gamma else ln_r), lasts.append(found[0] - 1 if gamma else found[0])
-        values.append(0.0), tails.append(found[1]), terms.append(found[0])
-    if not rows:  # all on the Euler-Maclaurin route: nothing to sum
-        return values, tails, terms
-    if gamma:
-        # ln Gamma's shifted terms ln(1 - q^(x + n k)) are formed at x = min(t, t_cap): past t_cap the power
-        # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
-        # a numpy warning on stderr, is never formed
-        t_cap = sys.float_info.max / (2.0 * -ln_q)
-        # numerator exponent written as k + n*k so that t = k cancels bitwise
-        summand = lambda x, n: _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
-        sums = _sum_rows(summand, [min(x, t_cap) for x in xs], 0, lasts)
-        direct = [x + s for x, s in zip(leads, sums)]
-    else:
-        # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
-        lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
-        direct = [lead + scale * s for s in _sum_rows(_power_terms(ln_s, prime), xs, 1, lasts)]
-    for i, v in zip(rows, direct):
-        values[i] = v
-    return values, tails, terms
+        lasts.append(found[0] - 1 if gamma else found[0]), rows.append(i)
+        values.append(lead), tails.append(found[1]), terms.append(found[0])
+    return values, tails, terms, rows, scale
 
 
-def _pq_batch(fn: str, params: DeformParams, ts, tol: Tolerance) -> tuple:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every t of ts, as (values, tails, terms).
+# Points per (q,k) batch from which the direct route is decided by array expressions over the batch's
+# column (_qk_direct) rather than t by t (_qk_line): the measured costs per point (module docstring)
+# cross between 64 and 100 points for all three functions.
+_ARRAY_MIN = 96
 
-    psi and psi' sum F(t) = sum_{n=1..p} q^(nt) / (1 - q^n), times n for psi',
-    by the finite Lambert split (module docstring): T closed-form head terms,
-    then F(t + T) through its last nonzero term L (_last_nonzero), with
-    T = floor(sqrt(Z) - t), Z = _EXP_ZERO / ln q, where the unsplit count
-    (L at T = 0) is past N0 and T + L is below it, and T = 0 otherwise.
-    terms_used is T + L and tail_bound 0.  ln Gamma's whole batch takes its
-    factorial's route: the lattice past N0 nonzero factors.  A direct sum is
-    refused where its count is past n_max.  p past _P_HOLD is held there; psi
-    and psi' refuse a t where that would not give the value of p.
+
+def _qk_direct(fn: str, c: dict, t: np.ndarray, tol: Tolerance) -> tuple:
+    """The direct route of _qk_line's rule as array expressions over a column t of checked-type floats.
+
+    c holds the line constants of every point (ln_q, ln_s, omqk, and k,
+    ln1mq and count for ln Gamma, coeff otherwise).  Returns (plain, x, n,
+    tail, lead): plain marks the points that take the direct route, for each
+    of which x is the parameter of its terms, n its count (0 where psi sums
+    no terms), tail its majorant and lead (for ln Gamma) the lead of its
+    value.  Every other point, a refused one or one whose count, widening or
+    lead leaves the common case, is routed by _qk_line.  Logs and exps are
+    math's, so every element has the bits of _qk_line's.
     """
-    q, p = params.q, min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
-    ln_q = math.log(q)
+    gamma, prime = fn == "ln-gamma", fn == "psi-prime"
+    ln_q, ln_s, omqk = c["ln_q"], c["ln_s"], c["omqk"]
+    with np.errstate(all="ignore"):  # the refused points keep whatever the floats give
+        ok = (t > 0.0) & (t < math.inf)
+        ln_r = t * ln_q
+        if gamma:
+            ok &= -t * ln_q >= _MIN_NORMAL
+        omr = -_mapped(math.expm1, np.where(ok, ln_r, -1.0))
+        zero = np.zeros(len(t), dtype=bool)  # psi's points whose terms all underflow
+        if not gamma:
+            low = np.flatnonzero(ok & (ln_r < -700.0))
+            zero[low] = [math.exp(x) == 0.0 for x in ln_r[low].tolist()]
+            ok &= zero | (omr > 0.0)
+        ok &= zero | (omqk * omr >= _MIN_NORMAL)
+        if gamma:
+            n = c["count"]
+        else:
+            ratio = tol.abs_tol / (c["coeff"] / omr if prime else c["coeff"] / (omqk * omr))
+            counted = ok & ~zero & (ratio > 0.0) & (ratio < math.inf)
+            n = _mapped(math.log, np.where(counted, ratio, 1.0)) / ln_r
+            n = np.where(counted & np.isfinite(n), np.maximum(1.0, np.ceil(n) - 1.0), math.inf)
+        plain = ok & (zero | (n <= _N0))
+        n = np.where(zero, 0.0, np.minimum(float(tol.n_max), n))
+        tail = np.zeros(len(t))
+        step = ln_s if gamma else ln_r
 
-    def capped(n: int) -> TruncationNotConverged:
-        return TruncationNotConverged(
-            f"finite sum needs {n} terms, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
-    if fn != "ln-gamma":
-        root = math.sqrt(_EXP_ZERO / ln_q)
-        # the rows of the tails (x = (t + T) ln q, last index L), and (point, t, T) of the split points
-        xs, lasts, heads = [], [], []
+        def majorant(w):
+            return _majorant(fn, ln_q[w], ln_s[w], omqk[w], _exps)(n[w], ln_r[w], omr[w])
+        w = np.flatnonzero(plain & ~zero)
+        tail[w] = majorant(w)
+        w = w[tail[w] > tol.abs_tol]
+        while w.size:  # geometric_terms_needed's widening, over the points still above abs_tol only
+            over = tail[w] / tol.abs_tol
+            grow = _mapped(math.log, np.where(np.isfinite(over), over, 1.0)) / -step[w]
+            stuck = ~np.isfinite(over) | (n[w] >= tol.n_max) | ~np.isfinite(grow)
+            plain[w[stuck]] = False
+            w, grow = w[~stuck], grow[~stuck]
+            n[w] = np.minimum(float(tol.n_max), n[w] + np.maximum(1.0, np.ceil(grow)))
+            tail[w] = majorant(w)
+            w = w[tail[w] > tol.abs_tol]
+        if not gamma:
+            return plain, ln_r, n, tail, None
+        lead = -(t / c["k"] - 1.0) * c["ln1mq"]
+        plain &= np.isfinite(lead)  # _qk_gamma_lead's other form, or the refusal
+        return plain, np.minimum(t, sys.float_info.max / (2.0 * -ln_q)), n, tail, lead
+
+
+def _qk_array_lines(fn: str, lines: list, t_all: np.ndarray, tol: Tolerance, cols: tuple, lasts: list) -> list:
+    """_qk_line at every line, its direct route decided by _qk_direct in chunks of _BLOCK_TERMS points.
+
+    Each line gets the direct points of _qk_direct, in order, and then the
+    others one by one through _qk_line, in order, until the first refusal,
+    so every line has the columns, rows and error that _qk_line gives it.
+    """
+    gamma, prime = fn == "ln-gamma", fn == "psi-prime"
+    qs, ks = (np.array([getattr(params, a) for params, _ in lines]) for a in ("q", "k"))
+    ln_q = _mapped(math.log, qs)
+    ln_s = ks * ln_q
+    omqk = -_mapped(math.expm1, ln_s)
+    ln1mq = _mapped(math.log1p, -qs)
+    consts = {"ln_q": ln_q, "ln_s": ln_s, "omqk": omqk}
+    if gamma:
+        consts.update(k=ks, ln1mq=ln1mq, count=np.array(
+            [geometric_count(2.0 / (o * o), x, tol.abs_tol) for o, x in zip(omqk.tolist(), ln_s.tolist())],
+            dtype=np.float64))
+        line_leads, scales = None, [1.0] * len(lines)
+    else:
+        consts["coeff"] = _SAFETY * ln_q * ln_q / omqk if prime else _SAFETY * -ln_q
+        line_leads, scales = (np.zeros(len(lines)), ln_q * ln_q) if prime else (-ln1mq / ks, ln_q)
+        line_leads, scales = line_leads.tolist(), scales.tolist()
+    sizes = [len(ts) for _, ts in lines]
+    line_of = np.repeat(np.arange(len(lines)), sizes)
+    plain, x, n, tail = (np.empty(len(t_all), dtype=d) for d in (bool, np.float64, np.float64, np.float64))
+    lead = np.empty(len(t_all)) if gamma else None
+    for a in range(0, len(t_all), _BLOCK_TERMS):
+        b = min(len(t_all), a + _BLOCK_TERMS)
+        idx = line_of[a:b]
+        parts = _qk_direct(fn, {key: v[idx] for key, v in consts.items()}, t_all[a:b], tol)
+        for whole, part in zip((plain, x, n, tail, lead), parts):
+            if whole is not None:
+                whole[a:b] = part
+    # each line's slices of the columns, as lists: a line of one or two points costs no numpy call
+    counts = np.where(plain, n, 0.0).astype(np.int64)
+    plain, x, tail = plain.tolist(), x.tolist(), tail.tolist()
+    terms_all, lasts_all = counts.tolist(), (counts - 1 if gamma else counts).tolist()
+    lead, ks, ln_q, ln_s = (None if lead is None else lead.tolist()), ks.tolist(), ln_q.tolist(), ln_s.tolist()
+    out, a = [], 0
+    for i, ((params, ts), size) in enumerate(zip(lines, sizes)):
+        b, mark = a + size, len(lasts)
+        on = plain[a:b]
+        rows = list(compress(range(size), on))
+        cols[0].extend(compress(x[a:b], on)), lasts.extend(compress(lasts_all[a:b], on))
+        if gamma:
+            cols[1].extend([ks[i]] * len(rows)), cols[2].extend([ln_q[i]] * len(rows))
+        else:
+            cols[1].extend([ln_s[i]] * len(rows))
+        # a direct point's value is its lead until its sum arrives (_qk_batch)
+        values, tails, terms = lead[a:b] if gamma else [line_leads[i]] * size, tail[a:b], terms_all[a:b]
         try:
-            for t in map(_check_t, ts):
-                x = t * ln_q
-                if params.p > p and x * p > -750.0:  # e^(-p a) of a head, or q^(p t), may be nonzero at p
-                    raise TruncationNotConverged(f"p past the largest float at t={t!r}", math.inf, 0)
-                last = count = _last_nonzero(0.0, x, 1, p)
-                shift = math.floor(root - t) if last > _N0 else 0
-                if shift > 0:
-                    split = _last_nonzero(0.0, (t + shift) * ln_q, 1, p)
-                    if shift + split < last:
-                        heads.append((len(xs), t, shift))
-                        x, last, count = (t + shift) * ln_q, split, shift + split
-                if count > tol.n_max:
-                    raise capped(count)
-                xs.append(x), lasts.append(last)
-        except QDigammaError:  # a split point before this t may overflow, and its refusal comes first
-            if heads:
-                _pq_batch(fn, params, [t for i, t, _ in heads if i < len(xs)], tol)
-            raise
-        prime = fn == "psi-prime"
-        sums, terms = _sum_rows(_power_terms(ln_q, prime), xs, 1, lasts), lasts
-        if heads:
-            rows, tl, shifts = zip(*heads)
-            terms, rest = lasts.copy(), sums.copy()  # rest: the tails F(t + T)
-            with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, re-summed below
-                head_sums = _sum_rows(_head_terms(-ln_q, p, prime), tl, 0, [s - 1 for s in shifts])
-            for i, shift, h in zip(rows, shifts, head_sums):
-                sums[i], terms[i] = h + sums[i], shift + terms[i]
-        lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
-        values = [lead + scale * s for s in sums]
-        for i, t, shift in heads:
-            if not math.isfinite(values[i]):  # the head may pass the floats only unscaled: re-sum it scaled
-                with np.errstate(over="ignore", divide="ignore"):
-                    (h,) = _sum_rows(_head_terms(-ln_q, p, prime, scaled=True), [t], 0, [shift - 1])
-                values[i] = lead + (h + scale * rest[i])
-        for value, n in zip(values, terms):
-            if not math.isfinite(value):
-                raise TruncationNotConverged("finite sum overflows double precision", math.inf, n)
-        return values, [0.0] * len(xs), terms
+            for j in compress(range(size), map(not_, on)):  # the other points, t by t
+                (v,), (tl,), (tm,), row, _ = _qk_line(fn, params, (ts[j],), tol, cols, lasts)
+                values[j], tails[j], terms[j] = v, tl, tm
+                if row:
+                    rows.append(j)
+            out.append((values, tails, terms, rows, scales[i]))
+        except QDigammaError as exc:
+            for c in (*cols, lasts):
+                del c[mark:]
+            out.append(exc)
+        a = b
+    return out
+
+
+def _qk_batch(fn: str, lines: list, tol: Tolerance) -> list:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every line (params, ts) of a batch.
+
+    Returns, per line, its columns (values, tails, terms), or the error of
+    its first t that cannot be evaluated.  Every line is routed by _qk_line's
+    rule, by that loop below _ARRAY_MIN points in all and by _qk_direct's
+    arrays from there, and the direct rows of all lines are summed together
+    (_sum_rows), each with its own k ln q (ln q and k for ln Gamma).
+    """
+    gamma = fn == "ln-gamma"
+    cols, lasts = ([], [], []) if gamma else ([], []), []
+    t_all = None
+    if (len(lines) > 1 or len(lines[0][1]) >= _ARRAY_MIN) and tol.n_max < 1 << 53 \
+            and sum(len(ts) for _, ts in lines) >= _ARRAY_MIN:
+        try:
+            t_all = np.array([t for _, ts in lines for t in ts], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # a t that is not a float: refused t by t below
+            pass
+    if t_all is not None:
+        out = _qk_array_lines(fn, lines, t_all, tol, cols, lasts)
+    else:
+        out = []
+        for params, ts in lines:
+            mark = len(lasts)
+            try:
+                out.append(_qk_line(fn, params, ts, tol, cols, lasts))
+            except QDigammaError as exc:
+                for c in (*cols, lasts):
+                    del c[mark:]
+                out.append(exc)
+    if lasts:
+        terms_fn, first = _qk_terms(fn)
+        sums = iter(_sum_rows(terms_fn, cols, first, lasts))
+        for line in out:
+            if not isinstance(line, QDigammaError):
+                values, _, _, rows, scale = line
+                for i, s in zip(rows, sums):  # zip takes as many sums as the line has rows
+                    values[i] += scale * s
+    return [line if isinstance(line, QDigammaError) else line[:3] for line in out]
+
+
+def _qk_terms(fn: str) -> tuple:
+    """(term function, first index) of the direct rows of a (q,k) kernel: ln Gamma's N factor pairs are its
+    terms n = 0..N-1, psi's terms n = 1..N."""
+    if fn == "ln-gamma":
+        return _ln_gamma_qk_terms, 0
+    return (_psi_prime_terms if fn == "psi-prime" else _psi_terms), 1
+
+
+def _qk_point(fn: str, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
+    """fn of the (q,k) family at one t: _qk_batch's case of one line of one point, routed by _qk_line."""
+    params.require(Family.QK)
+    cols, lasts = ([], [], []) if fn == "ln-gamma" else ([], []), []
+    (value,), (tail,), (terms,), rows, scale = _qk_line(fn, params, (t,), tol, cols, lasts)
+    if rows:
+        terms_fn, first = _qk_terms(fn)
+        (s,) = _sum_rows(terms_fn, cols, first, lasts)
+        value += scale * s
+    return EvalResult(value, tail, terms)
+
+
+def _overflows(n: int) -> TruncationNotConverged:
+    return TruncationNotConverged("finite sum overflows double precision", math.inf, n)
+
+
+def _capped(n: int, tol: Tolerance) -> TruncationNotConverged:
+    return TruncationNotConverged(f"finite sum needs {n} terms, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
+
+
+def _pq_sum_line(params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
+    """Route one psi or psi' (p,q) line in t order: (p, ln q, heads, refusal, end), its rows appended to cols
+    (x, ln q) and lasts.
+
+    p is held at _P_HOLD; heads lists (row, t, T) of its split points;
+    refusal is the error of the first t that cannot be routed, or None, and
+    the rows before it are kept, as a split point before it may overflow,
+    and that refusal comes first; end is len(lasts) after its rows.
+    """
+    p = min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
+    ln_q = math.log(params.q)
+    root = math.sqrt(_EXP_ZERO / ln_q)
+    add_x, add_ln_q = cols[0].append, cols[1].append
+    heads, first = [], len(lasts)
+    try:
+        for t in map(_check_t, ts):
+            x = t * ln_q
+            if params.p > p and x * p > -750.0:  # e^(-p a) of a head, or q^(p t), may be nonzero at p
+                raise TruncationNotConverged(f"p past the largest float at t={t!r}", math.inf, 0)
+            last = count = _last_nonzero(0.0, x, 1, p)
+            shift = math.floor(root - t) if last > _N0 else 0
+            if shift > 0:
+                split = _last_nonzero(0.0, (t + shift) * ln_q, 1, p)
+                if shift + split < last:
+                    heads.append((len(lasts) - first, t, shift))
+                    x, last, count = (t + shift) * ln_q, split, shift + split
+            if count > tol.n_max:
+                raise _capped(count, tol)
+            add_x(x), add_ln_q(ln_q), lasts.append(last)
+    except QDigammaError as exc:  # the point refused may have been split already
+        return p, ln_q, [h for h in heads if h[0] < len(lasts) - first], exc, len(lasts)
+    return p, ln_q, heads, None, len(lasts)
+
+
+def _pq_sum_values(prime: bool, p: int, ln_q: float, sums: list, terms: list, heads: list) -> tuple:
+    """(values, terms) of a psi or psi' (p,q) line from its rows' sums F(t + T) and counts, and its heads."""
+    rest = sums
+    if heads:
+        rows, tl, shifts = zip(*heads)
+        terms, sums = terms.copy(), sums.copy()
+        with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, re-summed below
+            head_sums = _sum_rows(_head_terms(-ln_q, p, prime), (tl,), 0, [s - 1 for s in shifts])
+        for i, shift, h in zip(rows, shifts, head_sums):
+            sums[i], terms[i] = h + sums[i], shift + terms[i]
+    lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
+    values = [lead + scale * s for s in sums]
+    for i, t, shift in heads:
+        if not math.isfinite(values[i]):  # the head may pass the floats only unscaled: re-sum it scaled
+            with np.errstate(over="ignore", divide="ignore"):
+                (h,) = _sum_rows(_head_terms(-ln_q, p, prime, scaled=True), ([t],), 0, [shift - 1])
+            values[i] = lead + (h + scale * rest[i])
+    return values, terms
+
+
+def _pq_gamma_line(params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
+    """Route one ln Gamma (p,q) line in t order: (values, tails, terms, leads, n_fact).
+
+    The whole line takes its factorial's route: the lattice past N0 nonzero
+    factors, whose values are final here; otherwise each point appends the
+    row of its shifted sum to cols (t, ln q) and lasts, and its value is its
+    lead less that sum, plus the factorial's (_pq_batch).  Raises the error
+    of the first t that cannot be evaluated.
+    """
+    p = min(params.p, _P_HOLD)
+    ln_q = math.log(params.q)
     ln1mq, lead = ln1m_exp(ln_q), ln_q_bracket(p, ln_q)
     n_fact = _last_nonzero(0.0, ln_q, 1, p)
     eps = -ln_q
-    tl, values, tails, terms, leads, lasts = [], [], [], [], [], []
+    values, tails, terms, leads = [], [], [], []
     for t in ts:
         t = _check_ln_gamma_t(t, ln_q)
-        tl.append(t), leads.append(ln1mq + t * lead)
+        leads.append(ln1mq + t * lead)
         if n_fact > _N0:  # the near pair, and the far one reversed, S_1(p+1) - S_1(t+p+1), term by term
             res = _em_lattice(1, ((eps * t, eps),), eps, leads[-1], 1.0, tol, paired=(eps * (p + 1), eps * t))
             values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
             continue
         if n_fact > tol.n_max:  # refused at the first point, as a one-point call refuses it
-            raise capped(n_fact)
+            raise _capped(n_fact, tol)
         if not math.isfinite(leads[-1]):
             raise _lead_refusal(t)
-        lasts.append(_last_nonzero(t, ln_q, 0, p))
-    if not lasts:  # every point on the lattice, or none at all
+        cols[0].append(t), cols[1].append(ln_q), lasts.append(_last_nonzero(t, ln_q, 0, p))
+    return values, tails, terms, leads, n_fact
+
+
+def _pq_point(fn: str, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
+    """psi or psi' of the (p,q) family at one t: _pq_batch's case of one line of one point."""
+    params.require(Family.PQ)
+    prime, cols, lasts = fn == "psi-prime", ([], []), []
+    p, ln_q, heads, refusal, _ = _pq_sum_line(params, (t,), tol, cols, lasts)
+    if refusal:
+        raise refusal
+    sums = _sum_rows(_psi_prime_terms if prime else _psi_terms, cols, 1, lasts)
+    (value,), (terms,) = _pq_sum_values(prime, p, ln_q, sums, lasts, heads)
+    if not math.isfinite(value):
+        raise _overflows(terms)
+    return EvalResult(value, 0.0, terms)
+
+
+def _pq_batch(fn: str, lines: list, tol: Tolerance) -> list:
+    """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every line (params, ts) of a batch.
+
+    Returns, per line, its columns (values, tails, terms), or the error of
+    its first t that cannot be evaluated.  psi and psi' sum F(t) = sum_{n=1..p}
+    q^(nt) / (1 - q^n), times n for psi', by the finite Lambert split (module
+    docstring): T closed-form head terms, then F(t + T) through its last
+    nonzero term L (_last_nonzero), with T = floor(sqrt(Z) - t), Z =
+    _EXP_ZERO / ln q, where the unsplit count (L at T = 0) is past N0 and T +
+    L is below it, and T = 0 otherwise.  terms_used is T + L and tail_bound
+    0.  ln Gamma's whole line takes its factorial's route: the lattice past
+    N0 nonzero factors.  A direct sum is refused where its count is past
+    n_max.  p past _P_HOLD is held there; psi and psi' refuse a t where that
+    would not give the value of p.  The rows of all lines are summed
+    together, each with its own ln q.
+    """
+    cols, lasts, out = ([], []), [], []
+    if fn != "ln-gamma":
+        prime = fn == "psi-prime"
+        routed = [_pq_sum_line(params, ts, tol, cols, lasts) for params, ts in lines]
+        a, cut = 0, False
+        for p, _, _, _, b in routed:  # a row short of its p ends at its last nonzero term
+            cut, a = cut or min(lasts[a:b], default=p) < p, b
+        sums = _sum_rows(_psi_prime_terms if prime else _psi_terms, cols, 1, lasts, cut) if lasts else []
+        a = 0
+        for p, ln_q, heads, refusal, b in routed:
+            values, terms = _pq_sum_values(prime, p, ln_q, sums[a:b], lasts[a:b], heads)
+            a = b
+            for value, n in zip(values, terms):
+                if not math.isfinite(value):
+                    refusal = _overflows(n)
+                    break
+            out.append(refusal or (values, [0.0] * len(values), terms))
+        return out
+    for params, ts in lines:
+        mark = len(lasts)
+        try:
+            out.append(_pq_gamma_line(params, ts, tol, cols, lasts))
+        except QDigammaError as exc:
+            for c in (*cols, lasts):
+                del c[mark:]
+            out.append(exc)
+    shifted = iter(_sum_rows(_pq_shifted_terms, cols, 0, lasts, cut=True) if lasts else ())
+    for i, ((params, _), line) in enumerate(zip(lines, out)):
+        if not isinstance(line, QDigammaError):
+            out[i] = _pq_gamma_values(params, line, shifted)
+    return out
+
+
+def _pq_shifted_terms(x, ln_q, n):
+    """ln(1 - q^(x + n)), the shifted terms of ln Gamma_pq at rows x = t."""
+    return _ln1m_exp_terms((x + n) * ln_q)
+
+
+def _pq_gamma_values(params: DeformParams, line: tuple, shifted) -> tuple:
+    """The columns of a ln Gamma (p,q) line routed by _pq_gamma_line, its shifted sums taken from shifted in order."""
+    values, tails, terms, leads, n_fact = line
+    if values or not leads:  # on the lattice, or no points
         return values, tails, terms
-    shifted = _sum_rows(lambda x, n: _ln1m_exp_terms((x + n) * ln_q), tl, 0, lasts)
     # lead + -1.0 * (shifted - factorial) has the bits of lead + (factorial - shifted)
+    ln_q = math.log(params.q)
     factorial = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
-    return [x + -1.0 * (s - factorial) for x, s in zip(leads, shifted)], [0.0] * len(tl), [n_fact] * len(tl)
+    return [x + -1.0 * (s - factorial) for x, s in zip(leads, shifted)], [0.0] * len(leads), [n_fact] * len(leads)
 
 
 _KERNELS = {Family.QK: _qk_batch, Family.PQ: _pq_batch}
+_FNS = ("psi", "psi-prime", "ln-gamma")
+
+# Points per batch of evaluate_lines: its lines are routed and summed in groups of at most this many
+# points, so the rows and columns in flight stay small (a verify suite's 10,200 psi points at once
+# held about 2.5 MB more than one line at a time)
+_GROUP_POINTS = _BLOCK_TERMS // 4
+
+
+def evaluate_lines(fn: str, lines, tol: Tolerance = DEFAULT_TOL):
+    """fn ("psi", "psi-prime" or "ln-gamma") at every t of every line (params, ts), in batches of lines.
+
+    Returns an iterator over one entry per line, in order: its columns
+    (values, tail_bounds, terms_used), three lists in the order of its ts,
+    each element that of the one-point kernel at its t, bit for bit; or, for
+    a line with a t that cannot be evaluated, the error of its first such t,
+    returned, not raised.  lines may be any iterable, read as the iterator
+    needs it: consecutive lines of one family go in groups of at most
+    _GROUP_POINTS points (or one longer line), each routed in one pass and
+    its direct rows summed together, so only one group is in flight, and a
+    line's columns do not depend on its neighbours.
+    """
+    if fn not in _FNS:
+        raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
+    return _line_groups(fn, lines, tol)
+
+
+def _line_groups(fn: str, lines, tol: Tolerance):
+    """The entries of evaluate_lines, one group of lines per kernel batch."""
+    group, size = [], 0
+    for params, ts in lines:
+        ts = ts if isinstance(ts, (list, tuple)) else list(ts)
+        if group and (params.family is not group[0][0].family or size + len(ts) > _GROUP_POINTS):
+            yield from _KERNELS[group[0][0].family](fn, group, tol)
+            group, size = [], 0
+        group.append((params, ts))
+        size += len(ts)
+    if group:
+        yield from _KERNELS[group[0][0].family](fn, group, tol)
 
 
 def evaluate_columns(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """fn ("psi", "psi-prime" or "ln-gamma") of params' family at every t in ts, as columns.
 
-    Returns (values, tail_bounds, terms_used), three lists in the order of
-    ts; each element is that of the one-point kernel at its t, bit for bit.
-    Raises the error of the first t, in order, that cannot be evaluated.
+    The one-line case of evaluate_lines, whose one group is its family's
+    batch of this one line: returns (values, tail_bounds, terms_used), three
+    lists in the order of ts; each element is that of the one-point kernel
+    at its t, bit for bit.  Raises the error of the first t, in order, that
+    cannot be evaluated.
     """
-    if fn not in ("psi", "psi-prime", "ln-gamma"):
+    if fn not in _FNS:
         raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
-    return _KERNELS[params.family](fn, params, ts, tol)
+    (line,) = _KERNELS[params.family](fn, [(params, ts if isinstance(ts, (list, tuple)) else list(ts))], tol)
+    if isinstance(line, QDigammaError):
+        raise line
+    return line
 
 
 def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -947,11 +1344,6 @@ def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) ->
 # -- one-point entries ------------------------------------------------------
 
 
-def _point(columns: tuple) -> EvalResult:
-    (value,), (tail,), (terms,) = columns
-    return EvalResult(value, tail, terms)
-
-
 def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """(q,k)-digamma at t with a certified truncation bound.
 
@@ -959,8 +1351,7 @@ def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     ((1-q^k)(1-r)) with r = q^t; near q = 1 the Euler-Maclaurin route's
     remainder bound instead (see the module docstring).
     """
-    params.require(Family.QK)
-    return _point(_qk_batch("psi", params, (t,), tol))
+    return _qk_point("psi", t, params, tol)
 
 
 def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -969,8 +1360,7 @@ def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
     Direct route's tail majorant after N terms:
     (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
     """
-    params.require(Family.QK)
-    return _point(_qk_batch("psi-prime", params, (t,), tol))
+    return _qk_point("psi-prime", t, params, tol)
 
 
 def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -983,8 +1373,7 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     is formed as t (-ln(1-q)/k) + ln(1-q) where t/k overflows first, so a
     value that fits is returned.
     """
-    params.require(Family.QK)
-    return _point(_qk_batch("ln-gamma", params, (t,), tol))
+    return _qk_point("ln-gamma", t, params, tol)
 
 
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -995,14 +1384,12 @@ def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     nothing; see the module docstring), so terms_used, T + L (at most p), is
     the number of terms summed.
     """
-    params.require(Family.PQ)
-    return _point(_pq_batch("psi", params, (t,), tol))
+    return _pq_point("psi", t, params, tol)
 
 
 def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (p,q)-digamma: exact finite sum, nonnegative, split as psi_pq's; terms_used is T + L."""
-    params.require(Family.PQ)
-    return _point(_pq_batch("psi-prime", params, (t,), tol))
+    return _pq_point("psi-prime", t, params, tol)
 
 
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -1017,4 +1404,8 @@ def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     either route.
     """
     params.require(Family.PQ)
-    return _point(_pq_batch("ln-gamma", params, (t,), tol))
+    cols, lasts = ([], []), []
+    line = _pq_gamma_line(params, (t,), tol, cols, lasts)  # _pq_batch's case of one line of one point
+    (value,), (tail,), (terms,) = _pq_gamma_values(params, line, _sum_rows(_pq_shifted_terms, cols, 0, lasts)
+                                                   if lasts else ())
+    return EvalResult(value, tail, terms)

@@ -19,8 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError
-from .params import DeformParams, Family
+from .errors import DomainError, TruncationNotConverged
+from .params import DEFAULT_TOL, DeformParams, Family
 from .qcore import pairwise_sum
 
 __all__ = [
@@ -95,12 +95,18 @@ def k_digamma_ref(t: float, k: float) -> OracleValue:
 def p_digamma_ref(t: float, p: int) -> OracleValue:
     """p-digamma ln p - sum_{n=0..p} 1/(t+n), from Gamma_p(t) = p! p^t / (t...(t+p)).
 
-    This is the q -> 1- limit target used for the PQ family.
+    This is the q -> 1- limit target used for the PQ family.  The sum adds
+    p + 1 terms one by one, so a p past DEFAULT_TOL.n_max raises
+    TruncationNotConverged before summing: that fixed cap, not a caller's
+    tolerance, bounds the oracle's work.
     """
     if int(p) != p or p < 1:
         raise DomainError(f"p={p!r} must be an integer >= 1")
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError(f"t={t!r} must be a positive finite real")
+    if p > DEFAULT_TOL.n_max:
+        raise TruncationNotConverged(
+            f"the p-digamma sum needs {p} + 1 terms, past the cap of {DEFAULT_TOL.n_max}", math.inf, DEFAULT_TOL.n_max)
     harmonic = math.fsum(1.0 / (t + n) for n in range(0, int(p) + 1))
     return OracleValue(math.log(p) - harmonic, OracleMethod.BRUTE_SUM)
 

@@ -237,6 +237,22 @@ class TestPQSums:
             values.append(json.loads(proc.stdout)["result"])
         assert values[0] == values[1]
 
+    def test_remark_3_5_with_p_past_the_largest_float(self):
+        # p ln q once overflowed in the rate bound: an OverflowError traceback and exit 1, the violation code
+        proc = run_cli("limits", "--remark", "3.5", "--q", "0.5", "--t", "1", "--p-list", f"1,{10**309}", "--json")
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)["report"]
+        assert proc.returncode == (0 if report["passed"] else 1) == 0
+        assert report["sequence"][-1][0] == sys.float_info.max and report["cert_bounds"][-1] == 0.0
+
+    def test_remark_3_4_with_p_past_the_largest_float_is_refused(self):
+        # the p-digamma target summed p + 1 terms one by one and never ended; past the fixed cap
+        # DEFAULT_TOL.n_max it is refused before summing, whatever --n-max is
+        for extra in ((), ("--n-max", "1000")):
+            proc = run_cli("limits", "--remark", "3.4", "--p", str(10**309), "--t", "1", "--j-max", "3", *extra)
+            assert proc.returncode == 3 and proc.stdout == ""
+            assert proc.stderr.startswith("error: TruncationNotConverged: the p-digamma sum needs 1")
+
 
 # Each ended in a traceback or wrote a numpy RuntimeWarning to stderr: a count whose abs_tol / coeff
 # overflows, and batch rows that sum no terms (t ln q near -1e308) beside rows that do.  The tables

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -31,7 +32,7 @@ from qdigamma import (
     verify_bounds,
 )
 from qdigamma._jsonfmt import dumps
-from qdigamma import inequalities
+from qdigamma import QDigammaError, inequalities
 from qdigamma.inequalities import _MAX_FAILED_DRAWS, ratio_values
 
 from conftest import brute_psi_qk
@@ -260,7 +261,7 @@ class TestGridAgainstSuite:
 
         def no_kernel_call(*args, **kwargs):
             raise AssertionError("kernel called")
-        monkeypatch.setattr(ineq, "evaluate", no_kernel_call)
+        monkeypatch.setattr(ineq, "evaluate_lines", no_kernel_call)
         with pytest.raises(DomainError, match=rf"{suite}.*t_min=0\.0"):
             verify_bounds(suite, grid)
 
@@ -274,7 +275,7 @@ class TestGridAgainstSuite:
 
         def no_kernel_call(*args, **kwargs):
             raise AssertionError("kernel called")
-        monkeypatch.setattr(ineq, "evaluate", no_kernel_call)
+        monkeypatch.setattr(ineq, "evaluate_lines", no_kernel_call)
         with pytest.raises(DomainError, match=suite):
             verify_bounds(suite, grid)
 
@@ -339,34 +340,73 @@ class TestGridGeneration:
         with pytest.raises(DomainError, match="must be >= 1"):
             make_verification_grid("qk", n_specs, 5, seed=1)
 
-    def test_draws_without_threshold_give_up(self, monkeypatch):
-        # every draw fails: the last draw's error is raised after _MAX_FAILED_DRAWS draws
+    @staticmethod
+    def draw_by_draw(outcome):
+        """A stand-in for the grid's lock-step thresholds that counts the draws a draw-by-draw loop makes.
+
+        The grid discards every draw of a batch after the first without a
+        threshold, so the draws counted are those up to it; outcome(n) gives
+        draw n's threshold or raises its error.
+        """
         calls = []
 
-        def no_threshold(params, tol):
-            calls.append(params)
-            if len(calls) > 1000:
-                raise AssertionError("the grid draws without end")
-            raise TruncationNotConverged(f"draw {len(calls)}", 1.0, 5)
+        def thresholds(params_list, tol):
+            found = []
+            for params in params_list:
+                if found and isinstance(found[-1], Exception):
+                    found.append(found[-1])  # a draw the grid draws again
+                    continue
+                calls.append(params)
+                if len(calls) > 1000:
+                    raise AssertionError("the grid draws without end")
+                try:
+                    found.append(outcome(len(calls)))
+                except (NoPositiveRegion, TruncationNotConverged) as exc:
+                    found.append(exc)
+            return found
+        return calls, thresholds
 
-        monkeypatch.setattr(inequalities, "find_positive_threshold", no_threshold)
+    def test_draws_without_threshold_give_up(self, monkeypatch):
+        # every draw fails: the last draw's error is raised after _MAX_FAILED_DRAWS draws
+        def outcome(n):
+            raise TruncationNotConverged(f"draw {n}", 1.0, 5)
+        calls, thresholds = self.draw_by_draw(outcome)
+        monkeypatch.setattr(inequalities, "_thresholds", thresholds)
         with pytest.raises(TruncationNotConverged, match=f"^draw {_MAX_FAILED_DRAWS}$"):
             make_verification_grid("qk", 1, 3, seed=0)
         assert len(calls) == _MAX_FAILED_DRAWS
 
     def test_failed_draws_are_counted_in_a_row(self, monkeypatch):
         # one draw in _MAX_FAILED_DRAWS has a threshold, so no run of failures reaches the bound
-        calls = []
-
-        def sparse_threshold(params, tol):
-            calls.append(params)
-            if len(calls) % _MAX_FAILED_DRAWS:
+        def outcome(n):
+            if n % _MAX_FAILED_DRAWS:
                 raise NoPositiveRegion("no threshold")
             return 1.0
-
-        monkeypatch.setattr(inequalities, "find_positive_threshold", sparse_threshold)
+        calls, thresholds = self.draw_by_draw(outcome)
+        monkeypatch.setattr(inequalities, "_thresholds", thresholds)
         grid = make_verification_grid("qk", 3, 3, seed=0)
         assert len(grid.pairs) == 3 and len(calls) == 3 * _MAX_FAILED_DRAWS
+
+    def test_redrawn_grid_is_the_draw_by_draw_grid(self, monkeypatch):
+        # draws with q below 0.3 have no threshold here: the lock-step grid, which drew specs for them and
+        # for the draws after them, restores the rng and gets the pairs a draw-by-draw loop samples
+        rng = random.Random("qk:3:12")
+        pairs = []
+        while len(pairs) < 12:
+            params = inequalities._sample_params(rng, Family.QK)
+            if params.q < 0.3:
+                continue
+            spec = inequalities._spec_draws(rng, len(pairs), False)
+            pairs.append((params, spec(find_positive_threshold(params))))
+        thresholds = inequalities._thresholds
+
+        def some_thresholds(params_list, tol):
+            return [NoPositiveRegion("q below 0.3") if params.q < 0.3 else t0
+                    for params, t0 in zip(params_list, thresholds(params_list, tol))]
+        monkeypatch.setattr(inequalities, "_thresholds", some_thresholds)
+        grid = make_verification_grid("qk", 12, 3, seed=3)
+        assert grid.pairs == tuple(pairs)
+        assert sum(params.q < 0.3 for params, _ in pairs) == 0 and len(pairs) == 12
 
     def test_grid_spec_invariants(self):
         with pytest.raises(DomainError):
@@ -470,9 +510,33 @@ def test_suites_on_columns_report_as_on_one_point_calls(suite, monkeypatch):
     grid = make_verification_grid(family, 20, 10, seed=29, t_min=t_min, t_max=t_max)
     report = dumps(verify_bounds(suite, grid).as_dict())
 
-    def one_point_columns(fn, params, ts, tol):
-        results = [ONE_POINT[params.family.value, fn](t, params, tol) for t in ts]
-        return [r.value for r in results], [r.tail_bound for r in results], [r.terms_used for r in results]
-    monkeypatch.setattr(inequalities, "evaluate_columns", one_point_columns)
+    def one_point_lines(fn, lines, tol):
+        out = []
+        for params, ts in lines:
+            try:
+                results = [ONE_POINT[params.family.value, fn](t, params, tol) for t in ts]
+            except QDigammaError as exc:
+                out.append(exc)
+                continue
+            out.append(([r.value for r in results], [r.tail_bound for r in results], [r.terms_used for r in results]))
+        return out
+    monkeypatch.setattr(inequalities, "evaluate_lines", one_point_lines)
     assert dumps(verify_bounds(suite, grid).as_dict()) == report
     assert '"checks_run": 0' not in report
+
+
+@pytest.mark.parametrize("suite", list(Suite), ids=lambda s: s.value)
+def test_a_suite_makes_one_kernel_call_per_function(suite, monkeypatch):
+    # at 100 specs x 50 t: psi at every line in one call, and for lemma-cross psi' at the lines it needs in one
+    family = inequalities.SUITES[suite][0] or Family.QK
+    t_min, t_max = inequalities.SUITES[suite][1]
+    grid = make_verification_grid(family, 100, 50, seed=1, t_min=t_min, t_max=t_max)
+    calls, lines = [], inequalities.evaluate_lines
+
+    def counting_lines(fn, batch, tol):
+        calls.append(fn)
+        return lines(fn, batch, tol)
+    monkeypatch.setattr(inequalities, "evaluate_lines", counting_lines)
+    assert verify_bounds(suite, grid).passed
+    fn = inequalities.SUITES[suite][3]
+    assert calls == ([fn, "psi-prime"] if suite is Suite.LEMMA_CROSS else [fn])

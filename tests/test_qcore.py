@@ -32,7 +32,7 @@ from qdigamma import (
 )
 
 from qdigamma import qcore, reference
-from qdigamma.qcore import _N0, CHUNK, _em_qk, evaluate_columns, pairwise_sum
+from qdigamma.qcore import _N0, CHUNK, _em_qk, evaluate_columns, evaluate_lines, pairwise_sum
 
 from conftest import brute_ln_gamma_qk, brute_psi_pq, brute_psi_qk, brute_psi_qk_prime
 from lattice_oracle import pq_ln_gamma_oracle, qk_oracle
@@ -512,6 +512,107 @@ class TestColumns:
             assert {qcore._last_nonzero(0.0, math.log(0.5), 1, p) for p in (1074, 1075)} == {1074}
             t = 1075 / 33 * (1.0 - 1e-9)
             assert {psi_pq(t, DeformParams.pq(p, 0.5)).terms_used for p in (33, 34)} == {33}
+
+
+def _one_point_line(fn: str, params: DeformParams, ts) -> object:
+    """A line's columns from one-point calls, or the error of its first t that cannot be evaluated."""
+    try:
+        results = [SCALAR[params.family.value, fn](t, params) for t in ts]
+    except QDigammaError as exc:
+        return exc
+    return [r.value for r in results], [r.tail_bound for r in results], [r.terms_used for r in results]
+
+
+def _same_line(got, want) -> bool:
+    """Columns equal bit for bit, with the sign of zero, or errors of one type and message."""
+    if isinstance(want, QDigammaError):
+        return type(got) is type(want) and str(got) == str(want)
+    return (not isinstance(got, QDigammaError) and tuple(got) == tuple(want)
+            and [math.copysign(1.0, v) for v in got[0]] == [math.copysign(1.0, v) for v in want[0]])
+
+
+def _long_lines(family: str, rng: random.Random) -> list:
+    """Lines past the array crossover mixing every route, with a refusing line in the middle."""
+    spread = [rng.uniform(0.01, 5.0) for _ in range(150)]
+    if family == "qk":
+        return [
+            (DeformParams.qk(0.97, 1.0), spread),  # direct, and the lattice at small t
+            (DeformParams.qk(1e-9, 1.0), [0.5, 50.0, 2.0] * 30),  # psi sums no terms at t = 50
+            (DeformParams.qk(0.5, 0.7), [1.0] * 60 + [-1.0] + [2.0] * 10),  # refused at t = -1
+            (DeformParams.qk(0.5, 1e-3), [1e-306, 1.0, 1e-308] * 20),  # (1-q^k)(1-q^t) subnormal: the lattice
+            (DeformParams.qk(0.9, 1.0), [0.3, 1.0, 0.31] * 20),  # psi' widens its count twice at t = 0.3
+            (DeformParams.qk(0.9999, 1.3), [3.5, 0.5] * 30),  # the lattice past N0 terms
+        ]
+    return [
+        (DeformParams.pq(2000, 0.99), [0.5, 300.0, 2.0, 280.0, 1e-322] * 20),  # split or not; t ln q = -0.0
+        (DeformParams.pq(50, 1e-5), [100.0, 1.0] * 30),  # psi sums no terms at t = 100
+        (DeformParams.pq(20, 0.5), [1.0] * 60 + [-1.0] + [2.0] * 10),  # refused at t = -1
+        (DeformParams.pq(10**6, 0.999), [1.0, 2.5] * 30),  # ln Gamma on the lattice
+        (DeformParams.pq(10**200, 0.5), [1.0, 9e-155, 1e-160, 2.5]),  # psi' re-summed scaled, then refused
+        (DeformParams.pq(rng.randint(2, 30), rng.uniform(0.1, 0.9)), spread),
+    ]
+
+
+class TestLines:
+    """evaluate_lines, many lines in one batch, against one-point calls, bit for bit and with the sign of zero."""
+
+    @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
+    @pytest.mark.parametrize("family", ["qk", "pq"])
+    def test_lines_are_their_one_point_calls(self, family, fn):
+        rng = random.Random(f"lines:{family}:{fn}")
+        lines = _long_lines(family, rng) + [(params, ts) for params, ts, tol in _column_lines(family, rng)
+                                            if tol == Tolerance()]
+        assert sum(len(ts) for _, ts in lines) >= qcore._ARRAY_MIN and len(lines[0][1]) >= qcore._ARRAY_MIN
+        seen = set()
+        for (params, ts), got in zip(lines, evaluate_lines(fn, lines), strict=True):
+            want = _one_point_line(fn, params, ts)
+            assert _same_line(got, want), (fn, params)
+            if isinstance(want, QDigammaError):
+                seen.add("refused")
+                continue
+            seen.update("no terms" if n == 0 else "value" for n in want[2])
+            if family == "qk":
+                seen.update("lattice" if EvalResult(*r) == _em_qk(fn, params, t, Tolerance()) else "direct"
+                            for t, *r in zip(ts, *want))
+            elif fn != "ln-gamma":
+                seen.update("split" if _is_split(params, t, n) else "unsplit" for t, n in zip(ts, want[2]))
+            else:  # the whole line takes its factorial's route
+                seen.add("lattice" if qcore._last_nonzero(0.0, math.log(params.q), 1, params.p) > _N0 else "direct")
+        routes = {"split", "unsplit"} if family == "pq" and fn != "ln-gamma" else {"lattice", "direct"}
+        assert seen >= {"value", "refused"} | routes
+        if fn != "ln-gamma":
+            assert "no terms" in seen
+
+    @pytest.mark.parametrize("family", ["qk", "pq"])
+    def test_a_refusing_line_leaves_its_neighbours_unchanged(self, family):
+        lines = _long_lines(family, random.Random(f"neighbours:{family}"))
+        middle = 2  # refused at its t = -1
+        for fn in ("psi", "psi-prime", "ln-gamma"):
+            out = list(evaluate_lines(fn, lines))
+            assert isinstance(out[middle], DomainError) and str(out[middle]) == "t=-1.0 must be a positive finite real"
+            alone = evaluate_lines(fn, lines[:middle] + lines[middle + 1:])
+            assert all(_same_line(a, b) for a, b in zip(out[:middle] + out[middle + 1:], alone, strict=True))
+            with pytest.raises(DomainError, match="t=-1.0"):
+                evaluate_columns(fn, *lines[middle])
+
+    def test_lines_are_read_as_the_iterator_reaches_them(self):
+        # both families interleaved, from a generator: each line as its one-point calls, and no line is read
+        # before the iterator reaches the group it belongs to
+        qk, pq = _long_lines("qk", random.Random("lazy")), _long_lines("pq", random.Random("lazy"))
+        lines = [line for pair in zip(qk, pq) for line in pair]
+        read = []
+
+        def source():
+            for i, line in enumerate(lines):
+                read.append(i)
+                yield line
+        out = evaluate_lines("psi", source())
+        assert read == []
+        first = next(out)
+        assert _same_line(first, _one_point_line("psi", *lines[0])) and read == [0, 1]
+        for (params, ts), got in zip(lines[1:], out, strict=True):
+            assert _same_line(got, _one_point_line("psi", params, ts))
+        assert read == list(range(len(lines)))
 
 
 class TestPQUnderflow:

@@ -72,24 +72,29 @@ def test_undecided_sign_case():
 
 
 def test_grid_thresholds_take_at_most_12_kernel_calls(monkeypatch):
-    calls, roots = [], []
-    counted_threshold = ineq.find_positive_threshold
+    # at most 12 kernel requests a threshold, one line each; the grid runs the searches of all its draws in
+    # lock-step, at most two kernel calls a round and 30 a grid
+    calls, requests, roots = [], [], []
+    lock_step, lines = ineq._lock_step, ineq.evaluate_lines
 
-    def counting_evaluate(fn, params, ts, tol=DEFAULT_TOL):
+    def counting_lines(fn, batch, tol=DEFAULT_TOL):
         calls.append(fn)
-        return evaluate(fn, params, ts, tol)
+        requests.extend(batch)
+        return lines(fn, batch, tol)
 
-    def threshold(params, tol=DEFAULT_TOL):
-        roots.append(params)
-        return counted_threshold(params, tol)
+    def counting_lock_step(params_list, tol=DEFAULT_TOL):
+        roots.extend(params_list)
+        return lock_step(params_list, tol)
 
-    monkeypatch.setattr(ineq, "evaluate", counting_evaluate)
-    monkeypatch.setattr(ineq, "find_positive_threshold", threshold)
+    monkeypatch.setattr(ineq, "evaluate_lines", counting_lines)
+    monkeypatch.setattr(ineq, "_lock_step", counting_lock_step)
     for family in ("qk", "pq"):
         for seed in (1, 2, 3, 4):
+            before = len(calls)
             make_verification_grid(family, 100, 5, seed)
+            assert len(calls) - before <= 30, (family, seed)
     assert len(roots) >= 800
-    assert len(calls) / len(roots) <= 12.0
+    assert len(calls) / len(roots) <= 12.0 and len(requests) / len(roots) <= 12.0
 
 
 def test_large_root_terminates():
