@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .inequalities import (
     SUITES,
     RatioSpec,
     Suite,
+    _check_t_grid,
     _threshold_bracket,
     make_verification_grid,
     ratio_values,
@@ -208,10 +210,7 @@ def _cmd_values(args) -> int:
     if one_t:
         ts = [float(args.t)]
     else:
-        if args.t_count < 2:
-            raise DomainError("--t-count must be >= 2")
-        if not (args.t_min < args.t_max):
-            raise DomainError("need --t-min < --t-max")
+        _check_t_grid(args.t_min, args.t_max, args.t_count, ("--t-min", "--t-max", "--t-count"))
         ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.t_count)]
     params = _params_from(args)
     tol = _tol_from(args)
@@ -249,6 +248,7 @@ def _cmd_verify(args) -> int:
     if args.t_max is not None:
         t_hi = args.t_max
     tol = _tol_from(args)
+    _check_t_grid(t_lo, t_hi, args.t_points, ("--t-min", "--t-max", "--t-points"))
     grid = make_verification_grid(
         family, n_specs=args.specs, t_count=args.t_points, seed=args.seed,
         t_min=t_lo, t_max=t_hi, tol=tol,
@@ -283,6 +283,8 @@ def _parse_p_list(text: str) -> list:
 
 def _cmd_limits(args) -> int:
     tol = _tol_from(args)
+    if not (args.conv_tol > 0.0 and math.isfinite(args.conv_tol)):
+        raise DomainError(f"--conv-tol={args.conv_tol!r} must be positive and finite")
     config = {
         "command": "limits", "remark": args.remark, "t": args.t, "q": args.q,
         "k": args.k, "p": args.p, "j_max": args.j_max, "p_list": args.p_list,

@@ -103,10 +103,7 @@ class GridSpec:
     seed: int
 
     def __post_init__(self):
-        if self.t_count < 2:
-            raise DomainError(f"t_count={self.t_count!r} must be >= 2")
-        if not (self.t_min < self.t_max):
-            raise DomainError("need t_min < t_max")
+        _check_t_grid(self.t_min, self.t_max, self.t_count)
 
     def t_values(self) -> list:
         return [float(x) for x in np.linspace(self.t_min, self.t_max, self.t_count)]
@@ -173,6 +170,20 @@ def _positive(r: EvalResult) -> bool:
 
 def _negative(r: EvalResult) -> bool:
     return r.value + r.tail_bound < 0.0
+
+
+def _check_t_grid(t_min: float, t_max: float, t_count: int, names: tuple = ("t_min", "t_max", "t_count")) -> None:
+    """DomainError unless t_count >= 2 and t_min < t_max are finite and a finite distance apart, as names."""
+    lo, hi, count = names
+    if t_count < 2:
+        raise DomainError(f"{count}={t_count!r} must be >= 2")
+    for name, t in ((lo, t_min), (hi, t_max)):
+        if not math.isfinite(t):
+            raise DomainError(f"{name}={t!r} must be finite")
+    if not t_min < t_max:
+        raise DomainError(f"need {lo} < {hi}")
+    if math.isinf(t_max - t_min):
+        raise DomainError(f"{hi} - {lo} overflows a double")
 
 
 def _t_range(t_range: tuple) -> tuple:
@@ -768,7 +779,8 @@ def make_verification_grid(
     ordering holds on the whole range.
     The first two pairs exercise the exact boundary cases a=c, b=d,
     alpha=beta (ratio identically 1) and beta*d = alpha*b.  DomainError
-    unless n_specs >= 1: a grid without pairs would pass every suite unchecked.
+    unless n_specs >= 1: a grid without pairs would pass every suite unchecked;
+    and, before the first draw, unless the t-grid is one GridSpec accepts.
 
     The thresholds of all draws are found in lock-step (_thresholds), at
     most two kernel calls a round, 10 to 15 for a grid of 100.  Each draw's
@@ -780,6 +792,7 @@ def make_verification_grid(
     """
     if n_specs < 1:
         raise DomainError(f"n_specs={n_specs!r} must be >= 1")
+    _check_t_grid(t_min, t_max, t_count)
     family = Family(family)
     rng = random.Random(f"{family.value}:{seed}:{n_specs}")
     full_range = t_max > 1.0

@@ -35,7 +35,7 @@ kernel sums its series directly, and past it each takes a route whose term
 count does not grow like 1 / (1-q) wherever that route is the cheaper.
 
 Two routes for the QK series, chosen by one rule for psi, psi' and
-ln Gamma (_qk_batch).  The direct route sums the series above; it needs
+ln Gamma (_qk_line).  The direct route sums the series above; it needs
 about ln(1/abs_tol) / ((1-q) t) terms, millions as q -> 1-.  A point takes
 it only where its majorant stays in the floats: (1-q^k)(1-q^t), the divisor
 of the majorant, is at least the smallest normal float, and the majorant
@@ -73,7 +73,7 @@ within eps t relative, goes in the lead and the lattice starts at eps (t + k).
 
 ln Gamma_pq takes the same two routes by the same cut-off N0.  Its
 factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so
-their last nonzero index routes the whole batch (_pq_batch): through at
+their last nonzero index routes the whole line (_pq_gamma_line): through at
 most N0 it is summed directly, exactly (tail_bound 0).  Past N0 it takes
 the q-gamma identity Gamma_pq(t) = [p]_q^t Gamma_q(p+1) Gamma_q(t) /
 Gamma_q(t+p+1), Gamma_q = Gamma_qk at k = 1, as four infinite sums S_1 on
@@ -120,13 +120,17 @@ call: an iterator over, per line, three columns (values, tail bounds, terms
 used), or the error of its first t that cannot be evaluated, returned, not
 raised, so one refused line leaves its neighbours' columns as they are.
 ``evaluate_columns`` is its one-line case and raises that error;
-``evaluate`` makes the columns EvalResults.  The batch of each family routes
-every line, each in t order, in one pass, refusing a direct value that
-leaves the floats as the Euler-Maclaurin route does, and sums the direct
-rows of all lines together (_sum_rows), each row with its own parameters:
-bit for bit the six kernels.  Consecutive lines of one family go in groups
-of at most _BLOCK_TERMS / 4 points, read and evaluated as the iterator
-reaches them, so a batch in flight stays small.
+``evaluate`` makes the columns EvalResults.  One function, _batch, runs
+every batch from one table, _TABLE, whose entry per (family, function)
+names a router, the term function and first index of the direct rows, and
+a finisher.  The router takes a line in t order, appends the row of each
+direct point, and returns the line's state with the error of its first t
+that cannot be evaluated, or None, keeping the rows before that t.  The
+rows of all lines are summed together (_sum_rows), each with its own
+parameters, and the finisher makes a line's columns from its state and its
+rows' sums, or returns its refusal.  The six kernels are _batch's case
+of one point (_point).  Consecutive lines of one family go in groups of at
+most _BLOCK_TERMS / 4 points, read as the iterator reaches them.
 
 A (q,k) batch of at least _ARRAY_MIN = 96 points decides the direct route
 by array expressions over its whole column of t (_qk_direct): the t checks,
@@ -187,22 +191,25 @@ _SAFETY = 1.0 + 1e-12
 # the allocator's mmap threshold, so their pages are reused rather than faulted in afresh.
 CHUNK = 1 << 15
 _BLOCK_TERMS = CHUNK // 4
+# The float indices 0.._BLOCK_TERMS, read-only: a sum within them takes its indices as a view, not a new array
+_INDICES = np.arange(_BLOCK_TERMS + 1.0)
+_INDICES.flags.writeable = False
 
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
 # The one cut-off of direct summation.  A (q,k) point whose direct series needs at
 # most _N0 terms, by the closed form of its geometric majorant, is summed directly
-# (_qk_batch).  Past _N0 it takes the Euler-Maclaurin route unless that route's
+# (_qk_line).  Past _N0 it takes the Euler-Maclaurin route unless that route's
 # lattice needs more than n _EM_M / _N0 direct terms for a direct count n: _EM_M
 # lattice terms cost about as much as _N0 direct ones.  A psi_pq or psi_pq' sum of
 # more than _N0 terms may take the finite Lambert split, and a ln Gamma_pq batch with
-# more than _N0 nonzero factorial terms takes the lattice route (_pq_batch).
+# more than _N0 nonzero factorial terms takes the lattice route (_pq_gamma_line).
 _N0 = 1 << 10
 
 # p is held here, the largest float, before it meets a float: past it every power q^n and
 # q^(t+n) of ln Gamma_pq is 0.0, as is every q^(n t) and e^(-p a) of psi_pq and psi_pq' at
-# t |ln q| >= 750 / _P_HOLD, so the held p gives the value of p (_pq_batch)
+# t |ln q| >= 750 / _P_HOLD, so the held p gives the value of p (_pq_sum_line, _pq_gamma_line)
 _P_HOLD = int(sys.float_info.max)
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral, the
@@ -363,7 +370,8 @@ def pairwise_sum(term_fn, lo: int, hi: int) -> float:
     """
     n = hi - lo
     if n <= _BLOCK_TERMS:
-        return float(np.add.reduce(term_fn(np.arange(lo, hi, dtype=np.float64))))
+        index = _INDICES[lo:hi] if 0 <= lo and hi <= _BLOCK_TERMS else np.arange(lo, hi, dtype=np.float64)
+        return float(np.add.reduce(term_fn(index)))
     half = n // 2 - n // 2 % 8
     return pairwise_sum(term_fn, lo, lo + half) + pairwise_sum(term_fn, lo + half, hi)
 
@@ -375,8 +383,8 @@ def sum_terms(term_fn, n_first: int, n_last: int) -> float:
     numpy's pairwise order (pairwise_sum), the partials added by math.fsum (Shewchuk's
     error-free transformation), so the rounding error stays far below every certified tail bound.
     """
-    if 0 <= n_last - n_first < CHUNK:  # one chunk, as most sums are
-        return math.fsum((pairwise_sum(term_fn, n_first, n_last + 1),))
+    if 0 <= n_last - n_first < CHUNK:  # one chunk, as most sums are: the fsum of one partial is it + 0.0
+        return pairwise_sum(term_fn, n_first, n_last + 1) + 0.0
     partials = []
     for lo in range(n_first, n_last + 1, CHUNK):
         partials.append(pairwise_sum(term_fn, lo, min(lo + CHUNK, n_last + 1)))
@@ -400,7 +408,7 @@ def _block_column(c: np.ndarray):
 
 def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> list:
     """Sum terms(*x, n) over n = n_first..last for each row, its parameters x in cols and its own last, as
-    sum_terms would; cut: rows that end at their last nonzero term, so that their terms past it underflow.
+    sum_terms would; cut: rows that may end at their last nonzero term, so that their terms past it underflow.
 
     Rows are sorted widest first and packed into blocks of at most
     _BLOCK_TERMS terms (rows times the widest row).  A block's terms are
@@ -409,11 +417,12 @@ def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> lis
     call.  Block rows are at most _BLOCK_TERMS wide, so each is the single
     block of its sum_terms; fsum returns that sum unchanged except that it
     reads -0.0 as 0.0, which adding 0.0 reproduces.  Where the rows are
-    cut, a block forms a row's terms past its last, which no sum reads, at
-    n = n_first instead: numpy's exp takes about 16 times as long for a
-    result that underflows.  A row that fills a block alone, and every row
-    of a batch of fewer than _BLOCK_ROWS_MIN, is summed by sum_terms, in
-    blocks of _BLOCK_TERMS terms.
+    cut, a block of rows of more than one width forms a row's terms past its
+    last, which no sum reads, at n = n_first instead: numpy's exp takes
+    about 16 times as long for a result that underflows.  A block of rows of
+    one width has no such terms and skips that mask.  A row that fills
+    a block alone, and every row of a batch of fewer than _BLOCK_ROWS_MIN,
+    is summed by sum_terms, in blocks of _BLOCK_TERMS terms.
     Rows that sum no terms are 0.0 and build none, so their parameters, which
     may be far outside the range of the others (t ln q near -1e308), are
     never used.
@@ -437,10 +446,10 @@ def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> lis
             sums[r] = sum_terms(partial(terms, *(float(c[r]) for c in cols)), n_first, int(lasts[r]))
             continue
         n = np.arange(n_first, n_first + width, dtype=np.float64)
-        if cut:
+        widths = lasts[rows] - (n_first - 1)
+        if cut and widths[-1] < width:  # rows of more than one width
             n = np.where(n <= lasts[rows].reshape(-1, 1), n, float(n_first))
         block = terms(cols[0][rows].reshape(-1, 1), *map(_block_column, (c[rows] for c in cols[1:])), n)
-        widths = lasts[rows] - (n_first - 1)
         cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(rows)]
         sums[rows] = np.concatenate([np.add.reduce(block[lo:hi, :widths[lo]], axis=1)
                                      for lo, hi in zip(cuts, cuts[1:])]) + 0.0
@@ -661,9 +670,10 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
             paired, dropped = None, whole
     m = _EM_M
     while True:
-        closures = {a: _em_closure(s, a + m * h, h, share) for a in starts}
-        terms = sum([m + 2 + closures[a][3] for a in starts])
-        tail = sum([closures[a][1] for a in starts])
+        closures, terms, tail = {}, 0, 0  # a loop: three comprehensions cost about 1.5 us a call
+        for a in starts:
+            closures[a] = closure = _em_closure(s, a + m * h, h, share)
+            terms, tail = terms + m + 2 + closure[3], tail + closure[1]
         if paired:
             pair_closure = _em_pair_closure(c + m * h, d, h, share)
             terms, tail = terms + m + pair_closure[3], tail + pair_closure[1]
@@ -735,13 +745,9 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance, m_cap: float
 
 
 # -- batch kernels ----------------------------------------------------------
-# A batch is a list of lines (params, ts) of one family, routed in one pass
-# over their points, each line in t order: each t's checks, term count and
-# route.  A point on the direct route gets no tuple or result object: it
-# appends the row of its sum (the parameters of its terms and its last term)
-# to the batch's rows; _sum_rows sums the rows of all lines together, and
-# each line leaves as three columns (values, tail bounds and terms used), or
-# as the error of its first t that cannot be evaluated.
+# A point on the direct route gets no tuple or result object: it appends the
+# row of its sum (the parameters of its terms and its last term) to the
+# batch's rows, which _batch sums together.
 
 
 def _check_t(t: float) -> float:
@@ -812,7 +818,7 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
     underflows.  Where psi_qk sums the direct series these are its terms_used
     and tail_bound but for a rare widening by one rounding: at N <= N0, and
     past N0 where the Euler-Maclaurin lattice would need more than N _EM_M /
-    N0 terms (_qk_batch).  Elsewhere N is the count the direct series would
+    N0 terms (_qk_line).  Elsewhere N is the count the direct series would
     need.
     """
     params.require(Family.QK)
@@ -841,11 +847,12 @@ def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, las
     function's checks, in order: _check_ln_gamma_t, or _check_t and
     _series_ratio.
 
-    Returns (values, tails, terms, rows, scale).  A direct point appends its
-    row to the batch's: the parameters of its terms to cols and its last
-    index to lasts; rows lists those points in order, and each one's value,
-    its lead here, becomes lead + scale * its sum (_qk_batch).
-    Raises the error of the first t that cannot be evaluated.
+    Returns ((values, tails, terms, rows, scale), refusal).  A direct point
+    appends its row to the batch's: the parameters of its terms to cols and
+    its last index to lasts; rows lists those points in order, and each
+    one's value, its lead here, becomes lead + scale * its sum (_qk_finish).
+    refusal is the error of the first t that cannot be evaluated, or None;
+    the points before it keep their rows.
     """
     q, k = params.q, params.k
     ln_q = math.log(q)
@@ -869,45 +876,58 @@ def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, las
         lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
         add_x, add_kl = cols[0].append, cols[1].append
     values, tails, terms, rows = [], [], [], []
-    for i, t in enumerate(ts):
-        if gamma:
-            t = _check_ln_gamma_t(t, ln_q)
-            ln_r, one_minus_r = t * ln_q, -math.expm1(t * ln_q)
-        else:
-            t = _check_t(t)
-            ln_r, one_minus_r = _series_ratio(t, ln_q)
-            if one_minus_r is None:  # every term underflows: the limit value is exact
-                add_x(ln_r), add_kl(ln_s), lasts.append(0), rows.append(i)
-                values.append(lead), tails.append(0.0), terms.append(0)
+    state = values, tails, terms, rows, scale
+    try:
+        for i, t in enumerate(ts):
+            if gamma:
+                t = _check_ln_gamma_t(t, ln_q)
+                ln_r, one_minus_r = t * ln_q, -math.expm1(t * ln_q)
+            else:
+                t = _check_t(t)
+                ln_r, one_minus_r = _series_ratio(t, ln_q)
+                if one_minus_r is None:  # every term underflows: the limit value is exact
+                    add_x(ln_r), add_kl(ln_s), lasts.append(0), rows.append(i)
+                    values.append(lead), tails.append(0.0), terms.append(0)
+                    continue
+            found = res = None
+            if one_minus_qk * one_minus_r >= _MIN_NORMAL:
+                n = count if gamma else geometric_count(
+                    coeff / one_minus_r if prime else coeff / (one_minus_qk * one_minus_r), ln_r, tol.abs_tol)
+                if n > _N0:  # the lattice goes first, its cost capped at that of n direct terms; uncapped past n_max
+                    res = _em_qk(fn, params, t, tol, n * _EM_M / _N0 if n <= tol.n_max else math.inf)
+                if res is None:
+                    tail_at = tail_at or _majorant(fn, ln_q, ln_s, one_minus_qk)
+                    n = min(tol.n_max, n)
+                    found = n, tail_at(n, ln_r, one_minus_r)
+                    if found[1] > tol.abs_tol:  # widen, over the points still above abs_tol only
+                        found = geometric_terms_needed(lambda m: tail_at(m, ln_r, one_minus_r), *found,
+                                                       ln_s if gamma else ln_r, tol)
+            if found is None:
+                res = res or _em_qk(fn, params, t, tol)
+                values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
                 continue
-        found = res = None
-        if one_minus_qk * one_minus_r >= _MIN_NORMAL:
-            n = count if gamma else geometric_count(
-                coeff / one_minus_r if prime else coeff / (one_minus_qk * one_minus_r), ln_r, tol.abs_tol)
-            if n > _N0:  # the lattice goes first, its cost capped at that of n direct terms; uncapped past n_max
-                res = _em_qk(fn, params, t, tol, n * _EM_M / _N0 if n <= tol.n_max else math.inf)
-            if res is None:
-                tail_at = tail_at or _majorant(fn, ln_q, ln_s, one_minus_qk)
-                n = min(tol.n_max, n)
-                found = n, tail_at(n, ln_r, one_minus_r)
-                if found[1] > tol.abs_tol:  # widen, over the points still above abs_tol only
-                    found = geometric_terms_needed(lambda m: tail_at(m, ln_r, one_minus_r), *found,
-                                                   ln_s if gamma else ln_r, tol)
-        if found is None:
-            res = res or _em_qk(fn, params, t, tol)
-            values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
-            continue
-        if gamma:
-            lead = _qk_gamma_lead(t, k, ln1mq)
-            if not math.isfinite(lead):
-                raise _lead_refusal(t)
-            add_x(min(t, t_cap)), add_k(k), add_ln_q(ln_q)
-        else:
-            add_x(ln_r), add_kl(ln_s)
-        # ln Gamma's N factor pairs are its terms n = 0..N-1
-        lasts.append(found[0] - 1 if gamma else found[0]), rows.append(i)
-        values.append(lead), tails.append(found[1]), terms.append(found[0])
-    return values, tails, terms, rows, scale
+            if gamma:
+                lead = _qk_gamma_lead(t, k, ln1mq)
+                if not math.isfinite(lead):
+                    raise _lead_refusal(t)
+                add_x(min(t, t_cap)), add_k(k), add_ln_q(ln_q)
+            else:
+                add_x(ln_r), add_kl(ln_s)
+            # ln Gamma's N factor pairs are its terms n = 0..N-1
+            lasts.append(found[0] - 1 if gamma else found[0]), rows.append(i)
+            values.append(lead), tails.append(found[1]), terms.append(found[0])
+    except QDigammaError as exc:
+        return state, exc
+    return state, None
+
+
+def _qk_finish(state: tuple, refusal, sums: list):
+    """The columns of a (q,k) line routed by _qk_line, from its rows' sums, or its refusal."""
+    values, tails, terms, rows, scale = state
+    if rows and not refusal:  # a line on the lattice has none, and an empty zip costs as much as the rest
+        for i, s in zip(rows, sums):
+            values[i] += scale * s
+    return refusal or (values, tails, terms)
 
 
 # Points per (q,k) batch from which the direct route is decided by array expressions over the batch's
@@ -975,13 +995,20 @@ def _qk_direct(fn: str, c: dict, t: np.ndarray, tol: Tolerance) -> tuple:
         return plain, np.minimum(t, sys.float_info.max / (2.0 * -ln_q)), n, tail, lead
 
 
-def _qk_array_lines(fn: str, lines: list, t_all: np.ndarray, tol: Tolerance, cols: tuple, lasts: list) -> list:
-    """_qk_line at every line, its direct route decided by _qk_direct in chunks of _BLOCK_TERMS points.
+def _qk_array_lines(fn: str, lines: list, tol: Tolerance, cols: tuple, lasts: list) -> list | None:
+    """_qk_line at every line of a batch of at least _ARRAY_MIN points, as _batch routes them, or None.
 
-    Each line gets the direct points of _qk_direct, in order, and then the
-    others one by one through _qk_line, in order, until the first refusal,
-    so every line has the columns, rows and error that _qk_line gives it.
+    _qk_direct decides the direct route in chunks of _BLOCK_TERMS points;
+    each line gets its direct points, in order, and then its other points
+    through _qk_line, so it has the columns and refusal _qk_line gives it.
     """
+    if not ((len(lines) > 1 or len(lines[0][1]) >= _ARRAY_MIN) and tol.n_max < 1 << 53
+            and sum(len(ts) for _, ts in lines) >= _ARRAY_MIN):
+        return None
+    try:
+        t_all = np.array([t for _, ts in lines for t in ts], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # a t that is not a float: refused t by t
+        return None
     gamma, prime = fn == "ln-gamma", fn == "psi-prime"
     qs, ks = (np.array([getattr(params, a) for params, _ in lines]) for a in ("q", "k"))
     ln_q = _mapped(math.log, qs)
@@ -1016,7 +1043,7 @@ def _qk_array_lines(fn: str, lines: list, t_all: np.ndarray, tol: Tolerance, col
     lead, ks, ln_q, ln_s = (None if lead is None else lead.tolist()), ks.tolist(), ln_q.tolist(), ln_s.tolist()
     out, a = [], 0
     for i, ((params, ts), size) in enumerate(zip(lines, sizes)):
-        b, mark = a + size, len(lasts)
+        b, start = a + size, len(lasts)
         on = plain[a:b]
         rows = list(compress(range(size), on))
         cols[0].extend(compress(x[a:b], on)), lasts.extend(compress(lasts_all[a:b], on))
@@ -1024,106 +1051,39 @@ def _qk_array_lines(fn: str, lines: list, t_all: np.ndarray, tol: Tolerance, col
             cols[1].extend([ks[i]] * len(rows)), cols[2].extend([ln_q[i]] * len(rows))
         else:
             cols[1].extend([ln_s[i]] * len(rows))
-        # a direct point's value is its lead until its sum arrives (_qk_batch)
+        # a direct point's value is its lead until its sum arrives (_qk_finish)
         values, tails, terms = lead[a:b] if gamma else [line_leads[i]] * size, tail[a:b], terms_all[a:b]
-        try:
-            for j in compress(range(size), map(not_, on)):  # the other points, t by t
-                (v,), (tl,), (tm,), row, _ = _qk_line(fn, params, (ts[j],), tol, cols, lasts)
+        state, refusal = (values, tails, terms, rows, scales[i]), None
+        if len(rows) < size:  # the other points, t by t
+            others = list(compress(range(size), map(not_, on)))
+            line, refusal = _qk_line(fn, params, [ts[j] for j in others], tol, cols, lasts)
+            for j, v, tl, tm in zip(others, *line[:3]):
                 values[j], tails[j], terms[j] = v, tl, tm
-                if row:
-                    rows.append(j)
-            out.append((values, tails, terms, rows, scales[i]))
-        except QDigammaError as exc:
-            for c in (*cols, lasts):
-                del c[mark:]
-            out.append(exc)
+            rows += [others[r] for r in line[3]]
+        out.append((start, state, refusal, len(lasts)))
         a = b
     return out
-
-
-def _qk_batch(fn: str, lines: list, tol: Tolerance) -> list:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every line (params, ts) of a batch.
-
-    Returns, per line, its columns (values, tails, terms), or the error of
-    its first t that cannot be evaluated.  Every line is routed by _qk_line's
-    rule, by that loop below _ARRAY_MIN points in all and by _qk_direct's
-    arrays from there, and the direct rows of all lines are summed together
-    (_sum_rows), each with its own k ln q (ln q and k for ln Gamma).
-    """
-    gamma = fn == "ln-gamma"
-    cols, lasts = ([], [], []) if gamma else ([], []), []
-    t_all = None
-    if (len(lines) > 1 or len(lines[0][1]) >= _ARRAY_MIN) and tol.n_max < 1 << 53 \
-            and sum(len(ts) for _, ts in lines) >= _ARRAY_MIN:
-        try:
-            t_all = np.array([t for _, ts in lines for t in ts], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # a t that is not a float: refused t by t below
-            pass
-    if t_all is not None:
-        out = _qk_array_lines(fn, lines, t_all, tol, cols, lasts)
-    else:
-        out = []
-        for params, ts in lines:
-            mark = len(lasts)
-            try:
-                out.append(_qk_line(fn, params, ts, tol, cols, lasts))
-            except QDigammaError as exc:
-                for c in (*cols, lasts):
-                    del c[mark:]
-                out.append(exc)
-    if lasts:
-        terms_fn, first = _qk_terms(fn)
-        sums = iter(_sum_rows(terms_fn, cols, first, lasts))
-        for line in out:
-            if not isinstance(line, QDigammaError):
-                values, _, _, rows, scale = line
-                for i, s in zip(rows, sums):  # zip takes as many sums as the line has rows
-                    values[i] += scale * s
-    return [line if isinstance(line, QDigammaError) else line[:3] for line in out]
-
-
-def _qk_terms(fn: str) -> tuple:
-    """(term function, first index) of the direct rows of a (q,k) kernel: ln Gamma's N factor pairs are its
-    terms n = 0..N-1, psi's terms n = 1..N."""
-    if fn == "ln-gamma":
-        return _ln_gamma_qk_terms, 0
-    return (_psi_prime_terms if fn == "psi-prime" else _psi_terms), 1
-
-
-def _qk_point(fn: str, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    """fn of the (q,k) family at one t: _qk_batch's case of one line of one point, routed by _qk_line."""
-    params.require(Family.QK)
-    cols, lasts = ([], [], []) if fn == "ln-gamma" else ([], []), []
-    (value,), (tail,), (terms,), rows, scale = _qk_line(fn, params, (t,), tol, cols, lasts)
-    if rows:
-        terms_fn, first = _qk_terms(fn)
-        (s,) = _sum_rows(terms_fn, cols, first, lasts)
-        value += scale * s
-    return EvalResult(value, tail, terms)
-
-
-def _overflows(n: int) -> TruncationNotConverged:
-    return TruncationNotConverged("finite sum overflows double precision", math.inf, n)
 
 
 def _capped(n: int, tol: Tolerance) -> TruncationNotConverged:
     return TruncationNotConverged(f"finite sum needs {n} terms, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
 
 
-def _pq_sum_line(params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
-    """Route one psi or psi' (p,q) line in t order: (p, ln q, heads, refusal, end), its rows appended to cols
-    (x, ln q) and lasts.
+def _pq_sum_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
+    """Route one psi or psi' (p,q) line in t order: ((prime, p, ln q, terms, heads), refusal), its rows
+    appended to cols (x, ln q) and lasts.
 
-    p is held at _P_HOLD; heads lists (row, t, T) of its split points;
-    refusal is the error of the first t that cannot be routed, or None, and
-    the rows before it are kept, as a split point before it may overflow,
-    and that refusal comes first; end is len(lasts) after its rows.
+    p is held at _P_HOLD; terms lists the count T + L of each row, heads
+    (row, t, T) of its split rows; refusal is the error of the first t that
+    cannot be routed, or None, and the rows before it are kept, as a split
+    point before it may overflow, and that refusal comes first.
     """
     p = min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
     ln_q = math.log(params.q)
     root = math.sqrt(_EXP_ZERO / ln_q)
     add_x, add_ln_q = cols[0].append, cols[1].append
-    heads, first = [], len(lasts)
+    terms, heads = [], []
+    state = fn == "psi-prime", p, ln_q, terms, heads
     try:
         for t in map(_check_t, ts):
             x = t * ln_q
@@ -1134,44 +1094,46 @@ def _pq_sum_line(params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: l
             if shift > 0:
                 split = _last_nonzero(0.0, (t + shift) * ln_q, 1, p)
                 if shift + split < last:
-                    heads.append((len(lasts) - first, t, shift))
                     x, last, count = (t + shift) * ln_q, split, shift + split
             if count > tol.n_max:
                 raise _capped(count, tol)
-            add_x(x), add_ln_q(ln_q), lasts.append(last)
-    except QDigammaError as exc:  # the point refused may have been split already
-        return p, ln_q, [h for h in heads if h[0] < len(lasts) - first], exc, len(lasts)
-    return p, ln_q, heads, None, len(lasts)
+            if count > last:  # split, with T = count - last head terms
+                heads.append((len(terms), t, count - last))
+            add_x(x), add_ln_q(ln_q), lasts.append(last), terms.append(count)
+    except QDigammaError as exc:
+        return state, exc
+    return state, None
 
 
-def _pq_sum_values(prime: bool, p: int, ln_q: float, sums: list, terms: list, heads: list) -> tuple:
-    """(values, terms) of a psi or psi' (p,q) line from its rows' sums F(t + T) and counts, and its heads."""
-    rest = sums
-    if heads:
-        rows, tl, shifts = zip(*heads)
-        terms, sums = terms.copy(), sums.copy()
-        with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, re-summed below
-            head_sums = _sum_rows(_head_terms(-ln_q, p, prime), (tl,), 0, [s - 1 for s in shifts])
-        for i, shift, h in zip(rows, shifts, head_sums):
-            sums[i], terms[i] = h + sums[i], shift + terms[i]
+def _pq_sum_finish(state: tuple, refusal, sums: list):
+    """The columns of a psi or psi' (p,q) line routed by _pq_sum_line, from its rows' sums F(t + T) and its heads,
+    or the error of its first point, in order, that overflows or cannot be routed."""
+    prime, p, ln_q, terms, heads = state
     lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
     values = [lead + scale * s for s in sums]
-    for i, t, shift in heads:
-        if not math.isfinite(values[i]):  # the head may pass the floats only unscaled: re-sum it scaled
-            with np.errstate(over="ignore", divide="ignore"):
-                (h,) = _sum_rows(_head_terms(-ln_q, p, prime, scaled=True), ([t],), 0, [shift - 1])
-            values[i] = lead + (h + scale * rest[i])
-    return values, terms
+    if heads:
+        rows, tl, shifts = zip(*heads)
+        with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, re-summed scaled
+            head_sums = _sum_rows(_head_terms(-ln_q, p, prime), (tl,), 0, [s - 1 for s in shifts])
+            for i, t, shift, h in zip(rows, tl, shifts, head_sums):
+                values[i] = lead + scale * (h + sums[i])
+                if not math.isfinite(values[i]):  # the head may pass the floats only unscaled
+                    (h,) = _sum_rows(_head_terms(-ln_q, p, prime, scaled=True), ([t],), 0, [shift - 1])
+                    values[i] = lead + (h + scale * sums[i])
+    for value, n in zip(values, terms):
+        if not math.isfinite(value):
+            return TruncationNotConverged("finite sum overflows double precision", math.inf, n)
+    return refusal or (values, [0.0] * len(values), terms)
 
 
-def _pq_gamma_line(params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
-    """Route one ln Gamma (p,q) line in t order: (values, tails, terms, leads, n_fact).
+def _pq_gamma_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
+    """Route one ln Gamma (p,q) line in t order: ((values, tails, terms, leads, n_fact, ln q), refusal).
 
     The whole line takes its factorial's route: the lattice past N0 nonzero
     factors, whose values are final here; otherwise each point appends the
     row of its shifted sum to cols (t, ln q) and lasts, and its value is its
-    lead less that sum, plus the factorial's (_pq_batch).  Raises the error
-    of the first t that cannot be evaluated.
+    lead less that sum, plus the factorial's (_pq_gamma_finish).  refusal is
+    the error of the first t that cannot be evaluated, or None.
     """
     p = min(params.p, _P_HOLD)
     ln_q = math.log(params.q)
@@ -1179,82 +1141,23 @@ def _pq_gamma_line(params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts:
     n_fact = _last_nonzero(0.0, ln_q, 1, p)
     eps = -ln_q
     values, tails, terms, leads = [], [], [], []
-    for t in ts:
-        t = _check_ln_gamma_t(t, ln_q)
-        leads.append(ln1mq + t * lead)
-        if n_fact > _N0:  # the near pair, and the far one reversed, S_1(p+1) - S_1(t+p+1), term by term
-            res = _em_lattice(1, ((eps * t, eps),), eps, leads[-1], 1.0, tol, paired=(eps * (p + 1), eps * t))
-            values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
-            continue
-        if n_fact > tol.n_max:  # refused at the first point, as a one-point call refuses it
-            raise _capped(n_fact, tol)
-        if not math.isfinite(leads[-1]):
-            raise _lead_refusal(t)
-        cols[0].append(t), cols[1].append(ln_q), lasts.append(_last_nonzero(t, ln_q, 0, p))
-    return values, tails, terms, leads, n_fact
-
-
-def _pq_point(fn: str, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
-    """psi or psi' of the (p,q) family at one t: _pq_batch's case of one line of one point."""
-    params.require(Family.PQ)
-    prime, cols, lasts = fn == "psi-prime", ([], []), []
-    p, ln_q, heads, refusal, _ = _pq_sum_line(params, (t,), tol, cols, lasts)
-    if refusal:
-        raise refusal
-    sums = _sum_rows(_psi_prime_terms if prime else _psi_terms, cols, 1, lasts)
-    (value,), (terms,) = _pq_sum_values(prime, p, ln_q, sums, lasts, heads)
-    if not math.isfinite(value):
-        raise _overflows(terms)
-    return EvalResult(value, 0.0, terms)
-
-
-def _pq_batch(fn: str, lines: list, tol: Tolerance) -> list:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (p,q) family at every line (params, ts) of a batch.
-
-    Returns, per line, its columns (values, tails, terms), or the error of
-    its first t that cannot be evaluated.  psi and psi' sum F(t) = sum_{n=1..p}
-    q^(nt) / (1 - q^n), times n for psi', by the finite Lambert split (module
-    docstring): T closed-form head terms, then F(t + T) through its last
-    nonzero term L (_last_nonzero), with T = floor(sqrt(Z) - t), Z =
-    _EXP_ZERO / ln q, where the unsplit count (L at T = 0) is past N0 and T +
-    L is below it, and T = 0 otherwise.  terms_used is T + L and tail_bound
-    0.  ln Gamma's whole line takes its factorial's route: the lattice past
-    N0 nonzero factors.  A direct sum is refused where its count is past
-    n_max.  p past _P_HOLD is held there; psi and psi' refuse a t where that
-    would not give the value of p.  The rows of all lines are summed
-    together, each with its own ln q.
-    """
-    cols, lasts, out = ([], []), [], []
-    if fn != "ln-gamma":
-        prime = fn == "psi-prime"
-        routed = [_pq_sum_line(params, ts, tol, cols, lasts) for params, ts in lines]
-        a, cut = 0, False
-        for p, _, _, _, b in routed:  # a row short of its p ends at its last nonzero term
-            cut, a = cut or min(lasts[a:b], default=p) < p, b
-        sums = _sum_rows(_psi_prime_terms if prime else _psi_terms, cols, 1, lasts, cut) if lasts else []
-        a = 0
-        for p, ln_q, heads, refusal, b in routed:
-            values, terms = _pq_sum_values(prime, p, ln_q, sums[a:b], lasts[a:b], heads)
-            a = b
-            for value, n in zip(values, terms):
-                if not math.isfinite(value):
-                    refusal = _overflows(n)
-                    break
-            out.append(refusal or (values, [0.0] * len(values), terms))
-        return out
-    for params, ts in lines:
-        mark = len(lasts)
-        try:
-            out.append(_pq_gamma_line(params, ts, tol, cols, lasts))
-        except QDigammaError as exc:
-            for c in (*cols, lasts):
-                del c[mark:]
-            out.append(exc)
-    shifted = iter(_sum_rows(_pq_shifted_terms, cols, 0, lasts, cut=True) if lasts else ())
-    for i, ((params, _), line) in enumerate(zip(lines, out)):
-        if not isinstance(line, QDigammaError):
-            out[i] = _pq_gamma_values(params, line, shifted)
-    return out
+    state = values, tails, terms, leads, n_fact, ln_q
+    try:
+        for t in ts:
+            t = _check_ln_gamma_t(t, ln_q)
+            leads.append(ln1mq + t * lead)
+            if n_fact > _N0:  # the near pair, and the far one reversed, S_1(p+1) - S_1(t+p+1), term by term
+                res = _em_lattice(1, ((eps * t, eps),), eps, leads[-1], 1.0, tol, paired=(eps * (p + 1), eps * t))
+                values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
+                continue
+            if n_fact > tol.n_max:  # refused at the first point, as a one-point call refuses it
+                raise _capped(n_fact, tol)
+            if not math.isfinite(leads[-1]):
+                raise _lead_refusal(t)
+            cols[0].append(t), cols[1].append(ln_q), lasts.append(_last_nonzero(t, ln_q, 0, p))
+    except QDigammaError as exc:
+        return state, exc
+    return state, None
 
 
 def _pq_shifted_terms(x, ln_q, n):
@@ -1262,19 +1165,66 @@ def _pq_shifted_terms(x, ln_q, n):
     return _ln1m_exp_terms((x + n) * ln_q)
 
 
-def _pq_gamma_values(params: DeformParams, line: tuple, shifted) -> tuple:
-    """The columns of a ln Gamma (p,q) line routed by _pq_gamma_line, its shifted sums taken from shifted in order."""
-    values, tails, terms, leads, n_fact = line
-    if values or not leads:  # on the lattice, or no points
-        return values, tails, terms
+def _pq_gamma_finish(state: tuple, refusal, sums: list):
+    """The columns of a ln Gamma (p,q) line routed by _pq_gamma_line, from its shifted sums, or its refusal."""
+    values, tails, terms, leads, n_fact, ln_q = state
+    if refusal or values or not leads:  # refused, on the lattice, or no points
+        return refusal or (values, tails, terms)
     # lead + -1.0 * (shifted - factorial) has the bits of lead + (factorial - shifted)
-    ln_q = math.log(params.q)
     factorial = sum_terms(lambda n: _ln1m_exp_terms(n * ln_q), 1, n_fact)
-    return [x + -1.0 * (s - factorial) for x, s in zip(leads, shifted)], [0.0] * len(leads), [n_fact] * len(leads)
+    return [x + -1.0 * (s - factorial) for x, s in zip(leads, sums)], [0.0] * len(leads), [n_fact] * len(leads)
 
 
-_KERNELS = {Family.QK: _qk_batch, Family.PQ: _pq_batch}
+# _TABLE[family][fn] = (route, terms, first, width, cut, finish, arrays), plain tuples as they unpack fastest:
+# route(fn, params, ts, tol, cols, lasts) -> (state, refusal) as _qk_line; rows sum terms(*x, n), n >= first, over
+# width columns x; cut as in _sum_rows; finish(state, refusal, sums) -> columns or refusal; arrays: _qk_array_lines.
+_TABLE = {
+    Family.QK: {
+        "psi": (_qk_line, _psi_terms, 1, 2, False, _qk_finish, _qk_array_lines),
+        "psi-prime": (_qk_line, _psi_prime_terms, 1, 2, False, _qk_finish, _qk_array_lines),
+        "ln-gamma": (_qk_line, _ln_gamma_qk_terms, 0, 3, False, _qk_finish, _qk_array_lines),
+    },
+    Family.PQ: {
+        "psi": (_pq_sum_line, _psi_terms, 1, 2, True, _pq_sum_finish, None),
+        "psi-prime": (_pq_sum_line, _psi_prime_terms, 1, 2, True, _pq_sum_finish, None),
+        "ln-gamma": (_pq_gamma_line, _pq_shifted_terms, 0, 2, True, _pq_gamma_finish, None),
+    },
+}
 _FNS = ("psi", "psi-prime", "ln-gamma")
+
+
+def _batch(fn: str, lines: list, tol: Tolerance) -> list:
+    """fn at every line (params, ts) of a batch of one family, by its _TABLE entry: per line its columns (values,
+    tails, terms) or the error of its first t that cannot be evaluated.  The direct rows of all lines are summed
+    together (_sum_rows), each with its own parameters, and each line's finisher reads the sums of its own."""
+    route, terms_fn, first, width, cut, finish, arrays = _TABLE[lines[0][0].family][fn]
+    cols, lasts = ([], []) if width == 2 else ([], [], []), []
+    routed = arrays(fn, lines, tol, cols, lasts) if arrays else None
+    if routed is None:  # loops, not comprehensions: a batch of one short line is most of the calls
+        routed = []
+        for params, ts in lines:
+            start = len(lasts)
+            state, refusal = route(fn, params, ts, tol, cols, lasts)
+            routed.append((start, state, refusal, len(lasts)))
+    sums = _sum_rows(terms_fn, cols, first, lasts, cut) if lasts else lasts
+    out = []
+    for start, state, refusal, end in routed:
+        out.append(finish(state, refusal, sums[start:end]))
+    return out
+
+
+def _point(family: Family, fn: str, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
+    """fn of the family at one t: _batch's case of one line of one point, its refusal raised."""
+    params.require(family)
+    route, terms_fn, first, width, _, finish, _ = _TABLE[family][fn]
+    cols, lasts = ([], []) if width == 2 else ([], [], []), []
+    state, refusal = route(fn, params, (t,), tol, cols, lasts)
+    line = finish(state, refusal, _sum_rows(terms_fn, cols, first, lasts) if lasts else lasts)
+    if isinstance(line, QDigammaError):
+        raise line
+    (value,), (tail,), (terms,) = line
+    return EvalResult(value, tail, terms)
+
 
 # Points per batch of evaluate_lines: its lines are routed and summed in groups of at most this many
 # points, so the rows and columns in flight stay small (a verify suite's 10,200 psi points at once
@@ -1301,31 +1251,31 @@ def evaluate_lines(fn: str, lines, tol: Tolerance = DEFAULT_TOL):
 
 
 def _line_groups(fn: str, lines, tol: Tolerance):
-    """The entries of evaluate_lines, one group of lines per kernel batch."""
+    """The entries of evaluate_lines, one group of lines per _batch."""
     group, size = [], 0
     for params, ts in lines:
         ts = ts if isinstance(ts, (list, tuple)) else list(ts)
         if group and (params.family is not group[0][0].family or size + len(ts) > _GROUP_POINTS):
-            yield from _KERNELS[group[0][0].family](fn, group, tol)
+            yield from _batch(fn, group, tol)
             group, size = [], 0
         group.append((params, ts))
         size += len(ts)
     if group:
-        yield from _KERNELS[group[0][0].family](fn, group, tol)
+        yield from _batch(fn, group, tol)
 
 
 def evaluate_columns(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """fn ("psi", "psi-prime" or "ln-gamma") of params' family at every t in ts, as columns.
 
-    The one-line case of evaluate_lines, whose one group is its family's
-    batch of this one line: returns (values, tail_bounds, terms_used), three
-    lists in the order of ts; each element is that of the one-point kernel
-    at its t, bit for bit.  Raises the error of the first t, in order, that
-    cannot be evaluated.
+    The one-line case of evaluate_lines, whose one group is a _batch of
+    this one line: returns (values, tail_bounds, terms_used), three lists in
+    the order of ts; each element is that of the one-point kernel at its t,
+    bit for bit.  Raises the error of the first t, in order, that cannot be
+    evaluated.
     """
     if fn not in _FNS:
         raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
-    (line,) = _KERNELS[params.family](fn, [(params, ts if isinstance(ts, (list, tuple)) else list(ts))], tol)
+    (line,) = _batch(fn, [(params, ts if isinstance(ts, (list, tuple)) else list(ts))], tol)
     if isinstance(line, QDigammaError):
         raise line
     return line
@@ -1351,7 +1301,7 @@ def psi_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     ((1-q^k)(1-r)) with r = q^t; near q = 1 the Euler-Maclaurin route's
     remainder bound instead (see the module docstring).
     """
-    return _qk_point("psi", t, params, tol)
+    return _point(Family.QK, "psi", t, params, tol)
 
 
 def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -1360,7 +1310,7 @@ def psi_qk_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -
     Direct route's tail majorant after N terms:
     (ln q)^2/(1-q^k) * r^(N+1)((N+1)(1-r)+r)/(1-r)^2.
     """
-    return _qk_point("psi-prime", t, params, tol)
+    return _point(Family.QK, "psi-prime", t, params, tol)
 
 
 def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -1373,7 +1323,7 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     is formed as t (-ln(1-q)/k) + ln(1-q) where t/k overflows first, so a
     value that fits is returned.
     """
-    return _qk_point("ln-gamma", t, params, tol)
+    return _point(Family.QK, "ln-gamma", t, params, tol)
 
 
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -1384,12 +1334,12 @@ def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> Eval
     nothing; see the module docstring), so terms_used, T + L (at most p), is
     the number of terms summed.
     """
-    return _pq_point("psi", t, params, tol)
+    return _point(Family.PQ, "psi", t, params, tol)
 
 
 def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Derivative of the (p,q)-digamma: exact finite sum, nonnegative, split as psi_pq's; terms_used is T + L."""
-    return _pq_point("psi-prime", t, params, tol)
+    return _point(Family.PQ, "psi-prime", t, params, tol)
 
 
 def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -1403,9 +1353,4 @@ def ln_gamma_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
     n_max caps it.  A value that overflows raises TruncationNotConverged on
     either route.
     """
-    params.require(Family.PQ)
-    cols, lasts = ([], []), []
-    line = _pq_gamma_line(params, (t,), tol, cols, lasts)  # _pq_batch's case of one line of one point
-    (value,), (tail,), (terms,) = _pq_gamma_values(params, line, _sum_rows(_pq_shifted_terms, cols, 0, lasts)
-                                                   if lasts else ())
-    return EvalResult(value, tail, terms)
+    return _point(Family.PQ, "ln-gamma", t, params, tol)

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from qdigamma import DeformParams, psi_qk
+from qdigamma import DeformParams, cli, inequalities, limits, psi_qk
 from qdigamma.cli import main
 
 from conftest import brute_psi_qk
@@ -128,6 +128,18 @@ class TestExitCodes:
         assert "TruncationNotConverged" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("conv_tol", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("remark", ["3.1", "3.2", "3.4"])
+    def test_limits_refuses_a_conv_tol_not_positive_and_finite(self, remark, conv_tol, capsys, monkeypatch):
+        # refused before the scan evaluates anything, as --abs-tol is; inf would have switched off the final-gap test
+        def no_kernel(*args):
+            raise AssertionError("the scan ran")
+        monkeypatch.setattr(limits, "psi_qk", no_kernel)
+        monkeypatch.setattr(limits, "psi_pq", no_kernel)
+        assert main(["limits", "--remark", remark, f"--conv-tol={conv_tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: DomainError: --conv-tol={float(conv_tol)!r} must be positive and finite\n"
+
     def test_limits_convergence_failure_exit_1(self):
         proc = run_cli("limits", "--remark", "3.4", "--t", "1", "--p", "1")
         assert proc.returncode == 1
@@ -190,6 +202,24 @@ class TestTable:
         )
         assert proc.stderr.startswith("# config")
         assert '"t_count": 3' in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (("table", "--t-min", "1", "--t-max", "inf", "--t-count", "3"), "--t-max=inf must be finite"),
+        (("table", "--t-min=-1.7e308", "--t-max", "1.7e308"), "--t-max - --t-min overflows a double"),
+        (("table", "--t-min", "nan", "--t-max", "3"), "--t-min=nan must be finite"),
+        (("table", "--t-count", "1"), "--t-count=1 must be >= 2"),
+        (("verify", "--suite", "qk-theorem", "--t-max", "inf"), "--t-max=inf must be finite"),
+        (("verify", "--suite", "qk-theorem", "--t-points", "1"), "--t-points=1 must be >= 2"),
+    ])
+    def test_t_range_is_checked_before_anything_is_evaluated(self, argv, message, capsys, monkeypatch):
+        # no numpy warning from a grid past the floats, and no threshold search for a grid that is refused
+        def no_call(*args, **kwargs):
+            raise AssertionError("evaluated before the t range was checked")
+        monkeypatch.setattr(cli, "evaluate", no_call)
+        monkeypatch.setattr(inequalities, "_thresholds", no_call)
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: DomainError: {message}\n"
 
     def test_bad_grid_exit_2(self):
         proc = run_cli(

@@ -413,6 +413,17 @@ class TestGridGeneration:
             GridSpec(t_min=0.0, t_max=1.0, t_count=1, pairs=(), seed=0)
         with pytest.raises(DomainError):
             GridSpec(t_min=1.0, t_max=0.5, t_count=5, pairs=(), seed=0)
+        with pytest.raises(DomainError):
+            GridSpec(t_min=0.0, t_max=math.inf, t_count=5, pairs=(), seed=0)
+
+    @pytest.mark.parametrize("t_min, t_max, t_count", [
+        (0.0, math.inf, 5), (-1.7e308, 1.7e308, 5), (math.nan, 1.0, 5), (0.0, 1.0, 1), (1.0, 0.5, 5)])
+    def test_a_bad_t_grid_is_refused_before_the_first_draw(self, t_min, t_max, t_count, monkeypatch):
+        calls, thresholds = self.draw_by_draw(lambda n: 1.0)
+        monkeypatch.setattr(inequalities, "_thresholds", thresholds)
+        with pytest.raises(DomainError):
+            make_verification_grid("qk", 3, t_count, seed=0, t_min=t_min, t_max=t_max)
+        assert calls == []
 
 
 class TestToleranceAccounting:

@@ -595,6 +595,29 @@ class TestLines:
             with pytest.raises(DomainError, match="t=-1.0"):
                 evaluate_columns(fn, *lines[middle])
 
+    @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
+    @pytest.mark.parametrize("family", ["qk", "pq"])
+    def test_a_line_refused_after_direct_points_on_the_scalar_loop(self, family, fn):
+        # three lines below _ARRAY_MIN points, so each is routed t by t: the middle one keeps the rows of its
+        # nine direct points and is refused at its 10th t; its neighbours are their one-point calls
+        rng = random.Random(f"scalar refusal:{family}:{fn}")
+
+        def params():
+            if family == "qk":
+                return DeformParams.qk(rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0))
+            return DeformParams.pq(rng.randint(2, 40), rng.uniform(0.1, 0.9))
+        lines = [(params(), [rng.uniform(0.3, 6.0) for _ in range(n)]) for n in (20, 9, 17)]
+        lines[1][1].extend([-1.0, *(rng.uniform(0.3, 6.0) for _ in range(5))])
+        assert max(len(ts) for _, ts in lines) <= 20 and sum(len(ts) for _, ts in lines) < qcore._ARRAY_MIN
+        route, _, _, width, *_ = qcore._TABLE[lines[1][0].family][fn]
+        cols, lasts = ([], [], [])[:width], []
+        _, refusal = route(fn, *lines[1], Tolerance(), cols, lasts)
+        assert isinstance(refusal, DomainError) and len(lasts) == 9  # the rows before the refusal stay
+        out = list(evaluate_lines(fn, lines))
+        assert isinstance(out[1], DomainError) and str(out[1]) == "t=-1.0 must be a positive finite real"
+        for (params, ts), got in zip(lines, out, strict=True):
+            assert _same_line(got, _one_point_line(fn, params, ts)), (fn, params)
+
     def test_lines_are_read_as_the_iterator_reaches_them(self):
         # both families interleaved, from a generator: each line as its one-point calls, and no line is read
         # before the iterator reaches the group it belongs to
