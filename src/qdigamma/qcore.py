@@ -95,25 +95,31 @@ its bound added to the tail.  terms_used is a few dozen, even for 10^8
 factors.  p is held at the largest float before it meets a float: every
 power of q that p reaches is 0.0 there.
 
-psi_pq and psi_pq' are exact finite sums of F(t) = sum_{n=1..p} q^(nt) /
-(1 - q^n), times n for psi'.  Their nonzero terms run to L = _last_nonzero,
-about Z / t with Z = _EXP_ZERO / ln q, up to p.  Expanding 1/(1 - q^n)
-geometrically and swapping the sums gives, for every integer T >= 0, the
-exact finite Lambert split
+psi_pq and psi_pq' are finite sums of F(t) = sum_{n=1..p} q^(nt) / (1 - q^n),
+times n for psi'.  Their nonzero terms run to L = _last_nonzero, about Z / t
+with Z = _EXP_ZERO / ln q, up to p.  Expanding 1/(1 - q^n) geometrically and
+swapping the sums gives the Lambert split, exact with all its head terms:
 
-    F(t) = sum_{m<T} sum_{n=1..p} x_m^n + F(t + T),   x_m = q^(t+m),
+    F(t) = sum_{m>=0} x_m (1 - x_m^p) / (1 - x_m),   x_m = q^(t+m),
 
-whose head terms have closed forms (_head_terms).  A point whose unsplit
-L is past N0 = 2^10 takes T = floor(sqrt(Z) - t) where T plus the tail's
-own L is below the unsplit L, about 2 sqrt(Z) terms in place of up to p;
-every other point takes T = 0, the plain sum.  Up to N0 terms a sum is
-cheap as it stands (as in the (q,k) route rule), and a split saves a few
-terms for a second pass of term arrays.  tail_bound stays 0 and terms_used
-is T + L.  At huge p and tiny t the head sum can pass the largest float
-before its scale ln q or (ln q)^2 while the value fits; that head is summed
-again with the scale taken into its terms, and a value that still passes
-the largest float (psi' near 1 / t^2) is refused, as the Euler-Maclaurin
-route refuses one.
+and for psi' sum_{m>=0} [Li_-1(x_m) - x_m^p (Li_-1 + p Li_0)(x_m)].  Past a
+lattice index M the x_m^p part is within its share of abs_tol (at most
+e^-((p+1) y_M) times a closed factor, _lambert_drop) and is left out, so the
+rest is S_0 (S_-1 for psi') on the step eps from eps (t + M), which
+_em_closure closes.  A point whose L is past N0 = 2^10 sums M closed-form
+head terms (_head_terms) and that one closure (_em_lattice with finite), by
+the (q,k) route rule's form: unless M is past L / 32 (_PQ_EM_FRACTION), or
+the lattice's terms past n_max.  M is about max(8, ln(far / share) / (p eps)),
+so terms_used is a few dozen where the plain sum has thousands of terms,
+and a few hundred at p eps = 0.1.  tail_bound is the closure's remainder
+plus the dropped part, held within abs_tol and within 2^-60 of the value's
+size (a lower bound from the first head term), so the truncation stays far
+below the rounding of the value: last bits may move from those of the plain
+sum, inside that certified bound and its rounding.  Every other point sums
+its L plain terms exactly (tail_bound 0).  At huge p and tiny t the head sum
+can pass the largest float before its scale ln q or (ln q)^2 while the value
+fits; that head is summed again with the scale taken into its terms, and a
+value that still passes the largest float (psi' near 1 / t^2) is refused.
 
 ``evaluate_lines`` computes one function at many lines (params, ts) in one
 call: an iterator over, per line, three columns (values, tail bounds, terms
@@ -203,14 +209,23 @@ _MIN_NORMAL = sys.float_info.min
 # (_qk_line).  Past _N0 it takes the Euler-Maclaurin route unless that route's
 # lattice needs more than n _EM_M / _N0 direct terms for a direct count n: _EM_M
 # lattice terms cost about as much as _N0 direct ones.  A psi_pq or psi_pq' sum of
-# more than _N0 terms may take the finite Lambert split, and a ln Gamma_pq batch with
-# more than _N0 nonzero factorial terms takes the lattice route (_pq_gamma_line).
+# more than _N0 nonzero terms takes the lattice by the same rule's form (_pq_sum_line),
+# and a ln Gamma_pq batch with more than _N0 nonzero factorial terms takes the lattice
+# route (_pq_gamma_line).
 _N0 = 1 << 10
 
 # p is held here, the largest float, before it meets a float: past it every power q^n and
 # q^(t+n) of ln Gamma_pq is 0.0, as is every q^(n t) and e^(-p a) of psi_pq and psi_pq' at
 # t |ln q| >= 750 / _P_HOLD, so the held p gives the value of p (_pq_sum_line, _pq_gamma_line)
 _P_HOLD = int(sys.float_info.max)
+
+# psi_pq and psi_pq' past _N0 nonzero terms L take the lattice unless it needs more than L _PQ_EM_FRACTION
+# direct (head) terms (_pq_sum_line).  Measured: the points the finite Lambert split of T = sqrt(Z) - t head
+# terms shortened need at most 0.017 L (seeded sweeps of 9,700 points over p in [N0, 1e9], q in [0.5,
+# 1 - 1e-9], t in [1e-3, 100]); p = 1500, q = 0.9999, t = 1 needs 0.18 L and stays direct.
+_PQ_EM_FRACTION = 1.0 / 32.0
+# and hold its truncation within this part of the value's size, far below its rounding
+_FINITE_REL = 2.0 ** -60
 
 # Euler-Maclaurin route: at least _EM_M direct lattice terms, then the integral, the
 # half end term and _EM_P Bernoulli corrections, up to _P_MAX as the tolerance needs.
@@ -297,20 +312,33 @@ def _ln_gamma_qk_terms(x, k, ln_q, n):
     return _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
 
 
-# Taylor coefficients, highest power first (np.polyval), of (1 - e^-z (1 + z)) / z^2 and
-# (z - 1 + e^-z) / z^2 below z = 1, where the closed forms cancel; the first term left out is
-# below 2^-58 of each at z = 1
-_HEAD_A = tuple((-1) ** k * (k - 1) / math.factorial(k) for k in range(20, 1, -1))
-_HEAD_B = tuple((-1) ** k / math.factorial(k) for k in range(20, 1, -1))
+# Taylor coefficients, highest power first, of (1 - e^-z (1 + z)) / z^2 and (z - 1 + e^-z) / z^2 below
+# z = 1, where the closed forms cancel, as pairs (A_j, B_j) of a (2, 1) column each, so that one Horner
+# loop evaluates both on a stacked (2, n) array; the first term left out is below 2^-58 of each at z = 1
+_HEAD_AB = np.array([[[(-1) ** k * (k - 1) / math.factorial(k)], [(-1) ** k / math.factorial(k)]]
+                     for k in range(20, 1, -1)])
+_HEAD_AB.flags.writeable = False
+
+
+def _head_series(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(A(b) / b^2, B(a) / a^2) by Horner's rule, as np.polyval forms each (y = y z + c from y = 0, whose
+    first step gives the leading coefficient exactly), both in one (2, n) array: every bit is np.polyval's."""
+    z = np.stack((b, a))
+    y = z * _HEAD_AB[0]
+    for c in _HEAD_AB[1:-1]:
+        y += c
+        y *= z
+    y += _HEAD_AB[-1]
+    return y
 
 
 def _head_terms(eps: float, p: int, prime: bool, scaled: bool = False):
-    """sum_{n=1..p} x^n, or sum_{n=1..p} n x^n for psi', at x = q^(t+m) = e^-a, for rows t and indices m.
+    """sum_{n=1..p} x^n, or sum_{n=1..p} n x^n for psi', at x = q^(t+m) = e^-a, for one t and indices m.
 
     With b = p a, the psi term is (1 - e^-b) / (e^a - 1) and the psi' term (A(b) + p e^-b B(a)) e^-a /
     (1 - e^-a)^2, with A(b) = 1 - e^-b (1 + b) and B(a) = a - 1 + e^-a both positive, so neither part
     cancels the other as 1 - x^p - p x^p (1 - x) does.  Below b = 1 (so a < 1 too) A and B are b^2 and
-    a^2 times their Taylor series (_HEAD_A, _HEAD_B), and the term is p (p A(b)/b^2 + e^-b B(a)/a^2)
+    a^2 times their Taylor series (_head_series), and the term is p (p A(b)/b^2 + e^-b B(a)/a^2)
     times a^2 e^-a / (1 - e^-a)^2 formed as two ratios near 1, so a tiny a underflows nothing.  a is
     at least the smallest subnormal, so a t whose t eps underflows to 0 gets p (p + 1) / 2 or p, not 0/0.
     b is held at 750, where e^-b is 0.0 already, so p a never overflows (p up to about 1e308).
@@ -334,15 +362,13 @@ def _head_terms(eps: float, p: int, prime: bool, scaled: bool = False):
     def terms(x, m):
         a = np.maximum((x + m) * eps, tiny)
         b = pf * np.minimum(a, cap)
-        if not (b[..., :1] < 1.0).any():  # b rises along a row: no term below b = 1, no series
+        k = int(np.count_nonzero(b < 1.0))  # b rises with m: its terms below b = 1 are a leading run
+        if not k:
             return closed(a, b)
-        small = b < 1.0
-        out = np.empty_like(b)
-        out[~small] = closed(a[~small], b[~small])
-        a, b = a[small], b[small]
-        out[small] = (pf * (pf * np.polyval(_HEAD_A, b) + np.exp(-b) * np.polyval(_HEAD_B, a))
-                      * (a / np.expm1(a)) * (a / -np.expm1(-a)) * (eps * eps if scaled else 1.0))
-        return out
+        ab, a0, b0 = _head_series(b[:k], a[:k]), a[:k], b[:k]
+        series = (pf * (pf * ab[0] + np.exp(-b0) * ab[1])
+                  * (a0 / np.expm1(a0)) * (a0 / -np.expm1(-a0)) * (eps * eps if scaled else 1.0))
+        return np.concatenate((series, closed(a[k:], b[k:])))
     return terms
 
 
@@ -406,9 +432,10 @@ def _block_column(c: np.ndarray):
     return float(c[0]) if (bits == bits[0]).all() else c.reshape(-1, 1)
 
 
-def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> list:
+def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut=()) -> list:
     """Sum terms(*x, n) over n = n_first..last for each row, its parameters x in cols and its own last, as
-    sum_terms would; cut: rows that may end at their last nonzero term, so that their terms past it underflow.
+    sum_terms would; cut: the indices of the rows that end short, at their last nonzero term, so that their
+    terms past it underflow.
 
     Rows are sorted widest first and packed into blocks of at most
     _BLOCK_TERMS terms (rows times the widest row).  A block's terms are
@@ -416,11 +443,11 @@ def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> lis
     (_block_column), and each run of rows of one width is reduced in one
     call.  Block rows are at most _BLOCK_TERMS wide, so each is the single
     block of its sum_terms; fsum returns that sum unchanged except that it
-    reads -0.0 as 0.0, which adding 0.0 reproduces.  Where the rows are
-    cut, a block of rows of more than one width forms a row's terms past its
-    last, which no sum reads, at n = n_first instead: numpy's exp takes
-    about 16 times as long for a result that underflows.  A block of rows of
-    one width has no such terms and skips that mask.  A row that fills
+    reads -0.0 as 0.0, which adding 0.0 reproduces.  A block of rows of more
+    than one width with a row that ends short forms its rows' terms past
+    their last, which no sum reads, at n = n_first instead: numpy's exp takes
+    about 16 times as long for a result that underflows.  Any other block has
+    no such terms and skips that mask.  A row that fills
     a block alone, and every row of a batch of fewer than _BLOCK_ROWS_MIN,
     is summed by sum_terms, in blocks of _BLOCK_TERMS terms.
     Rows that sum no terms are 0.0 and build none, so their parameters, which
@@ -433,6 +460,9 @@ def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> lis
         return [sum_terms(partial(terms, *x), n_first, last) for x, last in zip(zip(*cols), lasts)]
     lasts = np.asarray(lasts, dtype=np.int64)
     cols = [np.asarray(c, dtype=np.float64) for c in cols]
+    if len(cut):
+        short = np.zeros(len(lasts), dtype=bool)
+        short[cut] = True
     sums = np.zeros(len(lasts))
     order = np.argsort(-lasts, kind="stable")  # widest first, rows of one width in order
     order = order[:np.count_nonzero(lasts >= n_first)]  # the narrowest rows sum no terms
@@ -447,7 +477,7 @@ def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut: bool = False) -> lis
             continue
         n = np.arange(n_first, n_first + width, dtype=np.float64)
         widths = lasts[rows] - (n_first - 1)
-        if cut and widths[-1] < width:  # rows of more than one width
+        if len(cut) and widths[-1] < width and short[rows].any():  # rows of more than one width, one short
             n = np.where(n <= lasts[rows].reshape(-1, 1), n, float(n_first))
         block = terms(cols[0][rows].reshape(-1, 1), *map(_block_column, (c[rows] for c in cols[1:])), n)
         cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(rows)]
@@ -639,10 +669,24 @@ def _pair_term(y: float, one_minus_e_d: float) -> float:
     return math.log1p(math.exp(-y) * one_minus_e_d / -math.expm1(-y))
 
 
+def _lambert_drop(s: int, y: float, h: float, pf: float) -> tuple:
+    """(bound, c) for the part sum_{m>=0} x_m^p (Li_0, or Li_-1 + p Li_0)(x_m), x_m = e^-(y + m h), p = pf,
+    that the finite Lambert series leaves out of S_s(y): each term is x_m^(p+1) times 1 / (1 - x_m), or
+    (1 / (1 - x_m) + p) / (1 - x_m), which is largest at m = 0, so the part is at most e^-((p+1) y) c with
+    c that factor at m = 0 over 1 - e^-((p+1) h)."""
+    e = math.exp(-(pf + 1.0) * y)
+    if e == 0.0:  # p y past the floats' exponents: c may be inf there
+        return 0.0, 0.0
+    w = -math.expm1(-y)
+    c = (1.0 / w if s == 0 else (1.0 / w + pf) / w) / -math.expm1(-(pf + 1.0) * h)
+    return e * c, c
+
+
 def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: Tolerance,
-                m_cap: float = math.inf, paired: tuple | None = None) -> EvalResult | None:
+                m_cap: float = math.inf, paired: tuple | None = None, finite: tuple | None = None) -> EvalResult | None:
     """lead + scale * (the sum over pairs of S(a) - S(b), or S(a) for a pair (a,), plus S(c) - S(c + d)
-    for paired = (c, d), s = 1), by Euler-Maclaurin.
+    for paired = (c, d), s = 1), by Euler-Maclaurin; or, for finite = (p, t) and the one pair (eps t,),
+    s = 0 or -1, h = eps, lead + scale * F(t), the finite Lambert series of psi_pq or psi_pq'.
 
     S(a) is the infinite sum of f(y) = Li_s(e^-y) over y = a + m h, m >= 0:
     M terms directly, closed by _em_closure at a + M h, its bound held to a
@@ -659,9 +703,20 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
     it would grow past m_cap.  terms_used, M + 2 + P per sum and M plus the
     pair closure's terms for the paired difference, is capped by n_max.  A
     value that is not finite raises TruncationNotConverged.
+    F(t)'s first M lattice terms are its closed-form head terms (_head_terms),
+    each S_s's term less its x^p part; past M that part is left out, its
+    bound (_lambert_drop) one more share in the tail, and M first grows to
+    the closed form of the lattice index where it is within its share.  Its
+    shares are held within _FINITE_REL of a lower bound of the value's size
+    too.  A value that passes the floats is summed again with the scale in
+    its head terms, and refused only if it still does.
     """
     starts = [a for pair in pairs for a in pair]
-    share = tol.abs_tol / (_SAFETY * abs(scale) * (len(starts) + (2 if paired else 0)))
+    share = tol.abs_tol / (_SAFETY * abs(scale) * (len(starts) + (2 if paired else 0) + (1 if finite else 0)))
+    if finite:  # within 2^-60 of the value's size too: F is at least its first lattice term, times 1/h for psi'
+        a = max(starts[0], math.ulp(0.0))
+        first = -math.expm1(-min(finite[0] * a, 750.0)) / math.expm1(a) * (max(1.0, 1.0 / h) if s < 0 else 1.0)
+        share = min(share, _FINITE_REL * (abs(lead) / abs(scale) + first) / 2.0)
     dropped = 0.0
     if paired:
         c, d = paired
@@ -670,6 +725,18 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
             paired, dropped = None, whole
     m = _EM_M
     while True:
+        if finite:
+            drop, coeff = _lambert_drop(s, starts[0] + m * h, h, float(finite[0]))
+            if drop > share:  # past y = ln(c / share) / (p + 1) the dropped part is within its share (c falls in y)
+                need = (math.log(coeff / share) / (float(finite[0]) + 1.0) - starts[0]) / h if share > 0.0 else math.inf
+                if need > m_cap:
+                    return None
+                if need > tol.n_max:  # inf where share underflows or c / share overflows
+                    raise TruncationNotConverged(f"Euler-Maclaurin route needs more than {tol.n_max} terms, past its cap",
+                                                 _SAFETY * abs(scale) * drop, tol.n_max)
+                m = max(m + 1, math.ceil(need))
+                continue
+            dropped = drop
         closures, terms, tail = {}, 0, 0  # a loop: three comprehensions cost about 1.5 us a call
         for a in starts:
             closures[a] = closure = _em_closure(s, a + m * h, h, share)
@@ -691,9 +758,13 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
             return None
     sums = {}
     for a, (closure, _, units, _, _) in closures.items():
-        direct = 0.0
-        for i in range(m):
-            direct += _li(s, a + i * h)
+        if finite:  # the first m lattice terms of the finite series, in closed form
+            with np.errstate(over="ignore", divide="ignore"):  # past the floats only unscaled: re-summed below
+                direct = sum_terms(partial(_head_terms(h, finite[0], s < 0), finite[1]), 0, m - 1)
+        else:
+            direct = 0.0
+            for i in range(m):
+                direct += _li(s, a + i * h)
         sums[a] = direct + closure, units
     total = 0.0
     for pair in pairs:
@@ -706,6 +777,10 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
             direct += _pair_term(c + i * h, one_minus_e_d)
         total += direct + pair_closure[0]
     value = lead + scale * total
+    if finite and not math.isfinite(value):  # the head sum may pass the floats before its scale only
+        with np.errstate(over="ignore", divide="ignore"):
+            direct = sum_terms(partial(_head_terms(h, finite[0], s < 0, scaled=True), finite[1]), 0, m - 1)
+        value = lead + (direct + scale * closures[starts[0]][0])
     if not math.isfinite(value):
         raise TruncationNotConverged("Euler-Maclaurin value overflows double precision", math.inf, terms)
     return EvalResult(value, tail, terms)
@@ -850,7 +925,7 @@ def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, las
     Returns ((values, tails, terms, rows, scale), refusal).  A direct point
     appends its row to the batch's: the parameters of its terms to cols and
     its last index to lasts; rows lists those points in order, and each
-    one's value, its lead here, becomes lead + scale * its sum (_qk_finish).
+    one's value, its lead here, becomes lead + scale * its sum (_line_finish).
     refusal is the error of the first t that cannot be evaluated, or None;
     the points before it keep their rows.
     """
@@ -921,8 +996,8 @@ def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, las
     return state, None
 
 
-def _qk_finish(state: tuple, refusal, sums: list):
-    """The columns of a (q,k) line routed by _qk_line, from its rows' sums, or its refusal."""
+def _line_finish(state: tuple, refusal, sums: list):
+    """The columns of a line routed by _qk_line or _pq_sum_line, from its rows' sums, or its refusal."""
     values, tails, terms, rows, scale = state
     if rows and not refusal:  # a line on the lattice has none, and an empty zip costs as much as the rest
         for i, s in zip(rows, sums):
@@ -1051,7 +1126,7 @@ def _qk_array_lines(fn: str, lines: list, tol: Tolerance, cols: tuple, lasts: li
             cols[1].extend([ks[i]] * len(rows)), cols[2].extend([ln_q[i]] * len(rows))
         else:
             cols[1].extend([ln_s[i]] * len(rows))
-        # a direct point's value is its lead until its sum arrives (_qk_finish)
+        # a direct point's value is its lead until its sum arrives (_line_finish)
         values, tails, terms = lead[a:b] if gamma else [line_leads[i]] * size, tail[a:b], terms_all[a:b]
         state, refusal = (values, tails, terms, rows, scales[i]), None
         if len(rows) < size:  # the other points, t by t
@@ -1070,60 +1145,45 @@ def _capped(n: int, tol: Tolerance) -> TruncationNotConverged:
 
 
 def _pq_sum_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
-    """Route one psi or psi' (p,q) line in t order: ((prime, p, ln q, terms, heads), refusal), its rows
-    appended to cols (x, ln q) and lasts.
+    """Route one psi or psi' (p,q) line in t order, by the rule of _qk_line: ((values, tails, terms, rows,
+    scale), refusal) as _qk_line returns them, with the index of each direct row that ends short of p in cols[2].
 
-    p is held at _P_HOLD; terms lists the count T + L of each row, heads
-    (row, t, T) of its split rows; refusal is the error of the first t that
-    cannot be routed, or None, and the rows before it are kept, as a split
-    point before it may overflow, and that refusal comes first.
+    A point whose plain sum has its last nonzero term L past N0 takes the
+    lattice (_em_lattice, the finite Lambert series) unless that needs more
+    than L _PQ_EM_FRACTION direct lattice terms; uncapped past n_max.  Every
+    other point appends the row of its plain sum to cols (x, ln q) and lasts.
+    p is held at _P_HOLD; refusal is the error of the first t that cannot be
+    evaluated, or None, and the rows before it are kept.
     """
     p = min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
     ln_q = math.log(params.q)
-    root = math.sqrt(_EXP_ZERO / ln_q)
-    add_x, add_ln_q = cols[0].append, cols[1].append
-    terms, heads = [], []
-    state = fn == "psi-prime", p, ln_q, terms, heads
+    eps = -ln_q
+    s, lead, scale = (-1, 0.0, ln_q * ln_q) if fn == "psi-prime" else (0, ln_q_bracket(p, ln_q), ln_q)
+    add_x, add_ln_q, add_short = cols[0].append, cols[1].append, cols[2].append
+    values, tails, terms, rows = [], [], [], []
+    state = values, tails, terms, rows, scale
     try:
-        for t in map(_check_t, ts):
+        for i, t in enumerate(ts):
+            t = _check_t(t)
             x = t * ln_q
             if params.p > p and x * p > -750.0:  # e^(-p a) of a head, or q^(p t), may be nonzero at p
                 raise TruncationNotConverged(f"p past the largest float at t={t!r}", math.inf, 0)
-            last = count = _last_nonzero(0.0, x, 1, p)
-            shift = math.floor(root - t) if last > _N0 else 0
-            if shift > 0:
-                split = _last_nonzero(0.0, (t + shift) * ln_q, 1, p)
-                if shift + split < last:
-                    x, last, count = (t + shift) * ln_q, split, shift + split
-            if count > tol.n_max:
-                raise _capped(count, tol)
-            if count > last:  # split, with T = count - last head terms
-                heads.append((len(terms), t, count - last))
-            add_x(x), add_ln_q(ln_q), lasts.append(last), terms.append(count)
+            last = _last_nonzero(0.0, x, 1, p)
+            if last > _N0:  # the lattice goes first, its cost capped at L _PQ_EM_FRACTION terms; uncapped past n_max
+                res = _em_lattice(s, ((eps * t,),), eps, lead, scale, tol,
+                                  last * _PQ_EM_FRACTION if last <= tol.n_max else math.inf, finite=(p, t))
+                if res is not None:
+                    values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
+                    continue
+            if last > tol.n_max:
+                raise _capped(last, tol)
+            if last < p:
+                add_short(len(lasts))
+            add_x(x), add_ln_q(ln_q), lasts.append(last), rows.append(i)
+            values.append(lead), tails.append(0.0), terms.append(last)
     except QDigammaError as exc:
         return state, exc
     return state, None
-
-
-def _pq_sum_finish(state: tuple, refusal, sums: list):
-    """The columns of a psi or psi' (p,q) line routed by _pq_sum_line, from its rows' sums F(t + T) and its heads,
-    or the error of its first point, in order, that overflows or cannot be routed."""
-    prime, p, ln_q, terms, heads = state
-    lead, scale = (0.0, ln_q * ln_q) if prime else (ln_q_bracket(p, ln_q), ln_q)
-    values = [lead + scale * s for s in sums]
-    if heads:
-        rows, tl, shifts = zip(*heads)
-        with np.errstate(over="ignore", divide="ignore"):  # a head past the floats is inf, re-summed scaled
-            head_sums = _sum_rows(_head_terms(-ln_q, p, prime), (tl,), 0, [s - 1 for s in shifts])
-            for i, t, shift, h in zip(rows, tl, shifts, head_sums):
-                values[i] = lead + scale * (h + sums[i])
-                if not math.isfinite(values[i]):  # the head may pass the floats only unscaled
-                    (h,) = _sum_rows(_head_terms(-ln_q, p, prime, scaled=True), ([t],), 0, [shift - 1])
-                    values[i] = lead + (h + scale * sums[i])
-    for value, n in zip(values, terms):
-        if not math.isfinite(value):
-            return TruncationNotConverged("finite sum overflows double precision", math.inf, n)
-    return refusal or (values, [0.0] * len(values), terms)
 
 
 def _pq_gamma_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
@@ -1154,7 +1214,10 @@ def _pq_gamma_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tupl
                 raise _capped(n_fact, tol)
             if not math.isfinite(leads[-1]):
                 raise _lead_refusal(t)
-            cols[0].append(t), cols[1].append(ln_q), lasts.append(_last_nonzero(t, ln_q, 0, p))
+            last = _last_nonzero(t, ln_q, 0, p)
+            if last < p:
+                cols[2].append(len(lasts))
+            cols[0].append(t), cols[1].append(ln_q), lasts.append(last)
     except QDigammaError as exc:
         return state, exc
     return state, None
@@ -1177,16 +1240,17 @@ def _pq_gamma_finish(state: tuple, refusal, sums: list):
 
 # _TABLE[family][fn] = (route, terms, first, width, cut, finish, arrays), plain tuples as they unpack fastest:
 # route(fn, params, ts, tol, cols, lasts) -> (state, refusal) as _qk_line; rows sum terms(*x, n), n >= first, over
-# width columns x; cut as in _sum_rows; finish(state, refusal, sums) -> columns or refusal; arrays: _qk_array_lines.
+# width columns x; cut: rows may end short of p, and the router lists the index of each one that does in one
+# more column, cols[width], for _sum_rows; finish(state, refusal, sums) -> columns or refusal; arrays: _qk_array_lines.
 _TABLE = {
     Family.QK: {
-        "psi": (_qk_line, _psi_terms, 1, 2, False, _qk_finish, _qk_array_lines),
-        "psi-prime": (_qk_line, _psi_prime_terms, 1, 2, False, _qk_finish, _qk_array_lines),
-        "ln-gamma": (_qk_line, _ln_gamma_qk_terms, 0, 3, False, _qk_finish, _qk_array_lines),
+        "psi": (_qk_line, _psi_terms, 1, 2, False, _line_finish, _qk_array_lines),
+        "psi-prime": (_qk_line, _psi_prime_terms, 1, 2, False, _line_finish, _qk_array_lines),
+        "ln-gamma": (_qk_line, _ln_gamma_qk_terms, 0, 3, False, _line_finish, _qk_array_lines),
     },
     Family.PQ: {
-        "psi": (_pq_sum_line, _psi_terms, 1, 2, True, _pq_sum_finish, None),
-        "psi-prime": (_pq_sum_line, _psi_prime_terms, 1, 2, True, _pq_sum_finish, None),
+        "psi": (_pq_sum_line, _psi_terms, 1, 2, True, _line_finish, None),
+        "psi-prime": (_pq_sum_line, _psi_prime_terms, 1, 2, True, _line_finish, None),
         "ln-gamma": (_pq_gamma_line, _pq_shifted_terms, 0, 2, True, _pq_gamma_finish, None),
     },
 }
@@ -1198,7 +1262,7 @@ def _batch(fn: str, lines: list, tol: Tolerance) -> list:
     tails, terms) or the error of its first t that cannot be evaluated.  The direct rows of all lines are summed
     together (_sum_rows), each with its own parameters, and each line's finisher reads the sums of its own."""
     route, terms_fn, first, width, cut, finish, arrays = _TABLE[lines[0][0].family][fn]
-    cols, lasts = ([], []) if width == 2 else ([], [], []), []
+    cols, lasts = ([], [], []) if width == 3 or cut else ([], []), []
     routed = arrays(fn, lines, tol, cols, lasts) if arrays else None
     if routed is None:  # loops, not comprehensions: a batch of one short line is most of the calls
         routed = []
@@ -1206,7 +1270,7 @@ def _batch(fn: str, lines: list, tol: Tolerance) -> list:
             start = len(lasts)
             state, refusal = route(fn, params, ts, tol, cols, lasts)
             routed.append((start, state, refusal, len(lasts)))
-    sums = _sum_rows(terms_fn, cols, first, lasts, cut) if lasts else lasts
+    sums = _sum_rows(terms_fn, cols[:width], first, lasts, cols[width] if cut else ()) if lasts else lasts
     out = []
     for start, state, refusal, end in routed:
         out.append(finish(state, refusal, sums[start:end]))
@@ -1216,10 +1280,10 @@ def _batch(fn: str, lines: list, tol: Tolerance) -> list:
 def _point(family: Family, fn: str, t: float, params: DeformParams, tol: Tolerance) -> EvalResult:
     """fn of the family at one t: _batch's case of one line of one point, its refusal raised."""
     params.require(family)
-    route, terms_fn, first, width, _, finish, _ = _TABLE[family][fn]
-    cols, lasts = ([], []) if width == 2 else ([], [], []), []
+    route, terms_fn, first, width, cut, finish, _ = _TABLE[family][fn]
+    cols, lasts = ([], [], []) if width == 3 or cut else ([], []), []
     state, refusal = route(fn, params, (t,), tol, cols, lasts)
-    line = finish(state, refusal, _sum_rows(terms_fn, cols, first, lasts) if lasts else lasts)
+    line = finish(state, refusal, _sum_rows(terms_fn, cols[:width], first, lasts) if lasts else lasts)
     if isinstance(line, QDigammaError):
         raise line
     (value,), (tail,), (terms,) = line
@@ -1327,18 +1391,23 @@ def ln_gamma_qk(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def psi_pq(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """(p,q)-digamma at t: an exact finite sum (tail bound 0).
+    """(p,q)-digamma at t.
 
-    The sum is split into T closed-form head terms and a tail through its
-    last nonzero term L (T = 0 up to N0 terms or where splitting saves
-    nothing; see the module docstring), so terms_used, T + L (at most p), is
-    the number of terms summed.
+    Up to N0 = 2^10 nonzero terms L the finite sum is summed through its last
+    nonzero term, exactly (tail bound 0, terms_used L).  Past N0 it takes the
+    Euler-Maclaurin lattice of its Lambert split, a few dozen closed-form head
+    terms and one closure, unless that needs more than L / 32 head terms (see
+    the module docstring); its tail bound is the closure's remainder and the
+    dropped q^(p m) part, within abs_tol and far below the value's rounding,
+    so its last bits may differ from those of the plain sum.  n_max caps
+    terms_used on either route.
     """
     return _point(Family.PQ, "psi", t, params, tol)
 
 
 def psi_pq_prime(t: float, params: DeformParams, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """Derivative of the (p,q)-digamma: exact finite sum, nonnegative, split as psi_pq's; terms_used is T + L."""
+    """Derivative of the (p,q)-digamma, nonnegative: summed as psi_pq is, directly up to N0 terms (tail bound 0)
+    and past N0 on the Euler-Maclaurin lattice, whose tail bound is within abs_tol and its last bits within it."""
     return _point(Family.PQ, "psi-prime", t, params, tol)
 
 

@@ -240,20 +240,21 @@ class TestPQSums:
         assert result["terms_used"] <= 1100
 
     def test_n_max_caps_nonzero_terms(self):
-        # the Lambert split sums 31 head terms and the 33 nonzero terms of the tail at t + 31: 64 in all
-        proc = run_cli(*self.ARGS, "--n-max", "63")
+        # past its 1,074 nonzero terms the sum takes the lattice: 8 closed-form head terms, the integral,
+        # the half end term and 11 Bernoulli corrections, 21 in all
+        proc = run_cli(*self.ARGS, "--n-max", "20")
         assert proc.returncode == 3
         assert "TruncationNotConverged" in proc.stderr
-        proc = run_cli(*self.ARGS, "--n-max", "64")
+        proc = run_cli(*self.ARGS, "--n-max", "21")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["value"] == -0.42052903435604583
 
     def test_value_past_the_floats_exits_3_with_one_error_line(self):
-        # psi' near 1 / t^2: the 65 terms of the split sum to inf, refused without a numpy warning
+        # psi' near 1 / t^2: the lattice's terms sum to inf, scaled or not, refused without a numpy warning
         proc = run_cli("eval", "--family", "pq", "--p", str(10**200), "--q", "0.5", "--t", "1e-160",
                        "--fn", "psi-prime")
         assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr.startswith("error: TruncationNotConverged: finite sum overflows double precision")
+        assert proc.stderr.startswith("error: TruncationNotConverged: Euler-Maclaurin value overflows double precision")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize("fn", ["psi", "psi-prime", "ln-gamma"])
@@ -353,8 +354,10 @@ class TestLimitsOutput:
         assert proc.returncode == 0
 
     @pytest.mark.parametrize("argv", [
-        ("--remark", "3.6", "--j-max", "5", "--n-max", "1000"),
-        ("--remark", "3.4", "--p", "100000", "--j-max", "3", "--n-max", "1000"),
+        # p = 10^3 sums its 1,000 terms directly; p = 10^4 and 10^5 take the lattice, about 50 terms
+        ("--remark", "3.6", "--j-max", "5", "--n-max", "999"),
+        # every point takes the lattice, at least 18 terms
+        ("--remark", "3.4", "--p", "100000", "--j-max", "3", "--n-max", "10"),
     ])
     def test_pq_scans_honour_n_max(self, argv, capsys):
         assert main(["limits", *argv, "--json"]) == 1

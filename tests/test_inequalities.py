@@ -145,7 +145,7 @@ class TestRatioH:
         assert ratio_H(spec, 2.0, params).value >= ratio_H(spec, 1.0, params).value
 
     def test_n_max_caps_it(self):
-        # a + b*0 = 1: psi_pq sums 31 head terms of its Lambert split and 33 tail terms
+        # a + b*0 = 1: psi_pq takes the lattice, 21 terms; c + d*0 = 2: it sums 537 plain terms
         spec = RatioSpec(a=1.0, b=1.0, c=2.0, d=1.0, alpha=1.0, beta=1.0)
         with pytest.raises(TruncationNotConverged):
             ratio_H(spec, 0.0, DeformParams.pq(10**8, 0.5), Tolerance(n_max=50))

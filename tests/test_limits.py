@@ -197,11 +197,12 @@ class TestCombinedPQ:
         assert report.passed
 
     def test_cap_hit_is_a_scan_error(self):
-        # p = 10^4 has 10^4 nonzero terms, past a cap of 1000
-        report = limit_combined_pq(1.0, j_max=4, tol=Tolerance(n_max=1000))
+        # p = 10^3 sums its 10^3 nonzero terms directly, past a cap of 999; p = 10^4 takes the lattice, about
+        # 50 terms
+        report = limit_combined_pq(1.0, j_max=4, tol=Tolerance(n_max=999))
         assert not report.passed
-        assert len(report.errors) == 1 and "j=4" in report.errors[0] and "series cap hit" in report.errors[0]
-        assert [j for j, _ in report.sequence] == [1.0, 2.0, 3.0]
+        assert len(report.errors) == 1 and "j=3" in report.errors[0] and "series cap hit" in report.errors[0]
+        assert [j for j, _ in report.sequence] == [1.0, 2.0, 4.0]
 
     def test_stall_away_from_t1_is_reported(self):
         # q^p -> 1/e along the schedule, so the limit misses psi(2)

@@ -313,9 +313,9 @@ SCALAR = {
 
 def _batch_grid(family: str, rng: random.Random):
     """Seeded (params, ts) lines: blocks of many rows, t ranges over which the term count changes,
-    and for the PQ sums p > CHUNK, sums past one CHUNK, unsplit (q = 1 - 1e-7) and split (q = 1 - 1e-8,
-    each part past one CHUNK); for the (q,k) family, lines past N0 direct terms (q = 0.999); and lines
-    whose route, or whether the PQ sums split, changes with t."""
+    and for the PQ sums p > CHUNK, plain sums past one CHUNK (q = 1 - 1e-7, where the lattice would need
+    about a quarter of their terms) and the lattice (q = 0.9999 and 1 - 1e-8); for the (q,k) family,
+    lines past N0 direct terms (q = 0.999); and lines whose route changes with t."""
     if family == "qk":
         wide = [DeformParams.qk(0.999, 1.0)]
         params = [DeformParams.qk(q, k) for q, k in ((0.5, 1.0), (0.9, 2.5))]
@@ -341,15 +341,14 @@ def _batch_grid(family: str, rng: random.Random):
 # psi' points at q = 1 - 1e-5 take the direct route at t = 1e4 and the Euler-Maclaurin route at t = 1; at
 # (q, k) = (0.5, 0.1) ln Gamma takes the direct route at t = 1 and at the overflowing t = 1e308,
 # the Euler-Maclaurin route at t = 1e-307.  The PQ ln Gamma batch takes one route for all its points:
-# the lattice route at p = 1e6, the direct one at p = 1e3.  psi_pq and psi_pq' are exact finite sums,
-# split at p = 1e6, q = 0.999.
+# the lattice route at p = 1e6, the direct one at p = 1e3.  psi_pq and psi_pq' take the lattice at p = 1e6,
+# q = 0.999.
 FIRST_FAILURE = {
     ("qk", "psi"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "psi-prime"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1e4, 1.0], None)],
     ("qk", "ln-gamma"): [(DeformParams.qk(1.0 - 1e-5, 1.0), [1.0], 1e308),
                          (DeformParams.qk(0.5, 0.1), [1.0, 1e-307], 1e308)],
-    # at huge p and tiny t the split sums a few dozen terms to a value past the floats: psi near p ln q,
-    # psi' near 1 / t^2
+    # at huge p and tiny t the lattice sums a few dozen terms to a value past the floats: psi near -1 / t,
     # psi' near 1 / t^2; and p past the largest float, where q^(p t) may be nonzero at the held p at t = 1e-307
     ("pq", "psi"): [(DeformParams.pq(10**6, 0.999), [1.0, 2.5], None),
                     (DeformParams.pq(10**307, 1e-9), [1.0, 2.5], 1e-310),
@@ -379,16 +378,16 @@ class TestEvaluate:
             if family == "qk":
                 em = [got == _em_qk(fn, params, t, Tolerance()) for t, got in zip(ts, batch)]
             elif fn != "ln-gamma":
-                em = [_is_split(params, t, got.terms_used) for t, got in zip(ts, batch)]
-                long |= {split for got, split in zip(batch, em) if got.terms_used > CHUNK}
+                em = [_is_lattice(params, t, got.terms_used) for t, got in zip(ts, batch)]
+                long |= {lattice for got, lattice in zip(batch, em) if got.terms_used > CHUNK}
             else:  # the lattice route bounds a remainder, the direct one sums the finite product exactly
                 em = [got.tail_bound > 0.0 for got in batch]
             routes |= set(em)
             crossing += set(em) == {True, False}
-        # the grid lets the term count vary and, for the PQ sums, reaches past one CHUNK, split and
-        # unsplit; the (q,k) kernels and ln Gamma_pq sum at most about N0 terms directly at the
-        # default tolerance, and take both routes.  psi and psi' take both routes, or split and
-        # unsplit sums, within one batch (ln Gamma_pq's route does not depend on t)
+        # the grid lets the term count vary and, for the PQ sums, reaches past one CHUNK on the direct
+        # route; the (q,k) kernels and ln Gamma_pq sum at most about N0 terms directly at the default
+        # tolerance.  Every kernel takes both routes, and psi and psi' take both within one batch
+        # (ln Gamma_pq's route does not depend on t)
         assert len(counts) > 5
         if family == "qk":
             assert routes == {True, False} and max(counts) > _N0 // 2
@@ -396,7 +395,7 @@ class TestEvaluate:
             assert routes == {True, False}
         else:
             assert max(counts) > CHUNK
-            assert long == routes == {True, False}
+            assert long == {False} and routes == {True, False}
         assert crossing > 0 or fn == "ln-gamma"
 
     def test_one_result_per_point(self):
@@ -433,8 +432,9 @@ class TestEvaluate:
             evaluate("zeta", DeformParams.qk(0.5, 1.0), [1.0])
 
 
-def _is_split(params: DeformParams, t: float, terms_used: int) -> bool:
-    """Whether a psi_pq or psi_pq' sum took the Lambert split: fewer terms than its unsplit count."""
+def _is_lattice(params: DeformParams, t: float, terms_used: int) -> bool:
+    """Whether a psi_pq or psi_pq' sum took the Euler-Maclaurin lattice: fewer terms than its plain count L
+    (the lattice takes at most L / 32 + 27 terms, and only past N0)."""
     return terms_used < qcore._last_nonzero(0.0, t * math.log(params.q), 1, params.p)
 
 
@@ -452,17 +452,17 @@ def _column_lines(family: str, rng: random.Random) -> list:
         return lines + [(DeformParams.qk(rng.uniform(0.05, 0.999), rng.uniform(0.3, 3.0)),
                          [rng.uniform(0.01, 20.0) for _ in range(rng.randint(1, 40))],
                          Tolerance(abs_tol=10.0 ** rng.uniform(-16.0, -6.0))) for _ in range(12)]
-    cut = 1075 / 33  # q = 0.5: unsplit, as sqrt(Z) - t < 1
+    cut = 1075 / 33  # q = 0.5: 33 terms, direct
     lines = [
-        # m ln r for q = 0.5, t = 1 crosses the zero cut of exp between m = 1074 and 1075: the unsplit count,
-        # which decides whether to split, ends at p = 1074 and at 1075 on the same last nonzero term
+        # m ln r for q = 0.5, t = 1 crosses the zero cut of exp between m = 1074 and 1075: the plain count,
+        # which decides the route, ends at p = 1074 and at 1075 on the same last nonzero term
         (DeformParams.pq(1074, 0.5), [1.0, 1.0 - 1e-9, 1.0 + 1e-9], tol),
         (DeformParams.pq(1075, 0.5), [1.0, 1.0 - 1e-9, 1.0 + 1e-9], tol),
         # m t ln q crosses the same cut between m = 33 and 34 near t = cut: the last term is nonzero at
-        # p = 33, zero at p = 34 (the closed form and its steps), and every sum is unsplit
+        # p = 33, zero at p = 34 (the closed form and its steps), and every sum is direct
         (DeformParams.pq(33, 0.5), [cut, cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)], tol),
         (DeformParams.pq(34, 0.5), [cut, cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)], tol),
-        (DeformParams.pq(2000, 0.99), [0.5, 300.0, 2.0, 280.0, 1e-322], tol),  # split or not; t ln q = -0.0
+        (DeformParams.pq(2000, 0.99), [0.5, 300.0, 2.0, 280.0, 1e-322], tol),  # lattice or not; t ln q = -0.0
         (DeformParams.pq(50, 1e-5), [100.0, 1.0], tol),  # q^t underflows: psi sums no terms
         (DeformParams.pq(20, 0.5), [1.0, 1e308], tol),  # a row of no terms at t ln q near -1e308
         (DeformParams.pq(10**6, 0.999), [1.0, 2.5], tol),  # ln Gamma on the lattice
@@ -504,8 +504,8 @@ class TestColumns:
                     if family == "qk":
                         seen.add("lattice" if want == _em_qk(fn, params, t, tol) else "direct")
                     elif fn != "ln-gamma":
-                        seen.add("split" if _is_split(params, t, n) else "unsplit")
-        routes = {"lattice", "direct"} if family == "qk" else {"split", "unsplit"}
+                        seen.add("lattice" if _is_lattice(params, t, n) else "direct")
+        routes = {"lattice", "direct"}
         assert seen == {"no terms", "zero", "value", "refused"} | routes
         assert max(widened) >= 2 if family == "qk" else True
         if family == "pq":  # both sides of each zero cut end on the same last nonzero term
@@ -544,7 +544,7 @@ def _long_lines(family: str, rng: random.Random) -> list:
             (DeformParams.qk(0.9999, 1.3), [3.5, 0.5] * 30),  # the lattice past N0 terms
         ]
     return [
-        (DeformParams.pq(2000, 0.99), [0.5, 300.0, 2.0, 280.0, 1e-322] * 20),  # split or not; t ln q = -0.0
+        (DeformParams.pq(2000, 0.99), [0.5, 300.0, 2.0, 280.0, 1e-322] * 20),  # lattice or not; t ln q = -0.0
         (DeformParams.pq(50, 1e-5), [100.0, 1.0] * 30),  # psi sums no terms at t = 100
         (DeformParams.pq(20, 0.5), [1.0] * 60 + [-1.0] + [2.0] * 10),  # refused at t = -1
         (DeformParams.pq(10**6, 0.999), [1.0, 2.5] * 30),  # ln Gamma on the lattice
@@ -575,11 +575,10 @@ class TestLines:
                 seen.update("lattice" if EvalResult(*r) == _em_qk(fn, params, t, Tolerance()) else "direct"
                             for t, *r in zip(ts, *want))
             elif fn != "ln-gamma":
-                seen.update("split" if _is_split(params, t, n) else "unsplit" for t, n in zip(ts, want[2]))
+                seen.update("lattice" if _is_lattice(params, t, n) else "direct" for t, n in zip(ts, want[2]))
             else:  # the whole line takes its factorial's route
                 seen.add("lattice" if qcore._last_nonzero(0.0, math.log(params.q), 1, params.p) > _N0 else "direct")
-        routes = {"split", "unsplit"} if family == "pq" and fn != "ln-gamma" else {"lattice", "direct"}
-        assert seen >= {"value", "refused"} | routes
+        assert seen >= {"value", "refused", "lattice", "direct"}
         if fn != "ln-gamma":
             assert "no terms" in seen
 
@@ -609,8 +608,8 @@ class TestLines:
         lines = [(params(), [rng.uniform(0.3, 6.0) for _ in range(n)]) for n in (20, 9, 17)]
         lines[1][1].extend([-1.0, *(rng.uniform(0.3, 6.0) for _ in range(5))])
         assert max(len(ts) for _, ts in lines) <= 20 and sum(len(ts) for _, ts in lines) < qcore._ARRAY_MIN
-        route, _, _, width, *_ = qcore._TABLE[lines[1][0].family][fn]
-        cols, lasts = ([], [], [])[:width], []
+        route, _, _, width, cut, *_ = qcore._TABLE[lines[1][0].family][fn]
+        cols, lasts = ([], [], [])[:width + cut], []  # the term columns, and the short rows' indices
         _, refusal = route(fn, *lines[1], Tolerance(), cols, lasts)
         assert isinstance(refusal, DomainError) and len(lasts) == 9  # the rows before the refusal stay
         out = list(evaluate_lines(fn, lines))
@@ -646,12 +645,15 @@ class TestPQUnderflow:
         assert res.terms_used <= 1100
 
     def test_n_max_caps_the_nonzero_terms(self):
-        # psi and psi' sum 64 terms by the Lambert split, ln Gamma at p = 1000 its 1000 factorial terms
+        # psi and psi' take the lattice, a few dozen terms in place of 1,074 (uncapped past n_max), ln Gamma
+        # at p = 1000 sums its 1000 factorial terms
         params = DeformParams.pq(10**8, 0.5)
         for kernel in (psi_pq, psi_pq_prime):
+            used = kernel(1.0, params).terms_used
+            assert used < 32
             with pytest.raises(TruncationNotConverged):
-                kernel(1.0, params, Tolerance(n_max=63))
-            assert kernel(1.0, params, Tolerance(n_max=64)) == kernel(1.0, params)
+                kernel(1.0, params, Tolerance(n_max=used - 1))
+            assert kernel(1.0, params, Tolerance(n_max=used)) == kernel(1.0, params)
         params = DeformParams.pq(1000, 0.5)
         with pytest.raises(TruncationNotConverged):
             ln_gamma_pq(1.0, params, Tolerance(n_max=999))
@@ -665,17 +667,21 @@ class TestPQUnderflow:
             asked.append(n_last - n_first + 1)
             return sum_terms(term_fn, n_first, n_last)
         monkeypatch.setattr(qcore, "sum_terms", recording_sum_terms)
-        res = kernel(1.0, DeformParams.pq(10**8, 0.5))
-        # Z = 1075 at q = 1/2: the tail at t + T = 32 through its last nonzero term, floor(1075 / 32) = 33,
-        # and T = floor(sqrt(Z) - 1) = 31 head terms
-        assert asked == [33, 31] and res.terms_used == 64
+        params = DeformParams.pq(10**8, 0.5)
+        # Z = 1075 at q = 1/2: at t = 2 the plain sum through its last nonzero term, floor(1075 / 2) = 537
+        assert kernel(2.0, params).terms_used == 537 and asked == [537]
+        # at t = 1, past its 1,074 terms, the lattice: M closed-form head terms in one sum, then the integral,
+        # the half end term and P >= 8 Bernoulli corrections
+        asked.clear()
+        res = kernel(1.0, params)
+        assert len(asked) == 1 and 10 <= res.terms_used - asked[0] <= 27
 
     @pytest.mark.parametrize("t", [9e-155, 1.2e-154])
     def test_psi_prime_whose_head_passes_the_floats_before_its_scale(self, t):
         # the unscaled head sum, about 1 / (t ln q)^2, overflows at t = 9e-155; psi' itself is 1 / t^2
         # to within its rounding (the sum's terms past the first add about 1e-308 of it)
         res = psi_pq_prime(t, DeformParams.pq(10**200, 0.5))
-        assert res.tail_bound == 0.0 and abs(res.value - 1.0 / t ** 2) <= 64 * 2.0 ** -53 * res.value
+        assert res.tail_bound <= Tolerance().abs_tol and abs(res.value - 1.0 / t ** 2) <= 64 * 2.0 ** -53 * res.value
 
     def test_last_nonzero_past_2_to_53_is_the_closed_form(self):
         # a unit step no longer moves n there; stepping never ended
@@ -703,12 +709,15 @@ class TestQBracketAccuracy:
 
 
 class TestLambertSplit:
-    """psi_pq and psi_pq' by the finite Lambert split, against 50-digit sums of the unsplit series."""
+    """psi_pq and psi_pq' past N0 terms by the Lambert split taken to T = infinity: closed-form head terms
+    and an S_0 / S_-1 closure on the Euler-Maclaurin lattice, against 40-digit sums of the plain series."""
 
     U = 2.0 ** -53
     # q = 1 - 1e-9, p = 1e8, t = 0.01: the head's first p a are 1e-3, 0.1, 0.2, ..., where the closed form
-    # of sum n x^n, 1 - x^p - p x^p (1 - x), would cancel to about 1e-13 relative
-    POINTS = [(0.999, 10**6, 1.95), (1.0 - 1e-6, 10**6, 1.3), (0.5, 10**8, 1.0), (1.0 - 1e-9, 10**8, 0.01)]
+    # of sum n x^n, 1 - x^p - p x^p (1 - x), would cancel to about 1e-13 relative.  Then the remark 3.6
+    # schedule p = 10^j, q = 1 - 10^-j, j = 4..8, where p eps = 1 keeps q^(p m) of every head term in play
+    POINTS = [(0.999, 10**6, 1.95), (1.0 - 1e-6, 10**6, 1.3), (0.5, 10**8, 1.0), (1.0 - 1e-9, 10**8, 0.01)] + [
+        (1.0 - 10.0 ** -j, 10**j, t) for j in range(4, 9) for t in (0.3, 1.0, 2.7)]
 
     @staticmethod
     def exact(prime: bool, t: float, q: float, p: int) -> tuple:
@@ -730,18 +739,60 @@ class TestLambertSplit:
     @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
     def test_values_match_a_50_digit_sum(self, kernel, q, p, t):
         # rounding bound 16 u (|lead| + |scale| F): a few roundings per term, the pairwise sum's
-        # depth and the lead; every term is positive, so F is also the sum of their sizes
+        # depth and the lead; every term is positive, so F is also the sum of their sizes.  The lattice
+        # holds its truncation within 2^-60 of that size, so the bound needs no tail_bound
         params = DeformParams.pq(p, q)
         res = kernel(t, params)
-        assert _is_split(params, t, res.terms_used) and res.tail_bound == 0.0
+        assert _is_lattice(params, t, res.terms_used) and res.tail_bound <= Tolerance().abs_tol
+        assert res.terms_used < 1000
         exact, size = self.exact(kernel is psi_pq_prime, t, q, p)
         assert abs(res.value - exact) <= 16 * self.U * size, float(abs(res.value - exact) / (self.U * size))
+
+    @staticmethod
+    def split_count(params: DeformParams, t: float) -> int:
+        """The terms the finite Lambert split summed before the lattice route: past N0 plain terms L,
+        T = floor(sqrt(Z) - t) head terms and the plain sum at t + T through its last nonzero term, where
+        that is fewer than L; otherwise L."""
+        ln_q = math.log(params.q)
+        last = qcore._last_nonzero(0.0, t * ln_q, 1, params.p)
+        shift = math.floor(math.sqrt(qcore._EXP_ZERO / ln_q) - t) if last > _N0 else 0
+        split = shift + qcore._last_nonzero(0.0, (t + shift) * ln_q, 1, params.p) if shift > 0 else last
+        return min(split, last)
+
+    def test_no_point_sums_more_terms_than_the_split(self):
+        # seeded p in [N0, 1e9], q in [0.5, 1 - 1e-9] and t in [1e-3, 100], log-uniform
+        rng = random.Random("lattice terms")
+        fewer = 0
+        for _ in range(400):
+            p = int(10.0 ** rng.uniform(math.log10(_N0), 9.0))
+            q = 1.0 - 10.0 ** rng.uniform(-9.0, math.log10(0.5))
+            t = 10.0 ** rng.uniform(-3.0, 2.0)
+            params = DeformParams.pq(p, q)
+            split = self.split_count(params, t)
+            for kernel in (psi_pq, psi_pq_prime):
+                res = kernel(t, params)
+                assert res.terms_used <= split, (kernel.__name__, p, q, t, res, split)
+                fewer += res.terms_used < split
+        assert fewer > 400
+
+    @pytest.mark.parametrize("kernel,p_lattice", [(psi_pq, 3525), (psi_pq_prime, 3638)])
+    def test_both_sides_of_the_route_boundary(self, kernel, p_lattice):
+        # at q = 0.9999, t = 1 a sum of p terms takes the lattice from the p whose M is at most p / 32: at
+        # p = 1500 (M about 260, p eps = 0.15) and just below p_lattice it stays direct
+        q, t = 0.9999, 1.0
+        for p, lattice in ((1500, False), (p_lattice - 1, False), (p_lattice, True)):
+            params = DeformParams.pq(p, q)
+            res = kernel(t, params)
+            assert _is_lattice(params, t, res.terms_used) is lattice, (p, res)
+            assert res.terms_used <= (p / 32 + 27 if lattice else p) and res.tail_bound <= Tolerance().abs_tol
+            exact, size = self.exact(kernel is psi_pq_prime, t, q, p)
+            assert abs(res.value - exact) <= 16 * self.U * size, (p, float(abs(res.value - exact) / (self.U * size)))
 
     @pytest.mark.parametrize("kernel", [psi_pq, psi_pq_prime])
     def test_huge_p_is_the_sum_of_its_nonzero_terms(self, kernel):
         # p a would overflow in the head at p = 1e307; q^p is 0 at both p, so the values agree
         huge, large = (kernel(0.01, DeformParams.pq(p, 1e-9)) for p in (10**307, 10**300))
-        assert _is_split(DeformParams.pq(10**307, 1e-9), 0.01, huge.terms_used) and huge == large
+        assert _is_lattice(DeformParams.pq(10**307, 1e-9), 0.01, huge.terms_used) and huge == large
 
     @pytest.mark.parametrize("prime", [False, True])
     def test_head_terms_keep_their_digits(self, prime):
@@ -850,11 +901,11 @@ class TestBlockedSums:
         monkeypatch.setattr(qcore, "sum_terms", lambda term_fn, lo, hi: sum_terms(recording(term_fn), lo, hi))
         monkeypatch.setattr(reference, "_series_terms", lambda *args: recording(series_terms(*args)))
         # the (q,k) kernels and ln Gamma_pq sum their long series on the Euler-Maclaurin route, no term
-        # array; psi_pq and psi_pq' by the Lambert split: about 61,000 head and 61,000 tail terms at
-        # q = 1 - 2e-7
-        qk, pq, split = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999), DeformParams.pq(10**6, 1 - 2e-7)
+        # array; psi_pq and psi_pq' sum their 100,000 plain terms at q = 1 - 1e-8, where the lattice would
+        # need about 40,000 head terms
+        qk, pq, plain = DeformParams.qk(0.9996, 1.0), DeformParams.pq(100_000, 0.9999), DeformParams.pq(100_000, 1 - 1e-8)
         assert ln_gamma_pq(1.0, pq).tail_bound > 0.0 and widths == []
-        used = [kernel(1.0, split).terms_used for kernel in (psi_pq, psi_pq_prime)]
+        used = [kernel(1.0, plain).terms_used for kernel in (psi_pq, psi_pq_prime)]
         assert min(used) > 3 * CHUNK
         for kind in SeriesKind:
             brute_force_series(kind, 0.5, qk, 200_000)
