@@ -31,7 +31,7 @@ from . import _jsonfmt
 from .errors import (DomainError, NoPositiveRegion, NoRootInBracket, PositivityViolated, QDigammaError,
                      TruncationNotConverged)
 from .params import DEFAULT_TOL, DeformParams, EvalResult, Family, Tolerance
-from .qcore import evaluate, evaluate_columns, evaluate_lines, psi_pq_limit
+from .qcore import _PAIR, evaluate_columns, evaluate_lines, psi_pq_limit
 # the kernels stay bound here for tools that wrap them by module
 from .qcore import psi_pq, psi_pq_prime, psi_qk, psi_qk_prime  # noqa: F401
 
@@ -194,8 +194,18 @@ def _t_range(t_range: tuple) -> tuple:
 
 
 def _args(spec: RatioSpec, ts) -> list:
-    """The lower argument a+bt and the upper argument c+dt of every t, as (lower, upper) per t, in order."""
-    return [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))]
+    """The lower argument a+bt and the upper argument c+dt of every t, as (lower, upper) per t, in order.
+
+    numpy forms each as the product and then the sum, both rounded, as the
+    scalar expressions lower_arg and upper_arg do: no fused multiply-add, so
+    every argument has their bits.
+    """
+    t = np.asarray(ts, dtype=np.float64)
+    out = np.empty(2 * len(t))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as the floats give
+        out[0::2] = spec.a + spec.b * t
+        out[1::2] = spec.c + spec.d * t
+    return out.tolist()
 
 
 def _halves(cols: tuple) -> tuple:
@@ -213,16 +223,28 @@ def _psi_lines(fn: str, spec: RatioSpec, params: DeformParams, ts, tol: Toleranc
     return _halves(evaluate_columns(fn, params, _args(spec, ts), tol))
 
 
-def _entry_psi_lines(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
-    """psi lines at the ts a public entry is given; DomainError at the first t below zero."""
+def _entry_ts(ts):
+    """The ts a public entry is given; DomainError at the first t below zero."""
     for t in ts:
         if t < 0.0:
             raise DomainError(f"t={t!r} must be nonnegative")
-    return _psi_lines("psi", spec, params, ts, tol)
+    return ts
+
+
+def _entry_psi_lines(spec: RatioSpec, params: DeformParams, ts, tol: Tolerance):
+    """psi lines at the ts a public entry is given; DomainError at the first t below zero."""
+    return _psi_lines("psi", spec, params, _entry_ts(ts), tol)
 
 
 def _result(line: tuple, j: int) -> EvalResult:
     return EvalResult(*(c[j] for c in line))
+
+
+def _read(entry):
+    """One order's entry of the pair _PAIR, its columns, or its refusal raised."""
+    if isinstance(entry, QDigammaError):
+        raise entry
+    return entry
 
 
 def _failing(spec: RatioSpec, t_lo, t_hi, lo: EvalResult, hi: EvalResult) -> tuple:
@@ -283,9 +305,10 @@ def _ratios(spec: RatioSpec, ts, x: tuple, y: tuple, params: DeformParams) -> tu
         # exp of the log expression: no overflow for large exponents, and the
         # truncation error propagates linearly through the logs; a psi that is
         # not certainly positive is refused, and takes the log of 1.0 here
-        ln_x, ln_y = (np.array(list(map(math.log, np.where(bad, 1.0, v).tolist()))) for v in (x[0], y[0]))
+        ln_x, ln_y = (np.fromiter(map(math.log, np.where(bad, 1.0, v).tolist()), dtype=np.float64, count=len(v))
+                      for v in (x[0], y[0]))
         arg = spec.alpha * ln_x - spec.beta * ln_y
-        values = np.array(list(map(_exp_or_inf, arg.tolist())))
+        values = np.fromiter(map(_exp_or_inf, arg.tolist()), dtype=np.float64, count=len(arg))
         rel = spec.alpha * np.array(x[1]) / x_low + spec.beta * np.array(y[1]) / y_low  # unread where refused
         tails = values * rel
     over = np.isinf(values) & np.isfinite(arg)  # where math.exp raised; exp(inf) is inf, as in a t-by-t loop
@@ -365,15 +388,17 @@ def check_lemma_cross(spec: RatioSpec, t: float, params: DeformParams, tol: Tole
 
     Nonnegative whenever the precondition (argument ordering, exponent
     condition, positivity) holds; it is the numerator of d/dt ln G times
-    psi(a+bt)*psi(c+dt).  The lemma-cross suite's own code at one t: raises
-    DomainError for t < 0, PositivityViolated unless psi(a+bt) and psi(c+dt)
-    are certainly positive, and TruncationNotConverged from the kernels.
+    psi(a+bt)*psi(c+dt).  The lemma-cross suite's own code at one t, psi and
+    psi' from one kernel call: raises DomainError for t < 0,
+    PositivityViolated unless psi(a+bt) and psi(c+dt) are certainly
+    positive, and TruncationNotConverged from the kernels, psi's first.
     """
-    x, y = _entry_psi_lines(spec, params, [t], tol)
+    psi, prime = evaluate_columns(_PAIR, params, _args(spec, _entry_ts([t])), tol)
+    x, y = _halves(_read(psi))
     refusal = _positivity_refusal([t], x, y, params)
     if refusal:
         raise refusal
-    margins, _ = _cross_margins(spec, x, y, *_psi_lines("psi-prime", spec, params, [t], tol))
+    margins, _ = _cross_margins(spec, x, y, *_halves(_read(prime)))
     return margins.item()
 
 
@@ -390,13 +415,13 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
     as failures; evaluation errors at individual points are recorded.
     The report is deterministic given the grid.
 
-    The suite makes one evaluate_lines call per function: psi at every
-    lower and upper argument of every (params, spec) line, precondition
-    points included, and for lemma-cross then psi' at the lines that pass
-    the preconditions and positivity.  The lines are checked as the call
-    yields them, so only a group of them is in flight (lemma-cross keeps
-    the psi values and tails of its lines as arrays until their psi'
-    arrives); each line's margins and slacks are formed as arrays, and its
+    The suite makes one evaluate_lines call: its function at every lower
+    and upper argument of every (params, spec) line, precondition points
+    included; lemma-cross asks for psi and psi' as the pair and reads psi'
+    only at the grid of a spec that passes the preconditions and
+    positivity, so a psi' refusal surfaces only there.  The lines
+    are checked as the call yields them, so only a group of them is in
+    flight; each line's margins and slacks are formed as arrays, and its
     refusal recorded, in the order of the pairs.  A grid the suite cannot
     run on raises DomainError before anything is evaluated.
     """
@@ -441,7 +466,8 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
 
     # a line's psi: the precondition point first, then the grid, then t = 1 for a corollary
     ts = [t_lo, *t_vals, *([1.0] if kind == "corollary" else [])] if not monotone else t_vals
-    lines = evaluate_lines(fn, ((params, ts if monotone else _args(spec, ts)) for params, spec in grid.pairs), tol)
+    lines = evaluate_lines(_PAIR if kind == "cross" else fn,
+                           ((params, ts if monotone else _args(spec, ts)) for params, spec in grid.pairs), tol)
 
     def at_grid(spec: RatioSpec, line: tuple) -> Optional[tuple]:
         """The psi columns x, y of a line at the grid, or None where the spec's preconditions fail."""
@@ -450,19 +476,15 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
             return None
         return tuple(tuple(c[1:] for c in half) for half in (x, y))
 
+    def crossed(entries):
+        """Per pair of a cross suite, from its line of the pair: the refusal of its psi, None where it is skipped,
+        its positivity refusal, or its psi columns x, y at the grid and its psi' entry, read only then."""
+        for (params, spec), (psi, prime) in zip(grid.pairs, entries):
+            xy = psi if isinstance(psi, QDigammaError) else at_grid(spec, psi)
+            yield (_positivity_refusal(t_vals, *xy, params) or (*xy, prime)) if isinstance(xy, tuple) else xy
+
     if kind == "cross":
-        # per pair its refusal, None where it is skipped, or its psi values and tails at the grid as arrays,
-        # and then psi' in one call at the lines whose psi is certainly positive at every t
-        found = []
-        for (params, spec), line in zip(grid.pairs, lines):
-            xy = line if isinstance(line, QDigammaError) else at_grid(spec, line)
-            if isinstance(xy, tuple):
-                xy = _positivity_refusal(t_vals, *xy, params) or tuple(tuple(map(np.array, c[:2])) for c in xy)
-            found.append(xy)
-        primes = iter(evaluate_lines("psi-prime", ((params, _args(spec, t_vals))
-                                                   for (params, spec), xy in zip(grid.pairs, found)
-                                                   if isinstance(xy, tuple)), tol))
-        lines = found
+        lines = crossed(lines)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf or nan, as the floats give
         for i, ((params, spec), line) in enumerate(zip(grid.pairs, lines)):
@@ -479,13 +501,12 @@ def verify_bounds(suite, grid: GridSpec, tol: Tolerance = DEFAULT_TOL) -> Verifi
                 if xy is None:
                     skipped += 1
                     continue
-                x, y = xy
+                x, y = xy[:2]
 
-                if kind == "cross":
-                    prime = next(primes)
-                    if isinstance(prime, QDigammaError):
-                        raise prime
-                    margins, slack = _cross_margins(spec, x, y, *_halves(prime))
+                if kind == "cross":  # psi' at the grid: the precondition point t_lo is its first t, so psi'
+                    x, y, prime = xy    # refused there is refused at the grid too, with the same error
+                    margins, slack = _cross_margins(spec, x, y, *(tuple(c[1:] for c in half)
+                                                                 for half in _halves(_read(prime))))
                     record(margins, _eps(slack), lambda j: {"pair_index": i, "t": t_vals[j], "check": "cross"})
                     continue
 
@@ -550,11 +571,35 @@ def _targets(t: float, r: EvalResult, slope: float):
     return root - half, root + half, margin, max(ROOT_WIDTH, band + 4.0 * margin)
 
 
+def _probe(psi) -> list:
+    """The EvalResults of a request's psi, from its columns, or its refusal raised."""
+    return list(map(EvalResult, *_read(psi)))
+
+
+def _slope(prime, ts: tuple, j: int):
+    """psi' at ts[j], from prime, the psi' columns of the pair at ts, or their refusal; a sub-generator of
+    _bracket_steps.
+
+    Where the pair's psi' is refused and ts holds another point, the refusal
+    may be that point's: psi' at ts[j] is then asked for alone, so a refusal
+    surfaces only where psi' itself is refused.
+    """
+    if isinstance(prime, QDigammaError) and len(ts) > 1:
+        prime, j = (yield "psi-prime", (ts[j],)), 0
+    return _read(prime)[0][j]
+
+
 def _bracket_steps(params: DeformParams, tol: Tolerance):
     """Certified bracket (lo, hi) of the root of psi: psi(lo) + tail < 0 < psi(hi) - tail, as a generator.
 
-    It yields its requests (fn, ts), is sent each one's EvalResults, and
-    returns (lo, hi); _threshold_bracket drives one, _lock_step many together.
+    It yields its requests (fn, ts), is sent each one's columns (values,
+    tails, terms) or refusal as evaluate_columns gives them, and returns
+    (lo, hi); _threshold_bracket drives one, _lock_step many together.  A
+    probe asks for psi and psi' as the pair _PAIR wherever a step may read
+    psi' at one of its ts, that is where lo may move past _CHORD_STEP, and
+    for psi alone elsewhere.  psi' is read exactly where a step needs it,
+    so its refusal ends the search only there; the one other request,
+    "psi-prime" at one point (_slope), follows a refusal of the pair's psi'.
 
     On t > 0 psi is increasing and concave (psi' > 0 and nonincreasing), so a
     tangent step from any point lands left of the root, and from a point left
@@ -573,15 +618,17 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
     # The first bracketing step, down to a certified-negative point.  It starts
     # at 1 + k/2, about the root of the k-digamma (ln k + digamma(t/k))/k, the
     # q -> 1- limit of psi_qk (from digamma^-1(y) ~ e^y + 1/2); PQ starts at
-    # the k = 1 value 1.5.
+    # the k = 1 value 1.5.  psi' is read at every point of this step (at the
+    # last as lo's), unless psi there summed no terms.
     hi = math.inf
     t = 1.0 + 0.5 * (params.k if params.family is Family.QK else 1.0)
-    (r,) = yield "psi", (t,)
+    psi, prime = yield _PAIR, (t,)
+    (r,) = _probe(psi)
     while not _negative(r):
         if _positive(r):
             hi = t
         # where psi at t summed no terms, q^t underflowed and psi'(t) is exactly 0.0
-        s = (yield "psi-prime", (t,))[0].value if r.terms_used else 0.0
+        s = (yield from _slope(prime, (t,), 0)) if r.terms_used else 0.0
         x = _targets(t, r, s)[0] if s > 0.0 else 0.0
         t = x if x >= T_FLOOR else 0.5 * t  # bisection of (0, t) when the target leaves it
         if t < T_FLOOR:
@@ -589,10 +636,11 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
                 f"psi already positive at the argument floor {T_FLOOR:g} for {params.label()}",
                 floor=T_FLOOR,
             )
-        (r,) = yield "psi", (t,)
+        psi, prime = yield _PAIR, (t,)
+        (r,) = _probe(psi)
 
     lo, r_lo = t, r
-    s = (yield "psi-prime", (t,))[0].value if r.terms_used else 0.0
+    s = (yield from _slope(prime, (t,), 0)) if r.terms_used else 0.0
     inside = None  # (first, last) of the points found inside the band |psi| <= tail
     step_prev = 0.0
     while True:
@@ -630,33 +678,39 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
         if ts[-1] > 1e9:
             raise NoPositiveRegion(f"psi never positive up to t=1e9 for {params.label()}")
         lo_before = lo
-        for x, r in zip(ts, (yield "psi", ts)):
+        if max(ts) - lo > _CHORD_STEP:  # lo moves to one of ts, so psi' is read only after such a probe
+            psi, prime = yield _PAIR, ts
+        else:
+            psi = yield "psi", ts
+        for j, (x, r) in enumerate(zip(ts, _probe(psi))):
             if _negative(r):
                 if x > lo:
-                    lo, r_lo = x, r
+                    lo, r_lo, j_lo = x, r, j
             elif _positive(r):
                 hi = min(hi, x)
             else:
                 inside = (x, x) if inside is None else (min(inside[0], x), max(inside[1], x))
         if lo - lo_before > _CHORD_STEP:
-            s = (yield "psi-prime", (lo,))[0].value if r_lo.terms_used else 0.0
+            s = (yield from _slope(prime, ts, j_lo)) if r_lo.terms_used else 0.0
 
 
 def _lock_step(params_list: list, tol: Tolerance) -> list:
     """Run the bracket searches (_bracket_steps) of every params together: per params its (lo, hi), or its error.
 
-    Each round makes at most two evaluate_lines calls: psi at every search
-    that asks for psi, then psi' at every search that asks for psi', those
-    that asked for it after their psi of this round among them.  A search
-    whose line is refused ends with that error, as a kernel call would raise it.
+    Each round makes one evaluate_lines call per request the searches make:
+    the pair _PAIR at the searches that may read psi' after this probe,
+    psi alone at the others, and psi' alone only after a refusal of the
+    pair's psi'.  Each search is sent the entry of its line as
+    evaluate_lines returns it.  (Asking the pair at every search would take
+    one call a round, but the grids' searches then form psi' at about 1.7
+    times the points where they read it, which costs more than the call.)
     """
     searches = [_bracket_steps(params, tol) for params in params_list]
-    out, pending = [None] * len(searches), {"psi": {}, "psi-prime": {}}  # per function, the ts of each search
+    out, pending = [None] * len(searches), {}  # per search waiting, its request (fn, ts)
 
-    def advance(i: int, results) -> None:
+    def advance(i: int, sent) -> None:
         try:
-            fn, ts = searches[i].send(results)
-            pending[fn][i] = ts
+            pending[i] = searches[i].send(sent)
         except StopIteration as stop:
             out[i] = stop.value
         except QDigammaError as exc:
@@ -664,16 +718,14 @@ def _lock_step(params_list: list, tol: Tolerance) -> list:
 
     for i in range(len(searches)):
         advance(i, None)
-    while pending["psi"] or pending["psi-prime"]:
-        for fn in ("psi", "psi-prime"):
-            asked, pending[fn] = pending[fn], {}
-            if not asked:  # no call for a function no search asks for
+    while pending:
+        asked, pending = pending, {}
+        for fn in (_PAIR, "psi", "psi-prime"):
+            batch = {i: ts for i, (want, ts) in asked.items() if want == fn}
+            if not batch:  # no call for a request no search makes
                 continue
-            for i, line in zip(asked, evaluate_lines(fn, [(params_list[i], ts) for i, ts in asked.items()], tol)):
-                if isinstance(line, QDigammaError):
-                    out[i] = line
-                else:
-                    advance(i, list(map(EvalResult, *line)))
+            for i, line in zip(batch, evaluate_lines(fn, [(params_list[i], ts) for i, ts in batch.items()], tol)):
+                advance(i, line)
     return out
 
 
@@ -683,7 +735,7 @@ def _threshold_bracket(params: DeformParams, tol: Tolerance) -> tuple:
     try:
         fn, ts = next(steps)
         while True:
-            fn, ts = steps.send(evaluate(fn, params, ts, tol))
+            fn, ts = steps.send(evaluate_columns(fn, params, ts, tol))
     except StopIteration as stop:
         return stop.value
 
@@ -697,9 +749,9 @@ def find_positive_threshold(params: DeformParams, tol: Tolerance = DEFAULT_TOL) 
     the tail bounds of the same evaluations every other value carries, and
     hi - lo <= ROOT_WIDTH unless the band where |psi| <= tail is wider than
     that, or the float spacing at the root.  Safeguarded Newton steps on psi
-    and psi' find it in about nine kernel calls for the parameter sets the
-    grids sample; make_verification_grid runs the searches of all its draws
-    in lock-step (_lock_step), 10 to 15 kernel calls for a grid of 100.
+    and psi', both from one kernel call a step, find it in about five calls
+    for the parameter sets the grids sample; make_verification_grid runs the
+    searches of all its draws in lock-step (_lock_step), one call a round.
 
     Raises NoPositiveRegion when psi never becomes positive (PQ with p = 1,
     where the supremum ln[1]_q = 0) and NoRootInBracket when psi is not
@@ -782,8 +834,8 @@ def make_verification_grid(
     unless n_specs >= 1: a grid without pairs would pass every suite unchecked;
     and, before the first draw, unless the t-grid is one GridSpec accepts.
 
-    The thresholds of all draws are found in lock-step (_thresholds), at
-    most two kernel calls a round, 10 to 15 for a grid of 100.  Each draw's
+    The thresholds of all draws are found in lock-step (_thresholds), one
+    kernel call a round.  Each draw's
     params and its spec's uniforms are drawn in the order of a draw-by-draw
     loop, as if every draw had a threshold; at the first draw without one,
     the rng is taken back to the state after its params (the batch's start

@@ -138,14 +138,31 @@ rows' sums, or returns its refusal.  The six kernels are _batch's case
 of one point (_point).  Consecutive lines of one family go in groups of at
 most _BLOCK_TERMS / 4 points, read as the iterator reaches them.
 
+psi and psi' share one _TABLE row: psi' is its order 1, whose terms are
+psi's times n, and one term function (_psi_terms) gives either order or
+both.  The pair ("psi", "psi-prime") is one routing pass of that row: per
+point one t check and one series ratio (or one last nonzero index L for
+the PQ sums), then each order's own count, majorant and route, and one
+direct row whose block forms exp(n x) and 1 - q^(n k) once.  Each order is
+reduced over its own width (a (q,k) row holds one last index per order, as
+the two counts differ), so every sum has the bits of its one-function call;
+a point on the Euler-Maclaurin route takes its lattice once per order.
+Refusals stay per order: a t that fails the shared checks refuses both
+orders, and a count, lattice, cap or lead that fails for one order refuses
+it alone, with the error its one-function call gives, while the other
+order goes on.  A one-function call is the one-order case of the same code.
+
 A (q,k) batch of at least _ARRAY_MIN = 96 points decides the direct route
 by array expressions over its whole column of t (_qk_direct): the t checks,
 the series ratio, the geometric count, the majorant and its widening, with
 math's exp, expm1 and log mapped over the elements so every bit is that of
 the scalar loop (_qk_line), which routes the other points and every smaller
-batch.  The one-point calls of the kernels stay on the loop.  Cost per point
-in microseconds, loop / arrays, over lines of q in (0.1, 0.9), k in (0.3,
-3), t in (0.3, 6), on a shared 2-vCPU Intel Xeon (best of 5):
+batch.  A PQ batch of as many points routes its common point the same way
+(_pq_array_lines): a checked t whose q^(p t) is nonzero sums its p plain
+terms, and the loop (_pq_sum_line) routes every other point.  The one-point
+calls of the kernels stay on the loop.  Cost per point in microseconds,
+loop / arrays, for the (q,k) family over lines of q in (0.1, 0.9), k in
+(0.3, 3), t in (0.3, 6), on a shared 2-vCPU Intel Xeon (best of 5):
 
     points       1          16         64         100        200        10200
     psi         18.8/87.2  4.7/8.6    3.0/3.2    2.6/2.5    2.4/2.0    1.9/1.1
@@ -154,7 +171,10 @@ in microseconds, loop / arrays, over lines of q in (0.1, 0.9), k in (0.3,
 
 A finer run put the crossing at 80 to 96 points.  A verify suite's psi
 batches (groups of up to 2,048 of its 10,200 points) are far above it, the
-one-point calls far below.
+one-point calls far below.  For the PQ sums (p in 2..30) a batch of 100
+lines of 102 points takes 4.6 ms by arrays against 6.8 ms by the loop, and
+one of 100 lines of one point, as a grid's searches make, 0.47 against
+0.39 ms: the (q,k) rule is kept, as the suites' batches gain far more.
 """
 
 from __future__ import annotations
@@ -289,26 +309,30 @@ def psi_pq_limit(params: DeformParams) -> float:
 
 
 # -- term arrays ------------------------------------------------------------
-# Each term function terms(*x, n) (or the one _head_terms returns) gives the
-# terms at the indices n of the row whose parameters are the floats x, or of
-# the rows whose parameters are the columns x, each a (rows, 1) array or a
-# float all rows share, as a (rows, len(n)) array.  A block broadcasts the
-# one-row arithmetic, so every element has the same bits either way.
+# Each term function terms(m, *x, n) gives the terms of order m at the
+# indices n of the row whose parameters are the floats x, or of the rows
+# whose parameters are the columns x, each a (rows, 1) array or a float all
+# rows share, as a (rows, len(n)) array; for a tuple m of orders, a list of
+# one such array per order.  A block broadcasts the one-row arithmetic, so
+# every element has the same bits either way.  (The function _head_terms
+# returns takes x and n only.)
 
 
-def _psi_terms(x, kl, n):
-    """q^(n t) / (1 - q^(n k)) for rows x = t ln q with their own kl = k ln q."""
-    return np.exp(n * x) / -np.expm1(n * kl)
+def _psi_terms(m, x, kl, n):
+    """n^m q^(n t) / (1 - q^(n k)) at rows x = t ln q with their own kl = k ln q, for the order m, 0 (psi) or
+    1 (psi'), or for each order of a tuple m.  exp(n x) and 1 - q^(n k) are formed once for all the orders;
+    psi' divides n exp(n x) by the latter, so each order's terms have the bits of its own."""
+    e, d = np.exp(n * x), -np.expm1(n * kl)
+    if m == 0:
+        return e / d
+    if m == 1:
+        return n * e / d
+    return [n * e / d if order else e / d for order in m]
 
 
-def _psi_prime_terms(x, kl, n):
-    """n q^(n t) / (1 - q^(n k)), psi's terms times n."""
-    return n * np.exp(n * x) / -np.expm1(n * kl)
-
-
-def _ln_gamma_qk_terms(x, k, ln_q, n):
-    """ln(1 - q^(k + n k)) - ln(1 - q^(x + n k)), the numerator exponent written as k + n k so that t = k
-    cancels bitwise."""
+def _ln_gamma_qk_terms(m, x, k, ln_q, n):
+    """ln(1 - q^(k + n k)) - ln(1 - q^(x + n k)), ln Gamma's one order m = 0, the numerator exponent written as
+    k + n k so that t = k cancels bitwise."""
     return _ln1m_exp_terms((k + n * k) * ln_q) - _ln1m_exp_terms((x + n * k) * ln_q)
 
 
@@ -432,57 +456,97 @@ def _block_column(c: np.ndarray):
     return float(c[0]) if (bits == bits[0]).all() else c.reshape(-1, 1)
 
 
-def _sum_rows(terms, cols: tuple, n_first: int, lasts, cut=()) -> list:
-    """Sum terms(*x, n) over n = n_first..last for each row, its parameters x in cols and its own last, as
-    sum_terms would; cut: the indices of the rows that end short, at their last nonzero term, so that their
-    terms past it underflow.
+def _row_sums(terms, orders: tuple, x, n_first: int, last) -> tuple:
+    """The sums of terms(orders, *x, n) over n = n_first..last of one row for a tuple of orders, one per order,
+    each as sum_terms gives it; last holds each order's last index.
 
-    Rows are sorted widest first and packed into blocks of at most
-    _BLOCK_TERMS terms (rows times the widest row).  A block's terms are
-    built as one array, a parameter its rows share passed as one float
-    (_block_column), and each run of rows of one width is reduced in one
-    call.  Block rows are at most _BLOCK_TERMS wide, so each is the single
-    block of its sum_terms; fsum returns that sum unchanged except that it
-    reads -0.0 as 0.0, which adding 0.0 reproduces.  A block of rows of more
-    than one width with a row that ends short forms its rows' terms past
-    their last, which no sum reads, at n = n_first instead: numpy's exp takes
-    about 16 times as long for a result that underflows.  Any other block has
-    no such terms and skips that mask.  A row that fills
-    a block alone, and every row of a batch of fewer than _BLOCK_ROWS_MIN,
-    is summed by sum_terms, in blocks of _BLOCK_TERMS terms.
-    Rows that sum no terms are 0.0 and build none, so their parameters, which
-    may be far outside the range of the others (t ln q near -1e308), are
-    never used.
+    The orders of a row that one block holds are formed by one call and
+    each reduced over its own width; a wider row sums each order alone.
     """
-    if len(lasts) == 1:  # the one-point call
-        return [sum_terms(partial(terms, *[c[0] for c in cols]), n_first, lasts[0])]
-    if len(lasts) < _BLOCK_ROWS_MIN:  # few rows: no blocks to plan
-        return [sum_terms(partial(terms, *x), n_first, last) for x, last in zip(zip(*cols), lasts)]
-    lasts = np.asarray(lasts, dtype=np.int64)
+    hi = max(last)
+    if hi < n_first:  # no terms: its parameters are never used
+        return (0.0,) * len(orders)
+    if hi <= _BLOCK_TERMS and hi - n_first < _BLOCK_TERMS:
+        blocks = terms(orders, *x, _INDICES[n_first:hi + 1])
+        return tuple(float(np.add.reduce(b[:m - n_first + 1])) + 0.0 if m >= n_first else 0.0
+                     for b, m in zip(blocks, last))
+    return tuple(sum_terms(partial(terms, o, *x), n_first, m) for o, m in zip(orders, last))
+
+
+def _reduce_rows(block: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """np.add.reduce of each row of block over its first widths terms, widest first: one call per run of rows of one
+    width."""
+    cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(widths)]
+    return np.concatenate([np.add.reduce(block[lo:hi, :widths[lo]], axis=1) for lo, hi in zip(cuts, cuts[1:])]) + 0.0
+
+
+def _sum_rows(terms, orders, cols: tuple, n_first: int, lasts, cut=()) -> list:
+    """Sum terms(orders, *x, n) over n = n_first..last for each row and order, its parameters x in cols and its
+    own last, as sum_terms would: per order, the list of its rows' sums.  orders is one order, with lasts the
+    list of each row's last index, or a tuple of orders, with lasts a tuple of one such list per order; cut:
+    the indices of the rows that end short, at their last nonzero term, so that their terms past it underflow.
+
+    Rows are sorted widest first, by the widest of their orders, and packed
+    into blocks of at most _BLOCK_TERMS terms (rows times the widest row).
+    A block's terms are built by one call for all the orders, a parameter
+    its rows share passed as one float (_block_column), and each order's
+    run of rows of one width, over that order's own widths, is reduced in
+    one call.  Block rows are at most _BLOCK_TERMS wide, so each is the
+    single block of its sum_terms; fsum returns that sum unchanged except
+    that it reads -0.0 as 0.0, which adding 0.0 reproduces.  A block of rows
+    of more than one width with a row that ends short forms its rows' terms
+    past their last, which no sum reads, at n = n_first instead: numpy's exp
+    takes about 16 times as long for a result that underflows.  Any other
+    block has no such terms and skips that mask.  A row that fills a block
+    alone, and every row of a batch of fewer than _BLOCK_ROWS_MIN, is summed
+    by sum_terms (by _row_sums for a tuple of orders).  Rows that sum no
+    terms are 0.0 and build none, so their
+    parameters, which may be far outside the range of the others (t ln q
+    near -1e308), are never used.
+    """
+    multi = isinstance(orders, tuple)
+    if not multi and len(lasts) == 1:  # the one-point call
+        return [[sum_terms(partial(terms, orders, *[c[0] for c in cols]), n_first, lasts[0])]]
+    if len(lasts[0] if multi else lasts) < _BLOCK_ROWS_MIN:  # few rows: no blocks to plan
+        if multi:
+            return list(map(list, zip(*[_row_sums(terms, orders, x, n_first, last)
+                                        for x, last in zip(zip(*cols), zip(*lasts))])))
+        return [[sum_terms(partial(terms, orders, *x), n_first, last) for x, last in zip(zip(*cols), lasts)]]
+    lasts = np.array(lasts, dtype=np.int64)
+    wide = lasts.max(axis=0) if multi else lasts
     cols = [np.asarray(c, dtype=np.float64) for c in cols]
     if len(cut):
-        short = np.zeros(len(lasts), dtype=bool)
+        short = np.zeros(len(wide), dtype=bool)
         short[cut] = True
-    sums = np.zeros(len(lasts))
-    order = np.argsort(-lasts, kind="stable")  # widest first, rows of one width in order
-    order = order[:np.count_nonzero(lasts >= n_first)]  # the narrowest rows sum no terms
+    sums = np.zeros((len(orders) if multi else 1, len(wide)))
+    order = np.argsort(-wide, kind="stable")  # widest first, rows of one width in order
+    order = order[:np.count_nonzero(wide >= n_first)]  # the narrowest rows sum no terms
     k = 0
     while k < len(order):
-        width = int(lasts[order[k]]) - n_first + 1
+        width = int(wide[order[k]]) - n_first + 1
         rows = order[k:k + max(1, _BLOCK_TERMS // width)]
         k += len(rows)
         if len(rows) == 1:
             r = int(rows[0])
-            sums[r] = sum_terms(partial(terms, *(float(c[r]) for c in cols)), n_first, int(lasts[r]))
+            x = [float(c[r]) for c in cols]
+            sums[:, r] = (_row_sums(terms, orders, x, n_first, lasts[:, r].tolist()) if multi
+                          else sum_terms(partial(terms, orders, *x), n_first, int(lasts[r])))
             continue
         n = np.arange(n_first, n_first + width, dtype=np.float64)
-        widths = lasts[rows] - (n_first - 1)
+        widths = wide[rows] - (n_first - 1)
         if len(cut) and widths[-1] < width and short[rows].any():  # rows of more than one width, one short
-            n = np.where(n <= lasts[rows].reshape(-1, 1), n, float(n_first))
-        block = terms(cols[0][rows].reshape(-1, 1), *map(_block_column, (c[rows] for c in cols[1:])), n)
-        cuts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), len(rows)]
-        sums[rows] = np.concatenate([np.add.reduce(block[lo:hi, :widths[lo]], axis=1)
-                                     for lo, hi in zip(cuts, cuts[1:])]) + 0.0
+            n = np.where(n <= wide[rows].reshape(-1, 1), n, float(n_first))
+        blocks = terms(orders, cols[0][rows].reshape(-1, 1), *map(_block_column, (c[rows] for c in cols[1:])), n)
+        if not multi:
+            sums[0, rows] = _reduce_rows(blocks, widths)
+            continue
+        for j, block in enumerate(blocks):  # each order over its own widths, in their order
+            own = lasts[j, rows] - (n_first - 1)
+            if (own[1:] > own[:-1]).any():
+                by = np.argsort(-own, kind="stable")
+                sums[j, rows[by]] = _reduce_rows(block[by], own[by])
+            else:
+                sums[j, rows] = _reduce_rows(block, own)
     return sums.tolist()
 
 
@@ -879,7 +943,7 @@ def _majorant(fn: str, ln_q: float, ln_s: float, one_minus_qk: float, exp=math.e
 
 def _mapped(fn, a: np.ndarray) -> np.ndarray:
     """math's fn at every element of a: numpy's SIMD exp, expm1 and log differ from it in the last place."""
-    return np.array(list(map(fn, a.tolist())), dtype=np.float64)
+    return np.fromiter(map(fn, a.tolist()), dtype=np.float64, count=len(a))
 
 
 _exps = partial(_mapped, math.exp)
@@ -907,8 +971,9 @@ def psi_qk_direct_count(t: float, params: DeformParams, tol: Tolerance = DEFAULT
     return n, (tail_at(n, ln_r, one_minus_r) if n < math.inf else math.inf)
 
 
-def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
-    """fn ("psi", "psi-prime" or "ln-gamma") of the (q,k) family at every t of one line, t by t in order.
+def _qk_line(fn, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list):
+    """fn ("psi", "psi-prime" or "ln-gamma", or a tuple of psi orders such as ("psi", "psi-prime")) of the (q,k)
+    family at every t of one line, t by t in order, the orders of a tuple in one pass.
 
     This is the one route rule of the (q,k) kernels, the same for all three.
     A point takes the direct series only where its majorant stays in the
@@ -920,88 +985,129 @@ def _qk_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, las
     lattice would need more than n _EM_M / N0 direct terms.  Every other
     point takes the Euler-Maclaurin route.  Every t first passes its
     function's checks, in order: _check_ln_gamma_t, or _check_t and
-    _series_ratio.
+    _series_ratio, once for all the orders of a tuple; each order then takes
+    its own count, majorant and route.
 
-    Returns ((values, tails, terms, rows, scale), refusal).  A direct point
-    appends its row to the batch's: the parameters of its terms to cols and
-    its last index to lasts; rows lists those points in order, and each
-    one's value, its lead here, becomes lead + scale * its sum (_line_finish).
-    refusal is the error of the first t that cannot be evaluated, or None;
-    the points before it keep their rows.
+    Returns ((values, tails, terms, rows, scale), refusal), and for a tuple
+    one such pair per order.  A point that an order sums directly appends
+    one row to the batch's: the parameters of its terms to cols and its last
+    index to lasts, for a tuple to each order's list in the tuple lasts (0,
+    no terms, for an order that does not sum it there).  An order's rows list, per row
+    of the line, the index of its point, or None where that order takes no
+    terms from it; each such point's value, its lead here, becomes lead +
+    scale * its sum (_line_finish).  refusal is the error of the order's
+    first t that cannot be evaluated, or None: a t that fails the checks
+    refuses every order still routing, and an order's own count, lattice or
+    lead refuses that order alone, which routes no further points.  The rows
+    before a refusal are kept.
     """
+    single = isinstance(fn, str)
+    fns = (fn,) if single else fn
     q, k = params.q, params.k
     ln_q = math.log(q)
     ln_s = k * ln_q
     one_minus_qk = -math.expm1(ln_s)
     ln1mq = math.log1p(-q)
-    gamma, prime = fn == "ln-gamma", fn == "psi-prime"
+    gamma = fns[0] == "ln-gamma"
     # ln Gamma's count, the same at every t, from the numerator tail's geometric part held to abs_tol / 2
     count = geometric_count(2.0 / (one_minus_qk * one_minus_qk), ln_s, tol.abs_tol) if gamma else None
-    # the coefficient of the geometric part is coeff / ((1-q^k)(1-r)) for psi, coeff / (1-r) for psi'
-    coeff = _SAFETY * ln_q * ln_q / one_minus_qk if prime else _SAFETY * -ln_q
-    tail_at = None  # the majorant, formed at the first point that needs it
     if gamma:
         # ln Gamma's shifted terms ln(1 - q^(x + n k)) are formed at x = min(t, t_cap): past t_cap the power
         # is 0 at t_cap as at t, so every term keeps its bits, and (t + n k) ln q, which would overflow with
         # a numpy warning on stderr, is never formed
-        scale, t_cap = 1.0, sys.float_info.max / (2.0 * -ln_q)
+        t_cap = sys.float_info.max / (2.0 * -ln_q)
         add_x, add_k, add_ln_q = cols[0].append, cols[1].append, cols[2].append
     else:
-        # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
-        lead, scale = (0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q)
         add_x, add_kl = cols[0].append, cols[1].append
-    values, tails, terms, rows = [], [], [], []
-    state = values, tails, terms, rows, scale
-    try:
-        for i, t in enumerate(ts):
+    orders = []  # per order [fn, psi', coeff, lead, majorant, its columns, its lasts, its line [state, refusal]]
+    for j, f in enumerate(fns):
+        prime = f == "psi-prime"
+        # psi' sums are nonnegative, so adding its 0.0 lead changes no bit
+        lead, scale = (None, 1.0) if gamma else ((0.0, ln_q * ln_q) if prime else (-ln1mq / k, ln_q))
+        # the coefficient of the geometric part is coeff / ((1-q^k)(1-r)) for psi, coeff / (1-r) for psi'
+        coeff = _SAFETY * ln_q * ln_q / one_minus_qk if prime else _SAFETY * -ln_q
+        values, tails, terms, rows = [], [], [], []
+        orders.append([f, prime, coeff, lead, None, values, tails, terms, rows, lasts if single else lasts[j],
+                       [(values, tails, terms, rows, scale), None]])
+    live = orders
+    for i, t in enumerate(ts):
+        try:
             if gamma:
                 t = _check_ln_gamma_t(t, ln_q)
                 ln_r, one_minus_r = t * ln_q, -math.expm1(t * ln_q)
             else:
                 t = _check_t(t)
                 ln_r, one_minus_r = _series_ratio(t, ln_q)
-                if one_minus_r is None:  # every term underflows: the limit value is exact
-                    add_x(ln_r), add_kl(ln_s), lasts.append(0), rows.append(i)
-                    values.append(lead), tails.append(0.0), terms.append(0)
-                    continue
-            found = res = None
-            if one_minus_qk * one_minus_r >= _MIN_NORMAL:
-                n = count if gamma else geometric_count(
-                    coeff / one_minus_r if prime else coeff / (one_minus_qk * one_minus_r), ln_r, tol.abs_tol)
-                if n > _N0:  # the lattice goes first, its cost capped at that of n direct terms; uncapped past n_max
-                    res = _em_qk(fn, params, t, tol, n * _EM_M / _N0 if n <= tol.n_max else math.inf)
-                if res is None:
-                    tail_at = tail_at or _majorant(fn, ln_q, ln_s, one_minus_qk)
-                    n = min(tol.n_max, n)
-                    found = n, tail_at(n, ln_r, one_minus_r)
-                    if found[1] > tol.abs_tol:  # widen, over the points still above abs_tol only
-                        found = geometric_terms_needed(lambda m: tail_at(m, ln_r, one_minus_r), *found,
-                                                       ln_s if gamma else ln_r, tol)
-            if found is None:
-                res = res or _em_qk(fn, params, t, tol)
-                values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
-                continue
-            if gamma:
-                lead = _qk_gamma_lead(t, k, ln1mq)
-                if not math.isfinite(lead):
-                    raise _lead_refusal(t)
-                add_x(min(t, t_cap)), add_k(k), add_ln_q(ln_q)
+        except QDigammaError as exc:
+            for o in live:
+                o[-1][1] = exc
+            break
+        row = refused = False
+        for o in live:
+            f, prime, coeff, lead, tail_at, values, tails, terms, rows, o_lasts, line = o
+            if one_minus_r is None:  # every term underflows: the limit value is exact
+                values.append(lead), tails.append(0.0), terms.append(0)
+                last = 0
             else:
-                add_x(ln_r), add_kl(ln_s)
-            # ln Gamma's N factor pairs are its terms n = 0..N-1
-            lasts.append(found[0] - 1 if gamma else found[0]), rows.append(i)
-            values.append(lead), tails.append(found[1]), terms.append(found[0])
-    except QDigammaError as exc:
-        return state, exc
-    return state, None
+                try:
+                    found = res = None
+                    if one_minus_qk * one_minus_r >= _MIN_NORMAL:
+                        n = count if gamma else geometric_count(
+                            coeff / one_minus_r if prime else coeff / (one_minus_qk * one_minus_r), ln_r, tol.abs_tol)
+                        # the lattice goes first, its cost capped at that of n direct terms; uncapped past n_max
+                        if n > _N0:
+                            res = _em_qk(f, params, t, tol, n * _EM_M / _N0 if n <= tol.n_max else math.inf)
+                        if res is None:
+                            tail_at = o[4] = tail_at or _majorant(f, ln_q, ln_s, one_minus_qk)
+                            n = min(tol.n_max, n)
+                            found = n, tail_at(n, ln_r, one_minus_r)
+                            if found[1] > tol.abs_tol:  # widen, over the points still above abs_tol only
+                                found = geometric_terms_needed(lambda m: tail_at(m, ln_r, one_minus_r), *found,
+                                                               ln_s if gamma else ln_r, tol)
+                    if found is None:
+                        res = res or _em_qk(f, params, t, tol)
+                        values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
+                        continue
+                    if gamma:
+                        lead = _qk_gamma_lead(t, k, ln1mq)
+                        if not math.isfinite(lead):
+                            raise _lead_refusal(t)
+                except QDigammaError as exc:
+                    line[1], refused = exc, True
+                    continue
+                values.append(lead), tails.append(found[1]), terms.append(found[0])
+                last = found[0] - 1 if gamma else found[0]  # ln Gamma's N factor pairs are its terms n = 0..N-1
+            if not row:  # the first order that sums point i makes its row
+                row = len(o_lasts) + 1  # the rows of each order once it is made
+                if gamma:
+                    add_x(min(t, t_cap)), add_k(k), add_ln_q(ln_q)
+                else:
+                    add_x(ln_r), add_kl(ln_s)
+            o_lasts.append(last), rows.append(i)
+        if row and not single:
+            _pad_row(orders, row)
+        if refused:
+            live = [o for o in live if o[-1][1] is None]
+            if not live:
+                break
+    return orders[0][-1] if single else (orders[0][-1], orders[1][-1])
+
+
+def _pad_row(orders: list, made: int) -> None:
+    """Give the row just made, the made-th of the batch, the last index 0 (no terms) and no point in each order
+    that does not sum it.  An order is [..., its rows, its lasts, its line]."""
+    for o in orders:
+        if len(o[-2]) < made:
+            o[-2].append(0), o[-3].append(None)
 
 
 def _line_finish(state: tuple, refusal, sums: list):
-    """The columns of a line routed by _qk_line or _pq_sum_line, from its rows' sums, or its refusal."""
+    """The columns of an order's line routed by _qk_line or _pq_sum_line, from its rows' sums, or its refusal."""
     values, tails, terms, rows, scale = state
     if rows and not refusal:  # a line on the lattice has none, and an empty zip costs as much as the rest
         for i, s in zip(rows, sums):
-            values[i] += scale * s
+            if i is not None:
+                values[i] += scale * s
     return refusal or (values, tails, terms)
 
 
@@ -1011,19 +1117,21 @@ def _line_finish(state: tuple, refusal, sums: list):
 _ARRAY_MIN = 96
 
 
-def _qk_direct(fn: str, c: dict, t: np.ndarray, tol: Tolerance) -> tuple:
-    """The direct route of _qk_line's rule as array expressions over a column t of checked-type floats.
+def _qk_direct(fns: tuple, c: dict, t: np.ndarray, tol: Tolerance) -> tuple:
+    """The direct route of _qk_line's rule for the functions fns as array expressions over a column t of
+    checked-type floats.
 
     c holds the line constants of every point (ln_q, ln_s, omqk, and k,
-    ln1mq and count for ln Gamma, coeff otherwise).  Returns (plain, x, n,
-    tail, lead): plain marks the points that take the direct route, for each
-    of which x is the parameter of its terms, n its count (0 where psi sums
-    no terms), tail its majorant and lead (for ln Gamma) the lead of its
-    value.  Every other point, a refused one or one whose count, widening or
-    lead leaves the common case, is routed by _qk_line.  Logs and exps are
-    math's, so every element has the bits of _qk_line's.
+    ln1mq and count for ln Gamma).  Returns (plain, x, ns, tails, lead):
+    plain marks the points that every order of fns sums directly, for each
+    of which x is the parameter of its terms, and per order ns its count (0
+    where psi sums no terms) and tails its majorant; lead (for ln Gamma) is
+    the lead of its value.  Every other point, a refused one or one whose
+    count, widening or lead leaves the common case for some order, is routed
+    by _qk_line.  Logs and exps are math's, so every element has the bits of
+    _qk_line's.
     """
-    gamma, prime = fn == "ln-gamma", fn == "psi-prime"
+    gamma = fns[0] == "ln-gamma"
     ln_q, ln_s, omqk = c["ln_q"], c["ln_s"], c["omqk"]
     with np.errstate(all="ignore"):  # the refused points keep whatever the floats give
         ok = (t > 0.0) & (t < math.inf)
@@ -1036,46 +1144,52 @@ def _qk_direct(fn: str, c: dict, t: np.ndarray, tol: Tolerance) -> tuple:
             low = np.flatnonzero(ok & (ln_r < -700.0))
             zero[low] = [math.exp(x) == 0.0 for x in ln_r[low].tolist()]
             ok &= zero | (omr > 0.0)
-        ok &= zero | (omqk * omr >= _MIN_NORMAL)
-        if gamma:
-            n = c["count"]
-        else:
-            ratio = tol.abs_tol / (c["coeff"] / omr if prime else c["coeff"] / (omqk * omr))
-            counted = ok & ~zero & (ratio > 0.0) & (ratio < math.inf)
-            n = _mapped(math.log, np.where(counted, ratio, 1.0)) / ln_r
-            n = np.where(counted & np.isfinite(n), np.maximum(1.0, np.ceil(n) - 1.0), math.inf)
-        plain = ok & (zero | (n <= _N0))
-        n = np.where(zero, 0.0, np.minimum(float(tol.n_max), n))
-        tail = np.zeros(len(t))
+        plain = ok & (zero | (omqk * omr >= _MIN_NORMAL))
         step = ln_s if gamma else ln_r
+        ns, tails = [], []
+        for fn in fns:
+            if gamma:
+                n = c["count"]
+            else:
+                prime = fn == "psi-prime"
+                coeff = _SAFETY * ln_q * ln_q / omqk if prime else _SAFETY * -ln_q
+                ratio = tol.abs_tol / (coeff / omr if prime else coeff / (omqk * omr))
+                counted = plain & ~zero & (ratio > 0.0) & (ratio < math.inf)
+                n = _mapped(math.log, np.where(counted, ratio, 1.0)) / ln_r
+                n = np.where(counted & np.isfinite(n), np.maximum(1.0, np.ceil(n) - 1.0), math.inf)
+            plain &= zero | (n <= _N0)
+            n = np.where(zero, 0.0, np.minimum(float(tol.n_max), n))
+            tail = np.zeros(len(t))
 
-        def majorant(w):
-            return _majorant(fn, ln_q[w], ln_s[w], omqk[w], _exps)(n[w], ln_r[w], omr[w])
-        w = np.flatnonzero(plain & ~zero)
-        tail[w] = majorant(w)
-        w = w[tail[w] > tol.abs_tol]
-        while w.size:  # geometric_terms_needed's widening, over the points still above abs_tol only
-            over = tail[w] / tol.abs_tol
-            grow = _mapped(math.log, np.where(np.isfinite(over), over, 1.0)) / -step[w]
-            stuck = ~np.isfinite(over) | (n[w] >= tol.n_max) | ~np.isfinite(grow)
-            plain[w[stuck]] = False
-            w, grow = w[~stuck], grow[~stuck]
-            n[w] = np.minimum(float(tol.n_max), n[w] + np.maximum(1.0, np.ceil(grow)))
+            def majorant(w):
+                return _majorant(fn, ln_q[w], ln_s[w], omqk[w], _exps)(n[w], ln_r[w], omr[w])
+            w = np.flatnonzero(plain & ~zero)
             tail[w] = majorant(w)
             w = w[tail[w] > tol.abs_tol]
+            while w.size:  # geometric_terms_needed's widening, over the points still above abs_tol only
+                over = tail[w] / tol.abs_tol
+                grow = _mapped(math.log, np.where(np.isfinite(over), over, 1.0)) / -step[w]
+                stuck = ~np.isfinite(over) | (n[w] >= tol.n_max) | ~np.isfinite(grow)
+                plain[w[stuck]] = False
+                w, grow = w[~stuck], grow[~stuck]
+                n[w] = np.minimum(float(tol.n_max), n[w] + np.maximum(1.0, np.ceil(grow)))
+                tail[w] = majorant(w)
+                w = w[tail[w] > tol.abs_tol]
+            ns.append(n), tails.append(tail)
         if not gamma:
-            return plain, ln_r, n, tail, None
+            return plain, ln_r, ns, tails, None
         lead = -(t / c["k"] - 1.0) * c["ln1mq"]
         plain &= np.isfinite(lead)  # _qk_gamma_lead's other form, or the refusal
-        return plain, np.minimum(t, sys.float_info.max / (2.0 * -ln_q)), n, tail, lead
+        return plain, np.minimum(t, sys.float_info.max / (2.0 * -ln_q)), ns, tails, lead
 
 
-def _qk_array_lines(fn: str, lines: list, tol: Tolerance, cols: tuple, lasts: list) -> list | None:
+def _qk_array_lines(fn, lines: list, tol: Tolerance, cols: tuple, lasts: list) -> list | None:
     """_qk_line at every line of a batch of at least _ARRAY_MIN points, as _batch routes them, or None.
 
     _qk_direct decides the direct route in chunks of _BLOCK_TERMS points;
-    each line gets its direct points, in order, and then its other points
-    through _qk_line, so it has the columns and refusal _qk_line gives it.
+    each line gets the points that every order sums directly, in order, and
+    then its other points through _qk_line, so it has the columns and
+    refusals _qk_line gives it.
     """
     if not ((len(lines) > 1 or len(lines[0][1]) >= _ARRAY_MIN) and tol.n_max < 1 << 53
             and sum(len(ts) for _, ts in lines) >= _ARRAY_MIN):
@@ -1084,7 +1198,8 @@ def _qk_array_lines(fn: str, lines: list, tol: Tolerance, cols: tuple, lasts: li
         t_all = np.array([t for _, ts in lines for t in ts], dtype=np.float64)
     except (TypeError, ValueError, OverflowError):  # a t that is not a float: refused t by t
         return None
-    gamma, prime = fn == "ln-gamma", fn == "psi-prime"
+    fns = (fn,) if isinstance(fn, str) else fn
+    gamma = fns[0] == "ln-gamma"
     qs, ks = (np.array([getattr(params, a) for params, _ in lines]) for a in ("q", "k"))
     ln_q = _mapped(math.log, qs)
     ln_s = ks * ln_q
@@ -1095,47 +1210,62 @@ def _qk_array_lines(fn: str, lines: list, tol: Tolerance, cols: tuple, lasts: li
         consts.update(k=ks, ln1mq=ln1mq, count=np.array(
             [geometric_count(2.0 / (o * o), x, tol.abs_tol) for o, x in zip(omqk.tolist(), ln_s.tolist())],
             dtype=np.float64))
-        line_leads, scales = None, [1.0] * len(lines)
-    else:
-        consts["coeff"] = _SAFETY * ln_q * ln_q / omqk if prime else _SAFETY * -ln_q
-        line_leads, scales = (np.zeros(len(lines)), ln_q * ln_q) if prime else (-ln1mq / ks, ln_q)
-        line_leads, scales = line_leads.tolist(), scales.tolist()
+        line_leads, scales = None, [[1.0] * len(lines)]
+    else:  # per order, each line's lead and scale
+        line_leads = [np.zeros(len(lines)) if f == "psi-prime" else -ln1mq / ks for f in fns]
+        scales = [(ln_q * ln_q if f == "psi-prime" else ln_q).tolist() for f in fns]
     sizes = [len(ts) for _, ts in lines]
     line_of = np.repeat(np.arange(len(lines)), sizes)
-    plain, x, n, tail = (np.empty(len(t_all), dtype=d) for d in (bool, np.float64, np.float64, np.float64))
+    plain, x = np.empty(len(t_all), dtype=bool), np.empty(len(t_all))
+    ns, tails = [np.empty(len(t_all)) for _ in fns], [np.empty(len(t_all)) for _ in fns]
     lead = np.empty(len(t_all)) if gamma else None
     for a in range(0, len(t_all), _BLOCK_TERMS):
         b = min(len(t_all), a + _BLOCK_TERMS)
         idx = line_of[a:b]
-        parts = _qk_direct(fn, {key: v[idx] for key, v in consts.items()}, t_all[a:b], tol)
-        for whole, part in zip((plain, x, n, tail, lead), parts):
-            if whole is not None:
-                whole[a:b] = part
+        part = _qk_direct(fns, {key: v[idx] for key, v in consts.items()}, t_all[a:b], tol)
+        plain[a:b], x[a:b] = part[:2]
+        for whole, chunk in zip(ns + tails, part[2] + part[3]):
+            whole[a:b] = chunk
+        if gamma:
+            lead[a:b] = part[4]
     # each line's slices of the columns, as lists: a line of one or two points costs no numpy call
-    counts = np.where(plain, n, 0.0).astype(np.int64)
-    plain, x, tail = plain.tolist(), x.tolist(), tail.tolist()
-    terms_all, lasts_all = counts.tolist(), (counts - 1 if gamma else counts).tolist()
-    lead, ks, ln_q, ln_s = (None if lead is None else lead.tolist()), ks.tolist(), ln_q.tolist(), ln_s.tolist()
-    out, a = [], 0
+    counts = [np.where(plain, n, 0.0).astype(np.int64) for n in ns]
+    plain, x, tails = plain.tolist(), x.tolist(), [tail.tolist() for tail in tails]
+    terms_all = [c.tolist() for c in counts]
+    lasts_all = [(c - 1 if gamma else c).tolist() for c in counts]
+    # per order each point's value until its sum arrives (_line_finish): its lead
+    values_all = [lead.tolist()] if gamma else [np.repeat(leads, sizes).tolist() for leads in line_leads]
+    ks, ln_q, ln_s = ks.tolist(), ln_q.tolist(), ln_s.tolist()
+    multi = len(fns) > 1
+    out, a, rows_at = [], 0, lasts[0] if multi else lasts
     for i, ((params, ts), size) in enumerate(zip(lines, sizes)):
-        b, start = a + size, len(lasts)
+        b, start = a + size, len(rows_at)
         on = plain[a:b]
         rows = list(compress(range(size), on))
-        cols[0].extend(compress(x[a:b], on)), lasts.extend(compress(lasts_all[a:b], on))
+        cols[0].extend(compress(x[a:b], on))
+        if multi:
+            for whole, part in zip(lasts, lasts_all):
+                whole.extend(compress(part[a:b], on))
+        else:
+            lasts.extend(compress(lasts_all[0][a:b], on))
         if gamma:
             cols[1].extend([ks[i]] * len(rows)), cols[2].extend([ln_q[i]] * len(rows))
         else:
             cols[1].extend([ln_s[i]] * len(rows))
-        # a direct point's value is its lead until its sum arrives (_line_finish)
-        values, tails, terms = lead[a:b] if gamma else [line_leads[i]] * size, tail[a:b], terms_all[a:b]
-        state, refusal = (values, tails, terms, rows, scales[i]), None
+        # per order [state, refusal]
+        line = [[(values_all[o][a:b], tails[o][a:b], terms_all[o][a:b], rows[:] if o else rows, scales[o][i]), None]
+                for o in range(len(fns))] if multi else [(values_all[0][a:b], tails[0][a:b], terms_all[0][a:b], rows,
+                                                           scales[0][i]), None]
         if len(rows) < size:  # the other points, t by t
             others = list(compress(range(size), map(not_, on)))
-            line, refusal = _qk_line(fn, params, [ts[j] for j in others], tol, cols, lasts)
-            for j, v, tl, tm in zip(others, *line[:3]):
-                values[j], tails[j], terms[j] = v, tl, tm
-            rows += [others[r] for r in line[3]]
-        out.append((start, state, refusal, len(lasts)))
+            routed = _qk_line(fn, params, [ts[j] for j in others], tol, cols, lasts)
+            for (state, refusal), mine in zip(routed, line) if multi else ((routed, line),):
+                values, tails_o, terms_o, rows_o, _ = mine[0]
+                for j, v, tl, tm in zip(others, *state[:3]):
+                    values[j], tails_o[j], terms_o[j] = v, tl, tm
+                rows_o += [None if r is None else others[r] for r in state[3]]
+                mine[1] = refusal
+        out.append((start, line, len(rows_at)))
         a = b
     return out
 
@@ -1144,46 +1274,156 @@ def _capped(n: int, tol: Tolerance) -> TruncationNotConverged:
     return TruncationNotConverged(f"finite sum needs {n} terms, past the cap of {tol.n_max} terms", math.inf, tol.n_max)
 
 
-def _pq_sum_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
-    """Route one psi or psi' (p,q) line in t order, by the rule of _qk_line: ((values, tails, terms, rows,
-    scale), refusal) as _qk_line returns them, with the index of each direct row that ends short of p in cols[2].
+def _pq_sum_line(fn, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list):
+    """Route one psi or psi' (p,q) line, or both for a tuple of psi orders, in t order, by the rule of _qk_line:
+    (state, refusal) for one function and one such pair per order for a tuple, state as _pq_sum_finish reads it,
+    with the index of each direct row that ends short of p in cols[2].
 
     A point whose plain sum has its last nonzero term L past N0 takes the
     lattice (_em_lattice, the finite Lambert series) unless that needs more
     than L _PQ_EM_FRACTION direct lattice terms; uncapped past n_max.  Every
-    other point appends the row of its plain sum to cols (x, ln q) and lasts.
-    p is held at _P_HOLD; refusal is the error of the first t that cannot be
+    other point appends the row of its plain sum to cols (x, ln q) and its L
+    to lasts, for a tuple to each order's list: the t check, the hold of p
+    and L are the same for every order, so a point is routed once, and only
+    a lattice, tried per order, can set one order's point apart (its row's
+    sum, if another order makes one, is then not read).  p is held at
+    _P_HOLD; refusal is the error of the order's first t that cannot be
     evaluated, or None, and the rows before it are kept.
     """
     p = min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
     ln_q = math.log(params.q)
     eps = -ln_q
-    s, lead, scale = (-1, 0.0, ln_q * ln_q) if fn == "psi-prime" else (0, ln_q_bracket(p, ln_q), ln_q)
     add_x, add_ln_q, add_short = cols[0].append, cols[1].append, cols[2].append
-    values, tails, terms, rows = [], [], [], []
-    state = values, tails, terms, rows, scale
-    try:
-        for i, t in enumerate(ts):
+    single = isinstance(fn, str)
+    fns = (fn,) if single else fn
+    rows, terms, states = [], [], []  # the points of the line's rows and each point's L, as all orders share them
+    live = []  # per order still routing (s, lead, scale, its [state, refusal])
+    for f in fns:
+        s, lead, scale = (-1, 0.0, ln_q * ln_q) if f == "psi-prime" else (0, ln_q_bracket(p, ln_q), ln_q)
+        # [[lead, scale, rows, L, its lattice points by index or None, whether L is shared], refusal]
+        states.append([[lead, scale, rows, terms, None, not single], None])
+        live.append((s, lead, scale, states[-1]))
+    rows_at, refused = lasts if single else lasts[0], None
+    for i, t in enumerate(ts):
+        try:
             t = _check_t(t)
             x = t * ln_q
             if params.p > p and x * p > -750.0:  # e^(-p a) of a head, or q^(p t), may be nonzero at p
                 raise TruncationNotConverged(f"p past the largest float at t={t!r}", math.inf, 0)
             last = _last_nonzero(0.0, x, 1, p)
-            if last > _N0:  # the lattice goes first, its cost capped at L _PQ_EM_FRACTION terms; uncapped past n_max
-                res = _em_lattice(s, ((eps * t,),), eps, lead, scale, tol,
-                                  last * _PQ_EM_FRACTION if last <= tol.n_max else math.inf, finite=(p, t))
-                if res is not None:
-                    values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
-                    continue
-            if last > tol.n_max:
+            if tol.n_max < last <= _N0:
                 raise _capped(last, tol)
+        except QDigammaError as exc:
+            for *_, state in live:
+                state[1] = exc
+            break
+        direct = last <= _N0
+        if not direct:  # the lattice goes first, its cost capped at L _PQ_EM_FRACTION terms; uncapped past n_max
+            for s, lead, scale, state in live:
+                try:
+                    res = _em_lattice(s, ((eps * t,),), eps, lead, scale, tol,
+                                      last * _PQ_EM_FRACTION if last <= tol.n_max else math.inf, finite=(p, t))
+                    if res is None and last > tol.n_max:
+                        raise _capped(last, tol)
+                except QDigammaError as exc:
+                    state[1] = refused = exc
+                    continue
+                if res is None:
+                    direct = True
+                elif state[0][4] is None:
+                    state[0][4] = {i: res}
+                else:
+                    state[0][4][i] = res
+            if refused:
+                live, refused = [o for o in live if o[3][1] is None], None
+                if not live:
+                    break
+        terms.append(last)
+        if direct:
             if last < p:
-                add_short(len(lasts))
-            add_x(x), add_ln_q(ln_q), lasts.append(last), rows.append(i)
-            values.append(lead), tails.append(0.0), terms.append(last)
-    except QDigammaError as exc:
-        return state, exc
-    return state, None
+                add_short(len(rows_at))  # the index of its row in the batch
+            add_x(x), add_ln_q(ln_q), rows.append(i)
+            if single:
+                lasts.append(last)
+            else:
+                for order_lasts in lasts:
+                    order_lasts.append(last)
+    return states[0] if single else tuple(states)
+
+
+def _pq_sum_finish(state: list, refusal, sums: list):
+    """The columns of an order's psi or psi' (p,q) line routed by _pq_sum_line, from its rows' sums, or its refusal:
+    a direct point's value is lead + scale * its sum, tail 0 and terms its L; a lattice point's is its result."""
+    if refusal:
+        return refusal
+    lead, scale, rows, terms, lattice, shared = state
+    values, tails = [lead] * len(terms), [0.0] * len(terms)  # an order that is not refused routed every point
+    for i, s in zip(rows, sums):
+        values[i] += scale * s
+    if lattice:
+        terms = terms[:]
+        for i, res in lattice.items():
+            values[i], tails[i], terms[i] = res.value, res.tail_bound, res.terms_used
+    elif shared:
+        terms = terms[:]
+    return values, tails, terms
+
+
+def _pq_array_lines(fn, lines: list, tol: Tolerance, cols: tuple, lasts: list) -> list | None:
+    """_pq_sum_line at every line of a batch of at least _ARRAY_MIN points, as _batch routes them, or None.
+
+    Array expressions route the common point at once: its t passes
+    _check_t, its p is not held, and q^(p t) is nonzero, so its L is p, at
+    most N0 and n_max.  Such a point appends the row of its plain sum, as
+    _pq_sum_line would; each line's other points are then routed by
+    _pq_sum_line, so the line has the state and refusals _pq_sum_line gives
+    it.  Where q^(p t) may underflow the test is math's exp, as the loop's.
+    """
+    if not ((len(lines) > 1 or len(lines[0][1]) >= _ARRAY_MIN) and sum(len(ts) for _, ts in lines) >= _ARRAY_MIN):
+        return None
+    try:
+        t = np.array([t for _, ts in lines for t in ts], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # a t that is not a float: refused t by t
+        return None
+    single = isinstance(fn, str)
+    sizes = [len(ts) for _, ts in lines]
+    ps = [min(params.p, _P_HOLD) for params, _ in lines]
+    ln_qs = [math.log(params.q) for params, _ in lines]
+    with np.errstate(all="ignore"):  # the points left to the loop keep whatever the floats give
+        x = t * np.repeat(ln_qs, sizes)
+        p_at = np.repeat(np.array(ps, dtype=np.float64), sizes)
+        px = p_at * x
+        plain = (t > 0.0) & (t < math.inf) & (p_at <= min(_N0, tol.n_max))
+        plain &= np.repeat([params.p == p for (params, _), p in zip(lines, ps)], sizes)
+        low = np.flatnonzero(plain & (px < -700.0))
+        plain[low] = [math.exp(v) != 0.0 for v in px[low].tolist()]
+    plain, x = plain.tolist(), x.tolist()
+    out, a, rows_at = [], 0, lasts if single else lasts[0]
+    for (params, ts), size, p, ln_q in zip(lines, sizes, ps, ln_qs):
+        b, start = a + size, len(rows_at)
+        on = plain[a:b]
+        rows = list(compress(range(size), on))
+        cols[0].extend(compress(x[a:b], on)), cols[1].extend([ln_q] * len(rows))
+        for order_lasts in (lasts,) if single else lasts:
+            order_lasts.extend([p] * len(rows))
+        terms, states = [p] * size, []
+        for f in (fn,) if single else fn:  # as _pq_sum_line forms them
+            lead, scale = (0.0, ln_q * ln_q) if f == "psi-prime" else (ln_q_bracket(p, ln_q), ln_q)
+            states.append([[lead, scale, rows, terms, None, not single], None])
+        if len(rows) < size:  # the other points, t by t
+            others = list(compress(range(size), map(not_, on)))
+            routed = _pq_sum_line(fn, params, [ts[j] for j in others], tol, cols, lasts)
+            routed = (routed,) if single else routed
+            shared = routed[0][0]
+            rows += [others[r] for r in shared[2]]
+            for j, n in zip(others, shared[3]):
+                terms[j] = n
+            for (state, refusal), mine in zip(routed, states):
+                mine[0][4] = state[4] and {others[k]: res for k, res in state[4].items()}
+                mine[1] = refusal
+        out.append((start, states[0] if single else tuple(states), len(rows_at)))
+        a = b
+    return out
 
 
 def _pq_gamma_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list) -> tuple:
@@ -1223,8 +1463,8 @@ def _pq_gamma_line(fn: str, params: DeformParams, ts, tol: Tolerance, cols: tupl
     return state, None
 
 
-def _pq_shifted_terms(x, ln_q, n):
-    """ln(1 - q^(x + n)), the shifted terms of ln Gamma_pq at rows x = t."""
+def _pq_shifted_terms(m, x, ln_q, n):
+    """ln(1 - q^(x + n)), the shifted terms of ln Gamma_pq at rows x = t, its one order m = 0."""
     return _ln1m_exp_terms((x + n) * ln_q)
 
 
@@ -1238,42 +1478,54 @@ def _pq_gamma_finish(state: tuple, refusal, sums: list):
     return [x + -1.0 * (s - factorial) for x, s in zip(leads, sums)], [0.0] * len(leads), [n_fact] * len(leads)
 
 
-# _TABLE[family][fn] = (route, terms, first, width, cut, finish, arrays), plain tuples as they unpack fastest:
-# route(fn, params, ts, tol, cols, lasts) -> (state, refusal) as _qk_line; rows sum terms(*x, n), n >= first, over
-# width columns x; cut: rows may end short of p, and the router lists the index of each one that does in one
-# more column, cols[width], for _sum_rows; finish(state, refusal, sums) -> columns or refusal; arrays: _qk_array_lines.
+# _TABLE[family][fn] = (route, terms, first, width, cut, finish, arrays), plain tuples as they unpack fastest;
+# psi and psi' share one row, psi' its order 1 (_ORDER).  route(fn, params, ts, tol, cols, lasts) -> (state,
+# refusal) as _qk_line, or one such pair per order for a tuple of psi orders; rows sum terms(orders, *x, n),
+# n >= first, over width columns x; cut: rows may end short of p, and the router lists the index of each one
+# that does in one more column, cols[width], for _sum_rows; finish(state, refusal, sums) -> columns or refusal;
+# arrays: _qk_array_lines.
+_PSI_QK = (_qk_line, _psi_terms, 1, 2, False, _line_finish, _qk_array_lines)
+_PSI_PQ = (_pq_sum_line, _psi_terms, 1, 2, True, _pq_sum_finish, _pq_array_lines)
 _TABLE = {
-    Family.QK: {
-        "psi": (_qk_line, _psi_terms, 1, 2, False, _line_finish, _qk_array_lines),
-        "psi-prime": (_qk_line, _psi_prime_terms, 1, 2, False, _line_finish, _qk_array_lines),
-        "ln-gamma": (_qk_line, _ln_gamma_qk_terms, 0, 3, False, _line_finish, _qk_array_lines),
-    },
-    Family.PQ: {
-        "psi": (_pq_sum_line, _psi_terms, 1, 2, True, _line_finish, None),
-        "psi-prime": (_pq_sum_line, _psi_prime_terms, 1, 2, True, _line_finish, None),
-        "ln-gamma": (_pq_gamma_line, _pq_shifted_terms, 0, 2, True, _pq_gamma_finish, None),
-    },
+    Family.QK: {"psi": _PSI_QK, "psi-prime": _PSI_QK,
+                "ln-gamma": (_qk_line, _ln_gamma_qk_terms, 0, 3, False, _line_finish, _qk_array_lines)},
+    Family.PQ: {"psi": _PSI_PQ, "psi-prime": _PSI_PQ,
+                "ln-gamma": (_pq_gamma_line, _pq_shifted_terms, 0, 2, True, _pq_gamma_finish, None)},
 }
-_FNS = ("psi", "psi-prime", "ln-gamma")
+_ORDER = {"psi": 0, "psi-prime": 1, "ln-gamma": 0}
+_FNS = tuple(_ORDER)
+# the psi orders one routing pass evaluates together, and their orders
+_PAIR = ("psi", "psi-prime")
+_PAIR_ORDERS = (0, 1)
 
 
-def _batch(fn: str, lines: list, tol: Tolerance) -> list:
+def _batch(fn, lines: list, tol: Tolerance) -> list:
     """fn at every line (params, ts) of a batch of one family, by its _TABLE entry: per line its columns (values,
-    tails, terms) or the error of its first t that cannot be evaluated.  The direct rows of all lines are summed
-    together (_sum_rows), each with its own parameters, and each line's finisher reads the sums of its own."""
-    route, terms_fn, first, width, cut, finish, arrays = _TABLE[lines[0][0].family][fn]
-    cols, lasts = ([], [], []) if width == 3 or cut else ([], []), []
+    tails, terms) or the error of its first t that cannot be evaluated, and for the pair _PAIR one such entry
+    per order.  The direct rows of all lines are summed together (_sum_rows), each with its own parameters, and
+    each line's finisher reads the sums of its own."""
+    single = isinstance(fn, str)
+    route, terms_fn, first, width, cut, finish, arrays = _TABLE[lines[0][0].family][fn if single else fn[0]]
+    cols = ([], [], []) if width == 3 or cut else ([], [])
+    lasts = [] if single else ([], [])  # per row its last index, per order for the pair
+    rows = lasts if single else lasts[0]
     routed = arrays(fn, lines, tol, cols, lasts) if arrays else None
     if routed is None:  # loops, not comprehensions: a batch of one short line is most of the calls
         routed = []
         for params, ts in lines:
-            start = len(lasts)
-            state, refusal = route(fn, params, ts, tol, cols, lasts)
-            routed.append((start, state, refusal, len(lasts)))
-    sums = _sum_rows(terms_fn, cols[:width], first, lasts, cols[width] if cut else ()) if lasts else lasts
+            start = len(rows)
+            routed.append((start, route(fn, params, ts, tol, cols, lasts), len(rows)))
+    sums = (_sum_rows(terms_fn, _ORDER[fn] if single else _PAIR_ORDERS, cols[:width], first, lasts,
+                      cols[width] if cut else ()) if rows else ((), ()))
     out = []
-    for start, state, refusal, end in routed:
-        out.append(finish(state, refusal, sums[start:end]))
+    if single:
+        sums = sums[0]
+        for start, (state, refusal), end in routed:
+            out.append(finish(state, refusal, sums[start:end]))
+        return out
+    psi_sums, prime_sums = sums
+    for start, ((psi, psi_refusal), (prime, prime_refusal)), end in routed:
+        out.append((finish(psi, psi_refusal, psi_sums[start:end]), finish(prime, prime_refusal, prime_sums[start:end])))
     return out
 
 
@@ -1283,7 +1535,8 @@ def _point(family: Family, fn: str, t: float, params: DeformParams, tol: Toleran
     route, terms_fn, first, width, cut, finish, _ = _TABLE[family][fn]
     cols, lasts = ([], [], []) if width == 3 or cut else ([], []), []
     state, refusal = route(fn, params, (t,), tol, cols, lasts)
-    line = finish(state, refusal, _sum_rows(terms_fn, cols[:width], first, lasts) if lasts else lasts)
+    line = finish(state, refusal, [sum_terms(partial(terms_fn, _ORDER[fn], *next(zip(*cols[:width]))), first, lasts[0])]
+                  if lasts else lasts)
     if isinstance(line, QDigammaError):
         raise line
     (value,), (tail,), (terms,) = line
@@ -1296,8 +1549,18 @@ def _point(family: Family, fn: str, t: float, params: DeformParams, tol: Toleran
 _GROUP_POINTS = _BLOCK_TERMS // 4
 
 
-def evaluate_lines(fn: str, lines, tol: Tolerance = DEFAULT_TOL):
-    """fn ("psi", "psi-prime" or "ln-gamma") at every t of every line (params, ts), in batches of lines.
+def _checked(fn):
+    """fn, one of _FNS, or the pair _PAIR, given as a tuple or list; DomainError for anything else."""
+    if isinstance(fn, str) and fn in _FNS:
+        return fn
+    if isinstance(fn, (tuple, list)) and tuple(fn) == _PAIR:
+        return _PAIR
+    raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime, ln-gamma or the pair {_PAIR!r}")
+
+
+def evaluate_lines(fn, lines, tol: Tolerance = DEFAULT_TOL):
+    """fn ("psi", "psi-prime" or "ln-gamma", or the pair ("psi", "psi-prime")) at every t of every line (params,
+    ts), in batches of lines.
 
     Returns an iterator over one entry per line, in order: its columns
     (values, tail_bounds, terms_used), three lists in the order of its ts,
@@ -1308,13 +1571,20 @@ def evaluate_lines(fn: str, lines, tol: Tolerance = DEFAULT_TOL):
     _GROUP_POINTS points (or one longer line), each routed in one pass and
     its direct rows summed together, so only one group is in flight, and a
     line's columns do not depend on its neighbours.
+
+    For the pair, each entry is (psi's entry, psi''s entry), from one
+    routing pass: one t check and one series ratio per point, each order's
+    own term count and majorant, and one direct row per point whose exp(n x)
+    and 1 - q^(n k) both orders' terms share.  Each order is reduced over its
+    own width, so every sum has the bits of its one-function call.  Refusals
+    stay per order: a t that fails the checks refuses both, and a count,
+    lattice or cap that fails for one order refuses it alone, with the error
+    its one-function call returns, while the other keeps its columns.
     """
-    if fn not in _FNS:
-        raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
-    return _line_groups(fn, lines, tol)
+    return _line_groups(_checked(fn), lines, tol)
 
 
-def _line_groups(fn: str, lines, tol: Tolerance):
+def _line_groups(fn, lines, tol: Tolerance):
     """The entries of evaluate_lines, one group of lines per _batch."""
     group, size = [], 0
     for params, ts in lines:
@@ -1328,31 +1598,37 @@ def _line_groups(fn: str, lines, tol: Tolerance):
         yield from _batch(fn, group, tol)
 
 
-def evaluate_columns(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """fn ("psi", "psi-prime" or "ln-gamma") of params' family at every t in ts, as columns.
+def evaluate_columns(fn, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> tuple:
+    """fn ("psi", "psi-prime" or "ln-gamma", or the pair ("psi", "psi-prime")) of params' family at every t in
+    ts, as columns.
 
     The one-line case of evaluate_lines, whose one group is a _batch of
     this one line: returns (values, tail_bounds, terms_used), three lists in
     the order of ts; each element is that of the one-point kernel at its t,
     bit for bit.  Raises the error of the first t, in order, that cannot be
-    evaluated.
+    evaluated.  For the pair, returns one entry per order, its columns or
+    its refusal, returned, not raised, as evaluate_lines gives them.
     """
-    if fn not in _FNS:
-        raise DomainError(f"unknown function {fn!r}; expected psi, psi-prime or ln-gamma")
+    fn = _checked(fn)
     (line,) = _batch(fn, [(params, ts if isinstance(ts, (list, tuple)) else list(ts))], tol)
     if isinstance(line, QDigammaError):
         raise line
     return line
 
 
-def evaluate(fn: str, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL) -> list:
-    """fn ("psi", "psi-prime" or "ln-gamma") of params' family at every t in ts.
+def evaluate(fn, params: DeformParams, ts, tol: Tolerance = DEFAULT_TOL):
+    """fn ("psi", "psi-prime" or "ln-gamma", or the pair ("psi", "psi-prime")) of params' family at every t in ts.
 
     Returns one EvalResult per t, in order, each bit-for-bit the result of
     the one-point kernel at that t: same value, tail_bound and terms_used.
     Raises the error of the first t, in order, that cannot be evaluated.
+    For the pair, returns per order its list of EvalResults or its refusal,
+    returned, not raised (evaluate_columns).
     """
-    return list(map(EvalResult, *evaluate_columns(fn, params, ts, tol)))
+    line = evaluate_columns(fn, params, ts, tol)
+    if isinstance(fn, str):
+        return list(map(EvalResult, *line))
+    return tuple(e if isinstance(e, QDigammaError) else list(map(EvalResult, *e)) for e in line)
 
 
 # -- one-point entries ------------------------------------------------------

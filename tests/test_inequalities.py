@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import random
@@ -33,6 +36,7 @@ from qdigamma import (
 )
 from qdigamma._jsonfmt import dumps
 from qdigamma import QDigammaError, inequalities
+from qdigamma.cli import main
 from qdigamma.inequalities import _MAX_FAILED_DRAWS, ratio_values
 
 from conftest import brute_psi_qk
@@ -521,24 +525,29 @@ def test_suites_on_columns_report_as_on_one_point_calls(suite, monkeypatch):
     grid = make_verification_grid(family, 20, 10, seed=29, t_min=t_min, t_max=t_max)
     report = dumps(verify_bounds(suite, grid).as_dict())
 
-    def one_point_lines(fn, lines, tol):
-        out = []
-        for params, ts in lines:
-            try:
-                results = [ONE_POINT[params.family.value, fn](t, params, tol) for t in ts]
-            except QDigammaError as exc:
-                out.append(exc)
-                continue
-            out.append(([r.value for r in results], [r.tail_bound for r in results], [r.terms_used for r in results]))
-        return out
+    def one_point_line(fn, params, ts, tol):
+        try:
+            results = [ONE_POINT[params.family.value, fn](t, params, tol) for t in ts]
+        except QDigammaError as exc:
+            return exc
+        return [r.value for r in results], [r.tail_bound for r in results], [r.terms_used for r in results]
+
+    def one_point_lines(fn, lines, tol):  # for the pair (psi, psi'), one entry per order
+        if isinstance(fn, str):
+            return [one_point_line(fn, params, ts, tol) for params, ts in lines]
+        return [tuple(one_point_line(f, params, ts, tol) for f in fn) for params, ts in lines]
     monkeypatch.setattr(inequalities, "evaluate_lines", one_point_lines)
     assert dumps(verify_bounds(suite, grid).as_dict()) == report
     assert '"checks_run": 0' not in report
 
 
+# sha256 of the stdout of verify --suite lemma-cross --specs 100 --t-points 50 --seed 1 --json
+LEMMA_CROSS_SHA256 = "a02d210d63c92476d49751321bd8fe231f88f5d8db0204b68376506208587088"
+
+
 @pytest.mark.parametrize("suite", list(Suite), ids=lambda s: s.value)
 def test_a_suite_makes_one_kernel_call_per_function(suite, monkeypatch):
-    # at 100 specs x 50 t: psi at every line in one call, and for lemma-cross psi' at the lines it needs in one
+    # at 100 specs x 50 t: its function at every line in one call; lemma-cross takes psi and psi' in one call
     family = inequalities.SUITES[suite][0] or Family.QK
     t_min, t_max = inequalities.SUITES[suite][1]
     grid = make_verification_grid(family, 100, 50, seed=1, t_min=t_min, t_max=t_max)
@@ -550,4 +559,24 @@ def test_a_suite_makes_one_kernel_call_per_function(suite, monkeypatch):
     monkeypatch.setattr(inequalities, "evaluate_lines", counting_lines)
     assert verify_bounds(suite, grid).passed
     fn = inequalities.SUITES[suite][3]
-    assert calls == ([fn, "psi-prime"] if suite is Suite.LEMMA_CROSS else [fn])
+    assert calls == ([("psi", "psi-prime")] if suite is Suite.LEMMA_CROSS else [fn])
+    if suite is Suite.LEMMA_CROSS:  # the CLI report keeps its bytes, as made with one psi and one psi' call
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "--suite", "lemma-cross", "--specs", "100", "--t-points", "50", "--seed", "1",
+                         "--json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LEMMA_CROSS_SHA256
+
+
+def test_args_are_the_scalar_arguments_bit_for_bit():
+    # _args forms a + b t and c + d t over a numpy column: the product and then the sum, each rounded, as the
+    # scalar lower_arg and upper_arg round them, for ts near 0, inside [0, 1], and large enough to overflow
+    rng = random.Random("args")
+    for _ in range(200):
+        b, d, alpha = rng.uniform(0.05, 3.0), rng.uniform(3.0, 6.0), rng.uniform(1.0, 3.0)
+        spec = RatioSpec(a=rng.uniform(0.1, 5.0), b=b, c=rng.uniform(5.0, 9.0), d=d, alpha=alpha,
+                         beta=alpha * b / d * rng.uniform(0.05, 1.0))
+        ts = [rng.uniform(0.0, 1.0), 0.0, 1.0, 10.0 ** rng.uniform(-300, 300), 1e308, rng.uniform(0.0, 1e-300)]
+        got = inequalities._args(spec, ts)
+        want = [x for t in ts for x in (spec.lower_arg(t), spec.upper_arg(t))]
+        assert [x.hex() for x in got] == [x.hex() for x in want], spec

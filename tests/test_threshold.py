@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -11,10 +12,11 @@ import pytest
 
 from qdigamma import DeformParams, Family, Tolerance, find_positive_threshold, make_verification_grid
 from qdigamma import inequalities as ineq
+from qdigamma._jsonfmt import dumps
 from qdigamma.cli import main
 from qdigamma.inequalities import ROOT_WIDTH, _sample_params, _threshold_bracket
 from qdigamma.params import DEFAULT_TOL
-from qdigamma.qcore import evaluate
+from qdigamma.qcore import evaluate, evaluate_columns
 
 from conftest import brute_psi_pq, brute_psi_qk
 
@@ -71,9 +73,23 @@ def test_undecided_sign_case():
     assert at_lo.value + at_lo.tail_bound < 0.0 < at_hi.value - at_hi.tail_bound
 
 
+# sha256 of _jsonfmt.dumps(grid.as_dict()) for make_verification_grid(family, 100, 5, seed), as the searches
+# made them with one psi call and one psi' call per round: the fused rounds visit the same t and find the same t0
+GRID_SHA256 = {
+    ("qk", 1): "f910e80376de6801e5c1a06543cf636b6af766608b732c89dfc52e48b3c381aa",
+    ("qk", 2): "6b9a75ec0ad246e0619e52a3944102a35316f61a5a155a490db265d5f847e36f",
+    ("qk", 3): "c38ad0a13ed2e563ef84dc455b85053952a401e5803f3f73f6930c0edde8cb48",
+    ("qk", 4): "245af0f0a9c64913e4d1c37fa9b39408176c51dd1dad531dd103b98433f40c9f",
+    ("pq", 1): "f731d76fea4bfc19ab35981ef680c79eb30d3ac4ac3266939147d3843d19e1ab",
+    ("pq", 2): "42d9bc1f75278e7cba9dedabb6d8e338c16b261e4a87b780412d1ee5634e3ac7",
+    ("pq", 3): "1595b8d8483bdc9be53bf844dc0eb527a072e43fa2039f9a5c75cf8382c3338b",
+    ("pq", 4): "edf8adfeb011d72644b3561aa2055dd08d2ba8ee5b8bfb5a3b9ad1ffaf3fd24c",
+}
+
+
 def test_grid_thresholds_take_at_most_12_kernel_calls(monkeypatch):
     # at most 12 kernel requests a threshold, one line each; the grid runs the searches of all its draws in
-    # lock-step, at most two kernel calls a round and 30 a grid
+    # lock-step, psi' with psi in one call where a step may read it, at most two calls a round and 13 a grid
     calls, requests, roots = [], [], []
     lock_step, lines = ineq._lock_step, ineq.evaluate_lines
 
@@ -91,8 +107,9 @@ def test_grid_thresholds_take_at_most_12_kernel_calls(monkeypatch):
     for family in ("qk", "pq"):
         for seed in (1, 2, 3, 4):
             before = len(calls)
-            make_verification_grid(family, 100, 5, seed)
-            assert len(calls) - before <= 30, (family, seed)
+            grid = make_verification_grid(family, 100, 5, seed)
+            assert len(calls) - before <= 13, (family, seed)
+            assert hashlib.sha256(dumps(grid.as_dict()).encode()).hexdigest() == GRID_SHA256[family, seed]
     assert len(roots) >= 800
     assert len(calls) / len(roots) <= 12.0 and len(requests) / len(roots) <= 12.0
 
@@ -128,14 +145,15 @@ def test_cli_root_without_a_root_prints_null_ends():
 
 def test_no_psi_prime_call_where_psi_summed_no_terms(monkeypatch):
     # at qk(8.9e-7, 6.99e5) the start 1 + k/2 lies far right of the root, where q^t underflows: psi there
-    # sums no terms and psi' is exactly 0.0, so the halvings down to the root make no psi' call
+    # sums no terms and psi' is exactly 0.0, so the halvings down to the root make no psi' call; psi' comes
+    # with psi in one call where a step may read it, so the 36 psi requests make 36 calls in place of 56
     params, tol = DeformParams.qk(8.9e-7, 6.99e5), Tolerance(abs_tol=1e-10)
     calls = []
 
-    def counting_evaluate(fn, params, ts, tol=DEFAULT_TOL):
+    def counting_columns(fn, params, ts, tol=DEFAULT_TOL):
         calls.append(fn)
-        return evaluate(fn, params, ts, tol)
+        return evaluate_columns(fn, params, ts, tol)
 
-    monkeypatch.setattr(ineq, "evaluate", counting_evaluate)
+    monkeypatch.setattr(ineq, "evaluate_columns", counting_columns)
     assert _threshold_bracket(params, tol) == (2.1550061628818926, 2.155006162882399)  # as before the skip
-    assert len(calls) == 56
+    assert len(calls) == 36 and "psi-prime" not in calls
