@@ -9,8 +9,8 @@ literals the stdlib parser accepts).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 # Version of every JSON document the package writes (CLI output and report dicts).
 SCHEMA_VERSION = "1"
@@ -41,9 +41,14 @@ def dumps(obj, indent: int = 2) -> str:
     return "".join(pieces)
 
 
+# the writer of every str value and key, which json.dumps(str) calls with its default ensure_ascii
+_string = encode_basestring_ascii
+# the values written without a call of _write, by exact type: subclasses (numpy floats, enums) take _write's tests
+_LEAVES = {float: format_float, int: str, str: _string, bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null"}
+
+
 def _write(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -55,26 +60,33 @@ def _write(obj, out: list, indent: int, level: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+        out.append(_string(obj))
+    elif isinstance(obj, (dict, list, tuple)):
         if not obj:
-            out.append("{}")
+            out.append("{}" if isinstance(obj, dict) else "[]")
             return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(pad_in + json.dumps(str(key)) + ": ")
-            _write(val, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad_in)
-            _write(val, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        # the pads and separators of this container, formed once
+        pad_in = "\n" + " " * (indent * (level + 1))
+        sep, between, leaves = ("{" if isinstance(obj, dict) else "[") + pad_in, "," + pad_in, _LEAVES
+        if isinstance(obj, dict):
+            for key, val in obj.items():
+                leaf = leaves.get(type(val))
+                if leaf:
+                    out.append(sep + _string(str(key)) + ": " + leaf(val))
+                else:
+                    out.append(sep + _string(str(key)) + ": ")
+                    _write(val, out, indent, level + 1)
+                sep = between
+            out.append("\n" + " " * (indent * level) + "}")
+        else:
+            for val in obj:
+                leaf = leaves.get(type(val))
+                if leaf:
+                    out.append(sep + leaf(val))
+                else:
+                    out.append(sep)
+                    _write(val, out, indent, level + 1)
+                sep = between
+            out.append("\n" + " " * (indent * level) + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -554,39 +554,21 @@ ROOT_WIDTH = 1e-12
 _CHORD_STEP = 1e-4
 
 
-def _targets(t: float, r: EvalResult, slope: float):
-    """Ends of the wanted bracket as a tangent step from t predicts them.
+def _targets(t: float, value: float, tail: float, slope: float):
+    """Ends of the wanted bracket as a tangent step from t predicts them, psi(t) = value within tail.
 
-    The tangent through (t, psi(t)) with the given slope meets zero at a
+    The tangent through (t, value) with the given slope meets zero at a
     predicted root; the band |psi| <= tail around it is about 2 tail / slope
     wide.  Returns (left, right, margin, wanted): left and right sit a margin
     outside that band, and wanted is the bracket width to stop at, ROOT_WIDTH
     unless the band, or the float spacing at the root, leaves no room for
     the margins.
     """
-    band = 2.0 * r.tail_bound / slope
-    root = t - r.value / slope
+    band = 2.0 * tail / slope
+    root = t - value / slope
     margin = max(0.25 * (ROOT_WIDTH - band) if band < ROOT_WIDTH else 0.125 * band, 2.0 * math.ulp(root))
     half = 0.5 * band + margin
     return root - half, root + half, margin, max(ROOT_WIDTH, band + 4.0 * margin)
-
-
-def _probe(psi) -> list:
-    """The EvalResults of a request's psi, from its columns, or its refusal raised."""
-    return list(map(EvalResult, *_read(psi)))
-
-
-def _slope(prime, ts: tuple, j: int):
-    """psi' at ts[j], from prime, the psi' columns of the pair at ts, or their refusal; a sub-generator of
-    _bracket_steps.
-
-    Where the pair's psi' is refused and ts holds another point, the refusal
-    may be that point's: psi' at ts[j] is then asked for alone, so a refusal
-    surfaces only where psi' itself is refused.
-    """
-    if isinstance(prime, QDigammaError) and len(ts) > 1:
-        prime, j = (yield "psi-prime", (ts[j],)), 0
-    return _read(prime)[0][j]
 
 
 def _bracket_steps(params: DeformParams, tol: Tolerance):
@@ -598,8 +580,11 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
     probe asks for psi and psi' as the pair _PAIR wherever a step may read
     psi' at one of its ts, that is where lo may move past _CHORD_STEP, and
     for psi alone elsewhere.  psi' is read exactly where a step needs it,
-    so its refusal ends the search only there; the one other request,
-    "psi-prime" at one point (_slope), follows a refusal of the pair's psi'.
+    so its refusal ends the search only there.  The one other request,
+    "psi-prime" at lo alone, follows a refusal of the pair's psi' at a
+    probe of two points, where the refusal may be the other point's: so a
+    refusal surfaces only where psi' at lo is refused.  The columns are
+    read as they come, with no result object per point.
 
     On t > 0 psi is increasing and concave (psi' > 0 and nonincreasing), so a
     tangent step from any point lands left of the root, and from a point left
@@ -623,13 +608,13 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
     hi = math.inf
     t = 1.0 + 0.5 * (params.k if params.family is Family.QK else 1.0)
     psi, prime = yield _PAIR, (t,)
-    (r,) = _probe(psi)
-    while not _negative(r):
-        if _positive(r):
+    (value,), (tail,), (terms,) = _read(psi)
+    while not value + tail < 0.0:  # not certainly negative
+        if value - tail > 0.0:  # certainly positive
             hi = t
         # where psi at t summed no terms, q^t underflowed and psi'(t) is exactly 0.0
-        s = (yield from _slope(prime, (t,), 0)) if r.terms_used else 0.0
-        x = _targets(t, r, s)[0] if s > 0.0 else 0.0
+        s = _read(prime)[0][0] if terms else 0.0
+        x = _targets(t, value, tail, s)[0] if s > 0.0 else 0.0
         t = x if x >= T_FLOOR else 0.5 * t  # bisection of (0, t) when the target leaves it
         if t < T_FLOOR:
             raise NoRootInBracket(
@@ -637,15 +622,15 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
                 floor=T_FLOOR,
             )
         psi, prime = yield _PAIR, (t,)
-        (r,) = _probe(psi)
+        (value,), (tail,), (terms,) = _read(psi)
 
-    lo, r_lo = t, r
-    s = (yield from _slope(prime, (t,), 0)) if r.terms_used else 0.0
+    lo, v_lo, tail_lo = t, value, tail
+    s = _read(prime)[0][0] if terms else 0.0
     inside = None  # (first, last) of the points found inside the band |psi| <= tail
     step_prev = 0.0
     while True:
         if inside is None:
-            left, right, margin, wanted = _targets(lo, r_lo, s)
+            left, right, margin, wanted = _targets(lo, v_lo, tail_lo, s)
             if hi - lo <= wanted:
                 return lo, hi
             step = left - lo
@@ -682,16 +667,21 @@ def _bracket_steps(params: DeformParams, tol: Tolerance):
             psi, prime = yield _PAIR, ts
         else:
             psi = yield "psi", ts
-        for j, (x, r) in enumerate(zip(ts, _probe(psi))):
-            if _negative(r):
+        for j, (x, value, tail, terms) in enumerate(zip(ts, *_read(psi))):
+            if value + tail < 0.0:
                 if x > lo:
-                    lo, r_lo, j_lo = x, r, j
-            elif _positive(r):
+                    lo, v_lo, tail_lo, terms_lo, j_lo = x, value, tail, terms, j
+            elif value - tail > 0.0:
                 hi = min(hi, x)
             else:
                 inside = (x, x) if inside is None else (min(inside[0], x), max(inside[1], x))
         if lo - lo_before > _CHORD_STEP:
-            s = (yield from _slope(prime, ts, j_lo)) if r_lo.terms_used else 0.0
+            if not terms_lo:
+                s = 0.0
+            else:
+                if isinstance(prime, QDigammaError) and len(ts) > 1:  # it may be the other point's: ask at lo
+                    prime, j_lo = (yield "psi-prime", (ts[j_lo],)), 0
+                s = _read(prime)[0][j_lo]
 
 
 def _lock_step(params_list: list, tol: Tolerance) -> list:

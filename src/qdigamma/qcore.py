@@ -69,7 +69,22 @@ terms_used counts the terms the route formed: M + 2 + P per lattice sum
 (two for ln Gamma), a few dozen in all at the default tolerance.  On either
 route n_max caps terms_used.  Where psi's first lattice term Li_0(e^-eps t)
 overflows (eps t subnormal), its scaled form -eps/(e^(eps t) - 1), -1/t to
-within eps t relative, goes in the lead and the lattice starts at eps (t + k).
+within eps t relative, goes in the lead and the lattice starts at eps (t + k);
+where psi''s Li_-1(e^-eps t) overflows or its divisor (1 - q^t)^2
+underflows, eps^2 Li_-1 = 1/t^2 - eps^2/12 + ... goes in the lead as
+(1/t)^2, so psi' refuses only where that overflows.
+
+No Python call is made per lattice term or per correction.  The
+corrections of each order s are a tuple built at import (_EM_ROWS):
+correction j pairs B_2j/(2j)! with the Eulerian row A_(2j+1-s), and its
+polynomial is an inline Horner loop over that row; the M direct terms are
+one loop per order with the bodies of Li_s and ln1m_exp inline.  These are
+the float operations of a call per Li_s and per Eulerian polynomial, in the
+same order, so every bit is the same.  One-point costs in microseconds at
+q = 0.9999, k = 1.3, t = 2.1, a call per term before / inline (in-process,
+alternating, medians of 41 rounds, shared 2-vCPU x86): psi 16.9 / 12.5,
+psi' 16.3 / 12.7, ln Gamma 25.9 / 19.4; ln Gamma_pq at (10^5, 0.9) 24.2 /
+18.8.
 
 ln Gamma_pq takes the same two routes by the same cut-off N0.  Its
 factorial terms ln(1 - q^n) outlast every shifted term ln(1 - q^(t+n)), so
@@ -618,33 +633,31 @@ def _last_nonzero(a: float, b: float, n_first: int, n_last: int) -> int:
 # -- Euler-Maclaurin route --------------------------------------------------
 
 
-def _eulerian(n: int, z: float) -> float:
-    """The Eulerian polynomial A_n at z, by Horner's rule."""
-    poly = 0.0
-    for c in _EULERIAN[n]:
-        poly = poly * z + c
-    return poly
+def _em_rows(s: int) -> tuple:
+    """The corrections of an order s Euler-Maclaurin closure (_em_closure) as (first _EM_P, the rest up to _P_MAX):
+    per correction j (B_2j/(2j)!, the first coefficient of the row A_(2j-1-s), the others), for Horner's rule from
+    that coefficient.  A row's first step from 0.0, 0.0 z + c, is c exactly at z = e^-y in [0, 1]."""
+    rows = tuple((_BERNOULLI[j], _EULERIAN[2 * j + 1 - s][0], _EULERIAN[2 * j + 1 - s][1:]) for j in range(_P_MAX))
+    return rows[:_EM_P], rows[_EM_P:]
+
+
+_EM_ROWS = {s: _em_rows(s) for s in (1, 0, -1)}
+# _li2_series' coefficients B_2j / (2j+1)!, highest j first
+_LI2_COEFFS = tuple(_BERNOULLI[j - 1] / (2 * j + 1) for j in range(_EM_P, 0, -1))
 
 
 def _li2_series(u: float) -> float:
     """Li_2(x) from u = -ln(1-x) <= ln 2: u - u^2/4 + sum_j B_2j u^(2j+1) / (2j+1)!."""
     u2 = u * u
     acc = 0.0
-    for j in range(_EM_P, 0, -1):
-        acc = acc * u2 + _BERNOULLI[j - 1] / (2 * j + 1)
+    for c in _LI2_COEFFS:
+        acc = acc * u2 + c
     return u - 0.25 * u2 + u * u2 * acc
 
 
-def _li(s: int, y: float) -> float:
-    """Li_s(e^-y) for y > 0 and an integer s <= 1, without cancellation."""
-    if s == 1:
-        return -ln1m_exp(-y)
-    z = math.exp(-y)
-    return z * _eulerian(-s, z) / (-math.expm1(-y)) ** (1 - s)
-
-
 def _em_closure(s: int, y: float, h: float, share: float) -> tuple:
-    """(closure, remainder bound, units, P, corrections) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x).
+    """(closure, remainder bound, units, P, corrections) of sum_{m>=0} f(y + m h) for f(x) = Li_s(e^-x), s = 1, 0
+    or -1.
 
     The closure is the integral Li_(s+1)(e^-y) / h less units pi^2/(6h), the
     half end term and the corrections B_2j/(2j)! h^(2j-1) Li_(s-2j+1)(e^-y)
@@ -653,8 +666,12 @@ def _em_closure(s: int, y: float, h: float, share: float) -> tuple:
     the remainder after P corrections is at most the size of the last one,
     |B_2P|/(2P)! h^(2P-1) |f^(2P-1)(y)|.  P is _EM_P, and grows to at most
     _P_MAX while that bound is above share and the (divergent) corrections
-    still fall.
-    Li_2(z), z = e^-y, is summed in u = -ln(1-z) up to z = 1/2; above, by the
+    still fall.  Each correction is z A_(2j-1-s)(z) r^(2j-1) / w^(1-s), z =
+    e^-y, w = 1 - z, r = h / w, its Eulerian polynomial by Horner's rule over
+    its row of _EM_ROWS.  For s <= 0 the half end term's Li_s(z) = z / w^(1-s)
+    is that scale itself (A_0 = A_1 = 1) and the integral's Li_(s+1) is
+    -ln w (ln1m_exp's rule) or z / w.
+    Li_2(z) is summed in u = -ln(1-z) up to z = 1/2; above, by the
     reflection Li_2(z) = pi^2/6 - ln z ln(1-z) - Li_2(1-z) (DLMF 25.12.6)
     without its pi^2/6, which units = 1 counts, so that two sums near y = 0
     leave their largest part to an exact cancellation (_em_lattice).
@@ -663,22 +680,39 @@ def _em_closure(s: int, y: float, h: float, share: float) -> tuple:
     r = h / w  # h^(2j-1) Li_(s-2j+1)(z) = z A_(2j-1-s)(z) r^(2j-1) / w^(1-s)
     r2 = r * r
     scale = z / w ** (1 - s)
-    corrections, power, p = 0.0, r, 0
-    while p < _P_MAX and (p < _EM_P or abs(last) * scale > share):
-        term = _BERNOULLI[p] * _eulerian(2 * p + 1 - s, z) * power
-        if p >= _EM_P and abs(term) >= abs(last):
-            break
-        corrections += term
-        last, power, p = term, power * r2, p + 1
+    first, growth = _EM_ROWS[s]
+    corrections, power = 0.0, r
+    for b, poly, row in first:
+        for c in row:
+            poly = poly * z + c
+        last = b * poly * power
+        corrections += last
+        power *= r2
+    p = _EM_P
+    if abs(last) * scale > share:
+        for b, poly, row in growth:
+            for c in row:
+                poly = poly * z + c
+            term = b * poly * power
+            if abs(term) >= abs(last):
+                break
+            corrections += term
+            last, p = term, p + 1
+            if not abs(last) * scale > share:
+                break
+            power *= r2
     units = 0
-    if s < 1:
-        integral = _li(s + 1, y)
-    elif z <= 0.5:
-        integral = _li2_series(-math.log1p(-z))
-    else:  # -ln(1 - (1-z)) = y
-        integral, units = y * math.log(w) - _li2_series(y), 1
+    if s == 1:
+        half = 0.5 * -(math.log(w) if y < _LN2 else math.log1p(-z))  # Li_1(z) = -ln(1 - e^-y), by ln1m_exp
+        if z <= 0.5:
+            integral = _li2_series(-math.log1p(-z))
+        else:  # -ln(1 - (1-z)) = y
+            integral, units = y * math.log(w) - _li2_series(y), 1
+    else:
+        half = 0.5 * scale
+        integral = -(math.log(w) if y < _LN2 else math.log1p(-z)) if s == 0 else z / w
     corrections *= scale
-    return integral / h + 0.5 * _li(s, y) + corrections, abs(last) * scale, units, p, corrections
+    return integral / h + half + corrections, abs(last) * scale, units, p, corrections
 
 
 def _li2_drop(y: float, d: float, z: float, w: float, share: float) -> tuple:
@@ -691,10 +725,13 @@ def _li2_drop(y: float, d: float, z: float, w: float, share: float) -> tuple:
     j + 1 (Lagrange's form); the terms are summed until that is within share, or
     the Eulerian table ends.
     """
-    drop, coeff, r = d * _li(1, y), d * z, d / w
+    drop, coeff, r = d * -(math.log(w) if y < _LN2 else math.log1p(-z)), d * z, d / w
     for j in range(2, len(_EULERIAN) + 2):
         coeff *= -r / j
-        term = coeff * _eulerian(j - 2, z)
+        poly = 0.0
+        for c in _EULERIAN[j - 2]:
+            poly = poly * z + c
+        term = coeff * poly
         if abs(term) <= share or j == len(_EULERIAN) + 1:
             break
         drop += term
@@ -719,18 +756,16 @@ def _em_pair_closure(y: float, d: float, h: float, share: float) -> tuple:
         return near - far + (near_units - far_units) * _PI2_6 / h, bound + far_bound, p, 4 + p + far_p
     z, w = math.exp(-y), -math.expm1(-y)
     z_d, r_d = math.exp(-(y + d)), h / -math.expm1(-(y + d))
-    far, power = 0.0, r_d
-    for j in range(p):  # the corrections at y + d, s = 1
-        far += _BERNOULLI[j] * _eulerian(2 * j, z_d) * power
-        power *= r_d * r_d
+    r2, far, power = r_d * r_d, 0.0, r_d
+    first, growth = _EM_ROWS[1]
+    for b, poly, row in (first + growth)[:p]:  # the corrections at y + d, s = 1
+        for c in row:
+            poly = poly * z_d + c
+        far += b * poly * power
+        power *= r2
     drop, drop_bound, n = _li2_drop(y, d, z, w, share * h)
-    half = 0.5 * _pair_term(y, -math.expm1(-d))
+    half = 0.5 * math.log1p(z * -math.expm1(-d) / w)  # F(y) = ln((1 - e^-(y+d)) / (1 - e^-y))
     return drop / h + half + (corrections - far * z_d), bound + drop_bound / h, p, 1 + 2 * p + n
-
-
-def _pair_term(y: float, one_minus_e_d: float) -> float:
-    """Li_1(e^-y) - Li_1(e^-(y+d)) = ln((1 - e^-(y+d)) / (1 - e^-y)), given 1 - e^-d, without cancellation."""
-    return math.log1p(math.exp(-y) * one_minus_e_d / -math.expm1(-y))
 
 
 def _lambert_drop(s: int, y: float, h: float, pf: float) -> tuple:
@@ -759,7 +794,7 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
     the pi^2/(6h) units its closures left out, as their difference times
     pi^2/(6h).  The paired difference is formed term by term instead, so it
     loses no digits where S(c) and S(c + d) are large and close: M terms
-    F(c + m h) (_pair_term), closed by _em_pair_closure, two bounds; where
+    F(c + m h), closed by _em_pair_closure, two bounds; where
     the whole difference, at most S(c) <= e^-c / ((1 - e^-c)(1 - e^-h)), is
     within a share, it is left out and that bound goes in the tail.  M
     starts at _EM_M and grows until tail, the closures' bounds times |scale|
@@ -825,10 +860,20 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
         if finite:  # the first m lattice terms of the finite series, in closed form
             with np.errstate(over="ignore", divide="ignore"):  # past the floats only unscaled: re-summed below
                 direct = sum_terms(partial(_head_terms(h, finite[0], s < 0), finite[1]), 0, m - 1)
-        else:
+        else:  # Li_s(e^-y) = -ln(1 - e^-y) by ln1m_exp's rule, z / w or z / w^2 (z = e^-y, w = 1 - z)
             direct = 0.0
-            for i in range(m):
-                direct += _li(s, a + i * h)
+            if s == 1:
+                for i in range(m):
+                    y = a + i * h
+                    direct -= math.log(-math.expm1(-y)) if y < _LN2 else math.log1p(-math.exp(-y))
+            elif s == 0:
+                for i in range(m):
+                    y = a + i * h
+                    direct += math.exp(-y) / -math.expm1(-y)
+            else:
+                for i in range(m):
+                    y = a + i * h
+                    direct += math.exp(-y) / (-math.expm1(-y)) ** 2
         sums[a] = direct + closure, units
     total = 0.0
     for pair in pairs:
@@ -837,8 +882,9 @@ def _em_lattice(s: int, pairs: tuple, h: float, lead: float, scale: float, tol: 
         total += near - far + (near_units - far_units) * _PI2_6 / h
     if paired:
         one_minus_e_d, direct = -math.expm1(-d), 0.0
-        for i in range(m):
-            direct += _pair_term(c + i * h, one_minus_e_d)
+        for i in range(m):  # F(y) = ln((1 - e^-(y+d)) / (1 - e^-y)), without cancellation
+            y = c + i * h
+            direct += math.log1p(math.exp(-y) * one_minus_e_d / -math.expm1(-y))
         total += direct + pair_closure[0]
     value = lead + scale * total
     if finite and not math.isfinite(value):  # the head sum may pass the floats before its scale only
@@ -862,25 +908,37 @@ def _em_qk(fn: str, params: DeformParams, t: float, tol: Tolerance, m_cap: float
     Each series is a sum over the lattice y = eps (a + m k), eps = -ln q, of
     Li_s(e^-y): psi = -ln(1-q)/k - eps S_0(t), psi' = eps^2 S_-1(t) and
     ln Gamma = S_1(t) - S_1(k) - (t/k - 1) ln(1-q), summed by _em_lattice
-    (None where it needs more than m_cap direct lattice terms).  Raises
-    TruncationNotConverged where (1 - q^t)^(1-s), which divides the terms,
-    underflows.
+    (None where it needs more than m_cap direct lattice terms).  Where the
+    first lattice term Li_s(e^-eps t) = z / w^(1-s), z = q^t, w = 1 - z,
+    overflows or its divisor w^(1-s) underflows (eps t near or below the
+    subnormals), its scaled value goes in the lead instead, to within about
+    eps t relative, and the lattice starts at eps (t + k): -1/t for psi and
+    (1/t)^2 for psi', formed so because t^2 is subnormal there.  Raises
+    TruncationNotConverged where psi's w is 0.0 or psi''s (1/t)^2 overflows.
     """
     q, k = params.q, params.k
     eps = -math.log(q)
     if fn == "ln-gamma":  # at t = k the two sums are the same bits, so ln Gamma(k) is 0.0
-        s, lead, scale, pairs = 1, _qk_gamma_lead(t, k, math.log1p(-q)), 1.0, ((eps * t, eps * k),)
-    elif fn == "psi":
-        s, lead, scale, pairs = 0, -math.log1p(-q) / k, -eps, ((eps * t,),)
-    else:
-        s, lead, scale, pairs = -1, 0.0, eps * eps, ((eps * t,),)
-    if (-math.expm1(-eps * t)) ** (1 - s) == 0.0:
-        raise TruncationNotConverged(f"{fn} at t={t!r}: (1 - q^t)^{1 - s} underflows", math.inf, 0)
-    if s == 0 and math.isinf(_li(0, eps * t)):
-        # 1/(e^y - 1) overflows at the subnormal y = eps t; the scaled term -eps/(e^y - 1) goes in
-        # the lead as -1/t, its value to within y relative, which keeps the digits y has lost
-        lead, pairs = lead - 1.0 / t, ((eps * (t + k),),)
-    return _em_lattice(s, pairs, eps * k, lead, scale, tol, m_cap)
+        return _em_lattice(1, ((eps * t, eps * k),), eps * k, _qk_gamma_lead(t, k, math.log1p(-q)), 1.0, tol, m_cap)
+    y = eps * t
+    z, w = math.exp(-y), -math.expm1(-y)
+    if fn == "psi":
+        lead = -math.log1p(-q) / k
+        if w == 0.0:
+            raise TruncationNotConverged(f"psi at t={t!r}: (1 - q^t)^1 underflows", math.inf, 0)
+        if math.isinf(z / w):
+            # 1/(e^y - 1) overflows at the subnormal y = eps t; the scaled term -eps/(e^y - 1) goes in
+            # the lead as -1/t, its value to within y relative, which keeps the digits y has lost
+            lead, y = lead - 1.0 / t, eps * (t + k)
+        return _em_lattice(0, ((y,),), eps * k, lead, -eps, tol, m_cap)
+    lead, first = 0.0, w ** 2
+    if first == 0.0 or math.isinf(z / first):
+        # eps^2 Li_-1(e^-y) = 1/t^2 - eps^2/12 + ..., so (1/t)^2 is its value to within (eps t)^2 relative
+        inv = 1.0 / t
+        lead, y = inv * inv, eps * (t + k)
+        if math.isinf(lead):
+            raise TruncationNotConverged(f"psi-prime at t={t!r}: 1/t^2 overflows a double", math.inf, 0)
+    return _em_lattice(-1, ((y,),), eps * k, lead, eps * eps, tol, m_cap)
 
 
 # -- batch kernels ----------------------------------------------------------
@@ -1258,16 +1316,21 @@ def _qk_array_lines(fn, lines: list, tol: Tolerance, cols: tuple, lasts: list) -
                                                            scales[0][i]), None]
         if len(rows) < size:  # the other points, t by t
             others = list(compress(range(size), map(not_, on)))
-            routed = _qk_line(fn, params, [ts[j] for j in others], tol, cols, lasts)
-            for (state, refusal), mine in zip(routed, line) if multi else ((routed, line),):
-                values, tails_o, terms_o, rows_o, _ = mine[0]
-                for j, v, tl, tm in zip(others, *state[:3]):
-                    values[j], tails_o[j], terms_o[j] = v, tl, tm
-                rows_o += [None if r is None else others[r] for r in state[3]]
-                mine[1] = refusal
+            _merge_others(_qk_line(fn, params, [ts[j] for j in others], tol, cols, lasts), line, others, multi)
         out.append((start, line, len(rows_at)))
         a = b
     return out
+
+
+def _merge_others(routed, line, others: list, multi: bool) -> None:
+    """Put the columns, rows and refusal that the loop routed for a line's points others (routed, as _qk_line
+    returns them) into line, the line's [state, refusal] as the array route made it, per order for multi."""
+    for (state, refusal), mine in zip(routed, line) if multi else ((routed, line),):
+        values, tails, terms, rows, _ = mine[0]
+        for j, v, tl, tm in zip(others, *state[:3]):
+            values[j], tails[j], terms[j] = v, tl, tm
+        rows += [None if r is None else others[r] for r in state[3]]
+        mine[1] = refusal
 
 
 def _capped(n: int, tol: Tolerance) -> TruncationNotConverged:
@@ -1276,8 +1339,8 @@ def _capped(n: int, tol: Tolerance) -> TruncationNotConverged:
 
 def _pq_sum_line(fn, params: DeformParams, ts, tol: Tolerance, cols: tuple, lasts: list):
     """Route one psi or psi' (p,q) line, or both for a tuple of psi orders, in t order, by the rule of _qk_line:
-    (state, refusal) for one function and one such pair per order for a tuple, state as _pq_sum_finish reads it,
-    with the index of each direct row that ends short of p in cols[2].
+    (state, refusal) for one function and one such pair per order for a tuple, as _qk_line returns them, with
+    the index of each direct row that ends short of p in cols[2].
 
     A point whose plain sum has its last nonzero term L past N0 takes the
     lattice (_em_lattice, the finite Lambert series) unless that needs more
@@ -1285,25 +1348,22 @@ def _pq_sum_line(fn, params: DeformParams, ts, tol: Tolerance, cols: tuple, last
     other point appends the row of its plain sum to cols (x, ln q) and its L
     to lasts, for a tuple to each order's list: the t check, the hold of p
     and L are the same for every order, so a point is routed once, and only
-    a lattice, tried per order, can set one order's point apart (its row's
-    sum, if another order makes one, is then not read).  p is held at
-    _P_HOLD; refusal is the error of the order's first t that cannot be
-    evaluated, or None, and the rows before it are kept.
+    a lattice, tried per order, can set one order's point apart (the row is
+    then None in that order's rows).  p is held at _P_HOLD; refusal is the
+    error of the order's first t that cannot be evaluated, or None, and the
+    rows before it are kept.
     """
     p = min(params.p, _P_HOLD)  # the held p gives the value of params.p, or psi refuses t below
     ln_q = math.log(params.q)
     eps = -ln_q
     add_x, add_ln_q, add_short = cols[0].append, cols[1].append, cols[2].append
     single = isinstance(fn, str)
-    fns = (fn,) if single else fn
-    rows, terms, states = [], [], []  # the points of the line's rows and each point's L, as all orders share them
-    live = []  # per order still routing (s, lead, scale, its [state, refusal])
-    for f in fns:
+    orders = []  # per order (s, lead, scale, values, tails, terms, rows, its line [state, refusal])
+    for f in (fn,) if single else fn:
         s, lead, scale = (-1, 0.0, ln_q * ln_q) if f == "psi-prime" else (0, ln_q_bracket(p, ln_q), ln_q)
-        # [[lead, scale, rows, L, its lattice points by index or None, whether L is shared], refusal]
-        states.append([[lead, scale, rows, terms, None, not single], None])
-        live.append((s, lead, scale, states[-1]))
-    rows_at, refused = lasts if single else lasts[0], None
+        values, tails, terms, rows = [], [], [], []
+        orders.append((s, lead, scale, values, tails, terms, rows, [(values, tails, terms, rows, scale), None]))
+    live, rows_at, made = orders, lasts if single else lasts[0], 0
     for i, t in enumerate(ts):
         try:
             t = _check_t(t)
@@ -1314,59 +1374,41 @@ def _pq_sum_line(fn, params: DeformParams, ts, tol: Tolerance, cols: tuple, last
             if tol.n_max < last <= _N0:
                 raise _capped(last, tol)
         except QDigammaError as exc:
-            for *_, state in live:
-                state[1] = exc
+            for o in live:
+                o[-1][1] = exc
             break
-        direct = last <= _N0
-        if not direct:  # the lattice goes first, its cost capped at L _PQ_EM_FRACTION terms; uncapped past n_max
-            for s, lead, scale, state in live:
+        row = refused = False
+        for s, lead, scale, values, tails, terms, rows, line in live:
+            if last > _N0:  # the lattice goes first, its cost capped at L _PQ_EM_FRACTION terms; uncapped past n_max
                 try:
                     res = _em_lattice(s, ((eps * t,),), eps, lead, scale, tol,
                                       last * _PQ_EM_FRACTION if last <= tol.n_max else math.inf, finite=(p, t))
                     if res is None and last > tol.n_max:
                         raise _capped(last, tol)
                 except QDigammaError as exc:
-                    state[1] = refused = exc
+                    line[1] = refused = exc
                     continue
-                if res is None:
-                    direct = True
-                elif state[0][4] is None:
-                    state[0][4] = {i: res}
-                else:
-                    state[0][4][i] = res
-            if refused:
-                live, refused = [o for o in live if o[3][1] is None], None
-                if not live:
-                    break
-        terms.append(last)
-        if direct:
-            if last < p:
-                add_short(len(rows_at))  # the index of its row in the batch
-            add_x(x), add_ln_q(ln_q), rows.append(i)
-            if single:
-                lasts.append(last)
-            else:
-                for order_lasts in lasts:
+                if res is not None:
+                    values.append(res.value), tails.append(res.tail_bound), terms.append(res.terms_used)
+                    continue
+            values.append(lead), tails.append(0.0), terms.append(last)
+            if not row:  # the first order that sums point i makes its row
+                row, made = True, made + 1
+                if last < p:
+                    add_short(len(rows_at))  # the index of its row in the batch
+                add_x(x), add_ln_q(ln_q)
+                for order_lasts in (lasts,) if single else lasts:
                     order_lasts.append(last)
-    return states[0] if single else tuple(states)
-
-
-def _pq_sum_finish(state: list, refusal, sums: list):
-    """The columns of an order's psi or psi' (p,q) line routed by _pq_sum_line, from its rows' sums, or its refusal:
-    a direct point's value is lead + scale * its sum, tail 0 and terms its L; a lattice point's is its result."""
-    if refusal:
-        return refusal
-    lead, scale, rows, terms, lattice, shared = state
-    values, tails = [lead] * len(terms), [0.0] * len(terms)  # an order that is not refused routed every point
-    for i, s in zip(rows, sums):
-        values[i] += scale * s
-    if lattice:
-        terms = terms[:]
-        for i, res in lattice.items():
-            values[i], tails[i], terms[i] = res.value, res.tail_bound, res.terms_used
-    elif shared:
-        terms = terms[:]
-    return values, tails, terms
+            rows.append(i)
+        if row and not single:
+            for o in orders:  # an order that does not read the row just made
+                if len(o[6]) < made:
+                    o[6].append(None)
+        if refused:
+            live = [o for o in live if o[-1][1] is None]
+            if not live:
+                break
+    return orders[0][-1] if single else (orders[0][-1], orders[1][-1])
 
 
 def _pq_array_lines(fn, lines: list, tol: Tolerance, cols: tuple, lasts: list) -> list | None:
@@ -1406,22 +1448,15 @@ def _pq_array_lines(fn, lines: list, tol: Tolerance, cols: tuple, lasts: list) -
         cols[0].extend(compress(x[a:b], on)), cols[1].extend([ln_q] * len(rows))
         for order_lasts in (lasts,) if single else lasts:
             order_lasts.extend([p] * len(rows))
-        terms, states = [p] * size, []
-        for f in (fn,) if single else fn:  # as _pq_sum_line forms them
+        line = []  # per order [state, refusal], its leads and scale as _pq_sum_line forms them
+        for o, f in enumerate((fn,) if single else fn):
             lead, scale = (0.0, ln_q * ln_q) if f == "psi-prime" else (ln_q_bracket(p, ln_q), ln_q)
-            states.append([[lead, scale, rows, terms, None, not single], None])
+            line.append([([lead] * size, [0.0] * size, [p] * size, rows[:] if o else rows, scale), None])
+        line = line[0] if single else line
         if len(rows) < size:  # the other points, t by t
             others = list(compress(range(size), map(not_, on)))
-            routed = _pq_sum_line(fn, params, [ts[j] for j in others], tol, cols, lasts)
-            routed = (routed,) if single else routed
-            shared = routed[0][0]
-            rows += [others[r] for r in shared[2]]
-            for j, n in zip(others, shared[3]):
-                terms[j] = n
-            for (state, refusal), mine in zip(routed, states):
-                mine[0][4] = state[4] and {others[k]: res for k, res in state[4].items()}
-                mine[1] = refusal
-        out.append((start, states[0] if single else tuple(states), len(rows_at)))
+            _merge_others(_pq_sum_line(fn, params, [ts[j] for j in others], tol, cols, lasts), line, others, not single)
+        out.append((start, line, len(rows_at)))
         a = b
     return out
 
@@ -1485,7 +1520,7 @@ def _pq_gamma_finish(state: tuple, refusal, sums: list):
 # that does in one more column, cols[width], for _sum_rows; finish(state, refusal, sums) -> columns or refusal;
 # arrays: _qk_array_lines.
 _PSI_QK = (_qk_line, _psi_terms, 1, 2, False, _line_finish, _qk_array_lines)
-_PSI_PQ = (_pq_sum_line, _psi_terms, 1, 2, True, _pq_sum_finish, _pq_array_lines)
+_PSI_PQ = (_pq_sum_line, _psi_terms, 1, 2, True, _line_finish, _pq_array_lines)
 _TABLE = {
     Family.QK: {"psi": _PSI_QK, "psi-prime": _PSI_QK,
                 "ln-gamma": (_qk_line, _ln_gamma_qk_terms, 0, 3, False, _line_finish, _qk_array_lines)},

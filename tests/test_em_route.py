@@ -256,6 +256,30 @@ def test_psi_of_a_finite_value_next_to_an_overflowing_term():
         psi_qk(1e-320, params)
 
 
+@pytest.mark.parametrize("q,t", [(1.0 - 1e-9, 1e-150), (1.0 - 1e-9, 1e-153), (0.5, 1e-154)])
+def test_psi_prime_of_a_finite_value_next_to_an_overflowing_term(q, t):
+    # Li_-1(e^-eps t) overflows (or (1 - q^t)^2 underflows) where psi' = 1/t^2 + O(1) still fits:
+    # eps^2 Li_-1 goes in the lead as (1/t)^2
+    params = DeformParams.qk(q, 1.0)
+    res = psi_qk_prime(t, params)
+    assert res.tail_bound <= Tolerance().abs_tol and res.terms_used < 100
+    want = 1 / mp.mpf(t) ** 2
+    assert abs(mp.mpf(res.value) - want) <= 4 * U * want, (q, t, res)
+    assert evaluate("psi-prime", params, [1.0, t]) == [psi_qk_prime(1.0, params), res]
+
+
+def test_psi_prime_refuses_only_where_one_over_t_squared_overflows():
+    # the last point before the lead takes over keeps its lattice value, close to 1/t^2 as well
+    params = DeformParams.qk(1.0 - 1e-9, 1.0)
+    for t in (1e-145, 7e-146):
+        res = psi_qk_prime(t, params)
+        assert abs(mp.mpf(res.value) - 1 / mp.mpf(t) ** 2) <= 4 * U * res.value, (t, res)
+    psi_qk_prime(1.0001e-154, DeformParams.qk(0.5, 1.0))
+    for t in (1e-155, 1e-170, 5e-324):
+        with pytest.raises(TruncationNotConverged, match="1/t\\^2 overflows"):
+            psi_qk_prime(t, DeformParams.qk(0.5, 1.0))
+
+
 def test_ln_gamma_at_k_is_exactly_zero():
     for q, k in ((1.0 - 1e-5, 0.5), (1.0 - 1e-7, 1.0), (Q_MAX, 3.0), (1.0 - 1e-6, K_MIN)):
         params = DeformParams.qk(q, k)

@@ -63,7 +63,7 @@ def test_psi_refuses_an_overflowing_point():
 
 @pytest.mark.parametrize("argv", [
     ["--fn", "ln-gamma", "--q", "0.5", "--t", "5e-324"],  # t |ln q| is subnormal
-    ["--fn", "psi-prime", "--q", "0.5", "--t", "1e-170"],  # (1 - q^t)^2 underflows on the EM route
+    ["--fn", "psi-prime", "--q", "0.5", "--t", "1e-170"],  # 1/t^2 overflows on the EM route
 ])
 def test_cli_refuses_with_exit_3(argv):
     err = io.StringIO()
